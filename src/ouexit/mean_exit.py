@@ -153,6 +153,8 @@ def splitting_probability(kappa: float, varphi: float, z0: float) -> float:
     kappa, varphi, z0 = float(kappa), float(varphi), float(z0)
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
+    if not math.isfinite(varphi):
+        raise ValueError(f"varphi must be finite, got {varphi!r}")
     if not -1.0 <= z0 <= 1.0:
         raise ValueError(f"z0 must lie in [-1, 1], got {z0!r}")
     if z0 == 1.0:
@@ -200,10 +202,12 @@ def met_interval(kappa: float, varphi: float, z0: float) -> float:
     Starting point z0 in [-1, 1]; exact zero on the boundary.  The pull
     may have either sign (mirror symmetry folds it to varphi >= 0).
     """
-    kappa = float(kappa)
+    kappa, varphi = float(kappa), float(varphi)
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    varphi, z0 = canonical_orientation(float(varphi), float(z0))
+    if not math.isfinite(varphi):
+        raise ValueError(f"varphi must be finite, got {varphi!r}")
+    varphi, z0 = canonical_orientation(varphi, float(z0))
     if not -1.0 <= z0 <= 1.0:
         raise ValueError(f"z0 must lie in [-1, 1], got {z0!r}")
     if abs(z0) == 1.0:

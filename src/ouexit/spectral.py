@@ -18,17 +18,24 @@ Eigenvalues are bracketed by an adaptive scan whose step follows the
 local level spacing -- pi/2-scaled where the spectrum is
 diffusion-like, nu-spacing-scaled where the trap dominates -- with a
 logarithmic sweep below that grid because the slowest rate collapses
-exponentially in kappa.  Brackets are refined in parallel by bisection
-plus a secant polish to |d alpha| < 1e-12, each root is re-verified
-against its bracket-scale residual, and suspiciously wide gaps trigger
-a fine rescan before being accepted.
+exponentially in kappa.  Brackets are refined one after another by
+bisection plus a secant polish to |d alpha| < 1e-12, each root is
+re-verified against its bracket-scale residual, and suspiciously wide
+gaps trigger a fine rescan before being accepted.
 
-Every mode weight is computed twice, by independent routes: as a
-residue of the closed-form generating function (no quadrature), and
-through the boundary-flux/normalization route (one quadrature per
-mode).  `weights_crosscheck` reports their per-mode agreement, which is
-the designed alarm for a wrong root, coefficient, or derivative
-anywhere in the build.  Below `BROWNIAN_KAPPA` the basis switches to
+Per-mode data come from confluent functions alone, with no quadrature.
+Each survival weight is a residue of the closed-form generating
+function, which divides by the pole derivative dD/da of the eigenvalue
+condition D (M or U at the boundary, or the interval determinant).  Each
+normalization follows from the Lagrange (Sturm-Liouville) identity: a
+solution y(z, lambda) that meets one boundary condition for every
+lambda has int p y^2 = +/- p [y_lambda y' - y y_lambda'] at the other
+boundary, with d/d lambda = -(1/(4 kappa)) d/da, so it takes the same
+a-derivatives plus the raised-parameter functions at that boundary.
+`weights_crosscheck` is an opt-in audit, computed on demand: it rebuilds
+every weight with dD/da replaced by a central difference of D's values,
+so a wrong parameter derivative or coefficient shows as a discrepancy.
+Below `BROWNIAN_KAPPA` the basis switches to
 its closed-form free-diffusion limit (cosines on the interval, Bessel
 modes in the ball); the exterior problem keeps no discrete spectrum in
 that limit and raises instead.  Magnitudes inside the determinant grow
@@ -38,15 +45,11 @@ range for trap strengths up to a few hundred in those units.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from ._quad import integrate_to_cutoff, tanh_sinh
-from .mean_exit import QuadratureError
 from .ou_model import BROWNIAN_KAPPA, Geometry
 from .specfun import (bessel_j, gamma_fn, kummer_m, kummer_m_da, tricomi_u,
                       tricomi_u_da)
@@ -54,9 +57,7 @@ from .specfun import (bessel_j, gamma_fn, kummer_m, kummer_m_da, tricomi_u,
 __all__ = [
     "SpectralBasis",
     "SpectralValue",
-    "CurveTable",
     "WeightsReport",
-    "WeightRoute",
     "RootSearchError",
     "build_basis",
     "survival",
@@ -75,8 +76,13 @@ _ALPHA_TOL = 1e-12
 # of its magnitude at the detection-bracket endpoints.
 _RESIDUAL_TOL = 1e-10
 
-# Normalization quadratures run at this relative tolerance.
-_BETA_TOL = 1e-10
+# `weights_crosscheck` differences the eigenvalue condition with the step
+# _AUDIT_STEP * max(1, |a|) in a = -alpha^2/(4 kappa).
+_AUDIT_STEP = 1e-4
+
+# Version of the `basis_to_json` layout; schema 1 carried a second weight
+# list from a normalization quadrature.
+_SCHEMA = 2
 
 # Spectral sums stop once a term drops below this fraction of the
 # accumulated sum, but never before this many nonzero terms.
@@ -103,14 +109,6 @@ class RootSearchError(RuntimeError):
     """Eigenvalue bracketing failed or left an unexplained gap."""
 
 
-class WeightRoute(str, enum.Enum):
-    """Which of the two weight computations a basis carries."""
-
-    INTEGRAL = "integral"
-    RESIDUE = "residue"
-    BOTH = "both"
-
-
 class SpectralValue(float):
     """Float result of a truncated spectral sum, plus diagnostics.
 
@@ -134,32 +132,6 @@ class SpectralValue(float):
 
 
 @dataclass(frozen=True)
-class CurveTable:
-    """Sampled curve plus the labels and provenance a writer needs.
-
-    `samples` holds (x, y) pairs with a strictly increasing, finite
-    abscissa and finite ordinates; `metadata` carries the problem
-    parameters and truncation diagnostics the curve was produced under.
-    """
-
-    x_label: str
-    x_unit: str
-    samples: tuple[tuple[float, float], ...]
-    metadata: dict
-
-    def __post_init__(self):
-        samples = tuple((float(x), float(y)) for x, y in self.samples)
-        object.__setattr__(self, "samples", samples)
-        for (x0, _), (x1, _) in zip(samples, samples[1:]):
-            if not x1 > x0:
-                raise ValueError(
-                    f"abscissa must increase strictly, got {x0!r} then {x1!r}")
-        for x, y in samples:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"non-finite sample ({x!r}, {y!r})")
-
-
-@dataclass(frozen=True)
 class SpectralBasis:
     """Dirichlet eigenbasis of the trapped-diffusion generator.
 
@@ -167,13 +139,12 @@ class SpectralBasis:
     n has decay rate alphas[n]**2.  `coeff_pairs` holds the per-mode
     boundary coefficients (c1, c2) multiplying the even and odd
     interval solutions; the single-solution radial layouts store
-    (1.0, 0.0).  `weights` come from the residue route, and
-    `weights_integral` are the same numbers from the flux/normalization
-    route; `weight_route` records which are populated (`build_basis`
-    always fills both).  `betas` are the eigenfunction normalization
-    constants.  `brownian` marks a closed-form free-diffusion basis
-    whose mode functions are trigonometric or Bessel rather than
-    confluent.
+    (1.0, 0.0).  `weights` are the survival weights, residues of the
+    closed-form generating function; `weights_crosscheck` audits them
+    on demand.  `betas` are the eigenfunction normalization constants,
+    from the Sturm-Liouville norm identity.  `brownian` marks a
+    closed-form free-diffusion basis whose mode functions are
+    trigonometric or Bessel rather than confluent.
     """
 
     geometry: Geometry
@@ -183,9 +154,7 @@ class SpectralBasis:
     alphas: tuple[float, ...]
     coeff_pairs: tuple[tuple[float, float], ...]
     weights: tuple[float, ...]
-    weights_integral: tuple[float, ...]
     betas: tuple[float, ...]
-    weight_route: WeightRoute
     brownian: bool = False
 
     @property
@@ -215,10 +184,10 @@ class SpectralBasis:
 
 @dataclass(frozen=True)
 class WeightsReport:
-    """Per-mode agreement of the two weight routes.
+    """Per-mode agreement of the weights with their audit rebuild.
 
-    Each row is (n, alpha_n, weight_residue, weight_integral,
-    relative discrepancy); `max_discrepancy` is the worst row.
+    Each row is (n, alpha_n, weight, audit weight, relative
+    discrepancy); `max_discrepancy` is the worst row.
     """
 
     rows: tuple[tuple[int, float, float, float, float], ...]
@@ -247,26 +216,13 @@ def _m2_da(a: float, kappa: float, z: float) -> float:
     return z * kummer_m_da(a + 0.5, 1.5, kappa * z * z).value
 
 
-def _dm1_dz(a: float, kappa: float, z: float) -> float:
-    """d/dz of the even solution: 4 kappa a z M(a+1, 3/2, kappa z^2)."""
-    return 4.0 * kappa * a * z * kummer_m(a + 1.0, 1.5, kappa * z * z).value
-
-
-def _dm2_dz(a: float, kappa: float, z: float) -> float:
-    """d/dz of the odd solution via the raised-parameter identity."""
-    zz = kappa * z * z
-    return (kummer_m(a + 0.5, 1.5, zz).value
-            + (4.0 * kappa * z * z / 3.0) * (a + 0.5)
-            * kummer_m(a + 1.5, 2.5, zz).value)
-
-
 def _interval_det(kappa: float, varphi: float) -> Callable[[float], float]:
-    """Boundary determinant whose zeros are the interval eigenvalues."""
+    """Boundary determinant, as a function of a = -alpha^2/(4 kappa),
+    whose zeros are the interval eigenvalues."""
     zr = 1.0 - varphi
     zl = -1.0 - varphi
 
-    def det(alpha: float) -> float:
-        a = -alpha * alpha / (4.0 * kappa)
+    def det(a: float) -> float:
         return (_m1(a, kappa, zl) * _m2(a, kappa, zr)
                 - _m2(a, kappa, zl) * _m1(a, kappa, zr))
 
@@ -403,10 +359,9 @@ def _refine_root(fn: Callable[[float], float], bracket) -> float:
 def _find_roots(fn: Callable[[float], float], kappa: float, dnu: float,
                 brownian_gap: float, n_roots: int, cap: float,
                 smooth_gaps: bool) -> list[float]:
-    """Scan, refine in parallel, and gap-audit one root family."""
+    """Scan, refine, and gap-audit one root family."""
     brackets = _scan_brackets(fn, kappa, dnu, brownian_gap, n_roots, cap)
-    with ThreadPoolExecutor(max_workers=min(8, len(brackets))) as pool:
-        roots = list(pool.map(lambda br: _refine_root(fn, br), brackets))
+    roots = [_refine_root(fn, br) for br in brackets]
     for _ in range(2):
         extras = _audit_gaps(fn, roots, kappa, brownian_gap, smooth_gaps)
         if not extras:
@@ -475,17 +430,8 @@ def _audit_gaps(fn, roots: list[float], kappa: float, brownian_gap: float,
 # per-mode data (coefficients, weights, normalization)
 # ----------------------------------------------------------------------
 
-def _quad_beta(integrand, lo: float, hi: float) -> float:
-    value, err = tanh_sinh(integrand, lo, hi, tol=_BETA_TOL)
-    if err > 1e-7 * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"normalization integral reached {err:.3e} "
-            f"on value {value:.6e}, wanted {_BETA_TOL:.1e}")
-    return value
-
-
 def _interval_mode(kappa: float, varphi: float, alpha: float, tag: str):
-    """Coefficients, both weights, and beta for one interval mode.
+    """Coefficients, residue weight, and beta for one interval mode.
 
     The residue weight divides by whichever boundary coefficient is
     better conditioned; the two groupings agree through the eigenvalue
@@ -510,72 +456,105 @@ def _interval_mode(kappa: float, varphi: float, alpha: float, tag: str):
         w_res = 4.0 * kappa * (c1 - q) / (alpha * alpha * det_da * c1)
     else:
         w_res = -4.0 * kappa * (p - c2) / (alpha * alpha * det_da * c2)
-
-    def density(z: float) -> float:
-        u = c1 * _m1(a, kappa, z) - c2 * _m2(a, kappa, z)
-        return math.exp(-kappa * z * z) * u * u
-
-    beta2 = 1.0 / _quad_beta(density, zl, zr)
-
-    def flux(z: float) -> float:
-        return math.exp(2.0 * kappa * varphi * z) * (
-            c1 * _dm1_dz(a, kappa, z - varphi)
-            - c2 * _dm2_dz(a, kappa, z - varphi))
-
-    # The boundary weight is exp(-kappa (z - varphi)^2) at z = +/-1,
-    # split as exp(-kappa (1 + varphi^2)) * exp(2 kappa varphi z).
-    w_int = (beta2 * math.exp(-kappa * (1.0 + varphi * varphi))
-             / (alpha * alpha) * (flux(-1.0) - flux(1.0)))
-    return (c1, c2), w_res, w_int, math.sqrt(beta2)
+    return (c1, c2), w_res, _interval_beta(kappa, varphi, alpha, c1, c2)
 
 
-def _radial_interior_mode(kappa: float, b: float, d: int, alpha: float):
+def _unit_norm(mass: float, alpha: float) -> float:
+    """1/sqrt(mass), for the norm-identity mass of the mode at alpha."""
+    if not 0.0 < mass < math.inf:
+        raise RootSearchError(
+            f"mode at alpha = {alpha!r} has norm-identity mass {mass!r}; "
+            "its root or its confluent values are unreliable")
+    return 1.0 / math.sqrt(mass)
+
+
+def _interval_beta(kappa: float, varphi: float, alpha: float, c1: float,
+                   c2: float) -> float:
+    """Normalization of c1 m1 - c2 m2 from the Lagrange identity.
+
+    v = e m1 - o m2 with (e, o) = (m2, m1) at the far boundary zf
+    vanishes there for every a, so its mass under p = exp(-kappa z^2)
+    is the boundary term +/- p (v v_a' - v_a v') / (4 kappa) at the near
+    boundary zn.  The identity holds off the eigenvalue as well, so the
+    float root's residual v(zn) enters through the v v_a' term instead
+    of being dropped.  zn is the boundary nearer the trap centre: at the
+    far one both products carry the growth of the confluent solutions
+    and cancel.  The stored pair is then mapped onto v through its larger
+    component -- the two are parallel at an eigenvalue -- rather than
+    integrated itself, which would pick up the float contamination its
+    growing part carries to the far boundary.
+    """
+    a = -alpha * alpha / (4.0 * kappa)
+    zr = 1.0 - varphi
+    zl = -1.0 - varphi
+    zn, zf, side = (zr, zl, 1.0) if abs(zr) <= abs(zl) else (zl, zr, -1.0)
+    e, o = _m2(a, kappa, zf), _m1(a, kappa, zf)
+    e_a, o_a = _m2_da(a, kappa, zf), _m1_da(a, kappa, zf)
+    # v is defined up to a constant; taking out the far-boundary growth
+    # keeps the products below in float range
+    big = max(abs(e), abs(o))
+    e, o, e_a, o_a = e / big, o / big, e_a / big, o_a / big
+
+    # m1 = M(a, 1/2, y), m2 = zn M(a+1/2, 3/2, y), y = kappa zn^2, and
+    # their zn-derivatives 4 kappa a zn M(a+1, 3/2, y) and
+    # M(a+1/2, 3/2, y) + (4 y / 3)(a + 1/2) M(a+3/2, 5/2, y)
+    y = kappa * zn * zn
+    m1, m1_a = kummer_m(a, 0.5, y).value, kummer_m_da(a, 0.5, y).value
+    k2, k2_a = (kummer_m(a + 0.5, 1.5, y).value,
+                kummer_m_da(a + 0.5, 1.5, y).value)
+    k3, k3_a = (kummer_m(a + 1.0, 1.5, y).value,
+                kummer_m_da(a + 1.0, 1.5, y).value)
+    k4, k4_a = (kummer_m(a + 1.5, 2.5, y).value,
+                kummer_m_da(a + 1.5, 2.5, y).value)
+    m2, m2_a = zn * k2, zn * k2_a
+    dm1 = 4.0 * kappa * a * zn * k3
+    dm1_a = 4.0 * kappa * zn * (k3 + a * k3_a)
+    dm2 = k2 + (4.0 * y / 3.0) * (a + 0.5) * k4
+    dm2_a = k2_a + (4.0 * y / 3.0) * (k4 + (a + 0.5) * k4_a)
+
+    v = e * m1 - o * m2
+    v_a = e_a * m1 + e * m1_a - o_a * m2 - o * m2_a
+    dv = e * dm1 - o * dm2
+    dv_a = e_a * dm1 + e * dm1_a - o_a * dm2 - o * dm2_a
+    g = math.exp(-0.5 * y)  # sqrt of the weight p(zn), one per factor
+    mass = side * ((g * v) * (g * dv_a) - (g * v_a) * (g * dv)) / (4.0 * kappa)
+    scale = c1 / e if abs(c1) >= abs(c2) else c2 / o
+    return _unit_norm(mass, alpha) / abs(scale)
+
+
+def _radial_mass(kappa: float, a: float, f: float, f_a: float, f1: float,
+                 f1_a: float) -> float:
+    """exp(-kappa) [f (f1 + a f1_a) - a f_a f1]: the Lagrange boundary term
+    at z = 1 for y = F(a, b, kappa z^2), F = M or U, f1 = F(a+1, b+1, .).
+
+    p = z^(d-1) exp(-kappa z^2), d/d lambda = -(1/(4 kappa)) d/da and
+    M' = (a/b) M(a+1, b+1), U' = -a U(a+1, b+1) turn
+    +/- p [y_lambda y' - y y_lambda'] into this times 1/(2b) on the
+    interior and 1/2 on the exterior.  The f f1_a term carries the float
+    root's residual f and is kept.
+    """
+    g = math.exp(-0.5 * kappa)  # sqrt of p(1), one per factor
+    return (g * f) * (g * f1 + a * (g * f1_a)) - a * (g * f_a) * (g * f1)
+
+
+def _radial_interior_mode(kappa: float, b: float, alpha: float):
     nu = alpha * alpha / (4.0 * kappa)
-    w_res = 4.0 * kappa / (alpha * alpha
-                           * kummer_m_da(-nu, b, kappa).value)
-
-    def density(z: float) -> float:
-        m = kummer_m(-nu, b, kappa * z * z).value
-        return z ** (d - 1) * math.exp(-kappa * z * z) * m * m
-
-    beta2 = 1.0 / _quad_beta(density, 0.0, 1.0)
-    w_int = (beta2 * math.exp(-kappa) / (2.0 * kappa)
-             * kummer_m(-nu + 1.0, b, kappa).value)
-    return (1.0, 0.0), w_res, w_int, math.sqrt(beta2)
+    m_a = kummer_m_da(-nu, b, kappa).value
+    w_res = 4.0 * kappa / (alpha * alpha * m_a)
+    mass = _radial_mass(kappa, -nu, kummer_m(-nu, b, kappa).value, m_a,
+                        kummer_m(1.0 - nu, b + 1.0, kappa).value,
+                        kummer_m_da(1.0 - nu, b + 1.0, kappa).value)
+    return (1.0, 0.0), w_res, _unit_norm(mass / (2.0 * b), alpha)
 
 
-def _radial_exterior_mode(kappa: float, b: float, d: int, alpha: float):
+def _radial_exterior_mode(kappa: float, b: float, alpha: float):
     nu = alpha * alpha / (4.0 * kappa)
-    w_res = 4.0 * kappa / (alpha * alpha
-                           * tricomi_u_da(-nu, b, kappa).value)
-
-    # The weighted mode mass ~ exp(-y) y^(2 nu + b) in y = kappa z^2
-    # peaks at y* = 2 nu + b.  Beyond 3 y* + 260 the integrand is below
-    # exp(-170) of that peak, so it is cut to zero there -- which also
-    # keeps the U evaluation away from arguments whose exp(y) internals
-    # overflow (the hard 700 cap; the margin stays > exp(-140) for any
-    # basis below ~150 modes).
-    y_star = 2.0 * nu + b
-    y_cap = min(3.0 * y_star + 260.0, 700.0)
-
-    def density(z: float) -> float:
-        y = kappa * z * z
-        if y > y_cap:
-            return 0.0
-        u = tricomi_u(-nu, b, y).value
-        return z ** (d - 1) * math.exp(-y) * u * u
-
-    value, err = integrate_to_cutoff(density, 1.0, tol=_BETA_TOL)
-    if err > 1e-7 * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"exterior normalization reached {err:.3e} on {value:.6e}")
-    beta2 = 1.0 / value
-    # int_1^inf z^(d-1) e^(-kappa z^2) U(-nu, b, kappa z^2) dz
-    #   = exp(-kappa)/2 * U(-nu+1, b+1, kappa)  at an eigenvalue,
-    # from integrating the self-adjoint form against the decaying mode.
-    w_int = (beta2 * math.exp(-kappa) / 2.0
-             * tricomi_u(-nu + 1.0, b + 1.0, kappa).value)
-    return (1.0, 0.0), w_res, w_int, math.sqrt(beta2)
+    u_a = tricomi_u_da(-nu, b, kappa).value
+    w_res = 4.0 * kappa / (alpha * alpha * u_a)
+    mass = _radial_mass(kappa, -nu, tricomi_u(-nu, b, kappa).value, u_a,
+                        tricomi_u(1.0 - nu, b + 1.0, kappa).value,
+                        tricomi_u_da(1.0 - nu, b + 1.0, kappa).value)
+    return (1.0, 0.0), w_res, _unit_norm(0.5 * mass, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -593,14 +572,26 @@ def _bessel_zero(order: float, k: int) -> float:
     return _refine_root(lambda x: bessel_j(order, x), (lo, hi, flo, fhi))
 
 
+def _free_radial(d: int, x: float) -> float:
+    """Regular free-diffusion radial mode Gamma(b) J_{b-1}(x) / (x/2)^(b-1),
+    b = d/2, normalized to 1 at x = 0."""
+    if x == 0.0:
+        return 1.0
+    if d == 1:
+        return math.cos(x)
+    if d == 3:
+        return math.sin(x) / x
+    b = 0.5 * d
+    return gamma_fn(b) * bessel_j(b - 1.0, x) / (0.5 * x) ** (b - 1.0)
+
+
 def _brownian_basis(geometry: Geometry, kappa: float, varphi: float,
                     d: int, n_modes: int) -> SpectralBasis:
     """Closed-form basis in the free-diffusion limit kappa -> 0.
 
     Interval modes are cosines/sines about the centre (the odd family
     carries zero survival weight by symmetry); ball modes are Bessel
-    functions with the classical zeros.  Both weight routes coincide
-    with the closed forms, so the crosscheck is trivially exact.
+    functions with the classical zeros.
     """
     alphas, pairs, weights, betas = [], [], [], []
     if geometry is Geometry.INTERVAL:
@@ -634,8 +625,7 @@ def _brownian_basis(geometry: Geometry, kappa: float, varphi: float,
     return SpectralBasis(
         geometry=geometry, kappa=kappa, varphi=varphi, d=d,
         alphas=tuple(alphas), coeff_pairs=tuple(pairs),
-        weights=tuple(weights), weights_integral=tuple(weights),
-        betas=tuple(betas), weight_route=WeightRoute.BOTH, brownian=True)
+        weights=tuple(weights), betas=tuple(betas), brownian=True)
 
 
 # ----------------------------------------------------------------------
@@ -648,7 +638,7 @@ def _validate_problem(geometry, kappa: float, varphi: float, d: int,
     if geometry is Geometry.EXTERIOR_LINE:
         raise ValueError(
             "the forced half-line problem has no discrete eigenbasis; "
-            "use its generating function via the extensions module")
+            "its mean exit time is mean_exit.met_exterior_1d_forced")
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
     if not (math.isfinite(kappa) and kappa >= 0.0):
@@ -672,13 +662,16 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
                 n_modes: int = 12) -> SpectralBasis:
     """Find the first n_modes eigenvalues and their expansion data.
 
-    Both weight routes are evaluated and stored (weight_route BOTH) so
-    `weights_crosscheck` can audit the build.  At varphi = 0 the even
-    and odd interval families are scanned separately and merged; the
-    generic determinant covers every other pull, including varphi = 1
-    where it degenerates to the odd-solution condition on its own.
-    kappa below BROWNIAN_KAPPA returns the closed-form free-diffusion
-    basis (the exterior problem has none and raises).
+    Each mode gets one weight, the residue of the closed-form generating
+    function, and a normalization from the Sturm-Liouville norm
+    identity; neither takes a quadrature.  `weights_crosscheck` audits
+    the weights on demand; the build itself does not run it.  At
+    varphi = 0 the even and odd interval families are scanned separately
+    and merged; the generic determinant covers every other pull,
+    including varphi = 1 where it degenerates to the odd-solution
+    condition on its own.  kappa below BROWNIAN_KAPPA returns the
+    closed-form free-diffusion basis (the exterior problem has none and
+    raises).
     """
     geometry = _validate_problem(geometry, kappa, varphi, d, n_modes)
     if kappa < BROWNIAN_KAPPA:
@@ -703,7 +696,8 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
                                      kappa).value, "antisymmetric", 1.0),
             ]
         else:
-            families = [(_interval_det(kappa, varphi), "", 0.5)]
+            det = _interval_det(kappa, varphi)
+            families = [(lambda al: det(-al * al / (4.0 * kappa)), "", 0.5)]
         brownian_gap = math.pi if varphi == 0.0 else 0.5 * math.pi
     elif geometry is Geometry.RADIAL_INTERIOR:
         b = 0.5 * d
@@ -742,25 +736,23 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
                     "a root was missed in the "
                     f"{'odd' if t0 == 'symmetric' else 'even'} family")
 
-    pairs, w_res, w_int, betas = [], [], [], []
+    pairs, weights, betas = [], [], []
     for alpha, tag in tagged:
         if geometry is Geometry.INTERVAL:
-            pair, wr, wi, beta = _interval_mode(kappa, varphi, alpha, tag)
+            pair, w, beta = _interval_mode(kappa, varphi, alpha, tag)
         elif geometry is Geometry.RADIAL_INTERIOR:
-            pair, wr, wi, beta = _radial_interior_mode(kappa, 0.5 * d, d, alpha)
+            pair, w, beta = _radial_interior_mode(kappa, 0.5 * d, alpha)
         else:
-            pair, wr, wi, beta = _radial_exterior_mode(kappa, 0.5 * d, d, alpha)
+            pair, w, beta = _radial_exterior_mode(kappa, 0.5 * d, alpha)
         pairs.append(pair)
-        w_res.append(wr)
-        w_int.append(wi)
+        weights.append(w)
         betas.append(beta)
 
     return SpectralBasis(
         geometry=geometry, kappa=float(kappa), varphi=float(varphi), d=d,
         alphas=tuple(alpha for alpha, _ in tagged),
-        coeff_pairs=tuple(pairs), weights=tuple(w_res),
-        weights_integral=tuple(w_int), betas=tuple(betas),
-        weight_route=WeightRoute.BOTH, brownian=False)
+        coeff_pairs=tuple(pairs), weights=tuple(weights),
+        betas=tuple(betas), brownian=False)
 
 
 # ----------------------------------------------------------------------
@@ -792,15 +784,7 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
         if basis.geometry is Geometry.INTERVAL:
             c1, c2 = basis.coeff_pairs[n]
             return c1 * math.cos(alpha * z0) - c2 * math.sin(alpha * z0) / alpha
-        b = 0.5 * basis.d
-        if z0 == 0.0:
-            return 1.0
-        x = alpha * z0
-        if basis.d == 1:
-            return math.cos(x)
-        if basis.d == 3:
-            return math.sin(x) / x
-        return gamma_fn(b) * bessel_j(b - 1.0, x) / (0.5 * x) ** (b - 1.0)
+        return _free_radial(basis.d, alpha * z0)
     a = -alpha * alpha / (4.0 * kappa)
     if basis.geometry is Geometry.INTERVAL:
         c1, c2 = basis.coeff_pairs[n]
@@ -928,25 +912,59 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     return num / den
 
 
-def weights_crosscheck(basis: SpectralBasis) -> WeightsReport:
-    """Per-mode relative discrepancy between the two weight routes.
+def _pole_parts(basis: SpectralBasis, n: int):
+    """Eigenvalue condition D(lambda) of mode n's family, and the factor
+    num with weights[n] = -num / (lambda dD/dlambda) at lambda = alpha_n^2."""
+    kappa, d = basis.kappa, basis.d
+    if basis.brownian:
+        if basis.geometry is Geometry.INTERVAL:
+            # even family: D = cos(sqrt(lambda)), mode c1 cos(alpha z)
+            return (lambda lam: math.cos(math.sqrt(lam)),
+                    1.0 / basis.coeff_pairs[n][0])
+        return lambda lam: _free_radial(d, math.sqrt(lam)), 1.0
+    if basis.geometry is Geometry.RADIAL_INTERIOR:
+        return (lambda lam: kummer_m(-lam / (4.0 * kappa), 0.5 * d,
+                                     kappa).value), 1.0
+    if basis.geometry is Geometry.RADIAL_EXTERIOR:
+        return (lambda lam: tricomi_u(-lam / (4.0 * kappa), 0.5 * d,
+                                      kappa).value), 1.0
+    det = _interval_det(kappa, basis.varphi)
+    a = -basis.alphas[n] ** 2 / (4.0 * kappa)
+    zl = -1.0 - basis.varphi
+    c1, c2 = basis.coeff_pairs[n]
+    if abs(c1) >= abs(c2):
+        num = (c1 - _m2(a, kappa, zl)) / c1
+    else:
+        num = -(_m1(a, kappa, zl) - c2) / c2
+    return lambda lam: det(-lam / (4.0 * kappa)), num
 
-    Modes silenced by symmetry carry an exact zero on both routes and
-    report zero discrepancy.
+
+def weights_crosscheck(basis: SpectralBasis) -> WeightsReport:
+    """Audit every weight against a rebuild from condition values alone.
+
+    The rebuild replaces the pole derivative, which the basis takes from
+    the *_da routines, by a central difference of the eigenvalue
+    condition's values at a +/- h, h = 1e-4 max(1, |a|) in
+    a = -alpha^2/(4 kappa) (h = 1e-4 lambda for a free-diffusion
+    basis).  The difference error stays below about 4e-6 relative, so a
+    wrong parameter derivative, or a weight that no longer matches its
+    stored coefficients, stands out; the roots themselves are verified
+    against their residuals when they are refined.  Modes silenced by
+    symmetry carry an exact zero weight and report zero discrepancy.
     """
-    if basis.weight_route is not WeightRoute.BOTH:
-        raise ValueError("crosscheck needs a basis built with both routes")
     rows = []
     worst = 0.0
     for n, alpha in enumerate(basis.alphas):
-        wr = basis.weights[n]
-        wi = basis.weights_integral[n]
-        if wr == 0.0 and wi == 0.0:
-            disc = 0.0
-        else:
-            disc = abs(wr - wi) / max(abs(wr), abs(wi))
+        w = basis.weights[n]
+        w_fd = disc = 0.0
+        if w != 0.0:
+            lam = alpha * alpha
+            h = _AUDIT_STEP * max(4.0 * basis.kappa, lam)
+            den, num = _pole_parts(basis, n)
+            w_fd = -num * 2.0 * h / (lam * (den(lam + h) - den(lam - h)))
+            disc = abs(w - w_fd) / max(abs(w), abs(w_fd))
         worst = max(worst, disc)
-        rows.append((n, alpha, wr, wi, disc))
+        rows.append((n, alpha, w, w_fd, disc))
     return WeightsReport(rows=tuple(rows), max_discrepancy=worst)
 
 
@@ -955,8 +973,9 @@ def weights_crosscheck(basis: SpectralBasis) -> WeightsReport:
 # ----------------------------------------------------------------------
 
 def basis_to_json(basis: SpectralBasis) -> str:
-    """Full-precision JSON image of every basis field."""
+    """Full-precision JSON image of every basis field, schema 2."""
     payload = {
+        "schema": _SCHEMA,
         "geometry": basis.geometry.value,
         "kappa": basis.kappa,
         "varphi": basis.varphi,
@@ -965,17 +984,22 @@ def basis_to_json(basis: SpectralBasis) -> str:
         "alphas": list(basis.alphas),
         "coeff_pairs": [list(pair) for pair in basis.coeff_pairs],
         "weights": list(basis.weights),
-        "weights_integral": list(basis.weights_integral),
         "betas": list(basis.betas),
-        "weight_route": basis.weight_route.value,
         "brownian": basis.brownian,
     }
     return json.dumps(payload, indent=2)
 
 
 def basis_from_json(text: str) -> SpectralBasis:
-    """Rebuild a basis serialized by `basis_to_json`."""
+    """Rebuild a basis serialized by `basis_to_json`.
+
+    Schema-1 images (no "schema" key) load too; their second weight
+    list "weights_integral" and its "weight_route" tag are ignored.
+    """
     payload = json.loads(text)
+    schema = payload.get("schema", 1)
+    if schema not in (1, _SCHEMA):
+        raise ValueError(f"unknown basis schema {schema!r}")
     basis = SpectralBasis(
         geometry=Geometry(payload["geometry"]),
         kappa=float(payload["kappa"]),
@@ -985,10 +1009,7 @@ def basis_from_json(text: str) -> SpectralBasis:
         coeff_pairs=tuple((float(c1), float(c2))
                           for c1, c2 in payload["coeff_pairs"]),
         weights=tuple(float(w) for w in payload["weights"]),
-        weights_integral=tuple(float(w)
-                               for w in payload["weights_integral"]),
         betas=tuple(float(b) for b in payload["betas"]),
-        weight_route=WeightRoute(payload["weight_route"]),
         brownian=bool(payload["brownian"]),
     )
     if basis.n_modes != int(payload["n_modes"]):

@@ -519,3 +519,17 @@ def test_operations_reject_out_of_domain_points():
         met_interval_asymptotic(10.0, 0.0, 0.0, "subcritical")
     with pytest.raises(ValueError):
         met_interval_asymptotic(10.0, 2.0, 0.0, "marginal")
+
+
+@pytest.mark.parametrize("fn", [met_interval, splitting_probability])
+@pytest.mark.parametrize("varphi, z0, named", [
+    (math.nan, 0.0, "varphi"),
+    (math.inf, 0.0, "varphi"),
+    (-math.inf, 0.2, "varphi"),
+    (0.5, math.nan, "z0"),
+])
+def test_interval_solvers_name_a_nonfinite_pull_or_start(fn, varphi, z0,
+                                                         named):
+    for kappa in (1.0, 1e-9):
+        with pytest.raises(ValueError, match=named):
+            fn(kappa, varphi, z0)

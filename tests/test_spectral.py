@@ -1,0 +1,360 @@
+"""Tests for the spectral layer: eigenbases, audit, serialization.
+
+Eigenvalues, residue weights and normalizations were frozen from a
+40-digit mpmath oracle that shares no code with the library.  alpha_n
+is the root of the eigenvalue condition (hyp1f1 or hyperu at the
+boundary, or the interval determinant) polished by `findroot`; the
+weight is the generating-function residue 4 kappa N / (alpha^2 dD/da)
+with dD/da from `mpmath.diff`; beta is 1/sqrt(int p y^2) by `mpmath.quad`
+with p = z^(d-1) exp(-kappa z^2).  The radial y is the stored
+M(a, b, kappa z^2) or U(a, b, kappa z^2) at the basis's own float
+alpha.  The interval y is the exact eigenfunction at the polished root,
+scaled onto the stored coefficient pair by least squares: at a float
+root the stored pair's own integral is ill-conditioned where the
+interval reaches far from the trap centre.
+
+The free-diffusion bases are checked against the classical cosine and
+Bessel series, and the quadrature gates count calls through wrappers
+on every module that binds the quadrature routines.
+"""
+
+import dataclasses
+import json
+import math
+import sys
+
+import pytest
+import scipy.special as sp
+
+from ouexit import _quad, mean_exit, specfun, spectral
+from ouexit.ou_model import Geometry
+from ouexit.spectral import (
+    RootSearchError,
+    SpectralBasis,
+    basis_from_json,
+    basis_to_json,
+    build_basis,
+    weights_crosscheck,
+)
+
+# (geometry, kappa, varphi, d, n_modes) -> [(alpha_n, weight_n, beta_n)]
+ORACLE = {
+    ('interval', 2.0, 0.0, 1, 6): [
+        (0.9858861613098696, 0.5563232483529773, 0.5199665157568395),
+        (2.9971013281859507, 0.0, 1.0907855204104915),
+        (4.631730834695092, 0.26439554639644725, 1.6840515562149014),
+        (6.226225178909415, 0.0, 2.2731769596038305),
+        (7.8096075231390785, 0.26792851207713403, 2.8584044346539765),
+        (9.388313226192702, 0.0, 3.441317766649701),
+    ],
+    ('interval', 20.0, 0.0, 1, 4): [
+        (0.0006364296568319319, 8.026584104135567e-08, 1.2749724236808108e-07),
+        (6.324556531196802, 0.0, 7.622965504372457e-07),
+        # dropping the residual term v v_a' of the norm identity moves
+        # this beta by 4.3e-8
+        (8.944287185691051, 2.432156700841634e-13, 3.1190799980010664e-06),
+        (10.95459024109418, 0.0, 1.0040721917262468e-05),
+    ],
+    ('interval', 4.0, 0.5, 1, 5): [
+        (1.3705501945216816, 1.3788570849422117, 1.60813157392118),
+        (3.7053277329558867, 0.41004348214266056, 2.378967964056851),
+        (5.257708005835664, 0.3495013436618385, 3.0921441725211327),
+        (6.718263248062705, 0.3399265010956387, 3.9445613859110984),
+        (8.202745361989276, 0.357040717198522, 4.863459285353243),
+    ],
+    ('interval', 30.0, 0.5, 1, 3): [
+        (0.21723816406254365, 0.01526963813483412, 0.026844201887296384),
+        # a quadrature of the stored pair gives 0.0840623: the float
+        # root leaks the growing solution into the far boundary
+        (7.7836868062141775, 0.0001218741457939851, 0.08592927452845113),
+        (11.092974986417007, 0.00024498452569180103, 0.17362703955633157),
+    ],
+    ('interval', 3.0, -0.7, 1, 4): [
+        (1.7624375393472829, 0.00337571283910344, 0.004296375254320631),
+        (3.706892046112477, -0.004942271647346084, 0.020364191557065873),
+        (5.177654818554224, 0.007622206496276193, 0.04563045551383197),
+        (6.640464190034419, -0.009056947647654122, 0.07084555428718103),
+    ],
+    ('interval', 2.0, 1.0, 1, 4): [
+        (2.013445587961663, 1.6328394516876377, 2.5675066532102044),
+        (3.6228965187084485, 0.9747583230135658, 3.5968558235735775),
+        (5.0632476371390736, 0.982249300780279, 4.981099362404044),
+        (6.548896279176469, 0.9646084348638226, 6.485440035628188),
+    ],
+    ('interval', 10.0, 2.0, 1, 4): [
+        (13.33160179644666, 6.359212311709247e-05, 0.10631241789998247),
+        (15.887935039311685, 5.063675077694233e-05, 0.11305775845916648),
+        (17.848553458607554, 4.3689284250336195e-05, 0.1179751367073559),
+        (19.505353195584902, 3.910662100473178e-05, 0.12197728570502063),
+    ],
+    ('radial-interior', 3.0, 0.0, 1, 4): [
+        (0.7456602556306231, 1.0547177673598294, 1.4983181499693523),
+        (4.69203392647148, -0.08698383212969649, 1.3781504057047032),
+        (7.850618691658729, 0.054844074540884746, 1.3981391243100725),
+        (10.994454575514855, -0.03984545452294261, 1.4056981147169545),
+    ],
+    ('radial-interior', 5.0, 0.0, 2, 4): [
+        (0.7412562309517364, 1.0451603563509102, 3.3322897019619098),
+        (5.3287854157115175, -0.08143594216805819, 4.205207890673543),
+        (8.552006536309248, 0.06743170044540285, 5.214631606222906),
+        (11.719278350229255, -0.05876625335153044, 6.08469474988161),
+    ],
+    ('radial-interior', 2.0, 0.0, 3, 4): [
+        (2.2321774954994034, 1.4359993602395167, 4.638283980637004),
+        (5.896259829628065, -0.8290466646401247, 8.965694977711145),
+        (9.172809015405523, 0.7739119761633249, 13.380011768596274),
+        (12.37886613440062, -0.7566425484537741, 17.80959622160863),
+    ],
+    ('radial-interior', 3.0, 0.0, 4, 4): [
+        (2.3674788759034104, 1.4424824535113419, 7.423874510702768),
+        (6.343216405650319, -0.9074174081260814, 17.029029912273533),
+        (9.721768156214942, 0.9779534209608368, 29.22400629087233),
+        (12.981893057145173, -1.076133567050987, 43.508910376410064),
+    ],
+    ('radial-exterior', 1.0, 0.0, 1, 4): [
+        (2.252640908269198, 0.37829649387417635, 1.5981901418041633),
+        (3.1949408186434596, -0.07724602154698572, 0.5786301249988864),
+        (3.879857856083844, 0.012634922340235557, 0.1292217524142086),
+        (4.444951803171533, -0.001676749280031598, 0.02127652625199151),
+    ],
+    ('radial-exterior', 2.0, 0.0, 2, 4): [
+        (3.405684974252925, 0.22044277771328932, 1.9070848115413825),
+        (4.776874008921344, -0.03018181140910336, 0.462469694102538),
+        (5.7633535967136105, 0.0035710463664740356, 0.07450524814491896),
+        (6.573562880773352, -0.0003559775435670595, 0.00919263278148253),
+    ],
+    ('radial-exterior', 1.0, 0.0, 3, 4): [
+        (1.7533941546634282, 0.624391727885383, 1.5981901418041633),
+        (2.8648990967631196, -0.09606896144762266, 0.5786301249976334),
+        (3.6129346774354394, 0.0145708198159903, 0.12922175241419379),
+        (4.213976332695506, -0.0018655979541143907, 0.02127652625203882),
+    ],
+}
+
+
+def rel(x, y):
+    return abs(x - y) / abs(y)
+
+
+@pytest.mark.parametrize("case", list(ORACLE), ids=str)
+def test_basis_matches_mpmath_oracle(case):
+    basis = build_basis(*case)
+    for n, (alpha, weight, beta) in enumerate(ORACLE[case]):
+        assert rel(basis.alphas[n], alpha) < 1e-12, n
+        if weight == 0.0:
+            assert basis.weights[n] == 0.0, n
+        else:
+            assert rel(basis.weights[n], weight) < 1e-10, n
+        assert rel(basis.betas[n], beta) < 1e-10, n
+
+
+def test_free_diffusion_interval_is_the_cosine_series():
+    basis = build_basis("interval", 0.0, 0.0, 1, 6)
+    assert basis.brownian
+    for n in range(6):
+        alpha = 0.5 * math.pi * (n + 1)
+        assert rel(basis.alphas[n], alpha) < 1e-15
+        assert basis.weights[n] == (2.0 if n % 2 == 0 else 0.0)
+        # the mode is +/- cos(alpha z) / alpha or +/- sin(alpha z) / alpha
+        assert rel(basis.betas[n], alpha) < 1e-15
+        z0 = 0.3
+        want = (math.cos if n % 2 == 0 else math.sin)(alpha * z0) / alpha
+        got = spectral.mode_term(basis, n, z0)
+        assert abs(abs(got) - abs(want)) < 1e-15
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_free_diffusion_ball_is_the_bessel_series(d):
+    basis = build_basis("radial-interior", 0.0, 0.0, d, 3)
+    if d == 1:
+        alphas = [math.pi * (n + 0.5) for n in range(3)]
+        weights = [2.0 * (-1) ** n / a for n, a in enumerate(alphas)]
+        betas = [math.sqrt(2.0)] * 3
+    elif d == 3:
+        alphas = [math.pi * (n + 1) for n in range(3)]
+        weights = [2.0 * (-1) ** n for n in range(3)]
+        betas = [math.sqrt(2.0) * a for a in alphas]
+    elif d == 2:
+        alphas = list(sp.jn_zeros(0, 3))
+        weights = [2.0 / (a * sp.jv(1, a)) for a in alphas]
+        betas = [math.sqrt(2.0) / abs(sp.jv(1, a)) for a in alphas]
+    else:
+        alphas = list(sp.jn_zeros(1, 3))
+        weights = [1.0 / sp.jv(2, a) for a in alphas]
+        betas = [a / (math.sqrt(2.0) * abs(sp.jv(2, a))) for a in alphas]
+    for n in range(3):
+        assert rel(basis.alphas[n], alphas[n]) < 1e-12
+        assert rel(basis.weights[n], weights[n]) < 1e-11
+        assert rel(basis.betas[n], betas[n]) < 1e-11
+
+
+@pytest.mark.parametrize("mass", [-983.04, 0.0, math.nan, math.inf])
+def test_a_mode_without_positive_mass_is_refused(mass):
+    # a spurious root (interval kappa = 100, varphi = 0 finds some, as
+    # M(a, 1/2, 100) loses all digits near a = 0) gives no usable beta
+    with pytest.raises(RootSearchError, match="mass"):
+        spectral._unit_norm(mass, 24.5)
+
+
+# ---------------------------------------------------------------------------
+# The weights audit
+
+# the benchmark's basis-build scenarios; the audit's difference error
+# stays below 4e-6 on every one of them
+AUDIT_SCENARIOS = [
+    ("interval", 1.0, 0.0, 1, 12),
+    ("interval", 4.0, 0.5, 1, 12),
+    ("interval", 2.0, 1.0, 1, 12),
+    ("interval", 10.0, 2.0, 1, 4),
+    ("radial-interior", 2.0, 0.0, 3, 12),
+    ("radial-interior", 5.0, 0.0, 2, 12),
+    ("radial-exterior", 1.0, 0.0, 3, 12),
+    ("radial-exterior", 1.0, 0.0, 1, 8),
+    ("radial-exterior", 2.0, 0.0, 2, 4),
+]
+AUDIT_BOUND = 1e-5
+
+
+@pytest.fixture(scope="module")
+def audit_bases():
+    return {case: build_basis(*case) for case in AUDIT_SCENARIOS}
+
+
+@pytest.mark.parametrize("case", AUDIT_SCENARIOS, ids=str)
+def test_audit_passes_on_benchmark_scenarios(audit_bases, case):
+    report = weights_crosscheck(audit_bases[case])
+    assert report.max_discrepancy < AUDIT_BOUND
+    assert len(report.rows) == case[4]
+
+
+@pytest.mark.parametrize("case", [("interval", 0.0, 0.0, 1, 6),
+                                  ("radial-interior", 0.0, 0.0, 2, 6)],
+                         ids=str)
+def test_audit_passes_on_free_diffusion_bases(case):
+    assert weights_crosscheck(build_basis(*case)).max_discrepancy < AUDIT_BOUND
+
+
+@pytest.mark.parametrize("case", AUDIT_SCENARIOS, ids=str)
+def test_audit_trips_on_a_weight_off_by_1e_4(audit_bases, case):
+    basis = audit_bases[case]
+    n = max(k for k in range(basis.n_modes) if basis.weights[k] != 0.0)
+    weights = list(basis.weights)
+    weights[n] *= 1.0 + 1e-4
+    report = weights_crosscheck(
+        dataclasses.replace(basis, weights=tuple(weights)))
+    assert report.max_discrepancy > AUDIT_BOUND
+    assert max(report.rows, key=lambda row: row[4])[0] == n
+
+
+def test_audit_reports_silenced_modes_as_exact_zeros():
+    report = weights_crosscheck(build_basis("interval", 2.0, 0.0, 1, 4))
+    for n, alpha, weight, weight_fd, disc in report.rows:
+        if n % 2:
+            assert weight == weight_fd == disc == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Quadrature gates: per-mode data come from confluent functions alone
+
+def _count_quadrature(monkeypatch):
+    """Wrap the quadrature routines wherever a module bound them; the
+    returned dict counts all calls and those made from spectral code."""
+    counts = {"all": 0, "spectral": 0}
+    for name in ("tanh_sinh", "integrate_to_cutoff"):
+        original = getattr(_quad, name)
+
+        def wrapper(*args, _original=original, **kwargs):
+            counts["all"] += 1
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if caller == "ouexit.spectral":
+                counts["spectral"] += 1
+            return _original(*args, **kwargs)
+
+        for module in (_quad, specfun, mean_exit, spectral):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("case", [
+    ("interval", 2.0, 0.0, 1, 6),
+    ("interval", 4.0, 0.5, 1, 12),
+    ("interval", 2.0, 1.0, 1, 6),
+    ("interval", 10.0, 2.0, 1, 4),
+    ("radial-interior", 3.0, 0.0, 1, 6),
+], ids=str)
+def test_build_makes_no_quadrature_call(monkeypatch, case):
+    counts = _count_quadrature(monkeypatch)
+    build_basis(*case)
+    assert counts["all"] == 0
+
+
+@pytest.mark.parametrize("case", [
+    ("radial-interior", 2.0, 0.0, 3, 12),
+    ("radial-exterior", 1.0, 0.0, 1, 4),
+    ("radial-exterior", 2.0, 0.0, 2, 4),
+    ("radial-exterior", 1.0, 0.0, 3, 4),
+], ids=str)
+def test_build_makes_no_quadrature_call_of_its_own(monkeypatch, case):
+    # Bessel J and Tricomi U fall back on integral representations
+    # inside specfun for some arguments; the build itself integrates
+    # nothing
+    counts = _count_quadrature(monkeypatch)
+    build_basis(*case)
+    assert counts["spectral"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Serialization
+
+SCHEMA_1_TEXT = """{
+  "geometry": "interval",
+  "kappa": 4.0,
+  "varphi": 0.5,
+  "d": 1,
+  "n_modes": 2,
+  "alphas": [1.370550194521682, 3.705327732955887],
+  "coeff_pairs": [[0.6725818993393802, 0.6744902695534316],
+                  [0.36251150796379555, -0.811914841786927]],
+  "weights": [1.3788570849422126, 0.41004348214266034],
+  "weights_integral": [1.3788570849422115, 0.4100434821426607],
+  "betas": [1.60813157392118, 2.3789679640568524],
+  "weight_route": "both",
+  "brownian": false
+}"""
+
+
+@pytest.mark.parametrize("case", [("interval", 4.0, 0.5, 1, 3),
+                                  ("radial-exterior", 1.0, 0.0, 3, 3),
+                                  ("radial-interior", 0.0, 0.0, 4, 3)],
+                         ids=str)
+def test_json_round_trip_is_exact(case):
+    basis = build_basis(*case)
+    text = basis_to_json(basis)
+    payload = json.loads(text)
+    assert payload["schema"] == 2
+    assert "weights_integral" not in payload
+    assert "weight_route" not in payload
+    again = basis_from_json(text)
+    assert again == basis
+    assert basis_to_json(again) == text
+
+
+def test_json_loads_schema_1_and_drops_the_second_weight_list():
+    basis = basis_from_json(SCHEMA_1_TEXT)
+    assert basis == SpectralBasis(
+        geometry=Geometry.INTERVAL, kappa=4.0, varphi=0.5, d=1,
+        alphas=(1.370550194521682, 3.705327732955887),
+        coeff_pairs=((0.6725818993393802, 0.6744902695534316),
+                     (0.36251150796379555, -0.811914841786927)),
+        weights=(1.3788570849422126, 0.41004348214266034),
+        betas=(1.60813157392118, 2.3789679640568524))
+    assert json.loads(basis_to_json(basis))["schema"] == 2
+
+
+def test_json_rejects_an_unknown_schema():
+    basis = build_basis("interval", 2.0, 0.0, 1, 2)
+    payload = json.loads(basis_to_json(basis))
+    payload["schema"] = 3
+    with pytest.raises(ValueError, match="schema"):
+        basis_from_json(json.dumps(payload))
