@@ -266,10 +266,7 @@ _PHYSICAL_KEYS = {
     "F0": float, "L": float, "d": int,
 }
 _DIMENSIONLESS_KEYS = {"kappa": float, "varphi": float, "d": int}
-_OPTIONAL_KEYS = {
-    "z0": float, "t": float, "s": float, "n_modes": int,
-    "delta": float, "n_paths": int, "t_max": float, "seed": int,
-}
+_OPTIONAL_KEYS = {"z0": float, "t": float, "s": float, "n_modes": int}
 
 
 def _key_line(text: str, key: str) -> int:
@@ -286,10 +283,9 @@ def load_config(path: str) -> dict:
 
     The file must carry ``"mode": "physical"`` with keys k, gamma,
     temperature, F0, L, d, or ``"mode": "dimensionless"`` with keys
-    kappa, varphi, d.  A handful of solver keys (z0, t, s, n_modes,
-    delta, n_paths, t_max, seed) may ride along.  Unknown keys, wrong
-    types, and missing required keys raise `ConfigError` with the file
-    name and line number of the problem.
+    kappa, varphi, d.  The solver keys z0, t, s and n_modes may ride
+    along.  Unknown keys, wrong types, and missing required keys raise
+    `ConfigError` with the file name and line number of the problem.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()

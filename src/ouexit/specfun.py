@@ -8,9 +8,12 @@ digamma, and the one-parameter Mittag-Leffler function.
 The pain point is M(a,b,z) with large negative a, where the power series
 loses all significance.  There we switch to the Buchholz expansion in
 Bessel functions (Abad & Sesma 1995), whose polynomial coefficients do
-not depend on a.  Large-z evaluation uses the standard asymptotic series,
-and U(a,b,z) falls back on its Laplace integral representation when the
-two-Kummer combination cancels badly.
+not depend on a; they are polynomials in z^2 whose coefficients are
+tabulated once per b (`BuchholzTables`), so no state grows with the
+number of distinct z.  Large-z evaluation uses the standard asymptotic
+series, and U(a,b,z) falls back on its Laplace integral representation
+when the two-Kummer combination cancels badly.  The module needs the
+standard library alone.
 
 Every hypergeometric entry point returns a HypergeomResult carrying the
 value, a conservative absolute error estimate and the method tag, so
@@ -20,7 +23,6 @@ callers can audit which branch produced a number.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,15 +106,20 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction, exact at integers."""
-    n = math.floor(x)
-    r = x - n
-    s = math.sin(math.pi * r)
+    """sin(pi*x) with argument reduction, exact at integers.
+
+    Reducing to the nearest integer keeps r = x - n exact and within
+    [-1/2, 1/2], so a tiny x keeps every digit; reducing by floor turned
+    x = -tiny into r = 1 - tiny, which holds only a few bits of tiny.
+    """
+    n = round(x)
+    s = math.sin(math.pi * (x - n))
     return -s if (n & 1) else s
 
 
 def _cospi(x: float) -> float:
-    n = math.floor(x)
+    """cos(pi*x), reduced to the nearest integer like _sinpi."""
+    n = round(x)
     c = math.cos(math.pi * (x - n))
     return -c if (n & 1) else c
 
@@ -328,16 +335,29 @@ def _bessel_hankel(nu: float, x: float) -> float:
     return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
 
 
-_GL_NODES = None
-_GL_WEIGHTS = None
-
-
-def _gauss_legendre_24():
-    global _GL_NODES, _GL_WEIGHTS
-    if _GL_NODES is None:
-        import numpy
-        _GL_NODES, _GL_WEIGHTS = numpy.polynomial.legendre.leggauss(24)
-    return _GL_NODES, _GL_WEIGHTS
+# 24-point Gauss-Legendre rule on [-1, 1]: the repr of
+# numpy.polynomial.legendre.leggauss(24), tabulated so the library needs
+# only the standard library.
+_GL_NODES = (
+    -0.9951872199970213, -0.9747285559713095, -0.9382745520027328,
+    -0.8864155270044011, -0.820001985973903, -0.7401241915785544,
+    -0.6480936519369755, -0.5454214713888396, -0.4337935076260451,
+    -0.3150426796961634, -0.1911188674736163, -0.06405689286260563,
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+    0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+    0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+    0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+)
+_GL_WEIGHTS = (
+    0.01234122979998869, 0.02853138862893356, 0.04427743881741941,
+    0.05929858491543636, 0.07334648141108016, 0.0861901615319532,
+    0.09761865210411393, 0.10744427011596556, 0.11550566805372552,
+    0.1216704729278033, 0.12583745634682825, 0.12793819534675202,
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+    0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+    0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+    0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+)
 
 
 def _bessel_integral(nu: float, x: float) -> float:
@@ -346,14 +366,13 @@ def _bessel_integral(nu: float, x: float) -> float:
     # The first integrand oscillates ~ (nu pi + 2x)/2pi times and has a
     # stationary-phase point when nu < x, so it gets composite
     # Gauss-Legendre with the panel count tied to the cycle count.
-    nodes, weights = _gauss_legendre_24()
     n_panels = 8 + int(0.8 * (nu + x))
     h = math.pi / n_panels
     v1 = 0.0
     for i in range(n_panels):
         mid = (i + 0.5) * h
         acc = 0.0
-        for t, wgt in zip(nodes, weights):
+        for t, wgt in zip(_GL_NODES, _GL_WEIGHTS):
             tau = mid + 0.5 * h * t
             acc += wgt * math.cos(nu * tau - x * math.sin(tau))
         v1 += 0.5 * h * acc
@@ -400,26 +419,30 @@ def _jratio(nu: float, x: float) -> float:
 
 
 class BuchholzTables:
-    """Memoized coefficient tables for the Buchholz expansion.
+    """Per-b coefficient tables of the Buchholz polynomials p_n(b, z).
 
-    f_k(b) and g_k(z) follow the Abad & Sesma recurrences built on
-    Bernoulli numbers (tabulated exactly through B_40).  Caches are
-    guarded by a lock; cached entries are bit-identical to a fresh
-    recomputation since everything is deterministic arithmetic.
+    p_n(b, z) = Re[(iz)^n / n! sum_k C(n, 2k) f_k(b) g_(n-2k)(z)] (Abad &
+    Sesma 1995): f_k(b) and g_k(z) follow recurrences built on Bernoulli
+    numbers (tabulated exactly through B_40).  g_k is a polynomial in
+    c = -iz/4 whose powers step by two and whose coefficients do not
+    depend on b, so its recurrence is expanded once into those
+    coefficients; with f_k(b) they make p_n a polynomial in z^2 whose
+    coefficients depend on b alone.  `p_poly(b)` tabulates them on first
+    use of b and `_kummer_buchholz` evaluates each order it needs by
+    Horner in z^2, so no state grows with the number of distinct z.
+    Entries come from deterministic arithmetic: two callers filling the
+    same b store identical tables.
     """
 
     MAX_ORDER = 38
 
     def __init__(self):
         self.bernoulli = dict(_BERNOULLI)
-        self._f_cache: dict = {}
-        self._g_cache: dict = {}
-        self._lock = threading.Lock()
+        self._p_cache: dict = {}
+        self._g_powers = self._expand_g()
 
     def f_coeffs(self, b: float):
-        got = self._f_cache.get(b)
-        if got is not None:
-            return got
+        """f_k(b), k = 0..MAX_ORDER/2 + 1."""
         kmax = self.MAX_ORDER // 2 + 1
         f = [1.0]
         for k in range(1, kmax + 1):
@@ -429,57 +452,50 @@ class BuchholzTables:
                       * 4.0 ** (k - j) * abs(self.bernoulli[2 * (k - j)])
                       / (k - j) * f[j])
             f.append(-(0.5 * b - 1.0) * s)
-        out = tuple(f)
-        with self._lock:
-            self._f_cache[b] = out
-        return out
+        return tuple(f)
 
-    def g_coeffs(self, z: float):
-        got = self._g_cache.get(z)
-        if got is not None:
-            return got
-        g = [complex(1.0)]
-        c = -0.25j * z
-        for k in range(1, self.MAX_ORDER + 2):
-            s = complex(0.0)
+    def _expand_g(self):
+        """gam[k][m], with g_k(z) = sum_m gam[k][m] (-iz/4)^m, from
+        g_k = c sum_j C(k-1, 2j) 4^(j+1) |B_(2j+2)| / (j+1) g_(k-2j-1)."""
+        gam = [[1.0]]
+        for k in range(1, self.MAX_ORDER + 1):
+            row = [0.0] * (k + 1)
             for j in range((k - 1) // 2 + 1):
-                s += (math.comb(k - 1, 2 * j)
-                      * 4.0 ** (j + 1) * abs(self.bernoulli[2 * (j + 1)])
-                      / (j + 1) * g[k - 2 * j - 1])
-            g.append(c * s)
-        out = tuple(g)
-        with self._lock:
-            self._g_cache[z] = out
-        return out
+                c = (math.comb(k - 1, 2 * j)
+                     * 4.0 ** (j + 1) * abs(self.bernoulli[2 * (j + 1)])
+                     / (j + 1))
+                for m, g in enumerate(gam[k - 2 * j - 1]):
+                    row[m + 1] += c * g
+            gam.append(row)
+        return tuple(tuple(row) for row in gam)
 
-    def p_coeffs(self, b: float, z: float):
-        """Buchholz polynomials p_n(b, z), n = 0..MAX_ORDER+1 (real)."""
-        key = (b, z)
-        got = self._f_cache.get(key)
+    def p_poly(self, b: float):
+        """z^2-coefficients of the Buchholz polynomials, n = 0..MAX_ORDER:
+        p_n(b, z) = sum_q p_poly(b)[n][q] z^(2q).
+
+        (iz)^n (-iz/4)^m = (-1)^((n-m)/2) 4^-m z^(n+m) is real, as m has
+        the parity of n, so the coefficient of z^(2q) collects m = 2q - n.
+        """
+        got = self._p_cache.get(b)
         if got is not None:
             return got
         f = self.f_coeffs(b)
-        g = self.g_coeffs(z)
-        iz = complex(0.0, z)
+        gam = self._g_powers
         out = []
-        pw = complex(1.0)
         fact = 1.0
-        for n in range(self.MAX_ORDER + 2):
-            s = complex(0.0)
-            for k in range(n // 2 + 1):
-                s += math.comb(n, 2 * k) * f[k] * g[n - 2 * k]
-            out.append((pw * s / fact).real)
-            pw *= iz
+        for n in range(self.MAX_ORDER + 1):
+            row = [0.0] * (n + 1)
+            for m in range(n % 2, n + 1, 2):
+                s = 0.0
+                for k in range((n - m) // 2 + 1):
+                    s += math.comb(n, 2 * k) * f[k] * gam[n - 2 * k][m]
+                sign = -1.0 if ((n - m) // 2) % 2 else 1.0
+                row[(n + m) // 2] = sign * s / (4.0 ** m * fact)
+            out.append(tuple(row))
             fact *= n + 1
         out = tuple(out)
-        with self._lock:
-            self._f_cache[key] = out
+        self._p_cache[b] = out
         return out
-
-    def clear(self):
-        with self._lock:
-            self._f_cache.clear()
-            self._g_cache.clear()
 
 
 tables = BuchholzTables()
@@ -509,12 +525,15 @@ def _fb_gb(b: float, x: float):
 def _kummer_buchholz(a: float, b: float, z: float, want_da: bool = False):
     """Buchholz expansion of M(a,b,z) (and dM/da) for a < b/2.
 
-    Truncated at 12 orders, extended to 20 when the tail has not yet
-    fallen under the stopping threshold.
+    Truncated at 12 orders, extended up to MAX_ORDER while the tail has
+    not yet fallen under the stopping threshold.  Each order's Buchholz
+    polynomial is evaluated from the per-b table, by Horner in z^2, only
+    when the sum reaches that order.
     """
     x = math.sqrt(z * (2.0 * b - 4.0 * a))
     fb, gb = _fb_gb(b, x)
-    p = tables.p_coeffs(b, z)
+    poly = tables.p_poly(b)
+    w = z * z
     y = 1.0 / x
     # P_n(1/x), Q_n(1/x) by their three-term recurrences
     nmax = tables.MAX_ORDER + 1
@@ -526,9 +545,12 @@ def _kummer_buchholz(a: float, b: float, z: float, want_da: bool = False):
         Q.append(c * Q[n] - Q[n - 1])
 
     def term(n):
+        p = 0.0
+        for c in reversed(poly[n]):
+            p = p * w + c
         if want_da:
-            return p[n] * (fb * P[n + 1] * y ** (n + 1) + gb * Q[n + 1] * y ** n)
-        return p[n] * (fb * P[n] * y ** n + gb * Q[n] * y ** (n - 1))
+            return p * (fb * P[n + 1] * y ** (n + 1) + gb * Q[n + 1] * y ** n)
+        return p * (fb * P[n] * y ** n + gb * Q[n] * y ** (n - 1))
 
     s = 0.0
     last = math.inf

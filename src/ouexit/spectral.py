@@ -768,8 +768,9 @@ def _check_start(basis: SpectralBasis, z0: float) -> None:
         if not 0.0 <= z0 <= 1.0:
             raise ValueError(f"interior start must lie in [0, 1], got {z0!r}")
     else:
-        if z0 < 1.0:
-            raise ValueError(f"exterior start must satisfy z0 >= 1, got {z0!r}")
+        if not 1.0 <= z0 < math.inf:
+            raise ValueError(
+                f"exterior start must be finite with z0 >= 1, got {z0!r}")
 
 
 def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
@@ -795,29 +796,54 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
     return tricomi_u(a, 0.5 * basis.d, kappa * z0 * z0).value
 
 
+# The mode factors of the latest start: (basis, z0, factors), where
+# factors[n] = mode_term(basis, n, z0) for a prefix of the modes (0.0 at
+# zero-weight modes, which are never evaluated).  A curve at one start
+# computes each factor once.  The slot is replaced whole and never
+# mutated, so concurrent callers at worst recompute; the basis is matched
+# by identity, which costs nothing and leaves equal but distinct bases
+# to their own evaluations.
+_factors = (None, math.nan, ())
+
+
 def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
                   rate_weighted: bool):
     """Truncated mode sum; the last flag reports whether the final kept
     term was already negligible (False means the basis ran out of modes
     while terms still mattered)."""
+    global _factors
+    slot_basis, slot_z0, factors = _factors
+    if slot_basis is not basis or slot_z0 != z0:
+        factors = ()
+    known = len(factors)
+    new = []
     acc = 0.0
     abs_acc = 0.0
     kept = 0
     term = 0.0
     for n in range(basis.n_modes):
         w = basis.weights[n]
+        if n < known:
+            factor = factors[n]
+        else:
+            factor = mode_term(basis, n, z0) if w != 0.0 else 0.0
+            new.append(factor)
         if w == 0.0:
             continue
         lam = basis.alphas[n] ** 2
-        term = w * math.exp(-lam * t) * mode_term(basis, n, z0)
+        term = w * math.exp(-lam * t) * factor
         if rate_weighted:
             term *= lam
         acc += term
         abs_acc += abs(term)
         kept += 1
         if kept >= _MIN_TERMS and abs(term) < _TERM_STOP * abs(acc):
-            return acc, abs_acc, True
-    converged = abs(term) < _TMIN_TERM * max(1.0, abs(acc))
+            converged = True
+            break
+    else:
+        converged = abs(term) < _TMIN_TERM * max(1.0, abs(acc))
+    if new:
+        _factors = (basis, z0, factors + tuple(new))
     return acc, abs_acc, converged
 
 
@@ -826,7 +852,11 @@ def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
 
     The truncated sum is clamped to [0, 1]; the result's `warning`
     flag marks raw values outside [-0.01, 1.01] and any t below the
-    basis reliability horizon `t_min`.
+    basis reliability horizon `t_min`.  The spatial factors
+    (`mode_term`) of the latest start are kept, so a curve of calls at
+    one start on one basis object computes each mode's factor once; a
+    call at another start or basis replaces them.  z0 must be finite and
+    inside the geometry's domain.
     """
     _check_start(basis, z0)
     if not t >= 0.0:
@@ -842,6 +872,7 @@ def fet_density(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
 
     Negative truncation noise is clamped to zero; the `warning` flag
     marks raw values below -1% of the term mass and any t below t_min.
+    It shares the kept mode factors of the latest start with `survival`.
     """
     _check_start(basis, z0)
     if not t >= 0.0:
@@ -899,8 +930,9 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
             raise ValueError(
                 f"s = {s!r} sits on a spectral pole of the interior problem")
         return num / den
-    if z0 < 1.0:
-        raise ValueError(f"exterior start must satisfy z0 >= 1, got {z0!r}")
+    if not 1.0 <= z0 < math.inf:
+        raise ValueError(
+            f"exterior start must be finite with z0 >= 1, got {z0!r}")
     if z0 == 1.0:
         return 1.0
     a = s / (4.0 * kappa)

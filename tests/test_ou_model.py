@@ -193,6 +193,16 @@ def test_config_unknown_key_reports_line(tmp_path):
     assert ":4:" in str(err.value) and "stiffness" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["delta", "n_paths", "t_max", "seed"])
+def test_config_rejects_keys_of_no_solver(tmp_path, key):
+    raw = ('{\n  "mode": "dimensionless",\n  "kappa": 1.0,\n'
+           f'  "{key}": 1\n}}\n')
+    path = _write(tmp_path, None, raw=raw)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert ":4:" in str(err.value) and f"unknown key {key!r}" in str(err.value)
+
+
 def test_config_wrong_type_reports_line(tmp_path):
     raw = '{\n  "mode": "dimensionless",\n  "kappa": "big"\n}\n'
     path = _write(tmp_path, None, raw=raw)

@@ -9,6 +9,7 @@ differences of the value routines themselves.
 """
 
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from ouexit.specfun import (
     tricomi_u,
     tricomi_u_da,
 )
-from ouexit.specfun import _kummer_buchholz
+from ouexit.specfun import _GL_NODES, _GL_WEIGHTS, _kummer_buchholz
 
 EULER_GAMMA = 0.5772156649015328606
 SQRT_PI = 1.7724538509055160273
@@ -584,6 +585,13 @@ def test_bessel_j_rejects_nonpositive_x():
         bessel_j(1.0, 0.0)
 
 
+def test_gauss_legendre_table_equals_numpy_leggauss():
+    numpy = pytest.importorskip("numpy")
+    nodes, weights = numpy.polynomial.legendre.leggauss(24)
+    assert _GL_NODES == tuple(nodes.tolist())
+    assert _GL_WEIGHTS == tuple(weights.tolist())
+
+
 # ----------------------------------------------------------------------
 # digamma
 # ----------------------------------------------------------------------
@@ -607,6 +615,18 @@ def test_digamma_recurrence(x):
 def test_digamma_rejects_poles(x):
     with pytest.raises(ValueError):
         digamma(x)
+
+
+# mpmath (40 digits) at a tiny negative argument, where reducing the
+# argument of sin(pi x) by floor kept only the digits of 1 - 2.5e-15
+def test_inv_gamma_keeps_its_digits_at_a_tiny_negative_argument():
+    assert inv_gamma(-2.5e-15) == pytest.approx(
+        -2.499999999999996389e-15, rel=1e-13)
+
+
+def test_kummer_m_large_z_branch_near_a_zero():
+    r = kummer_m(-2.5e-15, 0.5, 100.0)
+    assert r.value == pytest.approx(-1.1971882502484716080e28, rel=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -672,39 +692,101 @@ def test_mittag_leffler_rejects_positive_argument():
 
 def test_buchholz_leading_coefficients_are_exactly_one():
     assert tables.f_coeffs(1.5)[0] == 1.0
-    assert tables.g_coeffs(2.0)[0] == 1.0
+    assert tables.p_poly(2.0)[0] == (1.0,)
 
 
 def test_buchholz_cache_bit_identical_to_fresh_recompute():
-    local = BuchholzTables()
-    first = list(local.f_coeffs(0.5))
-    cached = list(local.f_coeffs(0.5))
-    assert cached == first
-    local.clear()
-    recomputed = list(local.f_coeffs(0.5))
-    assert recomputed == first
-    gs = list(local.g_coeffs(3.25))
-    local.clear()
-    assert list(local.g_coeffs(3.25)) == gs
+    first = tables.p_poly(0.5)
+    assert tables.p_poly(0.5) is first
+    assert BuchholzTables().p_poly(0.5) == first
+    assert BuchholzTables().f_coeffs(0.5) == tables.f_coeffs(0.5)
+
+
+def _per_z_buchholz_polynomials(b, z):
+    """p_n(b, z), n = 0..MAX_ORDER, by the per-z complex recurrence for
+    g_k(z) that the per-b tables replaced."""
+    f = tables.f_coeffs(b)
+    bern = tables.bernoulli
+    g = [complex(1.0)]
+    c = -0.25j * z
+    for k in range(1, BuchholzTables.MAX_ORDER + 1):
+        s = complex(0.0)
+        for j in range((k - 1) // 2 + 1):
+            s += (math.comb(k - 1, 2 * j) * 4.0 ** (j + 1)
+                  * abs(bern[2 * (j + 1)]) / (j + 1) * g[k - 2 * j - 1])
+        g.append(c * s)
+    out = []
+    pw = complex(1.0)
+    fact = 1.0
+    for n in range(BuchholzTables.MAX_ORDER + 1):
+        s = complex(0.0)
+        for k in range(n // 2 + 1):
+            s += math.comb(n, 2 * k) * f[k] * g[n - 2 * k]
+        out.append((pw * s / fact).real)
+        pw *= complex(0.0, z)
+        fact *= n + 1
+    return out
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_buchholz_tables_match_the_per_z_recurrence(b):
+    # p_n has real zeros in z, where no evaluation order agrees with
+    # another to a fixed share of |p_n|; the tolerance is therefore
+    # relative to the size of the polynomial's terms at z
+    poly = tables.p_poly(b)
+    assert len(poly) == BuchholzTables.MAX_ORDER + 1
+    for i in range(1, 200):
+        z = 0.1 * i - 0.05 * (i % 3)
+        w = z * z
+        ref = _per_z_buchholz_polynomials(b, z)
+        for n, coeffs in enumerate(poly):
+            value = 0.0
+            for c in reversed(coeffs):
+                value = value * w + c
+            size = sum(abs(c) * w ** q for q, c in enumerate(coeffs))
+            assert abs(value - ref[n]) <= 1e-14 * size, (b, z, n)
+
+
+def test_buchholz_holds_no_per_z_state():
+    def held():
+        return sum(len(v) for v in vars(tables).values()
+                   if isinstance(v, dict))
+
+    kummer_m(-40.5, 1.5, 1.0)
+    before = held()
+    for i in range(1000):
+        r = kummer_m(-40.5, 1.5, 1.0 + 0.017 * i)
+        assert r.method == "Buchholz"
+    assert held() == before
 
 
 def test_buchholz_path_safe_under_concurrent_callers():
-    serial = kummer_m(-25.0, 1.5, 2.0).value
-    tables.clear()
+    # b = 1.75 appears in no other test, so the threads race to fill
+    # its table
     results = []
     errors = []
 
     def worker():
         try:
             for _ in range(20):
-                results.append(kummer_m(-25.0, 1.5, 2.0).value)
+                results.append(kummer_m(-25.5, 1.75, 2.0).value)
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert all(v == serial for v in results)
+    assert len(results) == 160
+    serial = kummer_m(-25.5, 1.75, 2.0)
+    assert serial.method == "Buchholz"
+    assert all(v == serial.value for v in results)
+    assert tables.p_poly(1.75) == BuchholzTables().p_poly(1.75)

@@ -21,6 +21,7 @@ on every module that binds the quadrature routines.
 import dataclasses
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -358,3 +359,100 @@ def test_json_rejects_an_unknown_schema():
     payload["schema"] = 3
     with pytest.raises(ValueError, match="schema"):
         basis_from_json(json.dumps(payload))
+
+
+# ----------------------------------------------------------------------
+# evaluation: reuse of a start's mode factors
+# ----------------------------------------------------------------------
+
+CURVE_BASES = (("interval", 4.0, 0.5, 1, 8), ("interval", 2.0, 0.0, 1, 6),
+               ("radial-exterior", 1.0, 0.0, 3, 6),
+               ("radial-interior", 0.0, 0.0, 2, 6))
+
+
+@pytest.fixture(scope="module")
+def curve_bases():
+    return [build_basis(*case) for case in CURVE_BASES]
+
+
+def _memo_free_sum(basis, z0, t, rate_weighted):
+    """The truncated mode sum with every factor computed afresh."""
+    acc = abs_acc = term = 0.0
+    kept = 0
+    for n in range(basis.n_modes):
+        w = basis.weights[n]
+        if w == 0.0:
+            continue
+        lam = basis.alphas[n] ** 2
+        term = w * math.exp(-lam * t) * spectral.mode_term(basis, n, z0)
+        if rate_weighted:
+            term *= lam
+        acc += term
+        abs_acc += abs(term)
+        kept += 1
+        if kept >= spectral._MIN_TERMS and abs(term) < (
+                spectral._TERM_STOP * abs(acc)):
+            return acc, abs_acc, True
+    return acc, abs_acc, abs(term) < spectral._TMIN_TERM * max(1.0, abs(acc))
+
+
+def _curve_times(basis, points=200):
+    rate0 = basis.alphas[0] ** 2
+    return [basis.t_min * i / (points - 1) + 8.0 / rate0 * (i / points) ** 2
+            for i in range(points)]
+
+
+def test_interleaved_curves_are_bit_identical_to_a_memo_free_sum(
+        curve_bases):
+    # an equal basis that is a distinct object shares no factors
+    copy = basis_from_json(basis_to_json(curve_bases[0]))
+    assert copy == curve_bases[0] and copy is not curve_bases[0]
+    starts = {"interval": (-0.9, 0.0, 0.35), "radial-interior": (0.0, 0.6),
+              "radial-exterior": (1.0, 1.7)}
+    streams = [(basis, z0) for basis in curve_bases + [copy]
+               for z0 in starts[basis.geometry.value]]
+    rng = random.Random(7)
+    basis, z0 = streams[0]
+    for _ in range(6 * 200):
+        if rng.random() < 0.3:
+            basis, z0 = rng.choice(streams)
+        # times in random order, so the kept prefix must grow mid-curve
+        t = rng.choice(_curve_times(basis))
+        for rate_weighted, fn in ((False, spectral.survival),
+                                  (True, spectral.fet_density)):
+            want = _memo_free_sum(basis, z0, t, rate_weighted)
+            got = spectral._spectral_sum(basis, z0, t, rate_weighted)
+            assert [x.hex() if isinstance(x, float) else x for x in got] == \
+                [x.hex() if isinstance(x, float) else x for x in want]
+            assert fn(basis, z0, t).raw.hex() == want[0].hex()
+
+
+def test_a_curve_at_one_start_computes_each_mode_factor_once(
+        monkeypatch, curve_bases):
+    calls = []
+    mode_term = spectral.mode_term
+
+    def counted(basis, n, z0):
+        calls.append(n)
+        return mode_term(basis, n, z0)
+
+    monkeypatch.setattr(spectral, "mode_term", counted)
+    for basis in curve_bases:
+        calls.clear()
+        z0 = 0.25 if basis.geometry is not Geometry.RADIAL_EXTERIOR else 1.25
+        for t in _curve_times(basis):
+            spectral.survival(basis, z0, t)
+            spectral.fet_density(basis, z0, t)
+        assert 0 < len(calls) <= basis.n_modes
+        assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("z0", [math.nan, math.inf, -math.inf])
+def test_exterior_evaluators_reject_a_nonfinite_start(curve_bases, z0):
+    basis = curve_bases[2]
+    assert basis.geometry is Geometry.RADIAL_EXTERIOR
+    for fn in (spectral.survival, spectral.fet_density):
+        with pytest.raises(ValueError, match=f"z0.*{z0!r}"):
+            fn(basis, z0, 1.0)
+    with pytest.raises(ValueError, match=f"z0.*{z0!r}"):
+        spectral.mgf("radial-exterior", 1.0, 0.0, 3, z0, 1.0)
