@@ -353,8 +353,8 @@ def met_radial_exterior(d: int, kappa: float, z0: float) -> float:
     kappa, z0 = float(kappa), float(z0)
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    if z0 < 1.0:
-        raise ValueError(f"z0 must be >= 1, got {z0!r}")
+    if not 1.0 <= z0 < math.inf:
+        raise ValueError(f"z0 must be finite and >= 1, got {z0!r}")
     if z0 == 1.0:
         return 0.0
     if kappa == 0.0:
@@ -389,8 +389,8 @@ def met_exterior_1d_forced(kappa: float, varphi: float, z0: float) -> float:
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
     if not math.isfinite(varphi):
         raise ValueError("varphi must be finite")
-    if z0 < 1.0:
-        raise ValueError(f"z0 must be >= 1, got {z0!r}")
+    if not 1.0 <= z0 < math.inf:
+        raise ValueError(f"z0 must be finite and >= 1, got {z0!r}")
     if z0 == 1.0:
         return 0.0
     if kappa == 0.0:

@@ -15,9 +15,8 @@ a positive `varphi` plus an orientation flag, because every solver in the
 package exploits the mirror symmetry (varphi, z0) -> (-varphi, -z0)
 rather than duplicating branches for both signs.
 
-`DoubleWellParams` plays the same role for the piecewise-parabolic
-double-well potential, and `load_config` reads either parameter set from
-a JSON file with errors that point at the offending line.
+`load_config` reads a physical or a dimensionless parameter set from a
+JSON file with errors that point at the offending line.
 """
 
 from __future__ import annotations
@@ -29,25 +28,18 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "BOLTZMANN_K",
-    "WATER_VISCOSITY",
     "BROWNIAN_KAPPA",
     "Geometry",
     "OUProblem",
-    "DoubleWellParams",
     "ConfigError",
-    "stokes_drag",
     "canonical_orientation",
     "boltzmann_weight",
-    "tilde_weight",
     "boltzmann_weight_scaled",
     "load_config",
 ]
 
 # Exact SI Boltzmann constant, J/K.
 BOLTZMANN_K = 1.380649e-23
-
-# Dynamic viscosity of water near room temperature, kg/(m s).
-WATER_VISCOSITY = 1.0e-3
 
 # Below this kappa the trap is numerically indistinguishable from free
 # diffusion and solvers switch to their closed-form Brownian limits.
@@ -76,13 +68,6 @@ class ConfigError(ValueError):
     The message carries ``path:line`` of the offending entry so the file
     can be fixed without guessing.
     """
-
-
-def stokes_drag(radius: float, viscosity: float = WATER_VISCOSITY) -> float:
-    """Drag coefficient 6 pi eta r of a sphere, kg/s."""
-    if radius <= 0.0 or viscosity <= 0.0:
-        raise ValueError("radius and viscosity must be positive")
-    return 6.0 * math.pi * viscosity * radius
 
 
 def canonical_orientation(varphi: float, z0: float) -> tuple[float, float]:
@@ -194,69 +179,9 @@ def boltzmann_weight(problem: OUProblem, x: float) -> float:
     return math.exp((-0.5 * problem.k * x * x + problem.F0 * x) / kbt)
 
 
-def tilde_weight(problem: OUProblem, x: float) -> float:
-    """Reciprocal of `boltzmann_weight`; the product of the two is 1."""
-    kbt = BOLTZMANN_K * problem.temperature
-    return math.exp((0.5 * problem.k * x * x - problem.F0 * x) / kbt)
-
-
 def boltzmann_weight_scaled(kappa: float, varphi: float, z: float) -> float:
     """Dimensionless stationary weight exp(-kappa z^2 + 2 kappa varphi z)."""
     return math.exp(kappa * z * (2.0 * varphi - z))
-
-
-@dataclass(frozen=True)
-class DoubleWellParams:
-    """Piecewise-parabolic double well with minima at -x1 and x2.
-
-    The potential is k1 (x + x1)^2 / 2 for x <= 0 and
-    k2 (x - x2)^2 / 2 + v0 for x >= 0, with v0 fixed by continuity at the
-    origin.  Stiffnesses are stored in units of kB T per length squared,
-    so the well depths in thermal units are kappa_i = k_i x_i^2 / 2.
-    """
-
-    x1: float
-    x2: float
-    k1: float
-    k2: float
-    D: float
-    kappa1: float = field(init=False)
-    kappa2: float = field(init=False)
-    v0: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        for name in ("x1", "x2", "k1", "k2", "D"):
-            _positive(name, getattr(self, name))
-        object.__setattr__(self, "kappa1", 0.5 * self.k1 * self.x1**2)
-        object.__setattr__(self, "kappa2", 0.5 * self.k2 * self.x2**2)
-        object.__setattr__(self, "v0", 0.5 * (self.k1 * self.x1**2 - self.k2 * self.x2**2))
-
-    @classmethod
-    def from_wells(cls, x1: float, x2: float, kappa1: float, kappa2: float,
-                   D: float = 1.0) -> "DoubleWellParams":
-        """Build from well positions and depths (in kB T) directly."""
-        x1 = _positive("x1", x1)
-        x2 = _positive("x2", x2)
-        kappa1 = _positive("kappa1", kappa1)
-        kappa2 = _positive("kappa2", kappa2)
-        return cls(x1=x1, x2=x2, k1=2.0 * kappa1 / x1**2,
-                   k2=2.0 * kappa2 / x2**2, D=float(D))
-
-    def potential(self, x: float) -> float:
-        """Potential in units of kB T."""
-        if x <= 0.0:
-            return self.kappa1 * (x / self.x1 + 1.0) ** 2
-        return self.kappa2 * (x / self.x2 - 1.0) ** 2 + self.v0
-
-    def weight(self, x: float) -> float:
-        """Stationary weight exp(V(0) - V(x)); equals 1 at the origin."""
-        return math.exp(self.potential(0.0) - self.potential(x))
-
-    def drift(self, x: float) -> float:
-        """Deterministic velocity -V'(x) in units where gamma = 1."""
-        if x <= 0.0:
-            return -self.k1 * (x + self.x1)
-        return -self.k2 * (x - self.x2)
 
 
 # --- configuration files ---------------------------------------------------

@@ -1,9 +1,9 @@
 """Confluent hypergeometric and related special functions.
 
 Self-contained evaluation of the functions the exit-time solvers need:
-Kummer M(a,b,z) and its parameter derivative, Tricomi U(a,b,z), parabolic
-cylinder D_nu(z) and its order derivative, Dawson's integral, Bessel J,
-digamma, and the one-parameter Mittag-Leffler function.
+Kummer M(a,b,z) and Tricomi U(a,b,z) with their a-derivatives, Dawson's
+integral, the scaled complementary error function, Bessel J, gamma and
+digamma.
 
 The pain point is M(a,b,z) with large negative a, where the power series
 loses all significance.  There we switch to the Buchholz expansion in
@@ -14,6 +14,13 @@ number of distinct z.  Large-z evaluation uses the standard asymptotic
 series, and U(a,b,z) falls back on its Laplace integral representation
 when the two-Kummer combination cancels badly.  The module needs the
 standard library alone.
+
+A function's value and its a-derivative share one route decision:
+`_kummer` holds the branch table of both M and dM/da, the Laplace
+integral of U (`_u_laplace`, raised to a <= 0 by the recurrence in
+`_u_integral`) yields dU/da from the same integrand, and `tricomi_u_da`
+applies the cancellation test of the two-Kummer combination itself
+instead of evaluating U to learn its route.
 
 Every hypergeometric entry point returns a HypergeomResult carrying the
 value, a conservative absolute error estimate and the method tag, so
@@ -36,15 +43,12 @@ __all__ = [
     "kummer_m_da",
     "tricomi_u",
     "tricomi_u_da",
-    "parabolic_d",
-    "parabolic_d_dnu",
     "dawson",
     "erfcx",
     "bessel_j",
     "digamma",
     "gamma_fn",
     "inv_gamma",
-    "mittag_leffler",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -73,7 +77,8 @@ class HypergeomResult:
 
     abs_err_estimate is deliberately pessimistic; tests assert it bounds
     the true error against independent oracles.  method is one of
-    DirectSeries, Buchholz, IntegralRep, RecurrenceShift, Extrapolated.
+    DirectSeries, Buchholz, IntegralRep, RecurrenceShift, Extrapolated,
+    AsymptoticZ.
     """
 
     value: float
@@ -692,6 +697,45 @@ def _kummer_asympt(a: float, b: float, z: float):
     return value, abs(err)
 
 
+def _kummer(a: float, b: float, z: float, want_da: bool) -> HypergeomResult:
+    """Branch table of M(a, b, z) (want_da False) and dM/da (want_da True).
+
+    Value and derivative take the same route everywhere except on the
+    large-z asymptotic branch, which has no a-derivative: dM/da keeps the
+    power series there.  Negative z recurses once through Kummer's
+    transformation M(a,b,z) = e^z M(b-a,b,-z), whose a-derivative flips
+    sign.
+    """
+    if b <= 0.0 and b == math.floor(b):
+        raise ValueError(f"Kummer M pole at b = {b}")
+    if z == 0.0:
+        return HypergeomResult(0.0 if want_da else 1.0, 0.0, "DirectSeries")
+    if z < 0.0:
+        inner = _kummer(b - a, b, -z, want_da)
+        f = -math.exp(z) if want_da else math.exp(z)
+        return HypergeomResult(f * inner.value,
+                               abs(f) * inner.abs_err_estimate,
+                               inner.method, inner.warnings)
+    if -30.0 <= a <= 0.0 and a == math.floor(a):
+        v, e = _kummer_series_exact(a, b, z, want_da)
+        return HypergeomResult(v, e, "DirectSeries")
+    if a < -10.0:
+        if z < 20.0 and b > 0.0:
+            if z * (2.0 * b - 4.0 * a) >= 1.0:
+                v, e, _ = _kummer_buchholz(a, b, z, want_da)
+                return HypergeomResult(v, e, "Buchholz")
+            v, e = _kummer_series(a, b, z, want_da)
+            return HypergeomResult(v, e, "DirectSeries")
+        # b <= 0 (valid when non-integer) lacks a Bessel-form expansion
+        v, e = _kummer_series_exact(a, b, z, want_da)
+        return HypergeomResult(v, e, "DirectSeries")
+    if not want_da and z > 80.0 and abs(a) <= 10.0:
+        v, e = _kummer_asympt(a, b, z)
+        return HypergeomResult(v, e, "DirectSeries")
+    v, e = _kummer_series(a, b, z, want_da)
+    return HypergeomResult(v, e, "DirectSeries")
+
+
 def kummer_m(a: float, b: float, z: float) -> HypergeomResult:
     """Confluent hypergeometric M(a, b, z) for real arguments.
 
@@ -708,62 +752,15 @@ def kummer_m(a: float, b: float, z: float) -> HypergeomResult:
     large-z asymptotic expansion for z > 80 with |a| <= 10.  Negative z
     is mapped through Kummer's transformation M(a,b,z) = e^z M(b-a,b,-z).
     """
-    if b <= 0.0 and b == math.floor(b):
-        raise ValueError(f"kummer_m pole at b = {b}")
-    if z == 0.0:
-        return HypergeomResult(1.0, 0.0, "DirectSeries")
-    if z < 0.0:
-        inner = kummer_m(b - a, b, -z)
-        f = math.exp(z)
-        return HypergeomResult(f * inner.value, f * inner.abs_err_estimate,
-                               inner.method, inner.warnings)
-    if -30.0 <= a <= 0.0 and a == math.floor(a):
-        v, e = _kummer_series_exact(a, b, z)
-        return HypergeomResult(v, e, "DirectSeries")
-    if a < -10.0:
-        if z < 20.0 and b > 0.0:
-            if z * (2.0 * b - 4.0 * a) >= 1.0:
-                v, e, _ = _kummer_buchholz(a, b, z)
-                return HypergeomResult(v, e, "Buchholz")
-            v, e = _kummer_series(a, b, z)
-            return HypergeomResult(v, e, "DirectSeries")
-        # b <= 0 (valid when non-integer) lacks a Bessel-form expansion
-        v, e = _kummer_series_exact(a, b, z)
-        return HypergeomResult(v, e, "DirectSeries")
-    if z > 80.0 and abs(a) <= 10.0:
-        v, e = _kummer_asympt(a, b, z)
-        return HypergeomResult(v, e, "DirectSeries")
-    v, e = _kummer_series(a, b, z)
-    return HypergeomResult(v, e, "DirectSeries")
+    return _kummer(a, b, z, False)
 
 
 def kummer_m_da(a: float, b: float, z: float) -> HypergeomResult:
-    """dM/da at (a, b, z): differentiated series, or the Buchholz form
-    on the large-|a| branch where the series is unusable."""
-    if b <= 0.0 and b == math.floor(b):
-        raise ValueError(f"kummer_m_da pole at b = {b}")
-    if z == 0.0:
-        return HypergeomResult(0.0, 0.0, "DirectSeries")
-    if z < 0.0:
-        # M(a,b,z) = e^z M(b-a,b,-z)  =>  dM/da = -e^z dM/da'(b-a,b,-z)
-        inner = kummer_m_da(b - a, b, -z)
-        f = math.exp(z)
-        return HypergeomResult(-f * inner.value, f * inner.abs_err_estimate,
-                               inner.method, inner.warnings)
-    if -30.0 <= a <= 0.0 and a == math.floor(a):
-        v, e = _kummer_series_exact(a, b, z, want_da=True)
-        return HypergeomResult(v, e, "DirectSeries")
-    if a < -10.0:
-        if z < 20.0 and b > 0.0:
-            if z * (2.0 * b - 4.0 * a) >= 1.0:
-                v, e, _ = _kummer_buchholz(a, b, z, want_da=True)
-                return HypergeomResult(v, e, "Buchholz")
-            v, e = _kummer_series(a, b, z, want_da=True)
-            return HypergeomResult(v, e, "DirectSeries")
-        v, e = _kummer_series_exact(a, b, z, want_da=True)
-        return HypergeomResult(v, e, "DirectSeries")
-    v, e = _kummer_series(a, b, z, want_da=True)
-    return HypergeomResult(v, e, "DirectSeries")
+    """dM/da at (a, b, z), by the route `kummer_m` takes at the same
+    point: each branch differentiates its own sum term by term (the
+    Buchholz form included), except that z > 80 with |a| <= 10 keeps the
+    differentiated power series instead of the asymptotic expansion."""
+    return _kummer(a, b, z, True)
 
 
 # ----------------------------------------------------------------------
@@ -774,7 +771,11 @@ _CANCEL_WARN = 1e-8
 
 
 def _u_combination(a: float, b: float, z: float):
-    """U from the standard two-Kummer linear combination (non-integer b)."""
+    """U from the standard two-Kummer linear combination (non-integer b).
+
+    Returns the value, its error, the size of the larger term, and the
+    two Kummer results M(a, b, z) and M(a-b+1, 2-b, z).
+    """
     m1 = kummer_m(a, b, z)
     m2 = kummer_m(a - b + 1.0, 2.0 - b, z)
     c1 = gamma_fn(1.0 - b) * inv_gamma(a - b + 1.0)
@@ -785,48 +786,82 @@ def _u_combination(a: float, b: float, z: float):
     big = max(abs(t1), abs(t2))
     err = abs(c1) * m1.abs_err_estimate + abs(c2) * m2.abs_err_estimate \
         + _EPS * 8.0 * big
-    return value, err, big
+    return value, err, big, m1, m2
 
 
-def _u_integral_pos_a(a: float, b: float, z: float):
-    """Laplace integral for U, Re a > 0."""
+def _cancels(value: float, err: float, big: float) -> bool:
+    """True when a sum of terms of size `big` lost too many digits."""
+    return (abs(value) < _CANCEL_WARN * big
+            or err > 1e-8 * max(abs(value), 1e-300))
+
+
+def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
+    """U from its Laplace integral, a > 0,
+        U = (1/Gamma(a)) int_0^inf e^(-zt) t^(a-1) (1+t)^(b-a-1) dt,
+    returned as (U, err).  With want_da also dU/da, from the same
+    integrand weighted by ln(t/(1+t)):
+        dU/da = -psi(a) U + (1/Gamma(a)) int (...) ln(t/(1+t)) dt,
+    returned as (U, err, dU/da, err).
+    """
     def f(t):
         return math.exp(-z * t + (a - 1.0) * math.log(t)
                         + (b - a - 1.0) * math.log1p(t))
-    v, e = integrate_to_cutoff(f, 0.0, tol=1e-13, start=max(1.0 / z, 1e-3))
+    start = max(1.0 / z, 1e-3)
+    v, e = integrate_to_cutoff(f, 0.0, tol=1e-13, start=start)
     ig = inv_gamma(a)
-    return v * ig, (e + _EPS * 8.0 * abs(v)) * abs(ig)
+    u, eu = v * ig, (e + _EPS * 8.0 * abs(v)) * abs(ig)
+    if not want_da:
+        return u, eu
+    w, ew = integrate_to_cutoff(
+        lambda t: f(t) * (math.log(t) - math.log1p(t)), 0.0, tol=1e-13,
+        start=start)
+    psi = digamma(a)
+    return (u, eu, -psi * u + w * ig,
+            abs(psi) * eu + (ew + _EPS * 8.0 * abs(w)) * abs(ig))
 
 
-def _u_integral(a: float, b: float, z: float):
-    """U via the integral representation; negative a raised by recurrence."""
+def _u_integral(a: float, b: float, z: float, want_da: bool = False):
+    """U (or dU/da) via the Laplace integral; a <= 0 is raised by the
+    recurrence U(a) = p_n U(a+n) + q_n U(a+n+1), whose coefficients are
+    differentiated in a alongside when want_da."""
     if a > 0.0:
-        v, e = _u_integral_pos_a(a, b, z)
-        return v, e, "IntegralRep"
+        # the last pair is U or, with want_da, dU/da
+        return (*_u_laplace(a, b, z, want_da)[-2:], "IntegralRep")
     n = int(math.ceil(0.5 - a))
-    p_prev, q_prev = 1.0, 0.0
+    p, q, dp, dq = 1.0, 0.0, 0.0, 0.0
     log_scale = 0.0
     for k in range(1, n + 1):
-        p_k = q_prev - (b - 2.0 * (a + k) - z) * p_prev
-        q_k = -(a + k) * (a + k + 1.0 - b) * p_prev
-        p_prev, q_prev = p_k, q_k
-        big = max(abs(p_prev), abs(q_prev))
+        c = b - 2.0 * (a + k) - z
+        if want_da:
+            dp, dq = (dq + 2.0 * p - c * dp,
+                      -(2.0 * (a + k) + 1.0 - b) * p
+                      - (a + k) * (a + k + 1.0 - b) * dp)
+        p, q = q - c * p, -(a + k) * (a + k + 1.0 - b) * p
+        big = max(abs(p), abs(q), abs(dp), abs(dq)) if want_da \
+            else max(abs(p), abs(q))
         if big > 1e250:
-            p_prev /= big
-            q_prev /= big
+            p, q, dp, dq = p / big, q / big, dp / big, dq / big
             log_scale += math.log(big)
-    u1, e1 = _u_integral_pos_a(a + n, b, z)
-    u2, e2 = _u_integral_pos_a(a + n + 1.0, b, z)
     scale = math.exp(log_scale) if log_scale < 700.0 else math.inf
-    value = scale * (p_prev * u1 + q_prev * u2)
-    err = scale * (abs(p_prev) * e1 + abs(q_prev) * e2
-                   + _EPS * 8.0 * (abs(p_prev * u1) + abs(q_prev * u2)))
+    if not want_da:
+        u1, e1 = _u_laplace(a + n, b, z)
+        u2, e2 = _u_laplace(a + n + 1.0, b, z)
+        value = scale * (p * u1 + q * u2)
+        err = scale * (abs(p) * e1 + abs(q) * e2
+                       + _EPS * 8.0 * (abs(p * u1) + abs(q * u2)))
+        return value, err, "RecurrenceShift"
+    u1, e1, d1, de1 = _u_laplace(a + n, b, z, True)
+    u2, e2, d2, de2 = _u_laplace(a + n + 1.0, b, z, True)
+    value = scale * (dp * u1 + p * d1 + dq * u2 + q * d2)
+    err = scale * (abs(dp) * e1 + abs(p) * de1 + abs(dq) * e2 + abs(q) * de2
+                   + _EPS * 8.0 * (abs(dp * u1) + abs(p * d1)
+                                   + abs(dq * u2) + abs(q * d2)))
     return value, err, "RecurrenceShift"
 
 
 def _u_noninteger(a: float, b: float, z: float):
-    value, err, big = _u_combination(a, b, z)
-    if abs(value) < _CANCEL_WARN * big or err > 1e-8 * max(abs(value), 1e-300):
+    value, err, big, _, _ = _u_combination(a, b, z)
+    if _cancels(value, err, big):
         # combination cancels badly (typically large z); integrate instead
         v, e, method = _u_integral(a, b, z)
         return v, e, method, ()
@@ -843,8 +878,8 @@ def _u_integer_b(a: float, b: float, z: float):
     vals = []
     errs = []
     for eps in _RICHARDSON_EPS:
-        vp, ep, bigp = _u_combination(a, b + eps, z)
-        vm, em, bigm = _u_combination(a, b - eps, z)
+        vp, ep, bigp, _, _ = _u_combination(a, b + eps, z)
+        vm, em, bigm, _, _ = _u_combination(a, b - eps, z)
         vals.append(0.5 * (vp + vm))
         # the combination cancels intermediates of size ~big; measured
         # noise runs to a couple hundred ulp of that scale
@@ -927,249 +962,45 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
     return HypergeomResult(v, e, method, warnings)
 
 
-def _u_integral_da_pos_a(a: float, b: float, z: float):
-    """dU/da from the Laplace integral, Re a > 0:
-    dU/da = -psi(a) U + (1/Gamma(a)) int e^(-zt) t^(a-1) (1+t)^(b-a-1) ln(t/(1+t)) dt.
-    """
-    def f(t):
-        return math.exp(-z * t + (a - 1.0) * math.log(t)
-                        + (b - a - 1.0) * math.log1p(t)) \
-            * (math.log(t) - math.log1p(t))
-    v, e = integrate_to_cutoff(f, 0.0, tol=1e-13, start=max(1.0 / z, 1e-3))
-    u, eu = _u_integral_pos_a(a, b, z)
-    ig = inv_gamma(a)
-    psi = digamma(a)
-    value = -psi * u + v * ig
-    err = abs(psi) * eu + (e + _EPS * 8.0 * abs(v)) * abs(ig)
-    return value, err
-
-
-def _u_integral_da(a: float, b: float, z: float):
-    """dU/da via the integral route; a <= 0 handled by differentiating
-    the recurrence shift U(a) = p_n U(a+n) + q_n U(a+n+1) in a."""
-    if a > 0.0:
-        v, e = _u_integral_da_pos_a(a, b, z)
-        return v, e, "IntegralRep"
-    n = int(math.ceil(0.5 - a))
-    p_prev, q_prev = 1.0, 0.0
-    dp_prev, dq_prev = 0.0, 0.0
-    log_scale = 0.0
-    for k in range(1, n + 1):
-        c = b - 2.0 * (a + k) - z
-        p_k = q_prev - c * p_prev
-        dp_k = dq_prev + 2.0 * p_prev - c * dp_prev
-        q_k = -(a + k) * (a + k + 1.0 - b) * p_prev
-        dq_k = -(2.0 * (a + k) + 1.0 - b) * p_prev \
-            - (a + k) * (a + k + 1.0 - b) * dp_prev
-        p_prev, q_prev, dp_prev, dq_prev = p_k, q_k, dp_k, dq_k
-        big = max(abs(p_prev), abs(q_prev), abs(dp_prev), abs(dq_prev))
-        if big > 1e250:
-            p_prev /= big
-            q_prev /= big
-            dp_prev /= big
-            dq_prev /= big
-            log_scale += math.log(big)
-    u1, e1 = _u_integral_pos_a(a + n, b, z)
-    u2, e2 = _u_integral_pos_a(a + n + 1.0, b, z)
-    d1, de1 = _u_integral_da_pos_a(a + n, b, z)
-    d2, de2 = _u_integral_da_pos_a(a + n + 1.0, b, z)
-    scale = math.exp(log_scale) if log_scale < 700.0 else math.inf
-    value = scale * (dp_prev * u1 + p_prev * d1 + dq_prev * u2 + q_prev * d2)
-    err = scale * (abs(dp_prev) * e1 + abs(p_prev) * de1
-                   + abs(dq_prev) * e2 + abs(q_prev) * de2
-                   + _EPS * 8.0 * (abs(dp_prev * u1) + abs(p_prev * d1)
-                                   + abs(dq_prev * u2) + abs(q_prev * d2)))
-    return value, err, "RecurrenceShift"
-
-
 def tricomi_u_da(a: float, b: float, z: float) -> HypergeomResult:
-    """dU/da; differentiates whichever representation tricomi_u itself
-    found trustworthy at (a, b, z), so the derivative inherits the value
-    route's cancellation handling."""
+    """dU/da at (a, b, z) > 0.
+
+    Integer b takes the integral route (the b +/- eps extrapolation loses
+    too much accuracy on the derivative, and the integral has no b
+    restriction).  Non-integer b forms the two-Kummer value combination
+    and applies the cancellation test `tricomi_u` applies to it: if the
+    value cancels (a != 0) the derivative is integrated too, otherwise
+    the combination is differentiated in a, with the integral as fallback
+    when the derivative terms cancel where the value terms did not.
+    """
     if z <= 0.0:
         raise ValueError("tricomi_u_da requires z > 0")
-    if tricomi_u(a, b, z).method in ("IntegralRep", "RecurrenceShift"):
-        v, e, method = _u_integral_da(a, b, z)
-        return HypergeomResult(v, e, method)
-
-    def da_noninteger(bb):
-        m1 = kummer_m(a, bb, z)
-        m1a = kummer_m_da(a, bb, z)
-        m2 = kummer_m(a - bb + 1.0, 2.0 - bb, z)
-        m2a = kummer_m_da(a - bb + 1.0, 2.0 - bb, z)
-        g1 = gamma_fn(1.0 - bb)
-        g2 = gamma_fn(bb - 1.0) * z ** (1.0 - bb)
-        t1 = g1 * inv_gamma(a - bb + 1.0) * m1a.value
-        t2 = g1 * inv_gamma_prime(a - bb + 1.0) * m1.value
-        t3 = g2 * inv_gamma(a) * m2a.value
-        t4 = g2 * inv_gamma_prime(a) * m2.value
-        big = max(abs(t1), abs(t2), abs(t3), abs(t4))
-        v = (t1 + t2) + (t3 + t4)
-        e = abs(g1) * (abs(inv_gamma(a - bb + 1.0)) * m1a.abs_err_estimate
-                       + abs(inv_gamma_prime(a - bb + 1.0)) * m1.abs_err_estimate) \
-            + abs(g2) * (abs(inv_gamma(a)) * m2a.abs_err_estimate
-                         + abs(inv_gamma_prime(a)) * m2.abs_err_estimate) \
-            + _EPS * 8.0 * (abs(v) + big)
-        return v, e, big
-
     if b == math.floor(b):
-        # the b +/- eps extrapolation loses too much accuracy on the
-        # derivative; the integral representation has no b restriction
-        v, e, method = _u_integral_da(a, b, z)
+        v, e, method = _u_integral(a, b, z, want_da=True)
         return HypergeomResult(v, e, method)
-    v, e, big = da_noninteger(b)
-    if abs(v) < _CANCEL_WARN * big or e > 1e-8 * max(abs(v), 1e-300):
+    value, err, big, m1, m2 = _u_combination(a, b, z)
+    if a != 0.0 and _cancels(value, err, big):
+        v, e, method = _u_integral(a, b, z, want_da=True)
+        return HypergeomResult(v, e, method)
+    m1a = kummer_m_da(a, b, z)
+    m2a = kummer_m_da(a - b + 1.0, 2.0 - b, z)
+    g1 = gamma_fn(1.0 - b)
+    g2 = gamma_fn(b - 1.0) * z ** (1.0 - b)
+    t1 = g1 * inv_gamma(a - b + 1.0) * m1a.value
+    t2 = g1 * inv_gamma_prime(a - b + 1.0) * m1.value
+    t3 = g2 * inv_gamma(a) * m2a.value
+    t4 = g2 * inv_gamma_prime(a) * m2.value
+    big = max(abs(t1), abs(t2), abs(t3), abs(t4))
+    v = (t1 + t2) + (t3 + t4)
+    e = abs(g1) * (abs(inv_gamma(a - b + 1.0)) * m1a.abs_err_estimate
+                   + abs(inv_gamma_prime(a - b + 1.0)) * m1.abs_err_estimate) \
+        + abs(g2) * (abs(inv_gamma(a)) * m2a.abs_err_estimate
+                     + abs(inv_gamma_prime(a)) * m2.abs_err_estimate) \
+        + _EPS * 8.0 * (abs(v) + big)
+    if _cancels(v, e, big):
         # derivative terms can cancel even when the value terms do not
         # (1/Gamma poles that kill value terms leave derivative residue)
-        v2, e2, method = _u_integral_da(a, b, z)
+        v2, e2, method = _u_integral(a, b, z, want_da=True)
         if e2 < e:
             return HypergeomResult(v2, e2, method)
     return HypergeomResult(v, e, "DirectSeries")
-
-
-# ----------------------------------------------------------------------
-# Parabolic cylinder functions
-# ----------------------------------------------------------------------
-
-
-def parabolic_d(nu: float, z: float) -> HypergeomResult:
-    """Whittaker's parabolic cylinder function D_nu(z).
-
-    Evaluated through the reflected two-Kummer form
-        D_nu(z) = sqrt(pi) 2^(nu/2) e^(-z^2/4) [ M(-nu/2, 1/2, z^2/2) / Gamma((1-nu)/2)
-                  - sqrt(2) z M((1-nu)/2, 3/2, z^2/2) / Gamma(-nu/2) ],
-    which is pole-free in nu.  For z >= 4 the two terms cancel through
-    roughly exp(z^2/2), so unless nu is a non-negative integer (where
-    one term vanishes and the other terminates) the evaluation reroutes
-    through D_nu(z) = 2^(nu/2) e^(-z^2/4) U(-nu/2, 1/2, z^2/2).
-    """
-    if z >= 4.0 and not (nu >= 0.0 and nu == math.floor(nu)):
-        u = tricomi_u(-0.5 * nu, 0.5, 0.5 * z * z)
-        f = 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z)
-        return HypergeomResult(f * u.value, f * u.abs_err_estimate,
-                               u.method, u.warnings)
-    w = 0.5 * z * z
-    m1 = kummer_m(-0.5 * nu, 0.5, w)
-    m2 = kummer_m(0.5 * (1.0 - nu), 1.5, w)
-    ig1 = inv_gamma(0.5 * (1.0 - nu))
-    ig2 = inv_gamma(-0.5 * nu)
-    c = math.sqrt(math.pi) * 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z)
-    t1 = ig1 * m1.value
-    t2 = math.sqrt(2.0) * z * ig2 * m2.value
-    value = c * (t1 - t2)
-    err = c * (abs(ig1) * m1.abs_err_estimate
-               + math.sqrt(2.0) * abs(z * ig2) * m2.abs_err_estimate
-               + _EPS * 16.0 * (abs(t1) + abs(t2)))
-    method = m1.method if m1.method == m2.method else "DirectSeries"
-    warnings = ()
-    if abs(value) < _CANCEL_WARN * c * max(abs(t1), abs(t2)) and max(abs(t1), abs(t2)) > 0:
-        warnings = ("cancellation in two-Kummer form",)
-    return HypergeomResult(value, err, method, warnings)
-
-
-def parabolic_d_dnu(nu: float, z: float) -> HypergeomResult:
-    """Order derivative dD_nu(z)/dnu by the product rule on the same
-    pole-free representation used in parabolic_d.
-
-    Mirrors parabolic_d's rerouting: for z >= 4 the differentiated
-    two-Kummer form inherits the exp(z^2/2) cancellation, so it is
-    evaluated through the Tricomi representation instead:
-        dD/dnu = 2^(nu/2) e^(-z^2/4) [ln2/2 U(a,1/2,w) - 1/2 dU/da],
-    a = -nu/2, w = z^2/2.  Integer nu >= 0 still needs this route: the
-    derivative does not terminate even when the value does.
-    """
-    if z >= 4.0:
-        a = -0.5 * nu
-        w = 0.5 * z * z
-        u = tricomi_u(a, 0.5, w)
-        ua = tricomi_u_da(a, 0.5, w)
-        f = 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z)
-        value = f * (0.5 * math.log(2.0) * u.value - 0.5 * ua.value)
-        err = f * (0.5 * math.log(2.0) * u.abs_err_estimate
-                   + 0.5 * ua.abs_err_estimate)
-        return HypergeomResult(value, err, ua.method, ua.warnings)
-    w = 0.5 * z * z
-    u1 = 0.5 * (1.0 - nu)
-    u2 = -0.5 * nu
-    m1 = kummer_m(u2, 0.5, w)          # note: a = -nu/2
-    m1a = kummer_m_da(u2, 0.5, w)
-    m2 = kummer_m(u1, 1.5, w)          # a = (1-nu)/2
-    m2a = kummer_m_da(u1, 1.5, w)
-    c = math.sqrt(math.pi) * 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z)
-    base = c * (inv_gamma(u1) * m1.value
-                - math.sqrt(2.0) * z * inv_gamma(u2) * m2.value)
-    inner = (inv_gamma_prime(u1) * m1.value + inv_gamma(u1) * m1a.value
-             - math.sqrt(2.0) * z * (inv_gamma_prime(u2) * m2.value
-                                     + inv_gamma(u2) * m2a.value))
-    value = 0.5 * math.log(2.0) * base - 0.5 * c * inner
-    err = 0.5 * c * (abs(inv_gamma(u1)) * m1a.abs_err_estimate
-                     + abs(inv_gamma_prime(u1)) * m1.abs_err_estimate
-                     + math.sqrt(2.0) * abs(z) * (
-                         abs(inv_gamma(u2)) * m2a.abs_err_estimate
-                         + abs(inv_gamma_prime(u2)) * m2.abs_err_estimate)) \
-        + _EPS * 16.0 * (abs(value) + abs(base))
-    return HypergeomResult(value, err, m1.method)
-
-
-# ----------------------------------------------------------------------
-# Mittag-Leffler
-# ----------------------------------------------------------------------
-
-
-def mittag_leffler(alpha: float, z: float) -> float:
-    """One-parameter Mittag-Leffler E_alpha(z) for 0 < alpha <= 1, z <= 0.
-
-    The alternating Taylor series cancels through its largest term,
-    which grows like exp(x^(1/alpha)); it is used only while that stays
-    below ~e^9 (x <= 9^alpha).  Beyond that the pole-free spectral
-    integral on the cut (Gorenflo, Loutchko & Luchko 2002):
-        E_a(-x) = sin(a pi)/pi * x * int_0^inf r^(a-1) e^-r
-                  / (r^2a + 2 r^a x cos(a pi) + x^2) dr .
-    Completely monotone in |z|, which the tests exercise.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("mittag_leffler requires 0 < alpha <= 1")
-    if z > 0.0:
-        raise ValueError("mittag_leffler implemented for z <= 0 only")
-    if alpha == 1.0:
-        return math.exp(z)
-    if z == 0.0:
-        return 1.0
-    x = -z
-    if x <= 9.0 ** alpha:
-        s = 0.0
-        hits = 0
-        for n in range(_MAX_TERMS):
-            lg, sg = lgamma_fn(alpha * n + 1.0)
-            term = sg * math.exp(n * math.log(x) - lg) if n > 0 else 1.0
-            if n % 2 == 1:
-                term = -term
-            s += term
-            if abs(term) < _SERIES_STOP * max(abs(s), 1e-300):
-                hits += 1
-                if hits >= 3:
-                    return s
-            else:
-                hits = 0
-        raise NonConvergenceError("Mittag-Leffler series did not converge",
-                                  partial=s, terms=_MAX_TERMS)
-    ca = _cospi(alpha)
-    sa = _sinpi(alpha)
-
-    def f(r):
-        ra = r ** alpha
-        den = ra * ra + 2.0 * ra * x * ca + x * x
-        return r ** (alpha - 1.0) * math.exp(-r) / den
-
-    r_peak = x ** (1.0 / alpha)
-    if alpha > 0.85 and r_peak < 400.0:
-        # near alpha = 1 the integrand peaks sharply where r^alpha = x;
-        # make the peak a panel endpoint so tanh-sinh clusters nodes there
-        pts = [0.0, 0.5 * r_peak, r_peak, 2.0 * r_peak, max(60.0, 4.0 * r_peak)]
-        total = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            v, _ = tanh_sinh(f, lo, hi, tol=1e-13)
-            total += v
-    else:
-        total, _ = tanh_sinh(f, 0.0, 60.0, tol=1e-13)
-    return sa / math.pi * x * total

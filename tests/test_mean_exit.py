@@ -533,3 +533,15 @@ def test_interval_solvers_name_a_nonfinite_pull_or_start(fn, varphi, z0,
     for kappa in (1.0, 1e-9):
         with pytest.raises(ValueError, match=named):
             fn(kappa, varphi, z0)
+
+
+@pytest.mark.parametrize("z0", [math.nan, math.inf])
+@pytest.mark.parametrize("fn", [
+    lambda kappa, z0: met_radial_exterior(3, kappa, z0),
+    lambda kappa, z0: met_radial_exterior(2, kappa, z0),
+    lambda kappa, z0: met_exterior_1d_forced(kappa, 0.5, z0),
+], ids=["exterior-d3", "exterior-d2", "exterior-1d-forced"])
+def test_exterior_solvers_name_a_nonfinite_start(fn, z0):
+    for kappa in (1.0, 0.0):
+        with pytest.raises(ValueError, match="z0"):
+            fn(kappa, z0)

@@ -27,13 +27,11 @@ from ouexit.specfun import (
     inv_gamma,
     kummer_m,
     kummer_m_da,
-    mittag_leffler,
-    parabolic_d,
-    parabolic_d_dnu,
     tables,
     tricomi_u,
     tricomi_u_da,
 )
+from ouexit import specfun
 from ouexit.specfun import _GL_NODES, _GL_WEIGHTS, _kummer_buchholz
 
 EULER_GAMMA = 0.5772156649015328606
@@ -42,7 +40,10 @@ SQRT_PI = 1.7724538509055160273
 METHOD_TAGS = {"DirectSeries", "Buchholz", "IntegralRep",
                "RecurrenceShift", "Extrapolated", "AsymptoticZ"}
 
-# mpmath spot references, 17 significant digits
+# mpmath spot references, 17 significant digits.  The pairs at
+# z = 1.445, 0.08, 2, 4.5 and U at z = 18 are the Kummer and Tricomi
+# arguments of the parabolic cylinder function D_nu(z) at (nu, z) =
+# (3, 1.7), (-1.3, 0.4), (-0.5, -2), (5.5, 3) and (2.3, 6).
 KUMMER_REFERENCE = {
     (-7.3, 1.5, 11.0): -13.199596423034377,
     (-212.5, 0.5, 26.0): -421458.13939913285,
@@ -50,6 +51,14 @@ KUMMER_REFERENCE = {
     (2.4, 3.7, 33.0): 7234287459944.4719,
     (-0.5, 0.5, 50.0): -5.3486233597115376e+19,
     (12.0, 0.5, 3.0): 359373.27063325589,
+    (-1.5, 0.5, 1.445): -2.1718972608212496,
+    (-1.0, 1.5, 1.445): 0.036666666666666625,
+    (0.65, 0.5, 0.08): 1.1087080913243121,
+    (1.15, 1.5, 0.08): 1.0634947849386409,
+    (0.25, 0.5, 2.0): 3.6910910434507266,
+    (0.75, 1.5, 2.0): 3.2929272628498579,
+    (-2.75, 0.5, 4.5): 8.7815403754366029,
+    (-2.25, 1.5, 4.5): 0.81358531398124707,
 }
 TRICOMI_REFERENCE = {
     (1.3, 1.0, 5.0): 0.09504730210817571,
@@ -57,13 +66,7 @@ TRICOMI_REFERENCE = {
     (-2.5, 0.5, 3.0): -3.8971143170299739,
     (0.4, -0.5, 1.0): 0.69011494257715994,
     (6.0, 4.5, 25.0): 2.4540373144387557e-09,
-}
-PARABOLIC_REFERENCE = {
-    (3.0, 1.7): -0.090795399393812855,
-    (-1.3, 0.4): 0.8181108067569605,
-    (2.3, 6.0): 0.0072887017425497074,
-    (-0.5, -2.0): 3.0600977719909658,
-    (5.5, 3.0): -2.0138190213612993,
+    (-1.15, 0.5, 18.0): 26.614359636660007,
 }
 BESSEL_REFERENCE = {
     (0.0, 1.0): 0.76519768655796655,
@@ -86,12 +89,6 @@ ERFCX_REFERENCE = {
     5.0: 0.11070463773306863,
     30.0: 0.018795888861416751,
     100.0: 0.0056416137829894329,
-}
-MITTAG_LEFFLER_REFERENCE = {
-    (0.5, -4.0): 0.13699945762506139,
-    (0.25, -2.0): 0.2981017936936576,
-    (0.75, -10.0): 0.030643250976059638,
-    (0.9, -0.5): 0.60340549869586097,
 }
 
 # oracle outputs, frozen to guard the oracles themselves
@@ -152,26 +149,6 @@ def laplace_integral_tricomi(a: float, b: float, z: float) -> float:
     return val / gamma_fn(a)
 
 
-def alternating_series_ml_half(x, terms: int = 200) -> float:
-    """E_{1/2}(-x) by splitting the alternating Taylor series into its
-    even part (rational) and odd part (rational times 1/sqrt(pi)) and
-    summing each exactly, which sidesteps the e^(x^2)-sized
-    cancellation that defeats plain float accumulation."""
-    sqrt_pi = Fraction(17724538509055160272981674833411451827975,
-                       10 ** 40)
-    fx = Fraction(x)
-    even = Fraction(0)
-    odd = Fraction(0)
-    fact = 1
-    dfact = 1
-    for m in range(terms):
-        even += fx ** (2 * m) / fact
-        odd += fx ** (2 * m + 1) * 2 ** (m + 1) / dfact
-        fact *= m + 1
-        dfact *= 2 * m + 3
-    return float(even - odd / sqrt_pi)
-
-
 def ascending_bessel_series(nu: float, x: float, terms: int = 40) -> float:
     half = 0.5 * x
     total = 0.0
@@ -221,8 +198,6 @@ def test_error_estimates_bound_true_error_on_reference_grid():
         checks.append((kummer_m(*args), ref))
     for args, ref in TRICOMI_REFERENCE.items():
         checks.append((tricomi_u(*args), ref))
-    for args, ref in PARABOLIC_REFERENCE.items():
-        checks.append((parabolic_d(*args), ref))
     for r, ref in checks:
         # slack covers representation rounding of the frozen reference
         # and of intermediate arguments (e.g. z*z/2), neither of which
@@ -421,74 +396,50 @@ def test_kummer_tricomi_consistency_within_reported_error():
             r.abs_err_estimate + noise + 1e-300), (a, b, z)
 
 
-@pytest.mark.parametrize("a,b,z", [
+TRICOMI_DA_POINTS = [
     (1.3, 0.7, 2.0),    # two-series combination
     (3.7, 1.0, 12.0),   # integer b
     (-2.5, 0.5, 3.0),   # shifted a
     (2.0, 2.0, 8.0),    # integer b, positive integer a
-])
+    (-0.5, 0.5, 18.0),  # a value term vanishes, its a-derivative does not
+]
+
+
+@pytest.mark.parametrize("a,b,z", TRICOMI_DA_POINTS)
 def test_tricomi_u_da_matches_finite_difference(a, b, z):
     r = tricomi_u_da(a, b, z)
     fd = central_difference(lambda t: tricomi_u(t, b, z).value, a, 1e-5)
     assert r.value == pytest.approx(fd, rel=1e-6)
 
 
-# ----------------------------------------------------------------------
-# parabolic cylinder functions
-# ----------------------------------------------------------------------
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(specfun, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, name, counted)
+    return calls
 
 
-@pytest.mark.parametrize("z", [-2.0, 0.0, 3.0])
-def test_parabolic_d_order_zero_is_gaussian(z):
-    r = parabolic_d(0.0, z)
-    assert r.value == pytest.approx(math.exp(-0.25 * z * z), rel=1e-12)
+@pytest.mark.parametrize("a,b,z", TRICOMI_DA_POINTS)
+def test_tricomi_u_da_decides_its_route_without_evaluating_u(monkeypatch,
+                                                             a, b, z):
+    calls = _counting(monkeypatch, "tricomi_u")
+    tricomi_u_da(a, b, z)
+    assert calls == []
 
 
-@pytest.mark.parametrize("z", [-2.0, 0.5, 3.0])
-def test_parabolic_d_order_one(z):
-    r = parabolic_d(1.0, z)
-    assert r.value == pytest.approx(
-        z * math.exp(-0.25 * z * z), rel=1e-12, abs=1e-15)
-
-
-def test_parabolic_d_order_three_matches_hermite_polynomial():
-    x = 1.7 / math.sqrt(2.0)
-    hermite3 = 8.0 * x ** 3 - 12.0 * x
-    expected = 2.0 ** -1.5 * math.exp(-1.7 ** 2 / 4.0) * hermite3
-    assert parabolic_d(3.0, 1.7).value == pytest.approx(expected, rel=1e-10)
-
-
-def test_parabolic_d_reference_values():
-    for args, ref in PARABOLIC_REFERENCE.items():
-        r = parabolic_d(*args)
-        assert r.value == pytest.approx(ref, rel=1e-8), args
-
-
-def test_parabolic_d_dnu_matches_finite_difference():
-    for nu, z in ((0.5, 1.0), (0.0, 0.0), (2.3, 0.0), (-1.3, 2.0),
-                  (1.0, 6.0)):
-        r = parabolic_d_dnu(nu, z)
-        fd = central_difference(lambda t: parabolic_d(t, z).value, nu, 1e-5)
-        assert r.value == pytest.approx(fd, rel=1e-6, abs=1e-10), (nu, z)
-
-
-def test_parabolic_d_dnu_nonzero_at_simple_zero_of_d():
-    # bracket the lowest nu > 0 with D_nu(1.0) = 0, then verify the
-    # order-derivative does not vanish there (the zero is simple)
-    z0 = 1.0
-    lo, hi = 1.0, 3.0
-    flo = parabolic_d(lo, z0).value
-    assert flo * parabolic_d(hi, z0).value < 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fmid = parabolic_d(mid, z0).value
-        if flo * fmid <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    nu_root = 0.5 * (lo + hi)
-    assert abs(parabolic_d(nu_root, z0).value) < 1e-12
-    assert abs(parabolic_d_dnu(nu_root, z0).value) > 1e-3
+def test_shifted_tricomi_u_da_integrates_each_laplace_integral_once(
+        monkeypatch):
+    # a = -2.5 is raised to a + 3 and a + 4: one U integral and one
+    # ln(t/(1+t))-weighted integral at each
+    calls = _counting(monkeypatch, "integrate_to_cutoff")
+    r = tricomi_u_da(-2.5, 1.0, 3.0)
+    assert r.method == "RecurrenceShift"
+    assert len(calls) == 4
 
 
 # ----------------------------------------------------------------------
@@ -627,62 +578,6 @@ def test_inv_gamma_keeps_its_digits_at_a_tiny_negative_argument():
 def test_kummer_m_large_z_branch_near_a_zero():
     r = kummer_m(-2.5e-15, 0.5, 100.0)
     assert r.value == pytest.approx(-1.1971882502484716080e28, rel=1e-13)
-
-
-# ----------------------------------------------------------------------
-# mittag_leffler
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("z", [0.0, -2.0])
-def test_mittag_leffler_alpha_one_is_exponential(z):
-    assert mittag_leffler(1.0, z) == pytest.approx(math.exp(z), rel=1e-14)
-
-
-@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8, 1.0])
-def test_mittag_leffler_at_zero_is_one(alpha):
-    assert mittag_leffler(alpha, 0.0) == 1.0
-
-
-def test_mittag_leffler_matches_exact_alternating_series_oracle():
-    live = alternating_series_ml_half(4)
-    assert live == pytest.approx(MITTAG_LEFFLER_REFERENCE[(0.5, -4.0)],
-                                 rel=1e-12)
-    assert mittag_leffler(0.5, -4.0) == pytest.approx(live, rel=1e-8)
-
-
-def test_mittag_leffler_reference_values():
-    for (alpha, z), ref in MITTAG_LEFFLER_REFERENCE.items():
-        assert mittag_leffler(alpha, z) == pytest.approx(ref, rel=1e-10)
-
-
-def test_mittag_leffler_half_alpha_equals_scaled_erfc():
-    # E_{1/2}(-x) = e^(x^2) erfc(x): two fully independent code paths
-    for i in range(1, 61):
-        x = 0.5 * i
-        assert mittag_leffler(0.5, -x) == pytest.approx(
-            erfcx(x), rel=1e-10), x
-
-
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
-def test_mittag_leffler_monotone_decreasing(alpha):
-    previous = 1.0 + 1e-15
-    for i in range(200):
-        x = 0.1 * (i + 1)
-        value = mittag_leffler(alpha, -x)
-        assert 0.0 < value < previous, (alpha, x)
-        previous = value
-
-
-@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
-def test_mittag_leffler_rejects_alpha_outside_domain(alpha):
-    with pytest.raises(ValueError):
-        mittag_leffler(alpha, -1.0)
-
-
-def test_mittag_leffler_rejects_positive_argument():
-    with pytest.raises(ValueError):
-        mittag_leffler(0.5, 0.1)
 
 
 # ----------------------------------------------------------------------
