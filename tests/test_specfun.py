@@ -32,7 +32,8 @@ from ouexit.specfun import (
     tricomi_u_da,
 )
 from ouexit import specfun
-from ouexit.specfun import _GL_NODES, _GL_WEIGHTS, _kummer_buchholz
+from ouexit.specfun import (_GL_NODES, _GL_WEIGHTS, _kummer_buchholz,
+                            inv_gamma_prime)
 
 EULER_GAMMA = 0.5772156649015328606
 SQRT_PI = 1.7724538509055160273
@@ -67,6 +68,14 @@ TRICOMI_REFERENCE = {
     (0.4, -0.5, 1.0): 0.69011494257715994,
     (6.0, 4.5, 25.0): 2.4540373144387557e-09,
     (-1.15, 0.5, 18.0): 26.614359636660007,
+}
+# D_nu(z) at (nu, z), mpmath
+PARABOLIC_REFERENCE = {
+    (3.0, 1.7): -0.090795399393812855,
+    (-1.3, 0.4): 0.8181108067569605,
+    (2.3, 6.0): 0.0072887017425497074,
+    (-0.5, -2.0): 3.0600977719909658,
+    (5.5, 3.0): -2.0138190213612993,
 }
 BESSEL_REFERENCE = {
     (0.0, 1.0): 0.76519768655796655,
@@ -440,6 +449,95 @@ def test_shifted_tricomi_u_da_integrates_each_laplace_integral_once(
     r = tricomi_u_da(-2.5, 1.0, 3.0)
     assert r.method == "RecurrenceShift"
     assert len(calls) == 4
+
+
+# ----------------------------------------------------------------------
+# parabolic cylinder identities
+# ----------------------------------------------------------------------
+# D_nu(z) has closed forms at integer order and a simple zero in nu, so
+# it checks M, U and their a-derivatives along the line b = 1/2, 3/2:
+#   D_nu(z) = sqrt(pi) 2^(nu/2) e^(-z^2/4) [ M(-nu/2, 1/2, z^2/2) / Gamma((1-nu)/2)
+#             - sqrt(2) z M((1-nu)/2, 3/2, z^2/2) / Gamma(-nu/2) ]
+#           = 2^(nu/2) e^(-z^2/4) U(-nu/2, 1/2, z^2/2)          (z > 0).
+# The Kummer form cancels through about exp(z^2/2), so z >= 4 takes U.
+
+
+def _parabolic_d(nu, z):
+    f = 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z)
+    w = 0.5 * z * z
+    if z >= 4.0 and not (nu >= 0.0 and nu == math.floor(nu)):
+        return f * tricomi_u(-0.5 * nu, 0.5, w).value
+    return SQRT_PI * f * (
+        inv_gamma(0.5 * (1.0 - nu)) * kummer_m(-0.5 * nu, 0.5, w).value
+        - math.sqrt(2.0) * z * inv_gamma(-0.5 * nu)
+        * kummer_m(0.5 * (1.0 - nu), 1.5, w).value)
+
+
+def _parabolic_d_dnu(nu, z):
+    f = 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z)
+    w = 0.5 * z * z
+    a1, a2 = -0.5 * nu, 0.5 * (1.0 - nu)
+    if z >= 4.0:
+        return f * (0.5 * math.log(2.0) * tricomi_u(a1, 0.5, w).value
+                    - 0.5 * tricomi_u_da(a1, 0.5, w).value)
+    m1, m1a = kummer_m(a1, 0.5, w).value, kummer_m_da(a1, 0.5, w).value
+    m2, m2a = kummer_m(a2, 1.5, w).value, kummer_m_da(a2, 1.5, w).value
+    s = math.sqrt(2.0) * z
+    base = inv_gamma(a2) * m1 - s * inv_gamma(a1) * m2
+    inner = (inv_gamma_prime(a2) * m1 + inv_gamma(a2) * m1a
+             - s * (inv_gamma_prime(a1) * m2 + inv_gamma(a1) * m2a))
+    return SQRT_PI * f * (0.5 * math.log(2.0) * base - 0.5 * inner)
+
+
+@pytest.mark.parametrize("z", [-2.0, 0.0, 3.0])
+def test_parabolic_d_order_zero_is_gaussian(z):
+    assert _parabolic_d(0.0, z) == pytest.approx(
+        math.exp(-0.25 * z * z), rel=1e-12)
+
+
+@pytest.mark.parametrize("z", [-2.0, 0.5, 3.0])
+def test_parabolic_d_order_one(z):
+    assert _parabolic_d(1.0, z) == pytest.approx(
+        z * math.exp(-0.25 * z * z), rel=1e-12, abs=1e-15)
+
+
+def test_parabolic_d_order_three_matches_hermite_polynomial():
+    x = 1.7 / math.sqrt(2.0)
+    hermite3 = 8.0 * x ** 3 - 12.0 * x
+    expected = 2.0 ** -1.5 * math.exp(-1.7 ** 2 / 4.0) * hermite3
+    assert _parabolic_d(3.0, 1.7) == pytest.approx(expected, rel=1e-10)
+
+
+def test_parabolic_d_reference_values():
+    for args, ref in PARABOLIC_REFERENCE.items():
+        assert _parabolic_d(*args) == pytest.approx(ref, rel=1e-8), args
+
+
+def test_parabolic_d_dnu_matches_finite_difference():
+    for nu, z in ((0.5, 1.0), (0.0, 0.0), (2.3, 0.0), (-1.3, 2.0),
+                  (1.0, 6.0)):
+        fd = central_difference(lambda t: _parabolic_d(t, z), nu, 1e-5)
+        assert _parabolic_d_dnu(nu, z) == pytest.approx(
+            fd, rel=1e-6, abs=1e-10), (nu, z)
+
+
+def test_parabolic_d_dnu_nonzero_at_simple_zero_of_d():
+    # bracket the lowest nu > 0 with D_nu(1.0) = 0, then verify the
+    # order-derivative does not vanish there (the zero is simple)
+    z0 = 1.0
+    lo, hi = 1.0, 3.0
+    flo = _parabolic_d(lo, z0)
+    assert flo * _parabolic_d(hi, z0) < 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fmid = _parabolic_d(mid, z0)
+        if flo * fmid <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    nu_root = 0.5 * (lo + hi)
+    assert abs(_parabolic_d(nu_root, z0)) < 1e-12
+    assert abs(_parabolic_d_dnu(nu_root, z0)) > 1e-3
 
 
 # ----------------------------------------------------------------------
