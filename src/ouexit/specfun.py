@@ -5,15 +5,14 @@ Kummer M(a,b,z) and Tricomi U(a,b,z) with their a-derivatives, Dawson's
 integral, the scaled complementary error function, Bessel J, gamma and
 digamma.
 
-The pain point is M(a,b,z) with large negative a, where the power series
-loses all significance.  There we switch to the Buchholz expansion in
-Bessel functions (Abad & Sesma 1995), whose polynomial coefficients do
-not depend on a; they are polynomials in z^2 whose coefficients are
-tabulated once per b (`BuchholzTables`), so no state grows with the
-number of distinct z.  Large-z evaluation uses the standard asymptotic
-series, and U(a,b,z) falls back on its Laplace integral representation
-when the two-Kummer combination cancels badly.  The module needs the
-standard library alone.
+The pain point is M(a,b,z) with large negative a, where the power
+series' terms alternate and grow far beyond M, so a float sum loses every
+digit.  a, b and z are binary rationals, so there the series is summed in
+Python integers scaled by 2^P, with P sized to the terms' growth
+(`_kummer_fixed`); the same kernel serves terminating a.  Large-z
+evaluation uses the standard asymptotic series, and U(a,b,z) falls back
+on its Laplace integral representation when the two-Kummer combination
+cancels badly.  The module needs the standard library alone.
 
 A function's value and its a-derivative share one route decision:
 `_kummer` holds the branch table of both M and dM/da, the Laplace
@@ -31,13 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._quad import tanh_sinh, integrate_to_cutoff
 
 __all__ = [
     "HypergeomResult",
-    "BuchholzTables",
     "NonConvergenceError",
     "kummer_m",
     "kummer_m_da",
@@ -52,8 +49,8 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_LN2 = math.log(2.0)
 _MAX_TERMS = 10000
-_EXACT_MAX_TERMS = 4000
 _SERIES_STOP = 1e-15  # relative term size; three consecutive hits stop a series
 
 
@@ -77,8 +74,10 @@ class HypergeomResult:
 
     abs_err_estimate is deliberately pessimistic; tests assert it bounds
     the true error against independent oracles.  method is one of
-    DirectSeries, Buchholz, IntegralRep, RecurrenceShift, Extrapolated,
-    AsymptoticZ.
+    DirectSeries, FixedPoint, IntegralRep, RecurrenceShift, Extrapolated,
+    AsymptoticZ.  For M and dM/da, DirectSeries is the float power series,
+    FixedPoint the integer-scaled one and AsymptoticZ the large-z
+    expansion.
     """
 
     value: float
@@ -193,7 +192,7 @@ def inv_gamma_prime(x: float) -> float:
     return g * (_cospi(x) - _sinpi(x) * digamma(1.0 - x) / math.pi)
 
 
-# Bernoulli numbers B_2 .. B_40 from their exact rational values.
+# Bernoulli numbers B_2 .. B_14, the terms of digamma's asymptotic tail.
 _BERNOULLI = {
     2: 1.0 / 6.0,
     4: -1.0 / 30.0,
@@ -202,19 +201,6 @@ _BERNOULLI = {
     10: 5.0 / 66.0,
     12: -691.0 / 2730.0,
     14: 7.0 / 6.0,
-    16: -3617.0 / 510.0,
-    18: 43867.0 / 798.0,
-    20: -174611.0 / 330.0,
-    22: 854513.0 / 138.0,
-    24: -236364091.0 / 2730.0,
-    26: 8553103.0 / 6.0,
-    28: -23749461029.0 / 870.0,
-    30: 8615841276005.0 / 14322.0,
-    32: -7709321041217.0 / 510.0,
-    34: 2577687858367.0 / 6.0,
-    36: -26315271553053477373.0 / 1919190.0,
-    38: 2929993913841559.0 / 6.0,
-    40: -261082718496449122051.0 / 13530.0,
 }
 
 
@@ -403,191 +389,95 @@ def bessel_j(nu: float, x: float) -> float:
     return _bessel_integral(nu, x)
 
 
-def _jratio(nu: float, x: float) -> float:
-    """J_nu(x) / x^nu, stable as x -> 0."""
-    if x < 0.5:
-        q = 0.25 * x * x
-        term = inv_gamma(nu + 1.0) * 0.5 ** nu
-        s = term
-        for k in range(1, 60):
-            term *= -q / (k * (nu + k))
-            s += term
-            if abs(term) < 1e-17 * abs(s):
-                break
-        return s
-    return bessel_j(nu, x) / x ** nu
-
-
 # ----------------------------------------------------------------------
-# Buchholz expansion machinery
+# Kummer M
 # ----------------------------------------------------------------------
 
+# Guard bits of the fixed-point series: its claimed absolute error is a
+# small multiple of terms * 2^-_GUARD_BITS
+_GUARD_BITS = 96
 
-class BuchholzTables:
-    """Per-b coefficient tables of the Buchholz polynomials p_n(b, z).
 
-    p_n(b, z) = Re[(iz)^n / n! sum_k C(n, 2k) f_k(b) g_(n-2k)(z)] (Abad &
-    Sesma 1995): f_k(b) and g_k(z) follow recurrences built on Bernoulli
-    numbers (tabulated exactly through B_40).  g_k is a polynomial in
-    c = -iz/4 whose powers step by two and whose coefficients do not
-    depend on b, so its recurrence is expanded once into those
-    coefficients; with f_k(b) they make p_n a polynomial in z^2 whose
-    coefficients depend on b alone.  `p_poly(b)` tabulates them on first
-    use of b and `_kummer_buchholz` evaluates each order it needs by
-    Horner in z^2, so no state grows with the number of distinct z.
-    Entries come from deterministic arithmetic: two callers filling the
-    same b store identical tables.
+def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
+    """Power series of M(a, b, z), or of dM/da, in integers scaled by 2^P.
+
+    Serves a <= 0 and z > 0, where the terms alternate and grow far
+    beyond M before they decay.  a, b and z are binary rationals, so each
+    term t <- t (a+n) z / ((b+n)(n+1)) costs one integer product and one
+    floor division, and the derivative term dt <- (dt (a+n) + t) z /
+    ((b+n)(n+1)) one more.  Returns (value, abs_err).
+
+    With A = max(|a|, 1), rho_j = (A+j) z / (|b+j| (j+1)) bounds
+    |t_(j+1) / t_j|.  The sum ends at the first term N within
+    2^-_GUARD_BITS (dt too) with N + b > 0 and rho_N <= 1/2; rho_j then
+    decreases, so the tail is at most 2^-_GUARD_BITS (dt's three times).
+
+    Each floor errs by less than two units 2^-P (one when b + n > 0).
+    An error made at term k reaches the sum through the products of rho
+    over the windows j = k+1 .. n-1, at most twice their sum over n < N
+    as windows past N halve per term.  Split rho_j = phi_j beta_j with
+    phi_j = (A+j) z / (j+1)^2, which does not increase with j, and
+    beta_j = (j+1)/|b+j|.  A window's phi product is at most
+    (A)_L z^L / L!^2, and sum_L (A)_L z^L / L!^2 <= e^z I_0(2 sqrt(A z))
+    <= e^(z + 2 sqrt(A z)), since (A)_L / L! <= sum_k A^k C(L-1, k-1) / k!
+    (-ln(1-x) <= x/(1-x) coefficientwise).  A window's beta product is
+    at most B = prod_(j<N) max(1, beta_j), which is Gamma(b) N! /
+    Gamma(N+b) <= (N+1)/min(b, 1) for b > 0.  P spends
+    (z + 2 sqrt(A z))/ln 2 bits on this growth on top of _GUARD_BITS, so
+    the value's N + 1 errors cost at most 4 (N+1) B 2^-_GUARD_BITS.  An
+    error of t enters dt through one factor z/((b+i)(i+1)) without its
+    (a+i); summed over i that costs sum_i 1/(A+i) + 1 <= 2 + ln(1+N)
+    times as much again.  The final int-to-float division rounds once.
     """
-
-    MAX_ORDER = 38
-
-    def __init__(self):
-        self.bernoulli = dict(_BERNOULLI)
-        self._p_cache: dict = {}
-        self._g_powers = self._expand_g()
-
-    def f_coeffs(self, b: float):
-        """f_k(b), k = 0..MAX_ORDER/2 + 1."""
-        kmax = self.MAX_ORDER // 2 + 1
-        f = [1.0]
-        for k in range(1, kmax + 1):
-            s = 0.0
-            for j in range(k):
-                s += (math.comb(2 * k - 1, 2 * j)
-                      * 4.0 ** (k - j) * abs(self.bernoulli[2 * (k - j)])
-                      / (k - j) * f[j])
-            f.append(-(0.5 * b - 1.0) * s)
-        return tuple(f)
-
-    def _expand_g(self):
-        """gam[k][m], with g_k(z) = sum_m gam[k][m] (-iz/4)^m, from
-        g_k = c sum_j C(k-1, 2j) 4^(j+1) |B_(2j+2)| / (j+1) g_(k-2j-1)."""
-        gam = [[1.0]]
-        for k in range(1, self.MAX_ORDER + 1):
-            row = [0.0] * (k + 1)
-            for j in range((k - 1) // 2 + 1):
-                c = (math.comb(k - 1, 2 * j)
-                     * 4.0 ** (j + 1) * abs(self.bernoulli[2 * (j + 1)])
-                     / (j + 1))
-                for m, g in enumerate(gam[k - 2 * j - 1]):
-                    row[m + 1] += c * g
-            gam.append(row)
-        return tuple(tuple(row) for row in gam)
-
-    def p_poly(self, b: float):
-        """z^2-coefficients of the Buchholz polynomials, n = 0..MAX_ORDER:
-        p_n(b, z) = sum_q p_poly(b)[n][q] z^(2q).
-
-        (iz)^n (-iz/4)^m = (-1)^((n-m)/2) 4^-m z^(n+m) is real, as m has
-        the parity of n, so the coefficient of z^(2q) collects m = 2q - n.
-        """
-        got = self._p_cache.get(b)
-        if got is not None:
-            return got
-        f = self.f_coeffs(b)
-        gam = self._g_powers
-        out = []
-        fact = 1.0
-        for n in range(self.MAX_ORDER + 1):
-            row = [0.0] * (n + 1)
-            for m in range(n % 2, n + 1, 2):
-                s = 0.0
-                for k in range((n - m) // 2 + 1):
-                    s += math.comb(n, 2 * k) * f[k] * gam[n - 2 * k][m]
-                sign = -1.0 if ((n - m) // 2) % 2 else 1.0
-                row[(n + m) // 2] = sign * s / (4.0 ** m * fact)
-            out.append(tuple(row))
-            fact *= n + 1
-        out = tuple(out)
-        self._p_cache[b] = out
-        return out
-
-
-tables = BuchholzTables()
-
-
-def _fb_gb(b: float, x: float):
-    """Leading Bessel factors F_b(x), G_b(x) of the Buchholz expansion.
-
-    Closed trig forms for b = 1/2 and 3/2; the generic expression
-    Gamma(b) 2^(b-1) x^(1-b) J_(b-1)(x) otherwise.
-    """
-    if b == 0.5:
-        if x < 1e-2:
-            x2 = x * x
-            return 1.0 - 0.5 * x2 + x2 * x2 / 24.0, 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-        return math.cos(x), math.sin(x) / x
-    if b == 1.5:
-        if x < 1e-2:
-            x2 = x * x
-            return (1.0 - x2 / 6.0 + x2 * x2 / 120.0,
-                    1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0)
-        return math.sin(x) / x, (math.sin(x) - x * math.cos(x)) / x ** 3
-    c = gamma_fn(b) * 2.0 ** (b - 1.0)
-    return c * _jratio(b - 1.0, x), c * _jratio(b, x)
-
-
-def _kummer_buchholz(a: float, b: float, z: float, want_da: bool = False):
-    """Buchholz expansion of M(a,b,z) (and dM/da) for a < b/2.
-
-    Truncated at 12 orders, extended up to MAX_ORDER while the tail has
-    not yet fallen under the stopping threshold.  Each order's Buchholz
-    polynomial is evaluated from the per-b table, by Horner in z^2, only
-    when the sum reaches that order.
-    """
-    x = math.sqrt(z * (2.0 * b - 4.0 * a))
-    fb, gb = _fb_gb(b, x)
-    poly = tables.p_poly(b)
-    w = z * z
-    y = 1.0 / x
-    # P_n(1/x), Q_n(1/x) by their three-term recurrences
-    nmax = tables.MAX_ORDER + 1
-    P = [1.0, 0.0]
-    Q = [0.0, 1.0]
-    for n in range(1, nmax):
-        c = 2.0 * (b - 1.0 + n) * y
-        P.append(c * P[n] - P[n - 1])
-        Q.append(c * Q[n] - Q[n - 1])
-
-    def term(n):
-        p = 0.0
-        for c in reversed(poly[n]):
-            p = p * w + c
+    aa = max(-a, 1.0)
+    # the stop test holds at some n <= _MAX_TERMS only if it holds there
+    m = _MAX_TERMS
+    if not (b + m > 0.0 and (aa + m) * z <= 0.5 * (m + b) * (m + 1)):
+        raise NonConvergenceError(
+            f"fixed-point Kummer series needs over {m} terms for a={a}, "
+            f"b={b}, z={z}", terms=m)
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    # the denominators are powers of two: (a+n) z / ((b+n)(n+1)) =
+    # (an + n ad) zn 2^-e / ((bn + n bd)(n+1)) with e = log2(ad zd / bd);
+    # shifting by e first keeps the divisor small, and for a divisor
+    # k > 0, floor(floor(x / 2^e) / k) = floor(x / (2^e k))
+    la = ad.bit_length() - 1
+    e = la + zd.bit_length() - bd.bit_length()
+    if e < 0:
+        zn <<= -e
+        e = 0
+    p = _GUARD_BITS + int((z + 2.0 * math.sqrt(aa * z)) / _LN2) + 1
+    t = s = 1 << p
+    dt = ds = 0
+    tiny = 1 << (p - _GUARD_BITS)
+    c, q, n = an, bn, 0
+    while not (-tiny <= t <= tiny and (not want_da or -tiny <= dt <= tiny)
+               and n + b > 0.0
+               and (aa + n) * z <= 0.5 * (n + b) * (n + 1)):
+        k = q * (n + 1)
         if want_da:
-            return p * (fb * P[n + 1] * y ** (n + 1) + gb * Q[n + 1] * y ** n)
-        return p * (fb * P[n] * y ** n + gb * Q[n] * y ** (n - 1))
-
-    s = 0.0
-    last = math.inf
-    n_used = 12
-    for n in range(12):
-        t = term(n)
+            dt = (((dt * c + (t << la)) * zn) >> e) // k
+            ds += dt
+        t = ((t * (c * zn)) >> e) // k
         s += t
-        last = abs(t)
-    scale = max(abs(s), 1e-300)
-    if last > _SERIES_STOP * scale:
-        for n in range(12, tables.MAX_ORDER + 1):
-            t = term(n)
-            s += t
-            last = abs(t)
-            n_used = n + 1
-            if last < _SERIES_STOP * max(abs(s), 1e-300):
-                break
-    pref = (2.0 * z if want_da else 1.0) * math.exp(0.5 * z)
-    value = pref * s
-    # roundoff floor covers the P/Q recurrences and Bessel ratio, which
-    # each contribute a few ulp per order on top of the truncation tail
-    err = pref * (last + _EPS * 8.0 * abs(s)) + _EPS * 32.0 * abs(value)
-    return value, err, n_used
+        c += ad
+        q += bd
+        n += 1
+    value = (ds if want_da else s) / (1 << p)
+    if b > 0.0:
+        growth = (n + 1) / min(b, 1.0)
+    else:
+        growth = math.prod(max(1.0, (j + 1) / abs(b + j)) for j in range(n))
+    units = 4.0 * (n + 1) * growth * (3.0 + math.log1p(n) if want_da else 1.0)
+    err = math.ldexp(units + 3.0, -_GUARD_BITS) + _EPS * abs(value)
+    return value, err
 
 
 def _kummer_series(a: float, b: float, z: float, want_da: bool = False):
-    """Power series of M(a,b,z); propagates the a-derivative alongside.
-
-    Handles terminating a (nonpositive integer) exactly, including the
-    derivative terms that survive past the truncation degree.
-    """
-    terminating = a <= 0.0 and a == math.floor(a)
+    """Power series of M(a,b,z) in floats; propagates the a-derivative
+    alongside."""
     t = 1.0
     dt = 0.0
     s = 1.0
@@ -601,19 +491,8 @@ def _kummer_series(a: float, b: float, z: float, want_da: bool = False):
         t = t * (a + n) * r
         s += t
         ds += dt
-        abs_sum += abs(t)
+        abs_sum += abs(dt) if want_da else abs(t)
         n += 1
-        if terminating and n > -a:
-            # value series has terminated; keep the derivative going
-            if abs(dt) < _SERIES_STOP * max(abs(ds), 1e-300):
-                hits += 1
-                if hits >= 3:
-                    break
-            else:
-                hits = 0
-            if not want_da:
-                break
-            continue
         m = abs(t) if not want_da else max(abs(t), abs(dt))
         ref = abs(s) if not want_da else max(abs(s), abs(ds))
         if m < _SERIES_STOP * max(ref, 1e-300):
@@ -626,40 +505,8 @@ def _kummer_series(a: float, b: float, z: float, want_da: bool = False):
         raise NonConvergenceError(
             f"Kummer series did not converge for a={a}, b={b}, z={z}",
             partial=ds if want_da else s, terms=_MAX_TERMS)
-    err = _EPS * 8.0 * abs_sum + abs(t) * 4.0
+    err = _EPS * 8.0 * abs_sum + 4.0 * (abs(dt) if want_da else abs(t))
     return (ds, err) if want_da else (s, err)
-
-
-def _kummer_series_exact(a: float, b: float, z: float, want_da: bool = False):
-    """Power series of M summed in exact rational arithmetic.
-
-    For a < -10 with z >= 20 neither the float series (catastrophic
-    cancellation) nor the Buchholz expansion (slow convergence in z)
-    meets the accuracy contract; exact summation sidesteps the issue at
-    millisecond cost since every quantity involved is a binary rational.
-    """
-    fa, fb, fz = Fraction(a), Fraction(b), Fraction(z)
-    t = Fraction(1)
-    dt = Fraction(0)
-    s = Fraction(1)
-    ds = Fraction(0)
-    cut = Fraction(1, 10 ** 22)
-    n = 0
-    while n < _EXACT_MAX_TERMS:
-        r = fz / ((fb + n) * (n + 1))
-        dt = dt * (fa + n) * r + t * r
-        t = t * (fa + n) * r
-        s += t
-        ds += dt
-        n += 1
-        lead = abs(ds) if want_da else abs(s)
-        tail = max(abs(t), abs(dt)) if want_da else abs(t)
-        if n > 5 and tail < cut * max(lead, cut):
-            value = float(ds) if want_da else float(s)
-            return value, _EPS * 2.0 * abs(value)
-    raise NonConvergenceError(
-        f"exact Kummer series did not converge for a={a}, b={b}, z={z}",
-        partial=float(ds if want_da else s), terms=_EXACT_MAX_TERMS)
 
 
 def _kummer_asympt(a: float, b: float, z: float):
@@ -676,7 +523,8 @@ def _kummer_asympt(a: float, b: float, z: float):
         min1 = abs(term)
         if min1 < 1e-18 * abs(s1):
             break
-    t1 = math.exp(z + (a - b) * math.log(z)) * inv_gamma(a) * s1
+    lz = math.log(z)
+    t1 = math.exp(z + (a - b) * lz) * inv_gamma(a) * s1
     # cos(pi a) z^(-a) / Gamma(b-a) branch
     s2 = 1.0
     term = 1.0
@@ -692,8 +540,14 @@ def _kummer_asympt(a: float, b: float, z: float):
     t2 = _cospi(a) * z ** (-a) * inv_gamma(b - a) * s2
     g = gamma_fn(b)
     value = g * (t1 + t2)
+    # exp's argument z + (a-b) ln z is rounded, as is ln z: t1 carries a
+    # relative error of about eps (z + 2|a-b| ln z), and z^(-a) one of
+    # about eps 2|a| ln z
     err = abs(g) * (min1 * math.exp(z) * z ** (a - b) * abs(inv_gamma(a))
-                    + min2 * z ** (-a) * abs(inv_gamma(b - a))) + _EPS * 8 * abs(value)
+                    + min2 * z ** (-a) * abs(inv_gamma(b - a))
+                    + _EPS * (z + 2.0 * abs(a - b) * lz) * abs(t1)
+                    + _EPS * 2.0 * abs(a) * lz * abs(t2)) \
+        + _EPS * 8 * abs(value)
     return value, abs(err)
 
 
@@ -716,22 +570,12 @@ def _kummer(a: float, b: float, z: float, want_da: bool) -> HypergeomResult:
         return HypergeomResult(f * inner.value,
                                abs(f) * inner.abs_err_estimate,
                                inner.method, inner.warnings)
-    if -30.0 <= a <= 0.0 and a == math.floor(a):
-        v, e = _kummer_series_exact(a, b, z, want_da)
-        return HypergeomResult(v, e, "DirectSeries")
-    if a < -10.0:
-        if z < 20.0 and b > 0.0:
-            if z * (2.0 * b - 4.0 * a) >= 1.0:
-                v, e, _ = _kummer_buchholz(a, b, z, want_da)
-                return HypergeomResult(v, e, "Buchholz")
-            v, e = _kummer_series(a, b, z, want_da)
-            return HypergeomResult(v, e, "DirectSeries")
-        # b <= 0 (valid when non-integer) lacks a Bessel-form expansion
-        v, e = _kummer_series_exact(a, b, z, want_da)
-        return HypergeomResult(v, e, "DirectSeries")
+    if a < -10.0 or (a <= 0.0 and a == math.floor(a)):
+        v, e = _kummer_fixed(a, b, z, want_da)
+        return HypergeomResult(v, e, "FixedPoint")
     if not want_da and z > 80.0 and abs(a) <= 10.0:
         v, e = _kummer_asympt(a, b, z)
-        return HypergeomResult(v, e, "DirectSeries")
+        return HypergeomResult(v, e, "AsymptoticZ")
     v, e = _kummer_series(a, b, z, want_da)
     return HypergeomResult(v, e, "DirectSeries")
 
@@ -739,27 +583,22 @@ def _kummer(a: float, b: float, z: float, want_da: bool) -> HypergeomResult:
 def kummer_m(a: float, b: float, z: float) -> HypergeomResult:
     """Confluent hypergeometric M(a, b, z) for real arguments.
 
-    Branch selection, tuned by dual-path accuracy scans: terminating
-    polynomials of degree <= 30 are summed in exact rational arithmetic
-    (cheap, and the only way to keep them at 1e-12 when the alternating
-    terms cancel); the float power series for a >= -10 (cancellation-
-    free once the e^z branch of M dominates); the Buchholz expansion
-    for a < -10 with z < 20, provided its Bessel argument
-    z(2b - 4a) >= 1 -- below that the P/Q recurrences overflow while
-    the power series is cancellation-free (|a| z < 1/4) and takes
-    over; the exact-rational series for a < -10 with
-    z >= 20, where both other methods fall short of 1e-10 relative; the
-    large-z asymptotic expansion for z > 80 with |a| <= 10.  Negative z
-    is mapped through Kummer's transformation M(a,b,z) = e^z M(b-a,b,-z).
+    Branch selection: a < -10 and every nonpositive integer a go to the
+    fixed-point series (`_kummer_fixed`), which sums the alternating terms
+    exactly enough that their cancellation costs nothing; otherwise the
+    large-z asymptotic expansion serves z > 80 with |a| <= 10, and the
+    float power series the rest (cancellation-free once a >= -10, the
+    e^z part of M dominating the alternating prefix).  Negative z is
+    mapped through Kummer's transformation M(a,b,z) = e^z M(b-a,b,-z).
     """
     return _kummer(a, b, z, False)
 
 
 def kummer_m_da(a: float, b: float, z: float) -> HypergeomResult:
     """dM/da at (a, b, z), by the route `kummer_m` takes at the same
-    point: each branch differentiates its own sum term by term (the
-    Buchholz form included), except that z > 80 with |a| <= 10 keeps the
-    differentiated power series instead of the asymptotic expansion."""
+    point: each series differentiates its own sum term by term, except
+    that z > 80 with |a| <= 10 keeps the differentiated float series
+    instead of the asymptotic expansion."""
     return _kummer(a, b, z, True)
 
 

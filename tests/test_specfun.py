@@ -9,14 +9,11 @@ differences of the value routines themselves.
 """
 
 import math
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
 
 from ouexit.specfun import (
-    BuchholzTables,
     HypergeomResult,
     NonConvergenceError,
     bessel_j,
@@ -27,24 +24,28 @@ from ouexit.specfun import (
     inv_gamma,
     kummer_m,
     kummer_m_da,
-    tables,
     tricomi_u,
     tricomi_u_da,
 )
 from ouexit import specfun
-from ouexit.specfun import (_GL_NODES, _GL_WEIGHTS, _kummer_buchholz,
+from ouexit.specfun import (_GL_NODES, _GL_WEIGHTS, _kummer_fixed,
                             inv_gamma_prime)
 
 EULER_GAMMA = 0.5772156649015328606
 SQRT_PI = 1.7724538509055160273
 
-METHOD_TAGS = {"DirectSeries", "Buchholz", "IntegralRep",
+METHOD_TAGS = {"DirectSeries", "FixedPoint", "IntegralRep",
                "RecurrenceShift", "Extrapolated", "AsymptoticZ"}
 
-# mpmath spot references, 17 significant digits.  The pairs at
-# z = 1.445, 0.08, 2, 4.5 and U at z = 18 are the Kummer and Tricomi
+# mpmath spot references (40 digits), 17 significant digits.  The pairs
+# at z = 1.445, 0.08, 2, 4.5 and U at z = 18 are the Kummer and Tricomi
 # arguments of the parabolic cylinder function D_nu(z) at (nu, z) =
-# (3, 1.7), (-1.3, 0.4), (-0.5, -2), (5.5, 3) and (2.3, 6).
+# (3, 1.7), (-1.3, 0.4), (-0.5, -2), (5.5, 3) and (2.3, 6).  The rest
+# reach every route of M: the asymptotic branch at z > 80, where exp's
+# argument is rounded; the fixed-point series at a < -10 below and above
+# z = 20, next to a root in a (A_ROOT) and next to a negative integer,
+# at non-integer b <= 0, and at terminating a beyond z = 80.
+A_ROOT = -31.2494813213869  # M(A_ROOT, 3/2, 5) = -1.04e-16
 KUMMER_REFERENCE = {
     (-7.3, 1.5, 11.0): -13.199596423034377,
     (-212.5, 0.5, 26.0): -421458.13939913285,
@@ -60,6 +61,39 @@ KUMMER_REFERENCE = {
     (0.75, 1.5, 2.0): 3.2929272628498579,
     (-2.75, 0.5, 4.5): 8.7815403754366029,
     (-2.25, 1.5, 4.5): 0.81358531398124707,
+    (-2.5e-15, 0.5, 100.0): -1.1971882502484716e+28,
+    (3.3, 1.5, 200.0): 3.3769517824159616e+90,
+    (0.25, 1.5, 300.0): 3.8147922375916558e+126,
+    (-25.5, 1.5, 7.25): 1.1678761710472724,
+    (-120.25, 0.5, 3.1): 2.8801225517766325,
+    (A_ROOT, 1.5, 5.0): -1.0364297506063588e-16,
+    (-11.1, 1.5, 90.0): 9.7631863516331802e+21,
+    (-25.7, 0.5, 60.0): 2.8801113653004698e+12,
+    (-60.2, 1.5, 45.0): 4.6303781102004301e+7,
+    (-100.9, 0.5, 33.0): 9.7380270273560839e+6,
+    (-150.3, 1.5, 25.0): 1.0042578858402344e+3,
+    (-20.0 + 1e-9, 1.5, 4.0): -2.8738845341993381e-1,
+    (-15.5, -0.5, 3.0): 4.907331456667765e+1,
+    (-12.25, -1.75, 8.0): -1.3967795841207397e+4,
+    (-3.0, 1.5, 100.0): -6.838947619047619e+4,
+    (-12.0, 0.5, 90.0): 6.1790630393562585e+14,
+}
+# dM/da, 60-digit mpmath.diff of hyp1f1 (agreeing with an 80-digit
+# difference to 30 digits), 17 significant digits; the last three keep
+# the float series at z > 80, where M itself goes asymptotic
+KUMMER_DA_REFERENCE = {
+    (-25.5, 1.5, 7.25): 4.1851176042945758e-1,
+    (-120.25, 0.5, 3.1): 6.002743864737388e-1,
+    (A_ROOT, 1.5, 5.0): -1.9352166440903313e-1,
+    (-60.2, 1.5, 45.0): -3.2595924688743582e+7,
+    (-150.3, 1.5, 25.0): 8.0832112071547601e+2,
+    (-20.0 + 1e-9, 1.5, 4.0): -1.3686616519555736e-1,
+    (-15.5, -0.5, 3.0): -1.8095601278102008e+1,
+    (-3.0, 1.5, 100.0): -1.7273308834653178e+35,
+    (-33.0, 0.5, 3.0): 1.1794418055806147,
+    (2.5, 1.5, 85.0): 1.7869741665767726e+39,
+    (-3.7, 0.5, 90.0): 3.5206356744657089e+32,
+    (0.25, 1.5, 300.0): 3.7860001232094779e+127,
 }
 TRICOMI_REFERENCE = {
     (1.3, 1.0, 5.0): 0.09504730210817571,
@@ -194,8 +228,12 @@ def test_result_method_tag_is_valid_enum_member():
 
 
 def test_method_tag_tracks_routing():
-    assert kummer_m(-37.0, 1.0, 19.0).method == "Buchholz"
-    assert kummer_m(-3.0, 1.5, 2.0).method == "DirectSeries"
+    assert kummer_m(-37.0, 1.0, 19.0).method == "FixedPoint"
+    assert kummer_m(-3.0, 1.5, 2.0).method == "FixedPoint"
+    assert kummer_m(-10.5, 1.5, 30.0).method == "FixedPoint"
+    assert kummer_m(-3.5, 1.5, 2.0).method == "DirectSeries"
+    assert kummer_m(0.25, 1.5, 300.0).method == "AsymptoticZ"
+    assert kummer_m_da(0.25, 1.5, 300.0).method == "DirectSeries"
     assert tricomi_u(1.3, 2.0, 1.0).method == "Extrapolated"
     assert tricomi_u(-0.25, 0.5, 30.0).method == "RecurrenceShift"
     assert tricomi_u(-0.25, 0.5, 50.0).method == "AsymptoticZ"
@@ -205,6 +243,8 @@ def test_error_estimates_bound_true_error_on_reference_grid():
     checks = []
     for args, ref in KUMMER_REFERENCE.items():
         checks.append((kummer_m(*args), ref))
+    for args, ref in KUMMER_DA_REFERENCE.items():
+        checks.append((kummer_m_da(*args), ref))
     for args, ref in TRICOMI_REFERENCE.items():
         checks.append((tricomi_u(*args), ref))
     for r, ref in checks:
@@ -244,11 +284,11 @@ def test_kummer_m_terminating_linear_polynomial(z):
 
 
 def test_kummer_m_buchholz_path_matches_exact_summation():
-    # degree-20 terminating polynomial: the Bessel-series expansion and
-    # the exact rational summation are fully independent routes
+    # degree-20 terminating polynomial: the fixed-point series against
+    # exact rational summation
     exact = float(exact_terminating_kummer(20, Fraction(3, 2), 2))
-    buchholz, _, _ = _kummer_buchholz(-20.0, 1.5, 2.0)
-    assert buchholz == pytest.approx(exact, rel=1e-10)
+    fixed, _ = _kummer_fixed(-20.0, 1.5, 2.0, False)
+    assert fixed == pytest.approx(exact, rel=1e-10)
     assert kummer_m(-20.0, 1.5, 2.0).value == pytest.approx(exact, rel=1e-10)
 
 
@@ -265,7 +305,7 @@ def test_kummer_m_rejects_nonpositive_integer_b(b):
 
 
 def test_dual_path_agreement_on_negative_a_grid():
-    # Buchholz expansion against exact rational summation of the
+    # fixed-point series against exact rational summation of the
     # terminating series, over a in [-50, -5], b in {1/2, 1, 3/2},
     # z in (0, 5]
     for ai in range(10):
@@ -275,7 +315,7 @@ def test_dual_path_agreement_on_negative_a_grid():
             for z in (1.0, 2.0, 3.0, 4.0, 5.0):
                 exact = float(exact_terminating_kummer(
                     n, Fraction(b), Fraction(z)))
-                approx, _, _ = _kummer_buchholz(a, b, z)
+                approx, _ = _kummer_fixed(a, b, z, False)
                 assert approx == pytest.approx(exact, rel=1e-10), (a, b, z)
 
 
@@ -330,7 +370,7 @@ def test_kummer_m_da_matches_finite_difference(a, b, z):
 
 def test_kummer_m_da_buchholz_route_is_exercised():
     r = kummer_m_da(-33.0, 0.5, 3.0)
-    assert r.method == "Buchholz"
+    assert r.method == "FixedPoint"
     fd = central_difference(lambda t: kummer_m(t, 0.5, 3.0).value,
                             -33.0, 1e-5)
     assert r.value == pytest.approx(fd, rel=1e-6)
@@ -676,110 +716,3 @@ def test_inv_gamma_keeps_its_digits_at_a_tiny_negative_argument():
 def test_kummer_m_large_z_branch_near_a_zero():
     r = kummer_m(-2.5e-15, 0.5, 100.0)
     assert r.value == pytest.approx(-1.1971882502484716080e28, rel=1e-13)
-
-
-# ----------------------------------------------------------------------
-# Buchholz coefficient tables
-# ----------------------------------------------------------------------
-
-
-def test_buchholz_leading_coefficients_are_exactly_one():
-    assert tables.f_coeffs(1.5)[0] == 1.0
-    assert tables.p_poly(2.0)[0] == (1.0,)
-
-
-def test_buchholz_cache_bit_identical_to_fresh_recompute():
-    first = tables.p_poly(0.5)
-    assert tables.p_poly(0.5) is first
-    assert BuchholzTables().p_poly(0.5) == first
-    assert BuchholzTables().f_coeffs(0.5) == tables.f_coeffs(0.5)
-
-
-def _per_z_buchholz_polynomials(b, z):
-    """p_n(b, z), n = 0..MAX_ORDER, by the per-z complex recurrence for
-    g_k(z) that the per-b tables replaced."""
-    f = tables.f_coeffs(b)
-    bern = tables.bernoulli
-    g = [complex(1.0)]
-    c = -0.25j * z
-    for k in range(1, BuchholzTables.MAX_ORDER + 1):
-        s = complex(0.0)
-        for j in range((k - 1) // 2 + 1):
-            s += (math.comb(k - 1, 2 * j) * 4.0 ** (j + 1)
-                  * abs(bern[2 * (j + 1)]) / (j + 1) * g[k - 2 * j - 1])
-        g.append(c * s)
-    out = []
-    pw = complex(1.0)
-    fact = 1.0
-    for n in range(BuchholzTables.MAX_ORDER + 1):
-        s = complex(0.0)
-        for k in range(n // 2 + 1):
-            s += math.comb(n, 2 * k) * f[k] * g[n - 2 * k]
-        out.append((pw * s / fact).real)
-        pw *= complex(0.0, z)
-        fact *= n + 1
-    return out
-
-
-@pytest.mark.parametrize("b", [0.5, 1.0, 1.5, 2.0, 2.5])
-def test_buchholz_tables_match_the_per_z_recurrence(b):
-    # p_n has real zeros in z, where no evaluation order agrees with
-    # another to a fixed share of |p_n|; the tolerance is therefore
-    # relative to the size of the polynomial's terms at z
-    poly = tables.p_poly(b)
-    assert len(poly) == BuchholzTables.MAX_ORDER + 1
-    for i in range(1, 200):
-        z = 0.1 * i - 0.05 * (i % 3)
-        w = z * z
-        ref = _per_z_buchholz_polynomials(b, z)
-        for n, coeffs in enumerate(poly):
-            value = 0.0
-            for c in reversed(coeffs):
-                value = value * w + c
-            size = sum(abs(c) * w ** q for q, c in enumerate(coeffs))
-            assert abs(value - ref[n]) <= 1e-14 * size, (b, z, n)
-
-
-def test_buchholz_holds_no_per_z_state():
-    def held():
-        return sum(len(v) for v in vars(tables).values()
-                   if isinstance(v, dict))
-
-    kummer_m(-40.5, 1.5, 1.0)
-    before = held()
-    for i in range(1000):
-        r = kummer_m(-40.5, 1.5, 1.0 + 0.017 * i)
-        assert r.method == "Buchholz"
-    assert held() == before
-
-
-def test_buchholz_path_safe_under_concurrent_callers():
-    # b = 1.75 appears in no other test, so the threads race to fill
-    # its table
-    results = []
-    errors = []
-
-    def worker():
-        try:
-            for _ in range(20):
-                results.append(kummer_m(-25.5, 1.75, 2.0).value)
-        except Exception as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors
-    assert len(results) == 160
-    serial = kummer_m(-25.5, 1.75, 2.0)
-    assert serial.method == "Buchholz"
-    assert all(v == serial.value for v in results)
-    assert tables.p_poly(1.75) == BuchholzTables().p_poly(1.75)

@@ -133,6 +133,20 @@ ORACLE = {
 }
 
 
+# (geometry, kappa, varphi, d, n_modes) -> [alpha_n], roots of the
+# 40-digit interval determinant polished by `findroot` as for ORACLE.
+# Its Kummer calls reach a < -10 at z = kappa (1 + varphi)^2 = 90, where
+# M is summed in the fixed-point series.
+ALPHA_ORACLE = {
+    ('interval', 10.0, 2.0, 1, 12): [
+        13.331601796446661, 15.887935039311684, 17.848553458607554,
+        19.505353195584902, 20.968371037213336, 22.293605238161321,
+        23.514250182879525, 24.651935287696048, 25.721738067625007,
+        26.735170001708437, 27.704709462818035, 28.653797056239079,
+    ],
+}
+
+
 def rel(x, y):
     return abs(x - y) / abs(y)
 
@@ -147,6 +161,14 @@ def test_basis_matches_mpmath_oracle(case):
         else:
             assert rel(basis.weights[n], weight) < 1e-10, n
         assert rel(basis.betas[n], beta) < 1e-10, n
+
+
+@pytest.mark.parametrize("case", list(ALPHA_ORACLE), ids=str)
+def test_basis_roots_match_mpmath_oracle(case):
+    alphas = build_basis(*case).alphas
+    assert len(alphas) == len(ALPHA_ORACLE[case])
+    for n, alpha in enumerate(ALPHA_ORACLE[case]):
+        assert rel(alphas[n], alpha) < 1e-12, n
 
 
 def test_free_diffusion_interval_is_the_cosine_series():
