@@ -51,7 +51,8 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _LN2 = math.log(2.0)
 _MAX_TERMS = 10000
-_SERIES_STOP = 1e-15  # relative term size; three consecutive hits stop a series
+# relative term size; three consecutive hits on falling terms stop a series
+_SERIES_STOP = 1e-15
 
 
 class NonConvergenceError(ArithmeticError):
@@ -495,7 +496,10 @@ def _kummer_series(a: float, b: float, z: float, want_da: bool = False):
         n += 1
         m = abs(t) if not want_da else max(abs(t), abs(dt))
         ref = abs(s) if not want_da else max(abs(s), abs(ds))
-        if m < _SERIES_STOP * max(ref, 1e-300):
+        # near a = 0 the leading terms are tiny while later ones still
+        # grow toward n ~ z, so a small term counts only once terms fall
+        if (m < _SERIES_STOP * max(ref, 1e-300)
+                and abs(a + n) * z < (b + n) * (n + 1)):
             hits += 1
             if hits >= 3:
                 break

@@ -19,9 +19,10 @@ local level spacing -- pi/2-scaled where the spectrum is
 diffusion-like, nu-spacing-scaled where the trap dominates -- with a
 logarithmic sweep below that grid because the slowest rate collapses
 exponentially in kappa.  Brackets are refined one after another by
-bisection plus a secant polish to |d alpha| < 1e-12, each root is
-re-verified against its bracket-scale residual, and suspiciously wide
-gaps trigger a fine rescan before being accepted.
+bisection plus a secant polish to |d alpha| < 1e-12 (relative below
+alpha = 1), each root is re-verified against its bracket-scale
+residual, and suspiciously wide gaps trigger a fine rescan before being
+accepted.
 
 Per-mode data come from confluent functions alone, with no quadrature.
 Each survival weight is a residue of the closed-form generating
@@ -30,17 +31,28 @@ condition D (M or U at the boundary, or the interval determinant).  Each
 normalization follows from the Lagrange (Sturm-Liouville) identity: a
 solution y(z, lambda) that meets one boundary condition for every
 lambda has int p y^2 = +/- p [y_lambda y' - y y_lambda'] at the other
-boundary, with d/d lambda = -(1/(4 kappa)) d/da, so it takes the same
-a-derivatives plus the raised-parameter functions at that boundary.
-`weights_crosscheck` is an opt-in audit, computed on demand: it rebuilds
-every weight with dD/da replaced by a central difference of D's values,
-so a wrong parameter derivative or coefficient shows as a discrepancy.
-Below `BROWNIAN_KAPPA` the basis switches to
-its closed-form free-diffusion limit (cosines on the interval, Bessel
-modes in the ball); the exterior problem keeps no discrete spectrum in
-that limit and raises instead.  Magnitudes inside the determinant grow
-like exp(kappa (1 + |varphi|)^2), which keeps the build inside float
-range for trap strengths up to a few hundred in those units.
+end of the range, with d/d lambda = -(1/(4 kappa)) d/da.  A radial mode
+takes that term at z = 1, from the a-derivatives there plus the
+raised-parameter functions.  An interval mode takes it at the trap
+centre, where m1, m2 and their slopes do not depend on a, once for each
+half of the interval; its pair, weight and norm then all come from m1,
+m2 and their a-derivatives at the two boundaries, eight confluent
+values.  `weights_crosscheck` is an opt-in audit, computed on demand: it
+rebuilds every weight with dD/da replaced by a central difference of
+D's values, so a wrong parameter derivative or coefficient shows as a
+discrepancy.  Below `BROWNIAN_KAPPA` the basis switches to its
+closed-form free-diffusion limit (cosines on the interval, Bessel modes
+in the ball); the exterior problem keeps no discrete spectrum in that
+limit and raises instead.
+
+Deep traps meet two limits.  The slowest rate alpha_0^2 is about one
+over the mean exit time, and the scan starts at alpha = 1e-12: every
+eigenvalue condition is positive at alpha = 0, so one already negative
+there puts the ground mode below the scan, and the build raises
+`RootSearchError` rather than return a basis without it (from kappa
+about 63 on the centred interval, 67 in the d = 3 ball).  Magnitudes
+inside the determinant grow like exp(kappa (1 + |varphi|)^2) and must
+stay inside float range.
 """
 
 from __future__ import annotations
@@ -69,7 +81,8 @@ __all__ = [
     "basis_from_json",
 ]
 
-# Root refinement stops when the bracket width falls below this.
+# Root refinement stops when the bracket width falls below this, taken
+# relative to the bracket's upper end when that is below 1.
 _ALPHA_TOL = 1e-12
 
 # A refined root must sink the condition function below this fraction
@@ -229,17 +242,6 @@ def _interval_det(kappa: float, varphi: float) -> Callable[[float], float]:
     return det
 
 
-def _interval_det_da(kappa: float, varphi: float, alpha: float) -> float:
-    """d/da of the boundary determinant at a = -alpha^2/(4 kappa)."""
-    zr = 1.0 - varphi
-    zl = -1.0 - varphi
-    a = -alpha * alpha / (4.0 * kappa)
-    return (_m1_da(a, kappa, zl) * _m2(a, kappa, zr)
-            + _m1(a, kappa, zl) * _m2_da(a, kappa, zr)
-            - _m2_da(a, kappa, zl) * _m1(a, kappa, zr)
-            - _m2(a, kappa, zl) * _m1_da(a, kappa, zr))
-
-
 # ----------------------------------------------------------------------
 # root scanning and refinement
 # ----------------------------------------------------------------------
@@ -274,6 +276,11 @@ def _scan_brackets(fn: Callable[[float], float], kappa: float, dnu: float,
     brackets = []
     prev_a = 1e-12
     prev_f = fn(prev_a)
+    if prev_f < 0.0:
+        # every family's condition is positive at alpha = 0
+        raise RootSearchError(
+            f"eigenvalue condition is already negative at alpha = "
+            f"{prev_a:g}; the slowest mode lies below the scan")
     alpha_lin = math.sqrt(4.0 * kappa * dnu)
     if alpha_lin > 4.0 * prev_a:
         n_log = 64
@@ -300,7 +307,8 @@ def _scan_brackets(fn: Callable[[float], float], kappa: float, dnu: float,
 
 
 def _refine_root(fn: Callable[[float], float], bracket) -> float:
-    """Polish one sign-change bracket to |d alpha| < _ALPHA_TOL.
+    """Polish one sign-change bracket to |d alpha| < _ALPHA_TOL, relative
+    below alpha = 1.
 
     Bisection shrinks the bracket three decades below its width, then
     secant steps (clipped to the live bracket, falling back to its
@@ -309,12 +317,14 @@ def _refine_root(fn: Callable[[float], float], bracket) -> float:
     """
     a, b, fa, fb = bracket
     scale = max(abs(fa), abs(fb), 1e-300)
+    # an absolute 1e-12 is a large share of a deep trap's slowest root
+    tol = _ALPHA_TOL * min(1.0, bracket[1])
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     for _ in range(64):
-        if b - a <= 1e-3 * (bracket[1] - bracket[0]) + 64.0 * _ALPHA_TOL:
+        if b - a <= 1e-3 * (bracket[1] - bracket[0]) + 64.0 * tol:
             break
         m = 0.5 * (a + b)
         fm = fn(m)
@@ -346,7 +356,7 @@ def _refine_root(fn: Callable[[float], float], bracket) -> float:
         x0, f0 = x1, f1
         x1, f1 = x2, f2
         root = x2
-        if moved < _ALPHA_TOL or (b - a) < _ALPHA_TOL:
+        if moved < tol or (b - a) < tol:
             break
     if abs(fn(root)) > _RESIDUAL_TOL * scale:
         raise RootSearchError(
@@ -433,30 +443,60 @@ def _audit_gaps(fn, roots: list[float], kappa: float, brownian_gap: float,
 def _interval_mode(kappa: float, varphi: float, alpha: float, tag: str):
     """Coefficients, residue weight, and beta for one interval mode.
 
-    The residue weight divides by whichever boundary coefficient is
-    better conditioned; the two groupings agree through the eigenvalue
-    identity c1 A2 = -c2 A1, and at a symmetry-silenced mode (odd
-    eigenfunction at varphi = 0, where the generating function's pole
-    is removable) the surviving grouping returns an exact zero.
+    All three come from m1, m2 and their a-derivatives at the two
+    boundaries, eight confluent values.  The residue weight divides by
+    whichever boundary coefficient is better conditioned; the two
+    groupings agree through the eigenvalue identity c1 A2 = -c2 A1, and
+    at a symmetry-silenced mode (odd eigenfunction at varphi = 0, where
+    the generating function's pole is removable) the surviving grouping
+    returns an exact zero.
+
+    beta follows from the Lagrange identity taken at the trap centre
+    z = 0.  With (e, o) = (m2, m1) at a boundary zb, v = e m1 - o m2
+    vanishes at zb for every a, so (p v')' = -lambda p v and its lambda
+    derivative give int_0^zb p v^2 = -p (v' v_lambda - v v_lambda') at
+    z = 0, p = exp(-kappa z^2).  There p = 1, m1 = 1, m2 = 0, m1' = 0
+    and m2' = 1 for every a, so v = e, v' = -o, v_a = e_a, v_a' = -o_a,
+    and with d/d lambda = -(1/(4 kappa)) d/da the mass between the
+    centre and zb is +/- (e o_a - o e_a) / (4 kappa), + on the right.
+    The stored pair is k v on each side, k taken through the pair's
+    larger component (the two are parallel at an eigenvalue), so the
+    mode's mass is k_R^2 times the right-side term minus k_L^2 times the
+    left-side one; folding k into each factor keeps the products near
+    the size of the pair.  At a float root the two halves k v meet at
+    the centre with a mismatch of the root's residual size, and no
+    growing solution reaches a far boundary.  With the centre outside
+    the interval the two terms share a sign and partly cancel, by at
+    most about 5x on bases with |varphi| up to 5; at |varphi| <= 1 they
+    add.
     """
     a = -alpha * alpha / (4.0 * kappa)
     zr = 1.0 - varphi
     zl = -1.0 - varphi
+    e_r, o_r = _m2(a, kappa, zr), _m1(a, kappa, zr)
+    e_l, o_l = _m2(a, kappa, zl), _m1(a, kappa, zl)
+    e_r_a, o_r_a = _m2_da(a, kappa, zr), _m1_da(a, kappa, zr)
+    e_l_a, o_l_a = _m2_da(a, kappa, zl), _m1_da(a, kappa, zl)
     if tag == "symmetric":
-        c1, c2 = _m2(a, kappa, zr), 0.0
+        c1, c2 = e_r, 0.0
     elif tag == "antisymmetric":
-        c1, c2 = 0.0, _m1(a, kappa, zr)
+        c1, c2 = 0.0, o_r
     else:
-        c1, c2 = _m2(a, kappa, zr), _m1(a, kappa, zr)
+        c1, c2 = e_r, o_r
 
-    p = _m1(a, kappa, zl)
-    q = _m2(a, kappa, zl)
-    det_da = _interval_det_da(kappa, varphi, alpha)
+    det_da = o_l_a * e_r + o_l * e_r_a - e_l_a * o_r - e_l * o_r_a
     if abs(c1) >= abs(c2):
-        w_res = 4.0 * kappa * (c1 - q) / (alpha * alpha * det_da * c1)
+        w_res = 4.0 * kappa * (c1 - e_l) / (alpha * alpha * det_da * c1)
     else:
-        w_res = -4.0 * kappa * (p - c2) / (alpha * alpha * det_da * c2)
-    return (c1, c2), w_res, _interval_beta(kappa, varphi, alpha, c1, c2)
+        w_res = -4.0 * kappa * (o_l - c2) / (alpha * alpha * det_da * c2)
+
+    def side(e: float, o: float, e_a: float, o_a: float) -> float:
+        k = c1 / e if abs(c1) >= abs(c2) else c2 / o
+        return (k * e) * (k * o_a) - (k * o) * (k * e_a)
+
+    mass = (side(e_r, o_r, e_r_a, o_r_a)
+            - side(e_l, o_l, e_l_a, o_l_a)) / (4.0 * kappa)
+    return (c1, c2), w_res, _unit_norm(mass, alpha)
 
 
 def _unit_norm(mass: float, alpha: float) -> float:
@@ -466,60 +506,6 @@ def _unit_norm(mass: float, alpha: float) -> float:
             f"mode at alpha = {alpha!r} has norm-identity mass {mass!r}; "
             "its root or its confluent values are unreliable")
     return 1.0 / math.sqrt(mass)
-
-
-def _interval_beta(kappa: float, varphi: float, alpha: float, c1: float,
-                   c2: float) -> float:
-    """Normalization of c1 m1 - c2 m2 from the Lagrange identity.
-
-    v = e m1 - o m2 with (e, o) = (m2, m1) at the far boundary zf
-    vanishes there for every a, so its mass under p = exp(-kappa z^2)
-    is the boundary term +/- p (v v_a' - v_a v') / (4 kappa) at the near
-    boundary zn.  The identity holds off the eigenvalue as well, so the
-    float root's residual v(zn) enters through the v v_a' term instead
-    of being dropped.  zn is the boundary nearer the trap centre: at the
-    far one both products carry the growth of the confluent solutions
-    and cancel.  The stored pair is then mapped onto v through its larger
-    component -- the two are parallel at an eigenvalue -- rather than
-    integrated itself, which would pick up the float contamination its
-    growing part carries to the far boundary.
-    """
-    a = -alpha * alpha / (4.0 * kappa)
-    zr = 1.0 - varphi
-    zl = -1.0 - varphi
-    zn, zf, side = (zr, zl, 1.0) if abs(zr) <= abs(zl) else (zl, zr, -1.0)
-    e, o = _m2(a, kappa, zf), _m1(a, kappa, zf)
-    e_a, o_a = _m2_da(a, kappa, zf), _m1_da(a, kappa, zf)
-    # v is defined up to a constant; taking out the far-boundary growth
-    # keeps the products below in float range
-    big = max(abs(e), abs(o))
-    e, o, e_a, o_a = e / big, o / big, e_a / big, o_a / big
-
-    # m1 = M(a, 1/2, y), m2 = zn M(a+1/2, 3/2, y), y = kappa zn^2, and
-    # their zn-derivatives 4 kappa a zn M(a+1, 3/2, y) and
-    # M(a+1/2, 3/2, y) + (4 y / 3)(a + 1/2) M(a+3/2, 5/2, y)
-    y = kappa * zn * zn
-    m1, m1_a = kummer_m(a, 0.5, y).value, kummer_m_da(a, 0.5, y).value
-    k2, k2_a = (kummer_m(a + 0.5, 1.5, y).value,
-                kummer_m_da(a + 0.5, 1.5, y).value)
-    k3, k3_a = (kummer_m(a + 1.0, 1.5, y).value,
-                kummer_m_da(a + 1.0, 1.5, y).value)
-    k4, k4_a = (kummer_m(a + 1.5, 2.5, y).value,
-                kummer_m_da(a + 1.5, 2.5, y).value)
-    m2, m2_a = zn * k2, zn * k2_a
-    dm1 = 4.0 * kappa * a * zn * k3
-    dm1_a = 4.0 * kappa * zn * (k3 + a * k3_a)
-    dm2 = k2 + (4.0 * y / 3.0) * (a + 0.5) * k4
-    dm2_a = k2_a + (4.0 * y / 3.0) * (k4 + (a + 0.5) * k4_a)
-
-    v = e * m1 - o * m2
-    v_a = e_a * m1 + e * m1_a - o_a * m2 - o * m2_a
-    dv = e * dm1 - o * dm2
-    dv_a = e_a * dm1 + e * dm1_a - o_a * dm2 - o * dm2_a
-    g = math.exp(-0.5 * y)  # sqrt of the weight p(zn), one per factor
-    mass = side * ((g * v) * (g * dv_a) - (g * v_a) * (g * dv)) / (4.0 * kappa)
-    scale = c1 / e if abs(c1) >= abs(c2) else c2 / o
-    return _unit_norm(mass, alpha) / abs(scale)
 
 
 def _radial_mass(kappa: float, a: float, f: float, f_a: float, f1: float,
@@ -664,14 +650,18 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
 
     Each mode gets one weight, the residue of the closed-form generating
     function, and a normalization from the Sturm-Liouville norm
-    identity; neither takes a quadrature.  `weights_crosscheck` audits
-    the weights on demand; the build itself does not run it.  At
-    varphi = 0 the even and odd interval families are scanned separately
-    and merged; the generic determinant covers every other pull,
-    including varphi = 1 where it degenerates to the odd-solution
-    condition on its own.  kappa below BROWNIAN_KAPPA returns the
-    closed-form free-diffusion basis (the exterior problem has none and
-    raises).
+    identity; neither takes a quadrature, and an interval mode takes
+    both from eight confluent values at its two boundaries.
+    `weights_crosscheck` audits the weights on demand; the build itself
+    does not run it.  At varphi = 0 the even and odd interval families
+    are scanned separately and merged; the generic determinant covers
+    every other pull, including varphi = 1 where it degenerates to the
+    odd-solution condition on its own.  kappa below BROWNIAN_KAPPA
+    returns the closed-form free-diffusion basis (the exterior problem
+    has none and raises).  Raises RootSearchError when a root cannot be
+    bracketed or verified, when a mode's norm is not positive, and when
+    the slowest root lies below alpha = 1e-12, as it does for deep traps
+    (the centred interval from kappa about 63).
     """
     geometry = _validate_problem(geometry, kappa, varphi, d, n_modes)
     if kappa < BROWNIAN_KAPPA:

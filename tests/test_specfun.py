@@ -44,7 +44,9 @@ METHOD_TAGS = {"DirectSeries", "FixedPoint", "IntegralRep",
 # reach every route of M: the asymptotic branch at z > 80, where exp's
 # argument is rounded; the fixed-point series at a < -10 below and above
 # z = 20, next to a root in a (A_ROOT) and next to a negative integer,
-# at non-integer b <= 0, and at terminating a beyond z = 80.
+# at non-integer b <= 0, and at terminating a beyond z = 80.  The two
+# points at a ~ -1e-20 keep the float series going past tiny leading
+# terms while later ones still grow toward n ~ z.
 A_ROOT = -31.2494813213869  # M(A_ROOT, 3/2, 5) = -1.04e-16
 KUMMER_REFERENCE = {
     (-7.3, 1.5, 11.0): -13.199596423034377,
@@ -77,6 +79,8 @@ KUMMER_REFERENCE = {
     (-12.25, -1.75, 8.0): -1.3967795841207397e+4,
     (-3.0, 1.5, 100.0): -6.838947619047619e+4,
     (-12.0, 0.5, 90.0): 6.1790630393562585e+14,
+    (-4.4e-20, 0.5, 50.0): -56.772878147732309,
+    (-2e-21, 1.5, 40.0): 0.99999828474308083,
 }
 # dM/da, 60-digit mpmath.diff of hyp1f1 (agreeing with an 80-digit
 # difference to 30 digits), 17 significant digits; the last three keep

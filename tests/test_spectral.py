@@ -88,6 +88,19 @@ ORACLE = {
         (17.848553458607554, 4.3689284250336195e-05, 0.1179751367073559),
         (19.505353195584902, 3.910662100473178e-05, 0.12197728570502063),
     ],
+    # the trap centre lies far outside the interval; beta from 60-digit
+    # quadrature (at 40 digits the cancellation inside y costs 4 digits)
+    ('interval', 1.0, 5.0, 1, 4): [
+        (5.006518258870563, 4.332055041176065e-8, 0.0010420326569292741),
+        (5.8704566295458405, 4.7165867753366784e-8, 0.0012749443209658788),
+        (6.8422967213348572, 6.3441748624842988e-8, 0.0017233827213600623),
+        (7.9993875045217427, 7.705058090829234e-8, 0.0022205131276746286),
+    ],
+    ('interval', 30.0, 2.0, 1, 3): [
+        (35.112261056325409, 1.5334967315724737e-13, 1.3749921670849119e-5),
+        (39.052886956739066, 1.3340645736032767e-13, 1.4264007879519667e-5),
+        (42.148328798396964, 1.2088359472331102e-13, 1.4654265053071341e-5),
+    ],
     ('radial-interior', 3.0, 0.0, 1, 4): [
         (0.7456602556306231, 1.0547177673598294, 1.4983181499693523),
         (4.69203392647148, -0.08698383212969649, 1.3781504057047032),
@@ -134,9 +147,11 @@ ORACLE = {
 
 
 # (geometry, kappa, varphi, d, n_modes) -> [alpha_n], roots of the
-# 40-digit interval determinant polished by `findroot` as for ORACLE.
-# Its Kummer calls reach a < -10 at z = kappa (1 + varphi)^2 = 90, where
-# M is summed in the fixed-point series.
+# 40-digit eigenvalue condition polished by `findroot` as for ORACLE.
+# The kappa = 10 determinant's Kummer calls reach a < -10 at z = kappa
+# (1 + varphi)^2 = 90, where M is summed in the fixed-point series; the
+# deep traps put their slowest root between 1e-12 and 1e-9, where the
+# refinement works to a relative tolerance.
 ALPHA_ORACLE = {
     ('interval', 10.0, 2.0, 1, 12): [
         13.331601796446661, 15.887935039311684, 17.848553458607554,
@@ -144,6 +159,14 @@ ALPHA_ORACLE = {
         23.514250182879525, 24.651935287696048, 25.721738067625007,
         26.735170001708437, 27.704709462818035, 28.653797056239079,
     ],
+    ('interval', 50.0, 0.0, 1, 3): [
+        3.902827299429727e-10, 10.0, 14.142135623730951],
+    ('interval', 60.0, 0.0, 1, 3): [
+        3.017675928024772e-12, 10.954451150103322, 15.491933384829668],
+    ('interval', 100.0, 0.3, 1, 3): [
+        6.4015678685273723e-10, 14.14213562373095, 20.0],
+    ('radial-interior', 60.0, 0.0, 3, 3): [
+        3.2772963117186553e-11, 15.491933384829668, 21.908902300206645],
 }
 
 
@@ -213,10 +236,40 @@ def test_free_diffusion_ball_is_the_bessel_series(d):
 
 @pytest.mark.parametrize("mass", [-983.04, 0.0, math.nan, math.inf])
 def test_a_mode_without_positive_mass_is_refused(mass):
-    # a spurious root (interval kappa = 100, varphi = 0 finds some, as
-    # M(a, 1/2, 100) loses all digits near a = 0) gives no usable beta
+    # a root or confluent values gone wrong show as a mass that is not
+    # positive and finite, and such a mode has no usable beta
     with pytest.raises(RootSearchError, match="mass"):
         spectral._unit_norm(mass, 24.5)
+
+
+@pytest.mark.parametrize("case", [("interval", 80.0, 0.0, 1, 3),
+                                  ("interval", 100.0, 0.0, 1, 3),
+                                  ("radial-interior", 100.0, 0.0, 3, 3)],
+                         ids=str)
+def test_a_slowest_root_under_the_scan_floor_is_refused(case):
+    # every condition is positive at alpha = 0; here it is already
+    # negative at the 1e-12 floor, so a basis would lack its ground mode
+    with pytest.raises(RootSearchError, match="below the scan"):
+        build_basis(*case)
+
+
+def test_an_interval_mode_takes_eight_confluent_values(monkeypatch):
+    # m1, m2 and their a-derivatives at both boundaries give the pair,
+    # the weight and beta; the root search takes no a-derivative
+    counts = {"kummer_m": 0, "kummer_m_da": 0}
+    for name in counts:
+        original = getattr(specfun, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(spectral, name, wrapper)
+    basis = build_basis("interval", 4.0, 0.5, 1, 12)
+    assert counts["kummer_m_da"] == 4 * 12
+    counts.update(kummer_m=0, kummer_m_da=0)
+    spectral._interval_mode(4.0, 0.5, basis.alphas[0], "")
+    assert counts == {"kummer_m": 4, "kummer_m_da": 4}
 
 
 # ---------------------------------------------------------------------------
