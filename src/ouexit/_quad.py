@@ -5,6 +5,14 @@ out double-exponentially, so integrable endpoint singularities such as
 t**(a-1) are handled without special treatment.  The trapezoid rule in t
 then converges roughly quadratically in the number of refinement levels
 for analytic integrands.
+
+The nodes of a level depend on nothing but the level, so `_LEVELS` holds
+each level's (offset, weight) pairs, computed the first time an integral
+reaches that level.  Refinement stops at level `_MAX_LEVEL` = 12, so the
+table has thirteen preallocated slots.  A thread that finds a slot empty
+fills it with the same tuple any other thread would, so no lock is needed.
+A function value counts only where it is finite, tested as v - v == 0.0
+(false for +-inf and NaN alone); the other node of its pair still counts.
 """
 
 from __future__ import annotations
@@ -14,15 +22,18 @@ import math
 __all__ = ["tanh_sinh", "integrate_to_cutoff"]
 
 _PI_2 = math.pi / 2.0
+_MAX_LEVEL = 12
+_LEVELS: list = [None] * (_MAX_LEVEL + 1)
 
 
 def _nodes(level: int):
     """Abscissa offsets and weights for the given refinement level.
 
-    Returns triples (d, w) where d in (0, 1) is the distance of the node
-    from the *nearer* endpoint in units of the interval half-width, and w
-    is the trapezoid weight (already including the step h).  Level 0 holds
-    the coarse grid h = 1, level k > 0 only the new midpoints at h = 2^-k.
+    Returns a tuple of pairs (d, w) where d in (0, 1) is the distance of
+    the node from the *nearer* endpoint in units of the interval
+    half-width, and w is the trapezoid weight (already including the step
+    h).  Level 0 holds the coarse grid h = 1, level k > 0 only the new
+    midpoints at h = 2^-k.
     """
     h = 2.0 ** (-level)
     out = []
@@ -44,12 +55,12 @@ def _nodes(level: int):
             # 1 - tanh(u) = 1/(e^u * cosh(u)) without cancellation
             d = 1.0 / (math.exp(u) * ch)
             w = h * _PI_2 * math.cosh(t) / (ch * ch)
-        out.append((t, d, w))
+        out.append((d, w))
         k += step
-    return out
+    return tuple(out)
 
 
-def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12):
+def tanh_sinh(f, a: float, b: float, tol: float = 1e-12):
     """Integrate f over [a, b].  Returns (value, error_estimate).
 
     The error estimate is the difference between the last two refinement
@@ -66,9 +77,12 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12):
     total = _PI_2 * f(mid)  # t = 0 node, weight h * pi/2 with h = 1
     prev = math.inf
     err = math.inf
-    for level in range(max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
+        nodes = _LEVELS[level]
+        if nodes is None:
+            nodes = _LEVELS[level] = _nodes(level)
         acc = 0.0
-        for _, d, w in _nodes(level):
+        for d, w in nodes:
             x_lo = a + d * half
             x_hi = b - d * half
             fs = 0.0
@@ -77,11 +91,11 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12):
             # faster than any integrable singularity grows
             if x_lo != a:
                 v = f(x_lo)
-                if not math.isinf(v) and not math.isnan(v):
+                if v - v == 0.0:
                     fs += v
             if x_hi != b:
                 v = f(x_hi)
-                if not math.isinf(v) and not math.isnan(v):
+                if v - v == 0.0:
                     fs += v
             acc += w * fs
         if level == 0:

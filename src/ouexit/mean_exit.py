@@ -8,9 +8,13 @@ same expression with opposite numerical failure modes: the erf form is
 exact but its integrand reaches exp(kappa (1+varphi)^2), while the
 erfc/Dawson form keeps every factor bounded at the price of more
 bookkeeping.  We evaluate the erf form while
-kappa (1+varphi)^2 <= 25 (the integrand then stays below ~1e11, leaving
-relative accuracy intact) and switch to the erfc form beyond; both are
-kept callable so the crossover can be cross-checked rather than trusted.
+kappa (1+varphi)^2 <= 25 (the integrand then stays below ~1e11) and
+switch to the erfc form beyond; both are kept callable so the crossover
+can be cross-checked rather than trusted.  The erf form does not keep
+relative accuracy below the switch either: from a start near -1 with the
+trap centre near or beyond +1, its start and left-exit terms both come
+near exp(kappa (1+varphi)^2) and cancel, and at kappa (1+varphi)^2 near
+24 the result keeps only five or six digits.
 
 Weak traps (kappa below `BROWNIAN_KAPPA`) route to the drift-diffusion
 closed form in eta = 2 kappa varphi, the radial interior problem
@@ -69,13 +73,35 @@ def _check_quad(value: float, err: float, what: str) -> float:
 
 
 def _f_exp_erf(x: float) -> float:
-    """F(x) = integral of exp(z^2) erf(z) from 0 to |x| (F is even)."""
-    x = abs(x)
-    if x == 0.0:
+    """F(x) = integral of exp(z^2) erf(z) from 0 to |x| (F is even).
+
+    Summed from (2/sqrt(pi)) sum_n 2^n x^(2n+2) / ((2n+1)!! (2n+2)),
+    whose terms are all positive.  The erf form keeps |x| <= 5, where
+    about 80 terms reach full precision.  F enters a cancelling difference
+    there, so the sum is kept to about one ulp: fsum adds the pieces, and
+    as piece n carries x2^(n+1), the rounding x2_lo of x2 = x*x is put
+    back to first order as (x2_lo / x2) * sum (n+1) piece_n.
+    """
+    x2 = x * x
+    if x2 == 0.0:
         return 0.0
-    value, err = tanh_sinh(lambda z: math.exp(z * z) * math.erf(z), 0.0, x,
-                           _QUAD_TOL)
-    return _check_quad(value, err, "exp(z^2) erf(z) integral")
+    split = 134217729.0 * x  # Dekker: x = hi + lo, halves of 26 bits
+    hi = split - (split - x)
+    lo = x - hi
+    x2_lo = ((hi * hi - x2) + 2.0 * hi * lo) + lo * lo
+    term = x2  # 2^n x^(2n+2) / (2n+1)!!
+    pieces = []
+    total = slope = 0.0
+    n = 0
+    while True:
+        piece = term / (2 * n + 2)
+        pieces.append(piece)
+        total += piece
+        slope += (n + 1) * piece
+        if piece <= 1e-17 * total:
+            return 2.0 / _SQRTPI * (math.fsum(pieces) + x2_lo / x2 * slope)
+        n += 1
+        term *= 2.0 * x2 / (2 * n + 1)
 
 
 def _int_erfcx0(x: float) -> float:
@@ -222,26 +248,10 @@ def met_interval(kappa: float, varphi: float, z0: float) -> float:
 ASYMPTOTIC_REGIMES = ("auto", "symmetric", "subcritical", "marginal",
                       "supercritical")
 
-_marginal_constant_cache: float | None = None
-
-
-def _marginal_constant() -> float:
-    """The constant c = lim z exp(-sqrt(pi) * integral_0^z erfcx), which
-    fixes the additive offset of the marginal-pull escape time.
-
-    The erfcx integral beyond z = 50 is summed from its 1/z asymptotic
-    series (next omitted term is O(z^-6)), so the limit is evaluated at
-    z = 1e6 with error ~1e-13.
-    """
-    global _marginal_constant_cache
-    if _marginal_constant_cache is None:
-        a, z = 50.0, 1e6
-        head = _int_erfcx0(a)
-        tail = (math.log(z / a) + 0.25 * (z**-2 - a**-2)
-                - 0.1875 * (z**-4 - a**-4)) / _SQRTPI
-        _marginal_constant_cache = math.exp(
-            math.log(z) - _SQRTPI * (head + tail))
-    return _marginal_constant_cache
+# c = lim z exp(-sqrt(pi) * integral_0^z erfcx) = exp(-gamma/2)/2, with
+# gamma Euler's constant, fixes the additive offset of the marginal-pull
+# escape time.
+_MARGINAL_CONSTANT = 0.5 * math.exp(-0.5 * 0.5772156649015329)
 
 
 def met_interval_asymptotic(kappa: float, varphi: float, z0: float = 0.0,
@@ -284,7 +294,7 @@ def met_interval_asymptotic(kappa: float, varphi: float, z0: float = 0.0,
         if z0 >= 1.0:
             raise ValueError("marginal regime needs z0 < 1")
         return math.log(math.sqrt(kappa) * (1.0 - z0)
-                        / _marginal_constant()) / (2.0 * kappa)
+                        / _MARGINAL_CONSTANT) / (2.0 * kappa)
     if varphi <= 1.0:
         raise ValueError("supercritical regime needs varphi > 1")
     return math.log((varphi - z0) / (varphi - 1.0)) / (2.0 * kappa)

@@ -20,10 +20,12 @@ import math
 
 import pytest
 
+from ouexit import mean_exit
 from ouexit._quad import tanh_sinh
 from ouexit.mean_exit import (
+    _MARGINAL_CONSTANT,
     MeanExitRequest,
-    _marginal_constant,
+    _f_exp_erf,
     _met_interval_erf_form,
     _met_interval_erfc_form,
     mean_exit_time,
@@ -76,9 +78,35 @@ SPLITTING_ORACLE = {
     (2.0, 1.3, -0.5): 0.97782954450581116,
 }
 
-# Limit constant of the marginal-pull escape time (also frozen from the
-# oracle); its published rounded value is 0.375.
-MARGINAL_CONSTANT = 0.3746530006367393
+# Limit constant of the marginal-pull escape time, exp(-gamma/2)/2; 40-digit
+# mpmath of that form and of the defining limit agree to 22 digits.  Its
+# published rounded value is 0.375.
+MARGINAL_CONSTANT = 0.3746530006442245
+
+# F(x) = integral of exp(z^2) erf(z) over [0, x], from 40-digit mpmath of
+# x^2/sqrt(pi) 2F2(1, 1; 3/2, 2; x^2) at the float x.  A plain running sum
+# of the series is 2.4e-15 off at 4.12, 4.688 and 4.727.
+EXP_ERF_INTEGRAL_ORACLE = {
+    1e-8: 5.6418958354775632936e-17,
+    0.1: 0.0056607524127703803757,
+    1.0: 0.81539252074179321103,
+    2.5: 114.46898866432298649,
+    4.12: 2950352.148653848714934,
+    4.66: 296622350.67319957686,
+    4.688: 382948547.6659216486775,
+    4.727: 548055058.5555006503473,
+    5.0: 7354153746.3697235575,
+}
+
+# Erf-form points where the start and left-exit terms cancel; true values
+# from 60- and 80-digit evaluations of the closed formula, confirmed by a
+# 30-digit double integral of the backward equation.
+ERF_FORM_CANCELLATION = {
+    (6.058184902195491, 0.9833044699371891, -0.9752365110266668):
+        0.09508984036646272,
+    (2.279448513947737, 2.2810720955357313, -0.7670535789477781):
+        0.17276421865900773,
+}
 
 
 def rel(got, want):
@@ -224,8 +252,8 @@ def test_subcritical_escape_formula_converges():
 
 
 def test_marginal_constant_value():
-    c = _marginal_constant()
-    assert rel(c, MARGINAL_CONSTANT) < 1e-8
+    c = _MARGINAL_CONSTANT
+    assert rel(c, MARGINAL_CONSTANT) < 1e-15
     assert abs(c - 0.375) < 1e-3
 
 
@@ -356,6 +384,34 @@ def test_both_interval_forms_agree_near_the_switch():
         a = _met_interval_erf_form(kappa, varphi, z0)
         b = _met_interval_erfc_form(kappa, varphi, z0)
         assert rel(a, b) < 1e-11
+
+
+@pytest.mark.parametrize("x,want", sorted(EXP_ERF_INTEGRAL_ORACLE.items()))
+def test_exp_erf_integral_matches_oracle(x, want):
+    assert rel(_f_exp_erf(x), want) < 1.2e-15
+    assert _f_exp_erf(-x) == _f_exp_erf(x)
+
+
+def test_erf_form_makes_no_quadrature_call(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return tanh_sinh(*args, **kwargs)
+
+    monkeypatch.setattr(mean_exit, "tanh_sinh", counting)
+    assert 4.0 * (1.0 + 0.5) ** 2 <= mean_exit._ERF_FORM_LIMIT
+    assert rel(met_interval(4.0, 0.5, 0.3), 0.57618612141036914) < 1e-14
+    assert calls == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the erf form cancels between its start and left-exit terms "
+           "below the switch; these points keep only 5-6 digits")
+@pytest.mark.parametrize("args,want", sorted(ERF_FORM_CANCELLATION.items()))
+def test_interval_keeps_relative_accuracy_where_erf_form_cancels(args, want):
+    assert rel(met_interval(*args), want) < 1e-12
 
 
 def test_interval_backward_equation_residual():
