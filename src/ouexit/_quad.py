@@ -1,10 +1,10 @@
 """Tanh-sinh (double exponential) quadrature on finite intervals.
 
 The change of variable x = c + r*tanh(pi/2 * sinh(t)) pushes the endpoints
-out double-exponentially, so integrable endpoint singularities such as
-t**(a-1) are handled without special treatment.  The trapezoid rule in t
-then converges roughly quadratically in the number of refinement levels
-for analytic integrands.
+out double-exponentially, so integrable singularities at an endpoint of
+0.0, such as t**(a-1), are handled without special treatment.  The
+trapezoid rule in t then converges roughly quadratically in the number of
+refinement levels for analytic integrands.
 
 The nodes of a level depend on nothing but the level, so `_LEVELS` holds
 each level's (offset, weight) pairs, computed the first time an integral
@@ -24,6 +24,8 @@ __all__ = ["tanh_sinh", "integrate_to_cutoff"]
 _PI_2 = math.pi / 2.0
 _MAX_LEVEL = 12
 _LEVELS: list = [None] * (_MAX_LEVEL + 1)
+# integrate_to_cutoff stops at the first panel below this share of the total
+_CUTOFF_REL = 1e-18
 
 
 def _nodes(level: int):
@@ -65,9 +67,14 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12):
 
     The error estimate is the difference between the last two refinement
     levels, a conservative proxy for the true error once convergence has
-    set in.  f may be unbounded at the endpoints as long as the integral
-    exists; nodes are placed at a + d*(b-a) with d computed free of
-    cancellation, so f sees arguments strictly inside (a, b).
+    set in.  Nodes are placed at a + d*(b-a) with d computed free of
+    cancellation, so f sees arguments strictly inside (a, b).  f may be
+    unbounded at an endpoint equal to 0.0, as long as the integral
+    exists: floats resolve nodes down to the subnormal range there.  At
+    any other endpoint nodes closer than one ulp collapse onto it and are
+    skipped, so an integrable singularity there loses the mass of that
+    last ulp (the integral of (x-1)^-0.99 over [1, 2] comes out 30.66,
+    not 100).
     """
     if a == b:
         return 0.0, 0.0
@@ -87,8 +94,10 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12):
             x_hi = b - d * half
             fs = 0.0
             # a node that collapses onto its endpoint (d*half below one
-            # ulp) is skipped on that side only: its weight vanishes
-            # faster than any integrable singularity grows
+            # ulp) is skipped on that side only.  At an endpoint of 0.0
+            # that takes d*half underflowing, where the weight vanishes
+            # faster than any integrable singularity grows; elsewhere it
+            # drops the singular mass within one ulp of the endpoint
             if x_lo != a:
                 v = f(x_lo)
                 if v - v == 0.0:
@@ -111,13 +120,13 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12):
     return value, err
 
 
-def integrate_to_cutoff(f, a: float, tol: float = 1e-12,
-                        rel_floor: float = 1e-18, start: float = 1.0):
+def integrate_to_cutoff(f, a: float, tol: float, start: float):
     """Integral of f over [a, inf) for integrands with fast decay.
 
-    The upper limit is pushed out in doubling panels until a panel
-    contributes less than rel_floor of the running total.  Each panel is
-    done by tanh_sinh, so a singularity at `a` is fine.
+    The upper limit is pushed out in doubling panels, the first `start`
+    wide, until a panel contributes less than _CUTOFF_REL of the running
+    total.  Each panel is done by tanh_sinh at `tol`, so a singularity
+    at `a` = 0.0 is fine.
     """
     lo = a
     width = start
@@ -127,7 +136,7 @@ def integrate_to_cutoff(f, a: float, tol: float = 1e-12,
         v, e = tanh_sinh(f, lo, lo + width, tol)
         total += v
         err += e
-        if abs(v) < rel_floor * max(abs(total), 1e-300) and lo > a:
+        if abs(v) < _CUTOFF_REL * max(abs(total), 1e-300) and lo > a:
             break
         lo += width
         width *= 2.0

@@ -43,7 +43,6 @@ __all__ = [
     "met_radial_exterior",
     "met_exterior_1d_forced",
     "splitting_probability",
-    "ASYMPTOTIC_REGIMES",
 ]
 
 _SQRTPI = math.sqrt(math.pi)
@@ -245,58 +244,35 @@ def met_interval(kappa: float, varphi: float, z0: float) -> float:
     return _met_interval_erfc_form(kappa, varphi, z0)
 
 
-ASYMPTOTIC_REGIMES = ("auto", "symmetric", "subcritical", "marginal",
-                      "supercritical")
-
 # c = lim z exp(-sqrt(pi) * integral_0^z erfcx) = exp(-gamma/2)/2, with
 # gamma Euler's constant, fixes the additive offset of the marginal-pull
 # escape time.
 _MARGINAL_CONSTANT = 0.5 * math.exp(-0.5 * 0.5772156649015329)
 
 
-def met_interval_asymptotic(kappa: float, varphi: float, z0: float = 0.0,
-                            regime: str = "auto") -> float:
+def met_interval_asymptotic(kappa: float, varphi: float,
+                            z0: float = 0.0) -> float:
     """Deep-trap (large kappa) leading behaviour of `met_interval`.
 
-    Four branches: "symmetric" (varphi = 0), "subcritical"
-    (0 < varphi < 1, Arrhenius escape over the residual barrier),
-    "marginal" (varphi = 1, logarithmic) and "supercritical"
-    (varphi > 1, deterministic drift time).  With regime="auto" the
-    branch is picked from varphi.
+    varphi picks one of four branches: symmetric (varphi = 0), subcritical
+    (0 < varphi < 1, Arrhenius escape over the residual barrier), marginal
+    (varphi = 1, logarithmic; needs z0 < 1) and supercritical (varphi > 1,
+    deterministic drift time).
     """
     kappa = float(kappa)
     varphi, z0 = canonical_orientation(float(varphi), float(z0))
     if kappa <= 0.0 or not math.isfinite(kappa):
         raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
-    if regime not in ASYMPTOTIC_REGIMES:
-        raise ValueError(f"regime must be one of {ASYMPTOTIC_REGIMES}")
-    if regime == "auto":
-        if varphi == 0.0:
-            regime = "symmetric"
-        elif varphi < 1.0:
-            regime = "subcritical"
-        elif varphi == 1.0:
-            regime = "marginal"
-        else:
-            regime = "supercritical"
-    if regime == "symmetric":
-        if varphi != 0.0:
-            raise ValueError("symmetric regime needs varphi = 0")
+    if varphi == 0.0:
         return 0.25 * _SQRTPI * math.exp(kappa) / kappa**1.5
-    if regime == "subcritical":
-        if not 0.0 < varphi < 1.0:
-            raise ValueError("subcritical regime needs 0 < varphi < 1")
+    if varphi < 1.0:
         return (0.5 * _SQRTPI * math.exp(kappa * (1.0 - varphi) ** 2)
                 / (kappa**1.5 * (1.0 - varphi)))
-    if regime == "marginal":
-        if varphi != 1.0:
-            raise ValueError("marginal regime needs varphi = 1")
+    if varphi == 1.0:
         if z0 >= 1.0:
-            raise ValueError("marginal regime needs z0 < 1")
+            raise ValueError("the marginal pull varphi = 1 needs z0 < 1")
         return math.log(math.sqrt(kappa) * (1.0 - z0)
                         / _MARGINAL_CONSTANT) / (2.0 * kappa)
-    if varphi <= 1.0:
-        raise ValueError("supercritical regime needs varphi > 1")
     return math.log((varphi - z0) / (varphi - 1.0)) / (2.0 * kappa)
 
 

@@ -547,7 +547,7 @@ def _radial_exterior_mode(kappa: float, b: float, alpha: float):
 # free-diffusion (Brownian) closed forms
 # ----------------------------------------------------------------------
 
-def _bessel_zero(order: float, k: int) -> float:
+def _bessel_zero(order: int, k: int) -> float:
     """k-th positive zero of J_order (k = 1, 2, ...)."""
     guess = (k + 0.5 * order - 0.25) * math.pi
     lo, hi = guess - 0.8, guess + 0.8
@@ -567,8 +567,8 @@ def _free_radial(d: int, x: float) -> float:
         return math.cos(x)
     if d == 3:
         return math.sin(x) / x
-    b = 0.5 * d
-    return gamma_fn(b) * bessel_j(b - 1.0, x) / (0.5 * x) ** (b - 1.0)
+    b = d // 2
+    return gamma_fn(b) * bessel_j(b - 1, x) / (0.5 * x) ** (b - 1)
 
 
 def _brownian_basis(geometry: Geometry, kappa: float, varphi: float,
@@ -577,7 +577,8 @@ def _brownian_basis(geometry: Geometry, kappa: float, varphi: float,
 
     Interval modes are cosines/sines about the centre (the odd family
     carries zero survival weight by symmetry); ball modes are Bessel
-    functions with the classical zeros.
+    functions with the classical zeros.  In d = 1 and 3 those are cos(x)
+    and sin(x)/x, whose zeros, weights and beta are closed forms.
     """
     alphas, pairs, weights, betas = [], [], [], []
     if geometry is Geometry.INTERVAL:
@@ -594,20 +595,24 @@ def _brownian_basis(geometry: Geometry, kappa: float, varphi: float,
             alphas.append(alpha)
             betas.append(alpha)
     else:
-        b = 0.5 * d
+        b = d // 2
         for n in range(n_modes):
             if d == 1:
                 alpha = math.pi * (n + 0.5)
+                weights.append(2.0 * (-1) ** n / alpha)
+                betas.append(math.sqrt(2.0))
             elif d == 3:
                 alpha = math.pi * (n + 1.0)
+                weights.append(2.0 * (-1) ** n)
+                betas.append(math.sqrt(2.0) * alpha)
             else:
-                alpha = _bessel_zero(b - 1.0, n + 1)
-            jb = bessel_j(b, alpha)
-            scale = (0.5 * alpha) ** (b - 1.0)
+                alpha = _bessel_zero(b - 1, n + 1)
+                jb = bessel_j(b, alpha)
+                scale = (0.5 * alpha) ** (b - 1)
+                weights.append(2.0 * scale / (alpha * gamma_fn(b) * jb))
+                betas.append(scale * math.sqrt(2.0) / (gamma_fn(b) * abs(jb)))
             alphas.append(alpha)
             pairs.append((1.0, 0.0))
-            weights.append(2.0 * scale / (alpha * gamma_fn(b) * jb))
-            betas.append(scale * math.sqrt(2.0) / (gamma_fn(b) * abs(jb)))
     return SpectralBasis(
         geometry=geometry, kappa=kappa, varphi=varphi, d=d,
         alphas=tuple(alphas), coeff_pairs=tuple(pairs),

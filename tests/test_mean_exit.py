@@ -215,7 +215,7 @@ def test_small_kappa_expansion_with_second_order_term():
 
 def test_symmetric_escape_formula_at_kappa_12():
     met = met_interval(12.0, 0.0, 0.0)
-    asym = met_interval_asymptotic(12.0, 0.0, 0.0, "symmetric")
+    asym = met_interval_asymptotic(12.0, 0.0, 0.0)
     assert rel(asym, met) < 0.05
 
 
@@ -226,26 +226,26 @@ def test_symmetric_escape_formula_at_kappa_12():
            "a 2% match is not attainable there")
 def test_supercritical_escape_formula_at_kappa_10_within_2pct():
     met = met_interval(10.0, 2.0, 0.0)
-    asym = met_interval_asymptotic(10.0, 2.0, 0.0, "supercritical")
+    asym = met_interval_asymptotic(10.0, 2.0, 0.0)
     assert rel(asym, met) < 0.02
 
 
 def test_supercritical_escape_formula_measured_deviation():
     met = met_interval(10.0, 2.0, 0.0)
-    asym = met_interval_asymptotic(10.0, 2.0, 0.0, "supercritical")
+    asym = met_interval_asymptotic(10.0, 2.0, 0.0)
     assert abs(asym - math.log(2.0) / 20.0) < 1e-15
     assert 0.02 < rel(asym, met) < 0.03   # 2.55% measured
 
 
 def test_supercritical_escape_formula_converges():
-    devs = [rel(met_interval_asymptotic(k, 2.0, 0.0, "supercritical"),
+    devs = [rel(met_interval_asymptotic(k, 2.0, 0.0),
                 met_interval(k, 2.0, 0.0)) for k in (10.0, 20.0, 40.0)]
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 0.01
 
 
 def test_subcritical_escape_formula_converges():
-    devs = [rel(met_interval_asymptotic(k, 0.5, 0.0, "subcritical"),
+    devs = [rel(met_interval_asymptotic(k, 0.5, 0.0),
                 met_interval(k, 0.5, 0.0)) for k in (18.0, 30.0, 60.0)]
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 0.04
@@ -259,19 +259,24 @@ def test_marginal_constant_value():
 
 def test_marginal_escape_formula_at_large_kappa():
     met = met_interval(50.0, 1.0, 0.0)
-    asym = met_interval_asymptotic(50.0, 1.0, 0.0, "marginal")
+    asym = met_interval_asymptotic(50.0, 1.0, 0.0)
     assert rel(asym, met) < 0.01   # 0.17% measured
 
 
 def test_auto_regime_picks_the_matching_branch():
-    assert (met_interval_asymptotic(12.0, 0.0, 0.0)
-            == met_interval_asymptotic(12.0, 0.0, 0.0, "symmetric"))
-    assert (met_interval_asymptotic(12.0, 0.5, 0.0)
-            == met_interval_asymptotic(12.0, 0.5, 0.0, "subcritical"))
-    assert (met_interval_asymptotic(12.0, 1.0, 0.2)
-            == met_interval_asymptotic(12.0, 1.0, 0.2, "marginal"))
-    assert (met_interval_asymptotic(12.0, 2.0, 0.0)
-            == met_interval_asymptotic(12.0, 2.0, 0.0, "supercritical"))
+    # varphi alone picks the branch: symmetric, subcritical, marginal and
+    # supercritical leading terms at kappa = 12
+    k = 12.0
+    root_pi = math.sqrt(math.pi)
+    assert rel(met_interval_asymptotic(k, 0.0, 0.0),
+               0.25 * root_pi * math.exp(k) / k**1.5) < 1e-15
+    assert rel(met_interval_asymptotic(k, 0.5, 0.0),
+               0.5 * root_pi * math.exp(0.25 * k) / (0.5 * k**1.5)) < 1e-15
+    assert rel(met_interval_asymptotic(k, 1.0, 0.2),
+               math.log(math.sqrt(k) * 0.8 / MARGINAL_CONSTANT)
+               / (2.0 * k)) < 1e-15
+    assert rel(met_interval_asymptotic(k, 2.0, 0.0),
+               math.log(2.0) / (2.0 * k)) < 1e-15
 
 
 @pytest.mark.xfail(
@@ -570,11 +575,9 @@ def test_operations_reject_out_of_domain_points():
     with pytest.raises(ValueError):
         met_exterior_1d_forced(1.0, 0.5, 0.5)
     with pytest.raises(ValueError):
-        met_interval_asymptotic(10.0, 0.0, 0.0, "no-such-regime")
-    with pytest.raises(ValueError):
-        met_interval_asymptotic(10.0, 0.0, 0.0, "subcritical")
-    with pytest.raises(ValueError):
-        met_interval_asymptotic(10.0, 2.0, 0.0, "marginal")
+        met_interval_asymptotic(-1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="z0 < 1"):
+        met_interval_asymptotic(10.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("fn", [met_interval, splitting_probability])

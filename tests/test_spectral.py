@@ -211,27 +211,33 @@ def test_free_diffusion_interval_is_the_cosine_series():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_free_diffusion_ball_is_the_bessel_series(d):
-    basis = build_basis("radial-interior", 0.0, 0.0, d, 3)
+    # 12 modes take the roots past x = 37; d = 1 and 3 are cos(x) and
+    # sin(x)/x, whose weights and beta are closed forms
+    basis = build_basis("radial-interior", 0.0, 0.0, d, 12)
     if d == 1:
-        alphas = [math.pi * (n + 0.5) for n in range(3)]
-        weights = [2.0 * (-1) ** n / a for n, a in enumerate(alphas)]
-        betas = [math.sqrt(2.0)] * 3
-    elif d == 3:
-        alphas = [math.pi * (n + 1) for n in range(3)]
-        weights = [2.0 * (-1) ** n for n in range(3)]
-        betas = [math.sqrt(2.0) * a for a in alphas]
-    elif d == 2:
-        alphas = list(sp.jn_zeros(0, 3))
-        weights = [2.0 / (a * sp.jv(1, a)) for a in alphas]
-        betas = [math.sqrt(2.0) / abs(sp.jv(1, a)) for a in alphas]
-    else:
-        alphas = list(sp.jn_zeros(1, 3))
-        weights = [1.0 / sp.jv(2, a) for a in alphas]
-        betas = [a / (math.sqrt(2.0) * abs(sp.jv(2, a))) for a in alphas]
-    for n in range(3):
-        assert rel(basis.alphas[n], alphas[n]) < 1e-12
-        assert rel(basis.weights[n], weights[n]) < 1e-11
-        assert rel(basis.betas[n], betas[n]) < 1e-11
+        alphas = [math.pi * (n + 0.5) for n in range(12)]
+        assert basis.alphas == tuple(alphas)
+        assert basis.weights == tuple(2.0 * (-1) ** n / a
+                                      for n, a in enumerate(alphas))
+        assert basis.betas == (math.sqrt(2.0),) * 12
+        return
+    if d == 3:
+        alphas = [math.pi * (n + 1) for n in range(12)]
+        assert basis.alphas == tuple(alphas)
+        assert basis.weights == tuple(2.0 * (-1) ** n for n in range(12))
+        assert basis.betas == tuple(math.sqrt(2.0) * a for a in alphas)
+        return
+    # the roots hold to the root tolerance; a weight moves by 2/alpha of
+    # its root's error, so weights and beta are checked at the basis's
+    # own roots
+    b = d // 2
+    for n, zero in enumerate(sp.jn_zeros(b - 1, 12)):
+        alpha = basis.alphas[n]
+        assert rel(alpha, zero) < 2e-13
+        jb = sp.jv(b, alpha)
+        scale = (0.5 * alpha) ** (b - 1) / math.gamma(b)
+        assert rel(basis.weights[n], 2.0 * scale / (alpha * jb)) < 1e-14
+        assert rel(basis.betas[n], math.sqrt(2.0) * scale / abs(jb)) < 1e-14
 
 
 @pytest.mark.parametrize("mass", [-983.04, 0.0, math.nan, math.inf])
