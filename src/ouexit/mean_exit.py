@@ -2,27 +2,31 @@
 
 Every operation here returns a dimensionless time in units of L**2/D;
 `mean_exit_time` applies a caller-supplied timescale for physical
-answers.  The closed forms reduce to one-dimensional integrals of
-exp(z^2) erf(z) or exp(z^2) erfc(z), which are two rewritings of the
-same expression with opposite numerical failure modes: the erf form is
-exact but its integrand reaches exp(kappa (1+varphi)^2), while the
-erfc/Dawson form keeps every factor bounded at the price of more
-bookkeeping.  We evaluate the erf form while
+answers.  Every mean is a closed summation; nothing here integrates
+numerically.
+
+The interval mean reduces to integrals of exp(z^2) erf(z) or
+exp(z^2) erfc(z), two rewritings of the same expression with opposite
+numerical failure modes: the erf form is exact but its integrand reaches
+exp(kappa (1+varphi)^2), while the erfc/Dawson form keeps every factor
+bounded at the price of more bookkeeping.  We evaluate the erf form while
 kappa (1+varphi)^2 <= 25 (the integrand then stays below ~1e11) and
 switch to the erfc form beyond; both are kept callable so the crossover
 can be cross-checked rather than trusted.  The erf form does not keep
 relative accuracy below the switch either: from a start near -1 with the
 trap centre near or beyond +1, its start and left-exit terms both come
 near exp(kappa (1+varphi)^2) and cancel, and at kappa (1+varphi)^2 near
-24 the result keeps only five or six digits.
+24 the result keeps only five or six digits.  The erf integral is a
+positive power series; the erfc integral is a sum of Taylor panels below
+x = 6 and an asymptotic expansion beyond.
 
-Weak traps (kappa below `BROWNIAN_KAPPA`) route to the drift-diffusion
-closed form in eta = 2 kappa varphi, the radial interior problem
-integrates an exact inner Gaussian moment under one outer quadrature,
-and the radial exterior problem uses the finite-sum forms (logarithmic
-in even dimension, erfc-weighted in odd).  A vanishing trap makes the
-exterior mean infinite; that is reported as math.inf, not an exception,
-so callers can print it.
+Weak traps (kappa below `BROWNIAN_KAPPA`) route the interval to the
+drift-diffusion closed form in eta = 2 kappa varphi.  The radial interior
+mean is the paper's series in kappa, whose terms are all positive; a mean
+beyond float range is reported as math.inf.  The radial exterior problem
+uses the finite-sum forms (logarithmic in even dimension, erfc-weighted
+in odd).  A vanishing trap makes the exterior mean infinite; that is
+reported as math.inf, not an exception, so callers can print it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._quad import tanh_sinh
+# unused here; perfbench/test_perfbench.py checks that its tracer patches it
+from ._quad import tanh_sinh  # noqa: F401
 from .ou_model import BROWNIAN_KAPPA, Geometry, canonical_orientation
 from .specfun import dawson, erfcx, gamma_fn
 
@@ -51,24 +56,15 @@ _SQRTPI = math.sqrt(math.pi)
 # exp(kappa (1+varphi)^2) stays below ~1e11.
 _ERF_FORM_LIMIT = 25.0
 
-# Quadratures run at this tolerance (absolute for O(1) values, relative
-# beyond); a result whose error estimate lands above _QUAD_ACCEPT of the
-# value is reported as a failure rather than returned silently.
-_QUAD_TOL = 1e-12
-_QUAD_ACCEPT = 1e-8
+# Euler's constant; it fixes the large-x offset of the erfcx integral
+# and the marginal-pull escape time.
+_EULER_GAMMA = 0.5772156649015329
 
-
-class QuadratureError(RuntimeError):
-    """A quadrature did not reach the accepted tolerance."""
-
-
-def _check_quad(value: float, err: float, what: str) -> float:
-    if err > _QUAD_ACCEPT * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"{what}: quadrature achieved {err:.3e} "
-            f"(relative {err / max(abs(value), 1e-300):.3e}), "
-            f"wanted {_QUAD_ACCEPT:.1e}")
-    return value
+# Below this x the erfcx integral is summed over Taylor panels of width at
+# most _PANEL_WIDTH; from it on, the large-x expansion's smallest term,
+# about exp(-x^2), is below 3e-16.
+_ERFCX_ASYMPTOTIC_X = 6.0
+_PANEL_WIDTH = 0.5
 
 
 def _f_exp_erf(x: float) -> float:
@@ -106,18 +102,53 @@ def _f_exp_erf(x: float) -> float:
 def _int_erfcx0(x: float) -> float:
     """Integral of erfcx over [0, x] for x >= 0.
 
-    erfcx decays like 1/(sqrt(pi) z), so beyond z = 10 the integral is
-    done in log coordinates where the integrand is nearly constant.
+    Below x = 6, [0, x] is cut into equal panels of width at most 1/2.
+    Each is integrated by the Taylor series of erfcx about its midpoint c,
+    which needs one erfcx call: from y' = 2zy - 2/sqrt(pi) the coefficients
+    are y_0 = erfcx(c), y_1 = 2c y_0 - 2/sqrt(pi) and
+    y_(k+1) = (2c y_k + 2 y_(k-1))/(k+1), and the odd ones integrate to
+    zero.  Here they are carried as b_k = y_k h^k with h the half-width.
+
+    From x = 6 on, the integral is
+    (ln 2x + gamma/2)/sqrt(pi)
+    + (1/sqrt(pi)) sum_(k>=1) (-1)^(k+1) (2k-1)!! / (2^k 2k x^(2k)).
+    The sum diverges: it is stopped at its smallest term, about exp(-x^2).
     """
     if x <= 0.0:
         return 0.0
-    if x <= 10.0:
-        value, err = tanh_sinh(erfcx, 0.0, x, _QUAD_TOL)
-        return _check_quad(value, err, "erfcx integral")
-    head, err_h = tanh_sinh(erfcx, 0.0, 10.0, _QUAD_TOL)
-    tail, err_t = tanh_sinh(lambda u: erfcx(math.exp(u)) * math.exp(u),
-                            math.log(10.0), math.log(x), _QUAD_TOL)
-    return _check_quad(head + tail, err_h + err_t, "erfcx integral")
+    if x >= _ERFCX_ASYMPTOTIC_X:
+        inv = 0.5 / (x * x)
+        coef = 1.0  # (2k-1)!! / (2 x^2)^k
+        last = math.inf
+        total = 0.0
+        k = 1
+        while True:
+            coef *= (2 * k - 1) * inv
+            term = coef / (2 * k)
+            if term >= last or term < 1e-17:
+                break
+            total += term if k % 2 else -term
+            last = term
+            k += 1
+        return (math.log(2.0 * x) + 0.5 * _EULER_GAMMA + total) / _SQRTPI
+    panels = math.ceil(x / _PANEL_WIDTH)
+    h = 0.5 * x / panels
+    two_hh = 2.0 * h * h
+    total = 0.0
+    for i in range(panels):
+        c = (2 * i + 1) * h
+        two_ch = 2.0 * c * h
+        b_prev = erfcx(c)
+        b = (2.0 * c * b_prev - 2.0 / _SQRTPI) * h
+        piece = b_prev
+        k = 1
+        while abs(b) + abs(b_prev) > 1e-17 * piece or k < 3:
+            b_prev, b = b, (two_ch * b + two_hh * b_prev) / (k + 1)
+            k += 1
+            if k % 2 == 0:
+                piece += b / (k + 1)
+        total += piece
+    return 2.0 * h * total
 
 
 def _ic0(x: float) -> float:
@@ -244,10 +275,9 @@ def met_interval(kappa: float, varphi: float, z0: float) -> float:
     return _met_interval_erfc_form(kappa, varphi, z0)
 
 
-# c = lim z exp(-sqrt(pi) * integral_0^z erfcx) = exp(-gamma/2)/2, with
-# gamma Euler's constant, fixes the additive offset of the marginal-pull
-# escape time.
-_MARGINAL_CONSTANT = 0.5 * math.exp(-0.5 * 0.5772156649015329)
+# c = lim z exp(-sqrt(pi) * integral_0^z erfcx) = exp(-gamma/2)/2 fixes
+# the additive offset of the marginal-pull escape time.
+_MARGINAL_CONSTANT = 0.5 * math.exp(-0.5 * _EULER_GAMMA)
 
 
 def met_interval_asymptotic(kappa: float, varphi: float,
@@ -259,10 +289,14 @@ def met_interval_asymptotic(kappa: float, varphi: float,
     (varphi = 1, logarithmic; needs z0 < 1) and supercritical (varphi > 1,
     deterministic drift time).
     """
-    kappa = float(kappa)
-    varphi, z0 = canonical_orientation(float(varphi), float(z0))
+    kappa, varphi, z0 = float(kappa), float(varphi), float(z0)
     if kappa <= 0.0 or not math.isfinite(kappa):
         raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+    if not math.isfinite(varphi):
+        raise ValueError(f"varphi must be finite, got {varphi!r}")
+    if not -1.0 <= z0 <= 1.0:
+        raise ValueError(f"z0 must lie in [-1, 1], got {z0!r}")
+    varphi, z0 = canonical_orientation(varphi, z0)
     if varphi == 0.0:
         return 0.25 * _SQRTPI * math.exp(kappa) / kappa**1.5
     if varphi < 1.0:
@@ -276,41 +310,59 @@ def met_interval_asymptotic(kappa: float, varphi: float,
     return math.log((varphi - z0) / (varphi - 1.0)) / (2.0 * kappa)
 
 
-def _lower_gauss_moment(d: int, r: float) -> float:
-    """Integral of s^(d-1) exp(-s^2) over [0, r]."""
-    if d == 1:
-        return 0.5 * _SQRTPI * math.erf(r)
-    if d == 2:
-        return -0.5 * math.expm1(-r * r)
-    return (0.5 * (d - 2) * _lower_gauss_moment(d - 2, r)
-            - 0.5 * r ** (d - 2) * math.exp(-r * r))
-
-
-def _interior_ratio(d: int, r: float) -> float:
-    """`_lower_gauss_moment(d, r) / r**(d-1)`, stable down to r = 0."""
-    if r < 0.5:
-        # term_j = (-1)^j r^(2j+1) / (j! (d + 2j)); 14 terms reach 1e-17
-        total = 0.0
-        term = r / d
-        j = 0
-        while abs(term) > 1e-18 * max(abs(total), 1e-30) and j < 30:
-            total += term
-            j += 1
-            term *= -r * r / j
-            term *= (d + 2 * j - 2) / (d + 2 * j)
-        return total
-    return _lower_gauss_moment(d, r) / r ** (d - 1)
-
-
 def _validate_dimension(d: int) -> int:
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     return d
 
 
+def _interior_series(b: float, kappa: float, z0: float) -> float:
+    """sum_n kappa^n (1 - z0^(2n+2)) / (4 (n+1) (b)_(n+1)) for z0 in [0, 1).
+
+    1 - z0^(2n+2) is taken as -expm1((2n+2) ln z0), so it keeps its
+    relative accuracy as z0 -> 1.  The coefficient and the total carry a
+    common power-of-two scale 2^scale, renewed whenever the coefficient
+    passes `big`, so no product overflows for any finite kappa.  The
+    partial sums only grow, so once one passes float range the sum is
+    math.inf; that ends the work for large kappa.  Term n+1 is at most
+    rho = kappa/(b+n+1) times term n, so once rho < 1 the tail is at most
+    term_n rho/(1 - rho), and the sum stops when that is below an ulp.
+    """
+    log_z2 = 2.0 * math.log(z0) if z0 > 0.0 else -math.inf
+    big = math.ldexp(1.0, 900) / max(kappa, 1.0)
+    coef = 0.25 / b  # kappa^n / (4 (n+1) (b)_(n+1)), times 2^-scale
+    total = 0.0
+    scale = 0
+    n = 0
+    while True:
+        term = -coef * math.expm1((n + 1) * log_z2)
+        total += term
+        rho = kappa / (b + n + 1)
+        if rho < 1.0 and term * rho <= 5.5e-17 * (1.0 - rho) * total:
+            break
+        coef *= kappa * ((n + 1) / ((n + 2) * (b + n + 1)))
+        n += 1
+        if coef > big:
+            coef, shift = math.frexp(coef)
+            total = math.ldexp(total, -shift)
+            scale += shift
+            if scale + math.frexp(total)[1] > 1024:
+                return math.inf
+    if scale + math.frexp(total)[1] > 1024:
+        return math.inf
+    return math.ldexp(total, scale)
+
+
 def met_radial_interior(d: int, kappa: float, z0: float) -> float:
     """Mean first-exit time from the d-ball of radius 1 with the trap at
-    its centre, starting from radius z0 in [0, 1].  Units L**2/D."""
+    its centre, starting from radius z0 in [0, 1].  Units L**2/D.
+
+    Summed from the paper's series: T'(z) = -(z/2) sum_n (kappa z^2)^n /
+    (d/2)_(n+1) integrates to
+    T(z0) = sum_n kappa^n (1 - z0^(2n+2)) / (4 (n+1) (d/2)_(n+1)),
+    whose terms are all positive, so nothing cancels.  A mean beyond float
+    range (from kappa near 700 on) is returned as math.inf.
+    """
     d = _validate_dimension(d)
     kappa, z0 = float(kappa), float(z0)
     if not (math.isfinite(kappa) and kappa >= 0.0):
@@ -319,13 +371,7 @@ def met_radial_interior(d: int, kappa: float, z0: float) -> float:
         raise ValueError(f"z0 must lie in [0, 1], got {z0!r}")
     if z0 == 1.0:
         return 0.0
-    if kappa < BROWNIAN_KAPPA:
-        return (1.0 - z0 * z0) / (2.0 * d)
-    sk = math.sqrt(kappa)
-    value, err = tanh_sinh(
-        lambda r: math.exp(r * r) * _interior_ratio(d, r),
-        sk * z0, sk, _QUAD_TOL)
-    return _check_quad(value, err, "interior radial integral") / kappa
+    return _interior_series(0.5 * d, kappa, z0)
 
 
 def met_radial_exterior(d: int, kappa: float, z0: float) -> float:

@@ -17,15 +17,17 @@ direction stay visible.
 """
 
 import math
+import random
 
 import pytest
 
-from ouexit import mean_exit
+from ouexit import _quad, mean_exit
 from ouexit._quad import tanh_sinh
 from ouexit.mean_exit import (
     _MARGINAL_CONSTANT,
     MeanExitRequest,
     _f_exp_erf,
+    _int_erfcx0,
     _met_interval_erf_form,
     _met_interval_erfc_form,
     mean_exit_time,
@@ -96,6 +98,37 @@ EXP_ERF_INTEGRAL_ORACLE = {
     4.688: 382948547.6659216486775,
     4.727: 548055058.5555006503473,
     5.0: 7354153746.3697235575,
+}
+
+# integral of erfcx over [0, x], 45-digit mpmath of
+# (sqrt(pi)/2) erfi(x) - x^2/sqrt(pi) 2F2(1, 1; 3/2, 2; x^2) (up to x = 40,
+# that value at 40 plus quadrature beyond), matched by direct 45-digit
+# quadrature of exp(z^2) erfc(z) to 45 digits.  5.999, 6 and 6.001 sit
+# either side of the switch from Taylor panels to the large-x expansion.
+ERFCX_INTEGRAL_ORACLE = {
+    0.001: 0.0009994361435618223532,
+    0.01: 0.0099439125042966995913,
+    0.1: 0.094673583306152555601,
+    0.25: 0.21929858030385916288,
+    0.5: 0.3913582448274258996,
+    0.77: 0.54100175338020784488,
+    1.0: 0.64725922516538839777,
+    1.5: 0.83229179781595035478,
+    2.2: 1.0244109129577948709,
+    3.0: 1.1882779339812860348,
+    4.4: 1.3968265706956804652,
+    5.5: 1.5202500612742151726,
+    5.75: 1.5449501283363651559,
+    5.999: 1.5685350830479986916,
+    6.0: 1.5686278671467809167,
+    6.001: 1.5687206361852094616,
+    7.5: 1.6931582709196631611,
+    10.0: 1.8543905438806982026,
+    15.0: 2.0823744701474141097,
+    24.0: 2.3471653749961058652,
+    40.0: 2.6352114282537756429,
+    70.0: 2.9508814940313239431,
+    100.0: 3.1520991050175096331,
 }
 
 # Erf-form points where the start and left-exit terms cancel; true values
@@ -397,17 +430,70 @@ def test_exp_erf_integral_matches_oracle(x, want):
     assert _f_exp_erf(-x) == _f_exp_erf(x)
 
 
-def test_erf_form_makes_no_quadrature_call(monkeypatch):
+@pytest.mark.parametrize("x,want", sorted(ERFCX_INTEGRAL_ORACLE.items()))
+def test_erfcx_integral_matches_oracle(x, want):
+    assert rel(_int_erfcx0(x), want) < 1e-15
+
+
+def test_mean_exit_makes_no_quadrature_call(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return tanh_sinh(*args, **kwargs)
 
+    monkeypatch.setattr(_quad, "tanh_sinh", counting)
     monkeypatch.setattr(mean_exit, "tanh_sinh", counting)
+    # the interval mean on its erf form, then on its erfc form
     assert 4.0 * (1.0 + 0.5) ** 2 <= mean_exit._ERF_FORM_LIMIT
     assert rel(met_interval(4.0, 0.5, 0.3), 0.57618612141036914) < 1e-14
+    for args in ((30.0, 0.5, 0.2), (10.0, 2.0, 0.0)):
+        assert args[0] * (1.0 + args[1]) ** 2 > mean_exit._ERF_FORM_LIMIT
+        assert rel(met_interval(*args), INTERVAL_ORACLE[args]) < 1e-12
+    for d in (1, 2, 3, 4):
+        assert met_radial_interior(d, 2.0, 0.4) > 0.0
+    for args in ((3, 1.0, 2.0), (1, 1.0, 3.0), (5, 0.8, 1.5)):
+        assert rel(met_radial_exterior(*args),
+                   RADIAL_EXTERIOR_ORACLE[args]) < 1e-12
+    # erfc-integral arguments of both signs, and beyond x = 6
+    for args in ((2.0, 0.5, 1.8), (3.0, 2.2, 1.5)):
+        assert rel(met_exterior_1d_forced(*args),
+                   EXTERIOR_1D_ORACLE[args]) < 1e-12
+    assert met_exterior_1d_forced(50.0, -0.5, 2.0) > 0.0
     assert calls == []
+
+
+def _interior_mpmath(mpmath, d, kappa, z0):
+    """The paper's series as (1/(4b)) [F(1) - z0^2 F(z0^2)] with
+    F(x) = 2F2(1, 1; 2, b + 1; kappa x) and b = d/2."""
+    b = mpmath.mpf(d) / 2
+    z2 = mpmath.mpf(z0) ** 2
+    f = lambda x: x * mpmath.hyp2f2(1, 1, 2, b + 1, kappa * x)
+    return (f(1) - f(z2)) / (4 * b)
+
+
+def test_radial_interior_matches_mpmath_on_a_grid():
+    # starts at the centre, 1e-9 and 1e-12 from the wall, and two random
+    # ones; kappa up to near the edge of float range
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    with mpmath.workdps(40):
+        for d in (1, 2, 3, 4):
+            for kappa in (1e-3, 0.3, 2.0, 50.0, 700.0):
+                for z0 in (0.0, 1.0 - 1e-9, 1.0 - 1e-12,
+                           rng.random(), rng.random()):
+                    want = float(_interior_mpmath(mpmath, d, kappa, z0))
+                    got = met_radial_interior(d, kappa, z0)
+                    assert rel(got, want) < 1e-14, (d, kappa, z0)
+
+
+def test_radial_interior_beyond_float_range_is_inf():
+    # 5.3850253648721706e302 from 40-digit mpmath of the series
+    assert rel(met_radial_interior(3, 715.0, 0.2),
+               5.3850253648721706e302) < 1e-14
+    assert met_radial_interior(3, 1e3, 0.2) == math.inf
+    assert met_radial_interior(3, 1e300, 0.2) == math.inf
+    assert met_radial_interior(1, 1.7976931348623157e308, 0.0) == math.inf
 
 
 @pytest.mark.xfail(
@@ -592,6 +678,20 @@ def test_interval_solvers_name_a_nonfinite_pull_or_start(fn, varphi, z0,
     for kappa in (1.0, 1e-9):
         with pytest.raises(ValueError, match=named):
             fn(kappa, varphi, z0)
+
+
+@pytest.mark.parametrize("varphi, z0, named", [
+    (math.nan, 0.0, "varphi"),
+    (math.inf, 0.0, "varphi"),
+    (-math.inf, 0.2, "varphi"),
+    (0.5, math.nan, "z0"),
+    (0.5, 3.0, "z0"),
+    (2.0, 5.0, "z0"),
+    (-2.0, -1.5, "z0"),
+])
+def test_interval_asymptotic_names_a_bad_pull_or_start(varphi, z0, named):
+    with pytest.raises(ValueError, match=named):
+        met_interval_asymptotic(10.0, varphi, z0)
 
 
 @pytest.mark.parametrize("z0", [math.nan, math.inf])
