@@ -13,6 +13,11 @@ table has thirteen preallocated slots.  A thread that finds a slot empty
 fills it with the same tuple any other thread would, so no lock is needed.
 A function value counts only where it is finite, tested as v - v == 0.0
 (false for +-inf and NaN alone); the other node of its pair still counts.
+
+No library code calls this module.  Tricomi U's Laplace integral, its
+last caller, is now an exp-sinh pass inside `specfun`; the module stays
+only because the benchmark's tracer and its test resolve `tanh_sinh`
+and `integrate_to_cutoff` by name, and goes with them.
 """
 
 from __future__ import annotations

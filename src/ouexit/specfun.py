@@ -15,11 +15,13 @@ on its Laplace integral representation when the two-Kummer combination
 cancels badly.  The module needs the standard library alone.
 
 A function's value and its a-derivative share one route decision:
-`_kummer` holds the branch table of both M and dM/da, the Laplace
-integral of U (`_u_laplace`, raised to a <= 0 by the recurrence in
-`_u_integral`) yields dU/da from the same integrand, and `tricomi_u_da`
+`_kummer` holds the branch table of both M and dM/da, and `tricomi_u_da`
 applies the cancellation test of the two-Kummer combination itself
-instead of evaluating U to learn its route.
+instead of evaluating U to learn its route.  U's Laplace integral
+(`_u_laplace`) is one exp-sinh pass about the integrand's peak in ln t,
+whose nodes give U and dU/da at a and a+1 together; `_u_integral` takes
+it directly for a >= 1/2 and raises a < 1/2 to a+n in [1/2, 3/2) by the
+stable recurrence, so one pass serves both of its values.
 
 Every hypergeometric entry point returns a HypergeomResult carrying the
 value, a conservative absolute error estimate and the method tag, so
@@ -28,10 +30,9 @@ callers can audit which branch produced a number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-from ._quad import integrate_to_cutoff
 
 __all__ = [
     "HypergeomResult",
@@ -581,68 +582,178 @@ def _cancels(value: float, err: float, big: float) -> bool:
             or err > 1e-8 * max(abs(value), 1e-300))
 
 
+# U's Laplace integral by one exp-sinh pass.  Level 0 steps s by 1/2 and
+# level k > 0 holds only the new midpoints at step 2^-(k+1).
+_ES_TOL = 1e-13
+_ES_MIN_LEVEL = 2
+_ES_MAX_LEVEL = 7
+# a level-0 node below this share of the running sum ends its side
+_ES_CUT = 1e-20
+
+
+@functools.cache
+def _es_nodes(level: int):
+    """A level's nodes as a pair of tuples, for s >= 0 and s < 0, of
+    (|s|, u, expm1(u), w) with u = pi/2 sinh s and w = h pi/2 cosh s,
+    out to |u| = 700, where exp(u) still fits a float.  s = 0 opens the
+    level-0 tuple for s >= 0."""
+    h = 0.5 ** (level + 1)
+    step = 1 if level == 0 else 2
+    pos = [(0.0, 0.0, 0.0, h * 0.5 * math.pi)] if level == 0 else []
+    neg = []
+    k = 1
+    while True:
+        s = k * h
+        u = 0.5 * math.pi * math.sinh(s)
+        if u > 700.0:
+            return tuple(pos), tuple(neg)
+        w = h * 0.5 * math.pi * math.cosh(s)
+        pos.append((s, u, math.expm1(u), w))
+        neg.append((s, -u, math.expm1(-u), w))
+        k += step
+
+
 def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
-    """U from its Laplace integral, a > 0,
-        U = (1/Gamma(a)) int_0^inf e^(-zt) t^(a-1) (1+t)^(b-a-1) dt,
-    returned as (U, err).  With want_da also dU/da, from the same
-    integrand weighted by ln(t/(1+t)):
-        dU/da = -psi(a) U + (1/Gamma(a)) int (...) ln(t/(1+t)) dt,
-    returned as (U, err, dU/da, err).
+    """U(a) and U(a+1) at (b, z) from one exp-sinh pass over the Laplace
+    integral, a >= 1/2:
+        Gamma(a) U(a) = int_0^inf e^(-zt) t^(a-1) (1+t)^(b-a-1) dt,
+    and Gamma(a+1) U(a+1) integrates the same times x = t/(1+t).  With
+    want_da the same nodes weighted by ln x give dU/da at a and a+1:
+        dU/da = -psi(a) U + (1/Gamma(a)) int (...) ln x dt.
+    Returns (values, errors): U(a), U(a+1) and, with want_da, dU/da at
+    a and a+1.
     """
-    def f(t):
-        return math.exp(-z * t + (a - 1.0) * math.log(t)
-                        + (b - a - 1.0) * math.log1p(t))
-    start = max(1.0 / z, 1e-3)
-    v, e = integrate_to_cutoff(f, 0.0, tol=1e-13, start=start)
-    ig = inv_gamma(a)
-    u, eu = v * ig, (e + _EPS * 8.0 * abs(v)) * abs(ig)
+    # t = c exp(u), u = pi/2 sinh s, about the peak of the integrand in
+    # ln t, the positive root c of z t^2 + (z+1-b) t - a = 0.  Each node
+    # takes its exponent relative to the peak's, in u and expm1(u), so
+    # none overflows and none loses digits to cancellation
+    bb = z + 1.0 - b
+    root = math.sqrt(bb * bb + 4.0 * a * z)
+    c = 2.0 * a / (bb + root) if bb >= 0.0 else (root - bb) / (2.0 * z)
+    zc = z * c
+    r = c / (1.0 + c)
+    ln_c = math.log(c)
+    e = b - a - 1.0
+    cuts = [math.inf, math.inf]
+    prev = None
+    for level in range(_ES_MAX_LEVEL + 1):
+        # sums of w, w x, w ln x, w x ln x and |w ln x| over new nodes
+        n0 = n1 = k0 = k1 = km = 0.0
+        for side, nodes in enumerate(_es_nodes(level)):
+            cut = cuts[side]
+            for s, u, em1, w in nodes:
+                if s > cut:
+                    break
+                f = w * math.exp(a * u - zc * em1 + e * math.log1p(r * em1))
+                if level == 0 and f < _ES_CUT * n0:
+                    cuts[side] = s
+                    break
+                t = c + c * em1
+                x = t / (1.0 + t)
+                n0 += f
+                n1 += f * x
+                if want_da:
+                    lx = (ln_c + u - math.log1p(t) if t <= 1.0
+                          else -math.log1p(1.0 / t))
+                    fl = f * lx
+                    k0 += fl
+                    k1 += fl * x
+                    km += abs(fl)
+        sums = (n0, n1, k0, k1, km)
+        if prev is not None:
+            sums = tuple(0.5 * old + new for old, new in zip(prev, sums))
+            diffs = [abs(new - old) for old, new in zip(prev, sums)]
+            if (level >= _ES_MIN_LEVEL
+                    and diffs[0] <= _ES_TOL * sums[0]
+                    and diffs[1] <= _ES_TOL * sums[1]
+                    and max(diffs[2], diffs[3]) <= _ES_TOL * sums[4]):
+                break
+        prev = sums
+    s0, s1, l0, l1, m = sums
+    scale = math.exp(a * ln_c - zc + e * math.log1p(c)) * inv_gamma(a)
+    # rounding of the peak exponent, and of Gamma(a)'s Lanczos power
+    # t^(a-1/2) e^-t at t = a + 6.5
+    rel = _EPS * (8.0 + abs(a * ln_c) + zc + abs(e * math.log1p(c))
+                  + a * math.log(a + 6.5) + a)
+    u0 = scale * s0
+    u1 = scale * s1 / a
+    eu0 = scale * (diffs[0] + _EPS * 8.0 * s0) + rel * u0
+    eu1 = scale * (diffs[1] + _EPS * 8.0 * s1) / a + rel * u1
     if not want_da:
-        return u, eu
-    w, ew = integrate_to_cutoff(
-        lambda t: f(t) * (math.log(t) - math.log1p(t)), 0.0, tol=1e-13,
-        start=start)
+        return (u0, u1), (eu0, eu1)
     psi = digamma(a)
-    return (u, eu, -psi * u + w * ig,
-            abs(psi) * eu + (ew + _EPS * 8.0 * abs(w)) * abs(ig))
+    psi1 = psi + 1.0 / a
+    ed = scale * (max(diffs[2], diffs[3]) + _EPS * 8.0 * m)
+    return ((u0, u1, -psi * u0 + scale * l0, -psi1 * u1 + scale * l1 / a),
+            (eu0, eu1, abs(psi) * eu0 + ed + rel * scale * abs(l0),
+             abs(psi1) * eu1 + (ed + rel * scale * abs(l1)) / a))
 
 
 def _u_integral(a: float, b: float, z: float, want_da: bool = False):
-    """U (or dU/da) via the Laplace integral; a <= 0 is raised by the
-    recurrence U(a) = p_n U(a+n) + q_n U(a+n+1), whose coefficients are
-    differentiated in a alongside when want_da."""
-    if a > 0.0:
-        # the last pair is U or, with want_da, dU/da
-        return (*_u_laplace(a, b, z, want_da)[-2:], "IntegralRep")
-    n = int(math.ceil(0.5 - a))
+    """U (or dU/da) via the Laplace integral.  a < 1/2 is raised by the
+    recurrence U(a) = p_n U(a+n) + q_n U(a+n+1), n = ceil(1/2 - a), run
+    toward smaller a, where it is stable; its coefficients are
+    differentiated in a alongside when want_da.  One pass at a+n gives
+    both U values (and both derivatives)."""
+    n = max(0, int(math.ceil(0.5 - a)))
     p, q, dp, dq = 1.0, 0.0, 0.0, 0.0
+    coeffs = []  # each step's (c, s, t)
+    rounding = []  # each step's rounding of p, q, dp, dq
     log_scale = 0.0
     for k in range(1, n + 1):
-        c = b - 2.0 * (a + k) - z
+        # b - 2k and k + 1 - b are exact for the half-integer b callers
+        # use, so a coefficient that nearly cancels keeps its digits
+        bk = (b - 2.0 * k) - 2.0 * a
+        c = bk - z
+        ec = _EPS * (abs(bk) + abs(c))
+        ak = a + k
+        r = a + (k + 1.0 - b)
+        s = ak * r
+        t = ak + r
+        edp = edq = 0.0
         if want_da:
-            dp, dq = (dq + 2.0 * p - c * dp,
-                      -(2.0 * (a + k) + 1.0 - b) * p
-                      - (a + k) * (a + k + 1.0 - b) * dp)
-        p, q = q - c * p, -(a + k) * (a + k + 1.0 - b) * p
-        big = max(abs(p), abs(q), abs(dp), abs(dq)) if want_da \
-            else max(abs(p), abs(q))
+            edp = ec * abs(dp) + _EPS * 2.0 * (abs(dq) + 2.0 * abs(p)
+                                               + abs(c * dp))
+            edq = _EPS * 4.0 * (abs(t * p) + abs(s * dp))
+            dp, dq = dq + 2.0 * p - c * dp, -t * p - s * dp
+        coeffs.append((c, s, t))
+        rounding.append((ec * abs(p) + _EPS * 2.0 * (abs(q) + abs(c * p)),
+                         _EPS * 4.0 * abs(s * p), edp, edq))
+        p, q = q - c * p, -s * p
+        big = max(abs(p), abs(q), abs(dp), abs(dq))
         if big > 1e250:
             p, q, dp, dq = p / big, q / big, dp / big, dq / big
+            rounding = [tuple(e / big for e in row) for row in rounding]
             log_scale += math.log(big)
     scale = math.exp(log_scale) if log_scale < 700.0 else math.inf
-    if not want_da:
-        u1, e1 = _u_laplace(a + n, b, z)
-        u2, e2 = _u_laplace(a + n + 1.0, b, z)
-        value = scale * (p * u1 + q * u2)
-        err = scale * (abs(p) * e1 + abs(q) * e2
-                       + _EPS * 8.0 * (abs(p * u1) + abs(q * u2)))
-        return value, err, "RecurrenceShift"
-    u1, e1, d1, de1 = _u_laplace(a + n, b, z, True)
-    u2, e2, d2, de2 = _u_laplace(a + n + 1.0, b, z, True)
-    value = scale * (dp * u1 + p * d1 + dq * u2 + q * d2)
-    err = scale * (abs(dp) * e1 + abs(p) * de1 + abs(dq) * e2 + abs(q) * de2
-                   + _EPS * 8.0 * (abs(dp * u1) + abs(p * d1)
-                                   + abs(dq * u2) + abs(q * d2)))
-    return value, err, "RecurrenceShift"
+    method = "RecurrenceShift" if n else "IntegralRep"
+    vals, errs = _u_laplace(a + n, b, z, want_da)
+    if want_da:
+        u1, u2, d1, d2 = vals
+        e1, e2, de1, de2 = errs
+        value = dp * u1 + p * d1 + dq * u2 + q * d2
+        err = (abs(dp) * e1 + abs(p) * de1 + abs(dq) * e2 + abs(q) * de2
+               + _EPS * 4.0 * (abs(dp * u1) + abs(p * d1)
+                               + abs(dq * u2) + abs(q * d2)))
+    else:
+        u1, u2 = vals
+        e1, e2 = errs
+        d1 = d2 = 0.0
+        value = p * u1 + q * u2
+        err = (abs(p) * e1 + abs(q) * e2
+               + _EPS * 2.0 * (abs(p * u1) + abs(q * u2)))
+    # U(a) = p_k U(a+k) + q_k U(a+k+1) at every k (and its a-derivative),
+    # so step k's rounding reaches the result weighted by U and dU/da at
+    # a+k and a+k+1, which the recurrence gives run down from the pass
+    for (c, s, t), (ep, eq, edp, edq) in zip(coeffs[::-1], rounding[::-1]):
+        if want_da:
+            err += (edp * abs(u1) + ep * abs(d1)
+                    + edq * abs(u2) + eq * abs(d2))
+            d1, d2 = -c * d1 - s * d2 + 2.0 * u1 - t * u2, d1
+        else:
+            err += ep * abs(u1) + eq * abs(u2)
+        u1, u2 = -c * u1 - s * u2, u1
+    return scale * value, scale * err, method
 
 
 def _u_noninteger(a: float, b: float, z: float):
@@ -715,10 +826,10 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
 
     Large z with a decreasing asymptotic tail uses the z^-a expansion
     directly.  Otherwise non-integer b uses the two-Kummer combination
-    with an automatic fallback to the Laplace integral
-    (recurrence-shifted for a <= 0) when the combination loses too many
-    digits, and integer b is obtained by Richardson extrapolation over
-    b +/- eps.
+    with an automatic fallback to the Laplace integral (IntegralRep for
+    a >= 1/2, RecurrenceShift from a+n below) when the combination loses
+    too many digits, and integer b is obtained by Richardson
+    extrapolation over b +/- eps, with the same integral as fallback.
     """
     if z <= 0.0:
         raise ValueError("tricomi_u requires z > 0")
@@ -753,7 +864,8 @@ def tricomi_u_da(a: float, b: float, z: float) -> HypergeomResult:
 
     Integer b takes the integral route (the b +/- eps extrapolation loses
     too much accuracy on the derivative, and the integral has no b
-    restriction).  Non-integer b forms the two-Kummer value combination
+    restriction); its one pass weights U's integrand by ln(t/(1+t)) at
+    the same nodes.  Non-integer b forms the two-Kummer value combination
     and applies the cancellation test `tricomi_u` applies to it: if the
     value cancels (a != 0) the derivative is integrated too, otherwise
     the combination is differentiated in a, with the integral as fallback

@@ -9,6 +9,7 @@ differences of the value routines themselves.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -484,14 +485,79 @@ def test_tricomi_u_da_decides_its_route_without_evaluating_u(monkeypatch,
     assert calls == []
 
 
-def test_shifted_tricomi_u_da_integrates_each_laplace_integral_once(
-        monkeypatch):
-    # a = -2.5 is raised to a + 3 and a + 4: one U integral and one
-    # ln(t/(1+t))-weighted integral at each
-    calls = _counting(monkeypatch, "integrate_to_cutoff")
+def test_shifted_tricomi_u_da_makes_one_laplace_pass(monkeypatch):
+    # a = -2.5 is raised to a + 3: one pass there gives U and dU/da at
+    # a + 3 and a + 4
+    calls = _counting(monkeypatch, "_u_laplace")
     r = tricomi_u_da(-2.5, 1.0, 3.0)
     assert r.method == "RecurrenceShift"
-    assert len(calls) == 4
+    assert calls == [(0.5, 1.0, 3.0, True)]
+
+
+# 40-digit mpmath at small positive a, where the Laplace integrand once
+# overflowed at nodes near t = 0: U by hyperu, dU/da by mpmath.diff
+# (within 1e-21 of a central difference at h = 1e-12)
+SMALL_A_REFERENCE = [
+    (tricomi_u_da, (0.01, 1.0, 1.0), -0.014790618319581146),
+    (tricomi_u_da, (0.01, 2.0, 0.5), 2.6631850139338904),
+    (tricomi_u_da, (0.005, 2.0, 0.002), 509.01889651136833),
+    (tricomi_u, (0.00928, 2.0, 34.0), 0.96806669869819376),
+]
+
+
+@pytest.mark.parametrize("fn,args,ref", SMALL_A_REFERENCE, ids=[
+    fn.__name__ + str(args).replace(" ", "")
+    for fn, args, _ in SMALL_A_REFERENCE])
+def test_tricomi_u_at_small_positive_a_is_within_its_claim(fn, args, ref):
+    r = fn(*args)
+    # slack for the rounding of the frozen reference
+    assert abs(r.value - ref) <= r.abs_err_estimate + 2.3e-16 * abs(ref)
+
+
+def _integral_route_checks(mpmath, a, z):
+    """(error, claim, value) of U and dU/da on the Laplace-integral routes
+    at every b the geometries use, against 40-digit mpmath; dU/da is a
+    central difference at h = 1e-12, good to about 1e-20."""
+    h = mpmath.mpf(10) ** -12
+    out = []
+    for b in (0.5, 1.0, 1.5, 2.0, 2.5):
+        u = float(mpmath.hyperu(a, b, z))
+        du = float((mpmath.hyperu(a + h, b, z)
+                    - mpmath.hyperu(a - h, b, z)) / (2 * h))
+        for want_da, want in ((False, u), (True, du)):
+            v, err, method = specfun._u_integral(a, b, z, want_da)
+            assert method == ("IntegralRep" if a >= 0.5
+                              else "RecurrenceShift")
+            out.append((abs(v - want), err, want, (a, b, z, want_da)))
+    return out
+
+
+def test_integral_routes_claim_their_error_on_a_grid():
+    # a of either sign with |a| from 1e-4 to 2.5 and z from 1e-2 to 50;
+    # each claim bounds the error and stays within 1e-10 of the value
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20141112)
+    with mpmath.workdps(40):
+        for _ in range(40):
+            a = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(
+                -4.0, math.log10(2.5))
+            z = 10.0 ** rng.uniform(-2.0, math.log10(50.0))
+            for error, claim, want, case in _integral_route_checks(
+                    mpmath, a, z):
+                assert error <= claim <= 1e-10 * abs(want), case
+
+
+def test_recurrence_claims_its_error_down_to_a_minus_sixty():
+    # up to 60 recurrence steps, where U oscillates in a and the
+    # coefficients cancel; the claim counts each step's rounding
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20141113)
+    with mpmath.workdps(40):
+        for _ in range(8):
+            a = -rng.uniform(2.5, 60.0)
+            z = 10.0 ** rng.uniform(-2.0, math.log10(50.0))
+            for error, claim, _, case in _integral_route_checks(mpmath, a, z):
+                assert error <= claim, case
 
 
 # ----------------------------------------------------------------------
