@@ -339,7 +339,7 @@ def test_audit_reports_silenced_modes_as_exact_zeros():
 
 def _count_quadrature(monkeypatch):
     """Wrap the quadrature routines wherever a module bound them; the
-    returned list counts every call."""
+    returned list records every call."""
     calls = []
     for name in ("tanh_sinh", "integrate_to_cutoff"):
         original = getattr(_quad, name)
