@@ -10,12 +10,14 @@ series' terms alternate and grow far beyond M, so a float sum loses every
 digit.  a, b and z are binary rationals, so there the series is summed in
 Python integers scaled by 2^P, with P sized to the terms' growth
 (`_kummer_fixed`); the same kernel serves terminating a.  Large-z
-evaluation uses the standard asymptotic series, and U(a,b,z) falls back
-on its Laplace integral representation when the two-Kummer combination
-cancels badly.  The module needs the standard library alone.
+evaluation uses the standard asymptotic series.  U(a,b,z) takes its
+Laplace integral representation at integer b, where the two-Kummer
+combination is singular, and wherever that combination cancels badly.
+The module needs the standard library alone.
 
 A function's value and its a-derivative share one route decision:
-`_kummer` holds the branch table of both M and dM/da, and `tricomi_u_da`
+`_kummer` holds the branch table of both M and dM/da; `tricomi_u` and
+`tricomi_u_da` both send integer b to the integral, and `tricomi_u_da`
 applies the cancellation test of the two-Kummer combination itself
 instead of evaluating U to learn its route.  U's Laplace integral
 (`_u_laplace`) is one exp-sinh pass about the integrand's peak in ln t,
@@ -76,16 +78,17 @@ class HypergeomResult:
 
     abs_err_estimate is deliberately pessimistic; tests assert it bounds
     the true error against independent oracles.  method is one of
-    DirectSeries, FixedPoint, IntegralRep, RecurrenceShift, Extrapolated,
-    AsymptoticZ.  For M and dM/da, DirectSeries is the float power series,
-    FixedPoint the integer-scaled one and AsymptoticZ the large-z
-    expansion.
+    DirectSeries, FixedPoint, IntegralRep, RecurrenceShift, AsymptoticZ.
+    For M and dM/da, DirectSeries is the float power series, FixedPoint
+    the integer-scaled one and AsymptoticZ the large-z expansion.  For U
+    and dU/da, DirectSeries is the two-Kummer combination, IntegralRep
+    and RecurrenceShift the Laplace integral at a and raised from a+n,
+    and AsymptoticZ the large-z expansion.
     """
 
     value: float
     abs_err_estimate: float
     method: str
-    warnings: tuple = ()
 
     def __float__(self):
         return self.value
@@ -153,7 +156,11 @@ def gamma_fn(x: float) -> float:
         return math.pi / (_sinpi(x) * gamma_fn(1.0 - x))
     x -= 1.0
     t = x + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (x + 0.5) * math.exp(-t) * _lanczos_sum(x)
+    # t^(x+1/2) alone overflows once Gamma's argument passes about 142.6,
+    # though Gamma fits a float up to 171, so the power is formed in
+    # halves and e^-t joins before the second
+    p = t ** (0.5 * (x + 0.5))
+    return _SQRT_2PI * p * (p * math.exp(-t)) * _lanczos_sum(x)
 
 
 def lgamma_fn(x: float):
@@ -517,7 +524,7 @@ def _kummer(a: float, b: float, z: float, want_da: bool) -> HypergeomResult:
         f = -math.exp(z) if want_da else math.exp(z)
         return HypergeomResult(f * inner.value,
                                abs(f) * inner.abs_err_estimate,
-                               inner.method, inner.warnings)
+                               inner.method)
     if a < -10.0 or (a <= 0.0 and a == math.floor(a)):
         v, e = _kummer_fixed(a, b, z, want_da)
         return HypergeomResult(v, e, "FixedPoint")
@@ -701,8 +708,8 @@ def _u_integral(a: float, b: float, z: float, want_da: bool = False):
     rounding = []  # each step's rounding of p, q, dp, dq
     log_scale = 0.0
     for k in range(1, n + 1):
-        # b - 2k and k + 1 - b are exact for the half-integer b callers
-        # use, so a coefficient that nearly cancels keeps its digits
+        # b - 2k and k + 1 - b are exact for the integer and half-integer b
+        # callers use, so a coefficient that nearly cancels keeps its digits
         bk = (b - 2.0 * k) - 2.0 * a
         c = bk - z
         ec = _EPS * (abs(bk) + abs(c))
@@ -756,38 +763,6 @@ def _u_integral(a: float, b: float, z: float, want_da: bool = False):
     return scale * value, scale * err, method
 
 
-def _u_noninteger(a: float, b: float, z: float):
-    value, err, big, _, _ = _u_combination(a, b, z)
-    if _cancels(value, err, big):
-        # combination cancels badly (typically large z); integrate instead
-        v, e, method = _u_integral(a, b, z)
-        return v, e, method, ()
-    return value, err, "DirectSeries", ()
-
-
-_RICHARDSON_EPS = (1e-3, 5e-4, 2.5e-4)
-
-
-def _u_integer_b(a: float, b: float, z: float):
-    """Integer b is a removable singularity of the two-Kummer form:
-    evaluate at b +/- eps and Richardson-extrapolate (even powers only
-    survive the symmetric average, so the scheme runs in eps^2)."""
-    vals = []
-    errs = []
-    for eps in _RICHARDSON_EPS:
-        vp, ep, bigp, _, _ = _u_combination(a, b + eps, z)
-        vm, em, bigm, _, _ = _u_combination(a, b - eps, z)
-        vals.append(0.5 * (vp + vm))
-        # the combination cancels intermediates of size ~big; measured
-        # noise runs to a couple hundred ulp of that scale
-        errs.append(0.5 * (ep + em) + _EPS * 128.0 * max(bigp, bigm))
-    r1 = (4.0 * vals[1] - vals[0]) / 3.0
-    r2 = (4.0 * vals[2] - vals[1]) / 3.0
-    value = (16.0 * r2 - r1) / 15.0
-    err = abs(value - r2) + 2.0 * max(errs)
-    return value, err
-
-
 def _u_asympt(a: float, b: float, z: float):
     """Large-z expansion U ~ z^-a sum_k (a)_k (a-b+1)_k / (k! (-z)^k).
 
@@ -825,11 +800,11 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
     """Tricomi confluent hypergeometric U(a, b, z), z > 0.
 
     Large z with a decreasing asymptotic tail uses the z^-a expansion
-    directly.  Otherwise non-integer b uses the two-Kummer combination
-    with an automatic fallback to the Laplace integral (IntegralRep for
-    a >= 1/2, RecurrenceShift from a+n below) when the combination loses
-    too many digits, and integer b is obtained by Richardson
-    extrapolation over b +/- eps, with the same integral as fallback.
+    directly.  Otherwise non-integer b uses the two-Kummer combination,
+    and integer b, where that combination is singular, takes the Laplace
+    integral (IntegralRep for a >= 1/2, RecurrenceShift from a+n below),
+    which has no restriction on b; a combination that loses too many
+    digits falls back on the same integral.
     """
     if z <= 0.0:
         raise ValueError("tricomi_u requires z > 0")
@@ -840,36 +815,24 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
         asympt = _u_asympt(a, b, z)
         if asympt is not None:
             return HypergeomResult(asympt[0], asympt[1], "AsymptoticZ")
-    if b == math.floor(b):
-        if b < 1.0:
-            # Kummer transform U(a,b,z) = z^(1-b) U(a-b+1, 2-b, z)
-            inner = tricomi_u(a - b + 1.0, 2.0 - b, z)
-            f = z ** (1.0 - b)
-            return HypergeomResult(f * inner.value, f * inner.abs_err_estimate,
-                                   inner.method, inner.warnings)
-        value, err = _u_integer_b(a, b, z)
-        warnings = ()
-        if err > 1e-6 * max(abs(value), 1e-300):
-            v2, e2, method = _u_integral(a, b, z)
-            if e2 < err:
-                return HypergeomResult(v2, e2, method)
-            warnings = ("extrapolation ill-conditioned",)
-        return HypergeomResult(value, err, "Extrapolated", warnings)
-    v, e, method, warnings = _u_noninteger(a, b, z)
-    return HypergeomResult(v, e, method, warnings)
+    if b != math.floor(b):
+        value, err, big, _, _ = _u_combination(a, b, z)
+        if not _cancels(value, err, big):
+            return HypergeomResult(value, err, "DirectSeries")
+    v, e, method = _u_integral(a, b, z)
+    return HypergeomResult(v, e, method)
 
 
 def tricomi_u_da(a: float, b: float, z: float) -> HypergeomResult:
     """dU/da at (a, b, z) > 0.
 
-    Integer b takes the integral route (the b +/- eps extrapolation loses
-    too much accuracy on the derivative, and the integral has no b
-    restriction); its one pass weights U's integrand by ln(t/(1+t)) at
-    the same nodes.  Non-integer b forms the two-Kummer value combination
-    and applies the cancellation test `tricomi_u` applies to it: if the
-    value cancels (a != 0) the derivative is integrated too, otherwise
-    the combination is differentiated in a, with the integral as fallback
-    when the derivative terms cancel where the value terms did not.
+    Integer b takes the integral route, as in `tricomi_u`; its one pass
+    weights U's integrand by ln(t/(1+t)) at the same nodes.  Non-integer
+    b forms the two-Kummer value combination and applies the cancellation
+    test `tricomi_u` applies to it: if the value cancels (a != 0) the
+    derivative is integrated too, otherwise the combination is
+    differentiated in a, with the integral as fallback when the
+    derivative terms cancel where the value terms did not.
     """
     if z <= 0.0:
         raise ValueError("tricomi_u_da requires z > 0")

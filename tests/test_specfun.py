@@ -35,7 +35,7 @@ EULER_GAMMA = 0.5772156649015328606
 SQRT_PI = 1.7724538509055160273
 
 METHOD_TAGS = {"DirectSeries", "FixedPoint", "IntegralRep",
-               "RecurrenceShift", "Extrapolated", "AsymptoticZ"}
+               "RecurrenceShift", "AsymptoticZ"}
 
 # mpmath spot references (40 digits), 17 significant digits.  The pairs
 # at z = 1.445, 0.08, 2, 4.5 and U at z = 18 are the Kummer and Tricomi
@@ -106,6 +106,9 @@ TRICOMI_REFERENCE = {
     (0.4, -0.5, 1.0): 0.69011494257715994,
     (6.0, 4.5, 25.0): 2.4540373144387557e-09,
     (-1.15, 0.5, 18.0): 26.614359636660007,
+    # integer b with a and z both near 0
+    (-4.2156512561545806e-05, 2.0, 0.0018184282015016565):
+        0.97655161518084264,
 }
 # D_nu(z) at (nu, z), mpmath
 PARABOLIC_REFERENCE = {
@@ -238,7 +241,7 @@ def test_method_tag_tracks_routing():
     assert kummer_m(-3.5, 1.5, 2.0).method == "DirectSeries"
     assert kummer_m(0.25, 1.5, 300.0).method == "AsymptoticZ"
     assert kummer_m_da(0.25, 1.5, 300.0).method == "DirectSeries"
-    assert tricomi_u(1.3, 2.0, 1.0).method == "Extrapolated"
+    assert tricomi_u(1.3, 2.0, 1.0).method == "IntegralRep"
     assert tricomi_u(-0.25, 0.5, 30.0).method == "RecurrenceShift"
     assert tricomi_u(-0.25, 0.5, 50.0).method == "AsymptoticZ"
 
@@ -417,7 +420,8 @@ def test_tricomi_u_integer_b_matches_logarithmic_series_oracle():
     live = log_series_tricomi_b2(1.3, 1.0)
     assert live == pytest.approx(TRICOMI_LOG_SERIES_AT_13_2_1, rel=1e-10)
     r = tricomi_u(1.3, 2.0, 1.0)
-    assert r.value == pytest.approx(TRICOMI_LOG_SERIES_AT_13_2_1, rel=1e-6)
+    assert r.value == pytest.approx(TRICOMI_LOG_SERIES_AT_13_2_1, rel=1e-14,
+                                    abs=0.0)
 
 
 def test_tricomi_u_reference_values():
@@ -494,6 +498,17 @@ def test_shifted_tricomi_u_da_makes_one_laplace_pass(monkeypatch):
     assert calls == [(0.5, 1.0, 3.0, True)]
 
 
+def test_integer_b_tricomi_u_and_da_make_one_laplace_pass(monkeypatch):
+    # integer b, value or derivative: one pass at a + 3, no Kummer M
+    passes = _counting(monkeypatch, "_u_laplace")
+    kummer = _counting(monkeypatch, "kummer_m")
+    for fn, want_da in ((tricomi_u, False), (tricomi_u_da, True)):
+        passes.clear()
+        assert fn(-2.5, 2.0, 3.0).method == "RecurrenceShift"
+        assert passes == [(0.5, 2.0, 3.0, want_da)]
+    assert kummer == []
+
+
 # 40-digit mpmath at small positive a, where the Laplace integrand once
 # overflowed at nodes near t = 0: U by hyperu, dU/da by mpmath.diff
 # (within 4e-22 of a central difference at h = 1e-12)
@@ -512,6 +527,42 @@ def test_tricomi_u_at_small_positive_a_is_within_its_claim(fn, args, ref):
     r = fn(*args)
     # slack for the rounding of the frozen reference
     assert abs(r.value - ref) <= r.abs_err_estimate + 2.3e-16 * abs(ref)
+
+
+# 40-digit mpmath at a = 154, where Gamma(a)'s Lanczos power once
+# overflowed: U by hyperu, dU/da by mpmath.diff (agreeing with a central
+# difference at h = 1e-12 to 20 digits)
+LARGE_A_REFERENCE = [
+    (tricomi_u, (154.0, 2.0, 0.53), 1.0003690802995819637e-276),
+    (tricomi_u_da, (154.0, 2.0, 0.53), -5.092858114558077025e-276),
+]
+
+
+@pytest.mark.parametrize("fn,args,ref", LARGE_A_REFERENCE, ids=[
+    fn.__name__ for fn, _, _ in LARGE_A_REFERENCE])
+def test_tricomi_u_at_large_a_is_within_its_claim(fn, args, ref):
+    r = fn(*args)
+    assert abs(r.value - ref) <= r.abs_err_estimate + 2.3e-16 * abs(ref)
+    assert r.value == pytest.approx(ref, rel=1e-13)
+
+
+def test_integer_b_tricomi_u_claims_its_error_on_a_grid():
+    # the Laplace integral at every integer b from -2 to 3, with |a| from
+    # 1e-4 to 50 of either sign and z from 1e-3 to 40
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20141114)
+    with mpmath.workdps(40):
+        for _ in range(40):
+            a = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(
+                -4.0, math.log10(50.0))
+            z = 10.0 ** rng.uniform(-3.0, math.log10(40.0))
+            for b in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
+                want = float(mpmath.hyperu(a, b, z))
+                r = tricomi_u(a, b, z)
+                assert r.method in ("IntegralRep", "RecurrenceShift")
+                error = abs(r.value - want)
+                assert error <= r.abs_err_estimate <= 1e-8 * abs(want), (
+                    a, b, z)
 
 
 def _integral_route_checks(mpmath, a, z):
@@ -788,6 +839,18 @@ def test_digamma_recurrence(x):
 def test_digamma_rejects_poles(x):
     with pytest.raises(ValueError):
         digamma(x)
+
+
+# mpmath (40 digits) where t^(x+1/2) of the Lanczos form alone would
+# overflow; the form is good to about 1e-13, which the rounding of that
+# power reaches near x = 170
+@pytest.mark.parametrize("x,ref", [
+    (143.0, 2.6953641378881627766e+245),
+    (160.0, 2.9467022724950383265e+282),
+    (170.5, 5.5620924145599996107e+305),
+])
+def test_gamma_fn_fits_the_float_range_up_to_171(x, ref):
+    assert gamma_fn(x) == pytest.approx(ref, rel=2e-13)
 
 
 # mpmath (40 digits) at a tiny negative argument, where reducing the
