@@ -29,7 +29,7 @@ from ouexit.specfun import (
     tricomi_u_da,
 )
 from ouexit import specfun
-from ouexit.specfun import _kummer_fixed, inv_gamma_prime
+from ouexit.specfun import _kummer_fixed
 
 EULER_GAMMA = 0.5772156649015328606
 SQRT_PI = 1.7724538509055160273
@@ -109,6 +109,9 @@ TRICOMI_REFERENCE = {
     # integer b with a and z both near 0
     (-4.2156512561545806e-05, 2.0, 0.0018184282015016565):
         0.97655161518084264,
+    # an exterior deep trap's root: the z^-a expansion's terms would rise
+    # before they fall, so the two-Kummer combination serves
+    (-20.93, 0.5, 50.0): 2.332498593717463e+28,
 }
 # D_nu(z) at (nu, z), mpmath
 PARABOLIC_REFERENCE = {
@@ -454,11 +457,11 @@ def test_kummer_tricomi_consistency_within_reported_error():
 
 
 TRICOMI_DA_POINTS = [
-    (1.3, 0.7, 2.0),    # two-series combination
+    (1.3, 0.7, 2.0),    # non-integer b, the pass at a itself
     (3.7, 1.0, 12.0),   # integer b
     (-2.5, 0.5, 3.0),   # shifted a
     (2.0, 2.0, 8.0),    # integer b, positive integer a
-    (-0.5, 0.5, 18.0),  # a value term vanishes, its a-derivative does not
+    (-0.5, 0.5, 18.0),  # 1/Gamma(a-b+1) = 0: U's combination loses a term
 ]
 
 
@@ -491,11 +494,15 @@ def test_tricomi_u_da_decides_its_route_without_evaluating_u(monkeypatch,
 
 def test_shifted_tricomi_u_da_makes_one_laplace_pass(monkeypatch):
     # a = -2.5 is raised to a + 3: one pass there gives U and dU/da at
-    # a + 3 and a + 4
-    calls = _counting(monkeypatch, "_u_laplace")
-    r = tricomi_u_da(-2.5, 1.0, 3.0)
-    assert r.method == "RecurrenceShift"
-    assert calls == [(0.5, 1.0, 3.0, True)]
+    # a + 3 and a + 4, at integer and non-integer b alike, with no Kummer M
+    passes = _counting(monkeypatch, "_u_laplace")
+    kummer = _counting(monkeypatch, "kummer_m")
+    for b in (1.0, 0.5):
+        passes.clear()
+        r = tricomi_u_da(-2.5, b, 3.0)
+        assert r.method == "RecurrenceShift"
+        assert passes == [(0.5, b, 3.0, True)]
+    assert kummer == []
 
 
 def test_integer_b_tricomi_u_and_da_make_one_laplace_pass(monkeypatch):
@@ -546,23 +553,54 @@ def test_tricomi_u_at_large_a_is_within_its_claim(fn, args, ref):
     assert r.value == pytest.approx(ref, rel=1e-13)
 
 
-def test_integer_b_tricomi_u_claims_its_error_on_a_grid():
-    # the Laplace integral at every integer b from -2 to 3, with |a| from
-    # 1e-4 to 50 of either sign and z from 1e-3 to 40
+def test_tricomi_u_and_da_claim_their_error_on_a_grid():
+    # U and dU/da at every integer b from -2 to 3 and at non-integer b of
+    # either sign, with |a| from 1e-4 to 50 of either sign and z from 1e-3
+    # to 40.  dU/da, and U at integer b, take the Laplace integral; U at
+    # non-integer b the two-Kummer combination, whose gamma factors are
+    # 1e-14 to 7e-14 off from a <= -30, or the integral where it cancels.
+    # dU/da is a central difference at h = 1e-12, good to about 1e-20
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(20141114)
+    h = mpmath.mpf(10) ** -12
     with mpmath.workdps(40):
         for _ in range(40):
             a = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(
                 -4.0, math.log10(50.0))
             z = 10.0 ** rng.uniform(-3.0, math.log10(40.0))
-            for b in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
-                want = float(mpmath.hyperu(a, b, z))
-                r = tricomi_u(a, b, z)
-                assert r.method in ("IntegralRep", "RecurrenceShift")
-                error = abs(r.value - want)
-                assert error <= r.abs_err_estimate <= 1e-8 * abs(want), (
-                    a, b, z)
+            for b in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0,
+                      -1.5, -0.5, 0.3, 0.5, 1.5, 1.7, 2.5):
+                u = float(mpmath.hyperu(a, b, z))
+                du = float((mpmath.hyperu(a + h, b, z)
+                            - mpmath.hyperu(a - h, b, z)) / (2 * h))
+                for fn, want in ((tricomi_u, u), (tricomi_u_da, du)):
+                    r = fn(a, b, z)
+                    if fn is tricomi_u_da or b == math.floor(b):
+                        assert r.method in ("IntegralRep", "RecurrenceShift")
+                    error = abs(r.value - want)
+                    assert error <= r.abs_err_estimate <= 1e-8 * abs(want), (
+                        fn.__name__, a, b, z)
+
+
+def test_asymptotic_route_claims_its_error_on_a_grid():
+    # z from 40 to 200 and a of either sign with |a (a-b+1)| <= 0.7 z,
+    # where tricomi_u takes the z^-a expansion if it converges; there
+    # z^-a's rounded exponent a ln z costs up to 30 eps
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20141115)
+    routes = []
+    with mpmath.workdps(40):
+        while len(routes) < 100:
+            z = 10.0 ** rng.uniform(math.log10(40.0), math.log10(200.0))
+            b = rng.choice((-0.5, 0.5, 1.0, 1.5, 2.0, 2.5))
+            a = rng.uniform(-15.0, 15.0)
+            if abs(a * (a - b + 1.0)) > 0.7 * z:
+                continue
+            want = float(mpmath.hyperu(a, b, z))
+            r = tricomi_u(a, b, z)
+            routes.append(r.method)
+            assert abs(r.value - want) <= r.abs_err_estimate, (a, b, z)
+    assert routes.count("AsymptoticZ") >= 80
 
 
 def _integral_route_checks(mpmath, a, z):
@@ -633,6 +671,15 @@ def _parabolic_d(nu, z):
         * kummer_m(0.5 * (1.0 - nu), 1.5, w).value)
 
 
+def _inv_gamma_prime(x):
+    """d/dx [1/Gamma(x)], for the Kummer form's gamma factors; equals
+    (-1)^m m! at x = -m."""
+    if x > 0.5:
+        return -digamma(x) * inv_gamma(x)
+    return gamma_fn(1.0 - x) * (math.cos(math.pi * x) - math.sin(math.pi * x)
+                                * digamma(1.0 - x) / math.pi)
+
+
 def _parabolic_d_dnu(nu, z):
     f = 2.0 ** (0.5 * nu) * math.exp(-0.25 * z * z)
     w = 0.5 * z * z
@@ -644,8 +691,8 @@ def _parabolic_d_dnu(nu, z):
     m2, m2a = kummer_m(a2, 1.5, w).value, kummer_m_da(a2, 1.5, w).value
     s = math.sqrt(2.0) * z
     base = inv_gamma(a2) * m1 - s * inv_gamma(a1) * m2
-    inner = (inv_gamma_prime(a2) * m1 + inv_gamma(a2) * m1a
-             - s * (inv_gamma_prime(a1) * m2 + inv_gamma(a1) * m2a))
+    inner = (_inv_gamma_prime(a2) * m1 + inv_gamma(a2) * m1a
+             - s * (_inv_gamma_prime(a1) * m2 + inv_gamma(a1) * m2a))
     return SQRT_PI * f * (0.5 * math.log(2.0) * base - 0.5 * inner)
 
 

@@ -142,6 +142,33 @@ ORACLE = {
         (3.6129346774354394, 0.0145708198159903, 0.12922175241419379),
         (4.213976332695506, -0.0018655979541143907, 0.02127652625203882),
     ],
+    # deep exterior traps, whose roots reach U(a, d/2, 50) at a near -21;
+    # alpha is polished by Newton steps on hyperu, as U near 1e28 defeats
+    # findroot's absolute tolerance
+    ('radial-exterior', 50.0, 0.0, 1, 6): [
+        (56.193681823154925, 3.758247426189812e-25, 1.1584867434142228e-12),
+        (60.970107279001176, -9.870149721491985e-29, 3.4829179411690424e-16),
+        (64.75629085290635, 6.73795778255026e-32, 2.626242646163917e-19),
+        (68.02101483474362, -7.160319781491217e-35, 3.0261439648677593e-22),
+        (70.94517519407097, 9.869124766818163e-38, 4.469309416137133e-25),
+        (73.6226093615727, -1.6143676444244186e-40, 7.7681041893238515e-28),
+    ],
+    ('radial-exterior', 50.0, 0.0, 2, 6): [
+        (55.74511585660302, 1.0205561696942821e-24, 3.095751276408434e-12),
+        (60.55710636317194, -2.67255289151054e-28, 9.3031480530119e-16),
+        (64.3676973982194, 1.8210711602637174e-31, 7.012859258979381e-19),
+        (67.65125577288538, -1.9325926638779935e-34, 8.0789309055335115e-22),
+        (70.59079557568518, 2.6608681727901383e-37, 1.1929641750908908e-24),
+        (73.28122751417358, -4.348797179546625e-40, 2.0731818285416136e-27),
+    ],
+    ('radial-exterior', 50.0, 0.0, 3, 6): [
+        (55.29674381771473, 2.7443925414587748e-24, 8.191738321835437e-12),
+        (60.14444264944943, -7.172187782097682e-28, 2.4627948945193102e-15),
+        (63.979506133028266, 4.880849887971299e-31, 1.8570339841437473e-18),
+        (67.28193263535474, -5.174956685343519e-34, 2.1398069184002877e-21),
+        (70.23686982858378, 7.119984946232472e-37, 3.1602789953672115e-24),
+        (72.94030853517644, -1.162986481336205e-39, 5.4928791492346065e-27),
+    ],
 }
 
 
