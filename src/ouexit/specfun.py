@@ -805,6 +805,7 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
                 + _EPS * abs((1.0 - b) * math.log(z)))
         err = (abs(c1) * m1.abs_err_estimate + abs(c2) * m2.abs_err_estimate
                + rel1 * abs(t1) + rel2 * abs(t2) + _EPS * 8.0 * big)
+        # a sum that lost 8 digits or more falls back on the integral
         if not (abs(value) < 1e-8 * big or err > 1e-8 * abs(value)):
             return HypergeomResult(value, err, "DirectSeries")
     v, e, method = _u_integral(a, b, z)

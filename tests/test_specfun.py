@@ -585,7 +585,7 @@ def test_tricomi_u_and_da_claim_their_error_on_a_grid():
 def test_asymptotic_route_claims_its_error_on_a_grid():
     # z from 40 to 200 and a of either sign with |a (a-b+1)| <= 0.7 z,
     # where tricomi_u takes the z^-a expansion if it converges; there
-    # z^-a's rounded exponent a ln z costs up to 30 eps
+    # z^-a's rounded exponent a ln z costs up to about 65 eps
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(20141115)
     routes = []
