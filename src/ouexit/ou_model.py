@@ -163,11 +163,6 @@ class OUProblem:
         """Diffusion time L**2/D across the escape region, seconds."""
         return self.L**2 / self.D
 
-    @property
-    def is_brownian(self) -> bool:
-        """True when the trap is too weak to matter numerically."""
-        return self.kappa < BROWNIAN_KAPPA
-
     def canonical_start(self, x0: float) -> float:
         """Start position in the mirrored frame where varphi >= 0."""
         return self.orientation * x0

@@ -12,8 +12,10 @@ exp(-alphas[n]**2 * t).
 The interval eigenfunctions combine the even and odd confluent
 solutions m1(z) = M(-nu, 1/2, kappa z^2) and m2(z) = z M(1/2 - nu,
 3/2, kappa z^2) about the trap centre z = varphi, with nu =
-alpha^2/(4 kappa); the radial problems use the single solution regular
-at the origin (Kummer M) or decaying at infinity (Tricomi U).
+alpha^2/(4 kappa).  A radial problem uses one solution, Kummer M
+(regular at the origin) inside the ball and Tricomi U (decaying at
+infinity) outside it, chosen once in `_radial_solution` for the build,
+the mode factors and `mgf`.
 Eigenvalues are bracketed by an adaptive scan whose step follows the
 local level spacing -- pi/2-scaled where the spectrum is
 diffusion-like, nu-spacing-scaled where the trap dominates -- with a
@@ -173,11 +175,6 @@ class SpectralBasis:
     @property
     def n_modes(self) -> int:
         return len(self.alphas)
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        """Decay rates alphas[n]**2, in units of D/L**2."""
-        return tuple(a * a for a in self.alphas)
 
     @property
     def t_min(self) -> float:
@@ -523,24 +520,27 @@ def _radial_mass(kappa: float, a: float, f: float, f_a: float, f1: float,
     return (g * f) * (g * f1 + a * (g * f1_a)) - a * (g * f_a) * (g * f1)
 
 
-def _radial_interior_mode(kappa: float, b: float, alpha: float):
-    nu = alpha * alpha / (4.0 * kappa)
-    m_a = kummer_m_da(-nu, b, kappa).value
-    w_res = 4.0 * kappa / (alpha * alpha * m_a)
-    mass = _radial_mass(kappa, -nu, kummer_m(-nu, b, kappa).value, m_a,
-                        kummer_m(1.0 - nu, b + 1.0, kappa).value,
-                        kummer_m_da(1.0 - nu, b + 1.0, kappa).value)
-    return (1.0, 0.0), w_res, _unit_norm(mass / (2.0 * b), alpha)
+def _radial_solution(geometry: Geometry):
+    """(F, dF/da) of a radial layout: (M, dM/da) inside, (U, dU/da)
+    outside.  The module's names are read on every call, so a wrapper
+    put on them sees every radial confluent call."""
+    if geometry is Geometry.RADIAL_INTERIOR:
+        return kummer_m, kummer_m_da
+    return tricomi_u, tricomi_u_da
 
 
-def _radial_exterior_mode(kappa: float, b: float, alpha: float):
+def _radial_mode(geometry: Geometry, kappa: float, b: float, alpha: float):
+    """Pair, residue weight and beta for one radial mode, from F and dF/da
+    at (a, b, kappa) and at (a+1, b+1, kappa), four confluent values."""
+    f, f_da = _radial_solution(geometry)
     nu = alpha * alpha / (4.0 * kappa)
-    u_a = tricomi_u_da(-nu, b, kappa).value
-    w_res = 4.0 * kappa / (alpha * alpha * u_a)
-    mass = _radial_mass(kappa, -nu, tricomi_u(-nu, b, kappa).value, u_a,
-                        tricomi_u(1.0 - nu, b + 1.0, kappa).value,
-                        tricomi_u_da(1.0 - nu, b + 1.0, kappa).value)
-    return (1.0, 0.0), w_res, _unit_norm(0.5 * mass, alpha)
+    y_a = f_da(-nu, b, kappa).value
+    w_res = 4.0 * kappa / (alpha * alpha * y_a)
+    mass = _radial_mass(kappa, -nu, f(-nu, b, kappa).value, y_a,
+                        f(1.0 - nu, b + 1.0, kappa).value,
+                        f_da(1.0 - nu, b + 1.0, kappa).value)
+    lagrange = 2.0 * b if geometry is Geometry.RADIAL_INTERIOR else 2.0
+    return (1.0, 0.0), w_res, _unit_norm(mass / lagrange, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -681,7 +681,7 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
                 f"{kappa * varphi!r}")
         return _brownian_basis(geometry, kappa, varphi, d, n_modes)
 
-    smooth_gaps = False
+    smooth_gaps = geometry is Geometry.RADIAL_EXTERIOR
     if geometry is Geometry.INTERVAL:
         if varphi == 0.0:
             families = [
@@ -694,17 +694,12 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
             det = _interval_det(kappa, varphi)
             families = [(lambda al: det(-al * al / (4.0 * kappa)), "", 0.5)]
         brownian_gap = math.pi if varphi == 0.0 else 0.5 * math.pi
-    elif geometry is Geometry.RADIAL_INTERIOR:
-        b = 0.5 * d
-        families = [(lambda al: kummer_m(-al * al / (4.0 * kappa), b,
-                                         kappa).value, "", 1.0)]
-        brownian_gap = math.pi
     else:
+        f, _ = _radial_solution(geometry)
         b = 0.5 * d
-        families = [(lambda al: tricomi_u(-al * al / (4.0 * kappa), b,
-                                          kappa).value, "", 1.0)]
-        brownian_gap = 0.0
-        smooth_gaps = True
+        families = [(lambda al: f(-al * al / (4.0 * kappa), b, kappa).value,
+                     "", 1.0)]
+        brownian_gap = 0.0 if smooth_gaps else math.pi
 
     if geometry is Geometry.RADIAL_EXTERIOR:
         # The exterior bottom level sits at nu0 <~ kappa/2 + 1.5 with
@@ -735,10 +730,8 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     for alpha, tag in tagged:
         if geometry is Geometry.INTERVAL:
             pair, w, beta = _interval_mode(kappa, varphi, alpha, tag)
-        elif geometry is Geometry.RADIAL_INTERIOR:
-            pair, w, beta = _radial_interior_mode(kappa, 0.5 * d, alpha)
         else:
-            pair, w, beta = _radial_exterior_mode(kappa, 0.5 * d, alpha)
+            pair, w, beta = _radial_mode(geometry, kappa, 0.5 * d, alpha)
         pairs.append(pair)
         weights.append(w)
         betas.append(beta)
@@ -754,12 +747,11 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
 # evaluation
 # ----------------------------------------------------------------------
 
-def _check_start(basis: SpectralBasis, z0: float) -> None:
-    g = basis.geometry
-    if g is Geometry.INTERVAL:
+def _check_start(geometry: Geometry, z0: float) -> None:
+    if geometry is Geometry.INTERVAL:
         if not -1.0 <= z0 <= 1.0:
             raise ValueError(f"interval start must lie in [-1, 1], got {z0!r}")
-    elif g is Geometry.RADIAL_INTERIOR:
+    elif geometry is Geometry.RADIAL_INTERIOR:
         if not 0.0 <= z0 <= 1.0:
             raise ValueError(f"interior start must lie in [0, 1], got {z0!r}")
     else:
@@ -786,9 +778,8 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
         c1, c2 = basis.coeff_pairs[n]
         z = z0 - basis.varphi
         return c1 * _m1(a, kappa, z) - c2 * _m2(a, kappa, z)
-    if basis.geometry is Geometry.RADIAL_INTERIOR:
-        return kummer_m(a, 0.5 * basis.d, kappa * z0 * z0).value
-    return tricomi_u(a, 0.5 * basis.d, kappa * z0 * z0).value
+    f, _ = _radial_solution(basis.geometry)
+    return f(a, 0.5 * basis.d, kappa * z0 * z0).value
 
 
 # The mode factors of the latest start: (basis, z0, factors), where
@@ -853,7 +844,7 @@ def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     call at another start or basis replaces them.  z0 must be finite and
     inside the geometry's domain.
     """
-    _check_start(basis, z0)
+    _check_start(basis.geometry, z0)
     if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     raw, _, converged = _spectral_sum(basis, z0, t, rate_weighted=False)
@@ -869,7 +860,7 @@ def fet_density(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     marks raw values below -1% of the term mass and any t below t_min.
     It shares the kept mode factors of the latest start with `survival`.
     """
-    _check_start(basis, z0)
+    _check_start(basis.geometry, z0)
     if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     raw, abs_acc, converged = _spectral_sum(basis, z0, t, rate_weighted=True)
@@ -882,10 +873,14 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
         z0: float = 0.0, s: float = 0.0) -> float:
     """Exit-time moment generating function E[exp(-s tau)], s in D/L**2.
 
-    Evaluated directly from the closed hypergeometric ratio, with no
-    eigen-decomposition; derivatives in s at 0 give the exit-time
-    moments.  Negative s is accepted until the first spectral pole,
-    where the denominator vanishes and a ValueError is raised.
+    Evaluated directly from the closed hypergeometric ratio (m1, m2 on
+    the interval, M or U in the ball), with no eigen-decomposition;
+    derivatives in s at 0 give the exit-time moments.  Negative s holds
+    only above the first pole s = -alphas[0]**2.  A ValueError is raised
+    where the denominator falls below 1e-8 of its term scale; on the
+    interval at varphi = 0 and 1 that scale vanishes with it, so a float
+    pole returns a huge value.  Below the pole the ratio comes back
+    unchecked, often negative.
     """
     geometry = _validate_problem(geometry, kappa, varphi, d, 1)
     if not math.isfinite(s):
@@ -894,12 +889,11 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
         raise ValueError(
             "the closed ratio needs kappa >= BROWNIAN_KAPPA; the "
             "free-diffusion limit has no trapped generating function")
+    _check_start(geometry, z0)
+    if abs(z0) == 1.0:
+        return 1.0
+    a = s / (4.0 * kappa)
     if geometry is Geometry.INTERVAL:
-        if not -1.0 <= z0 <= 1.0:
-            raise ValueError(f"interval start must lie in [-1, 1], got {z0!r}")
-        if abs(z0) == 1.0:
-            return 1.0
-        a = s / (4.0 * kappa)
         zr = 1.0 - varphi
         zl = -1.0 - varphi
         c1 = _m2(a, kappa, zr)
@@ -913,29 +907,13 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
         z = z0 - varphi
         num = ((c1 - q) * _m1(a, kappa, z) + (p - c2) * _m2(a, kappa, z))
         return num / den
-    if geometry is Geometry.RADIAL_INTERIOR:
-        if not 0.0 <= z0 <= 1.0:
-            raise ValueError(f"interior start must lie in [0, 1], got {z0!r}")
-        if z0 == 1.0:
-            return 1.0
-        a = s / (4.0 * kappa)
-        num = kummer_m(a, 0.5 * d, kappa * z0 * z0).value
-        den = kummer_m(a, 0.5 * d, kappa).value
-        if s < 0.0 and abs(den) < _POLE_TOL * max(1.0, abs(num)):
-            raise ValueError(
-                f"s = {s!r} sits on a spectral pole of the interior problem")
-        return num / den
-    if not 1.0 <= z0 < math.inf:
-        raise ValueError(
-            f"exterior start must be finite with z0 >= 1, got {z0!r}")
-    if z0 == 1.0:
-        return 1.0
-    a = s / (4.0 * kappa)
-    num = tricomi_u(a, 0.5 * d, kappa * z0 * z0).value
-    den = tricomi_u(a, 0.5 * d, kappa).value
+    f, _ = _radial_solution(geometry)
+    num = f(a, 0.5 * d, kappa * z0 * z0).value
+    den = f(a, 0.5 * d, kappa).value
     if s < 0.0 and abs(den) < _POLE_TOL * max(1.0, abs(num)):
         raise ValueError(
-            f"s = {s!r} sits on a spectral pole of the exterior problem")
+            f"s = {s!r} sits on a spectral pole of the {geometry.value} "
+            "problem")
     return num / den
 
 
@@ -949,12 +927,9 @@ def _pole_parts(basis: SpectralBasis, n: int):
             return (lambda lam: math.cos(math.sqrt(lam)),
                     1.0 / basis.coeff_pairs[n][0])
         return lambda lam: _free_radial(d, math.sqrt(lam)), 1.0
-    if basis.geometry is Geometry.RADIAL_INTERIOR:
-        return (lambda lam: kummer_m(-lam / (4.0 * kappa), 0.5 * d,
-                                     kappa).value), 1.0
-    if basis.geometry is Geometry.RADIAL_EXTERIOR:
-        return (lambda lam: tricomi_u(-lam / (4.0 * kappa), 0.5 * d,
-                                      kappa).value), 1.0
+    if basis.geometry is not Geometry.INTERVAL:
+        f, _ = _radial_solution(basis.geometry)
+        return lambda lam: f(-lam / (4.0 * kappa), 0.5 * d, kappa).value, 1.0
     det = _interval_det(kappa, basis.varphi)
     a = -basis.alphas[n] ** 2 / (4.0 * kappa)
     zl = -1.0 - basis.varphi

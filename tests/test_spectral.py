@@ -304,6 +304,45 @@ def test_an_interval_mode_takes_eight_confluent_values(monkeypatch):
     assert counts == {"kummer_m": 4, "kummer_m_da": 4}
 
 
+@pytest.mark.parametrize("geometry, kappa, d, z0, names", [
+    ("radial-interior", 2.0, 3, 0.5, ("kummer_m", "kummer_m_da")),
+    ("radial-exterior", 1.0, 3, 1.5, ("tricomi_u", "tricomi_u_da")),
+], ids=["interior", "exterior"])
+def test_a_radial_mode_takes_four_confluent_values_by_module_name(
+        monkeypatch, geometry, kappa, d, z0, names):
+    # the tracer sees a confluent call only through spectral's own names:
+    # a radial mode takes F and dF/da at (a, b, kappa) and at
+    # (a+1, b+1, kappa), and mode_term and mgf reach F the same way
+    calls = []
+    for name in ("kummer_m", "kummer_m_da", "tricomi_u", "tricomi_u_da"):
+        original = getattr(specfun, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            calls.append((_name,) + args)
+            return _original(*args)
+
+        monkeypatch.setattr(spectral, name, wrapper)
+    basis = build_basis(geometry, kappa, 0.0, d, 4)
+    f, f_da = names
+    assert {call[0] for call in calls} == set(names)
+    assert sum(call[0] == f_da for call in calls) == 2 * 4
+    calls.clear()
+    alpha = basis.alphas[0]
+    spectral._radial_mode(basis.geometry, kappa, 0.5 * d, alpha)
+    a = -alpha * alpha / (4.0 * kappa)
+    b = 0.5 * d
+    assert sorted(calls) == sorted([
+        (f, a, b, kappa), (f_da, a, b, kappa),
+        (f, 1.0 + a, b + 1.0, kappa), (f_da, 1.0 + a, b + 1.0, kappa)])
+    calls.clear()
+    spectral.mode_term(basis, 0, z0)
+    assert calls == [(f, a, b, kappa * z0 * z0)]
+    calls.clear()
+    spectral.mgf(geometry, kappa, 0.0, d, z0, 2.0)
+    assert calls == [(f, 2.0 / (4.0 * kappa), b, kappa * z0 * z0),
+                     (f, 2.0 / (4.0 * kappa), b, kappa)]
+
+
 # ---------------------------------------------------------------------------
 # The weights audit
 
@@ -560,3 +599,104 @@ def test_exterior_evaluators_reject_a_nonfinite_start(curve_bases, z0):
             fn(basis, z0, 1.0)
     with pytest.raises(ValueError, match=f"z0.*{z0!r}"):
         spectral.mgf("radial-exterior", 1.0, 0.0, 3, z0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# the closed-form MGF
+# ----------------------------------------------------------------------
+
+# (geometry, kappa, varphi, d, z0, s) -> E[exp(-s tau)] from 50-digit
+# mpmath, frozen to 40: the ratio M(a, d/2, kappa z0^2) / M(a, d/2, kappa)
+# inside the ball and U(...) / U(...) outside it, a = s/(4 kappa); on the
+# interval, A m1(z) + B m2(z) with (A, B) solving y(-1) = y(1) = 1 by
+# `lu_solve`.  The negative s are half the slowest rate of the 4-mode
+# basis at the same parameters, -alphas[0]**2 / 2.
+MGF_ORACLE = [
+    ("interval", 2.0, 0.0, 1, 0.3, 1.5,
+     0.3658758489739150225769907281013197251915),
+    ("interval", 4.0, 0.5, 1, -0.4, 3.0,
+     0.2376590222347108050373383968142514903646),
+    ("interval", 3.0, -0.7, 1, 0.6, 0.8,
+     0.6909284340962343943281120947626201881815),
+    ("interval", 4.0, 0.5, 1, 0.2, -0.9392039178517102,
+     2.14000488404151984511993639831223647855),
+    ("radial-interior", 3.0, 0.0, 1, 0.4, 2.0,
+     0.2158247921030269549286682295165667027325),
+    ("radial-interior", 5.0, 0.0, 2, 0.7, 10.0,
+     0.1199185577306595062465495837803017972437),
+    ("radial-interior", 2.0, 0.0, 3, 0.0, 0.5,
+     0.8777585532721333922237890015379198049687),
+    ("radial-interior", 2.0, 0.0, 3, 0.5, -2.4913081857052912,
+     2.121377576670843167821497246427989544189),
+    ("radial-exterior", 1.0, 0.0, 3, 1.5, 3.0,
+     0.5726893576956183590691155961801543162093),
+    ("radial-exterior", 2.0, 0.0, 2, 1.2, 5.0,
+     0.823802400950739004300667617096385400426),
+    ("radial-exterior", 0.5, 0.0, 1, 2.5, 0.7,
+     0.6386101805835900525487473099007734125111),
+    ("radial-exterior", 1.0, 0.0, 3, 1.3, -1.5371955308039387,
+     1.467808699839411046308858756265948678554),
+]
+
+
+@pytest.mark.parametrize("row", MGF_ORACLE, ids=str)
+def test_mgf_matches_mpmath_oracle(row):
+    *args, want = row
+    s = args[-1]
+    if s < 0.0:
+        alpha0 = build_basis(*args[:4], 4).alphas[0]
+        assert rel(s, -alpha0 ** 2 / 2.0) < 1e-12
+    assert rel(spectral.mgf(*args), want) < 1e-12
+
+
+@pytest.mark.parametrize("geometry, d, z0", [
+    ("interval", 1, -1.0), ("interval", 1, 1.0),
+    ("radial-interior", 3, 1.0), ("radial-exterior", 3, 1.0)])
+def test_mgf_is_one_on_the_boundary(geometry, d, z0):
+    assert spectral.mgf(geometry, 2.0, 0.0, d, z0, 5.0) == 1.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "mgf('interval', 10, 2, 1, 0.5, 1.0) is 4.0e-7 off: the m1/m2 "
+    "numerator cancels with both boundaries far from the trap centre"))
+def test_mgf_interval_kappa_10_varphi_2_matches_mpmath():
+    want = 0.980577900391651031910251704412
+    assert rel(spectral.mgf("interval", 10.0, 2.0, 1, 0.5, 1.0), want) < 1e-12
+
+
+@pytest.mark.parametrize("geometry, kappa, varphi, d, z0", [
+    ("interval", 1.0, 0.3, 1, 0.1), ("interval", 1.0, 0.5, 1, 0.1),
+    ("radial-interior", 2.0, 0.0, 3, 0.4),
+    ("radial-exterior", 1.0, 0.0, 3, 2.0)])
+def test_mgf_raises_on_the_first_pole(geometry, kappa, varphi, d, z0):
+    s = -build_basis(geometry, kappa, varphi, d, 3).alphas[0] ** 2
+    with pytest.raises(ValueError, match="pole"):
+        spectral.mgf(geometry, kappa, varphi, d, z0, s)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the interval pole test's scale |p c1| + |q c2| vanishes with the "
+    "denominator at varphi = 0 and 1: at s = -alpha_0^2, "
+    "mgf('interval', 1, 0, 1, 0.1, s) returns -7.9e15 and the (2, 1) "
+    "basis gives 6.8e15"))
+@pytest.mark.parametrize("kappa, varphi", [(1.0, 0.0), (2.0, 1.0)])
+def test_mgf_raises_on_the_first_interval_pole_at_varphi_0_and_1(
+        kappa, varphi):
+    s = -build_basis("interval", kappa, varphi, 1, 3).alphas[0] ** 2
+    with pytest.raises(ValueError, match="pole"):
+        spectral.mgf("interval", kappa, varphi, 1, 0.1, s)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "beyond the first pole mgf returns a negative number where its "
+    "docstring accepts negative s only until that pole: at "
+    "s = -1.3 alpha_0^2 it gives -4.05 (interval 1, 0, z0 = 0.1), "
+    "-4.43 (interior d = 3, kappa = 2, z0 = 0.4) and -5.02 (exterior "
+    "d = 3, kappa = 1, z0 = 2)"))
+@pytest.mark.parametrize("geometry, kappa, d, z0", [
+    ("interval", 1.0, 1, 0.1), ("radial-interior", 2.0, 3, 0.4),
+    ("radial-exterior", 1.0, 3, 2.0)])
+def test_mgf_refuses_s_beyond_the_first_pole(geometry, kappa, d, z0):
+    s = -1.3 * build_basis(geometry, kappa, 0.0, d, 3).alphas[0] ** 2
+    with pytest.raises(ValueError):
+        spectral.mgf(geometry, kappa, 0.0, d, z0, s)
