@@ -1,9 +1,13 @@
-"""Mean first-exit times for the trapped, pulled particle.
+"""Mean first-exit times and the splitting probability of the trapped,
+pulled particle.
 
-Every operation here returns a dimensionless time in units of L**2/D;
-`mean_exit_time` applies a caller-supplied timescale for physical
-answers.  Every mean is a closed summation; nothing here integrates
-numerically.
+`met_interval`, `met_radial_interior`, `met_radial_exterior` and
+`met_exterior_1d_forced` return the mean exit time of their layout, and
+`met_interval_asymptotic` the interval's deep-trap formulas, each as a
+dimensionless time in units of L**2/D (`OUProblem.timescale` gives that
+unit in seconds).  `splitting_probability` is the chance of leaving the
+interval through +1.  Every mean is a closed summation; nothing here
+integrates numerically.
 
 The interval mean reduces to integrals of exp(z^2) erf(z) or
 exp(z^2) erfc(z), two rewritings of the same expression with opposite
@@ -32,16 +36,13 @@ reported as math.inf, not an exception, so callers can print it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # unused here; perfbench/test_perfbench.py checks that its tracer patches it
 from ._quad import tanh_sinh  # noqa: F401
-from .ou_model import BROWNIAN_KAPPA, Geometry, canonical_orientation
+from .ou_model import BROWNIAN_KAPPA, canonical_orientation
 from .specfun import dawson, erfcx, gamma_fn
 
 __all__ = [
-    "MeanExitRequest",
-    "mean_exit_time",
     "met_interval",
     "met_interval_asymptotic",
     "met_radial_interior",
@@ -174,12 +175,9 @@ def _splitting_pair(kappa: float, varphi: float,
     exponentially small, and the erf-form mean time multiplies it by an
     exponentially large integral, so it needs full relative accuracy.
     All exponents below are <= 0 because |z0 - varphi| and |1 - varphi|
-    are bounded by 1 + varphi.
+    are bounded by 1 + varphi.  Callers return at |z0| = 1 first, so
+    -1 < z0 < 1 here.
     """
-    if z0 >= 1.0:
-        return 1.0, 0.0
-    if z0 <= -1.0:
-        return 0.0, 1.0
     if kappa == 0.0:
         return 0.5 * (1.0 + z0), 0.5 * (1.0 - z0)
     sk = math.sqrt(kappa)
@@ -191,12 +189,6 @@ def _splitting_pair(kappa: float, varphi: float,
     den = e_far * d_minus + d_plus
     return ((e_start * d_start + d_plus) / den,
             (e_far * d_minus - e_start * d_start) / den)
-
-
-def _splitting(kappa: float, varphi: float, z0: float) -> float:
-    """Probability of leaving through +1 rather than -1; assumes the
-    canonical orientation varphi >= 0 and |z0| <= 1."""
-    return _splitting_pair(kappa, varphi, z0)[0]
 
 
 def splitting_probability(kappa: float, varphi: float, z0: float) -> float:
@@ -218,8 +210,8 @@ def splitting_probability(kappa: float, varphi: float, z0: float) -> float:
     if z0 == -1.0:
         return 0.0
     if varphi < 0.0:
-        return 1.0 - _splitting(kappa, -varphi, -z0)
-    return _splitting(kappa, varphi, z0)
+        return 1.0 - _splitting_pair(kappa, -varphi, -z0)[0]
+    return _splitting_pair(kappa, varphi, z0)[0]
 
 
 def _met_brownian(eta: float, z0: float) -> float:
@@ -244,7 +236,7 @@ def _met_interval_erf_form(kappa: float, varphi: float, z0: float) -> float:
 
 
 def _met_interval_erfc_form(kappa: float, varphi: float, z0: float) -> float:
-    h = _splitting(kappa, varphi, z0)
+    h = _splitting_pair(kappa, varphi, z0)[0]
     sk = math.sqrt(kappa)
     top = _ic0(sk * (1.0 + varphi))
     j_full = top - _ic0(sk * (varphi - 1.0))
@@ -431,43 +423,3 @@ def met_exterior_1d_forced(kappa: float, varphi: float, z0: float) -> float:
     return (0.5 * _SQRTPI / kappa
             * (_ic0(sk * (z0 - varphi)) - _ic0(sk * (1.0 - varphi))))
 
-
-@dataclass(frozen=True)
-class MeanExitRequest:
-    """One mean-exit evaluation: layout, trap strength, pull, start.
-
-    ``timescale`` (seconds per L**2/D, default 1) converts the
-    dimensionless answer; pass `OUProblem.timescale` for SI output.
-    """
-
-    geometry: Geometry
-    kappa: float
-    z0: float
-    varphi: float = 0.0
-    d: int = 1
-    timescale: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "geometry", Geometry(self.geometry))
-        if self.timescale <= 0.0 or not math.isfinite(self.timescale):
-            raise ValueError("timescale must be positive and finite")
-        if self.geometry in (Geometry.RADIAL_INTERIOR,
-                             Geometry.RADIAL_EXTERIOR) and self.varphi != 0.0:
-            raise ValueError(
-                "a constant pull breaks radial symmetry; varphi must be 0 "
-                f"for {self.geometry.value}")
-
-
-def mean_exit_time(request: MeanExitRequest) -> float:
-    """Dispatch a `MeanExitRequest`; returns timescale * dimensionless
-    mean (math.inf propagates untouched)."""
-    g = request.geometry
-    if g is Geometry.INTERVAL:
-        t = met_interval(request.kappa, request.varphi, request.z0)
-    elif g is Geometry.RADIAL_INTERIOR:
-        t = met_radial_interior(request.d, request.kappa, request.z0)
-    elif g is Geometry.RADIAL_EXTERIOR:
-        t = met_radial_exterior(request.d, request.kappa, request.z0)
-    else:
-        t = met_exterior_1d_forced(request.kappa, request.varphi, request.z0)
-    return t * request.timescale

@@ -1,4 +1,4 @@
-"""Problem containers, unit handling, and Boltzmann weights.
+"""The problem container and its unit handling.
 
 Everything downstream works in dimensionless variables: positions in units
 of the trap-to-boundary distance L, times in units of L**2/D, and the two
@@ -14,15 +14,11 @@ the physical and dimensionless pictures.  A negative pull is folded into
 a positive `varphi` plus an orientation flag, because every solver in the
 package exploits the mirror symmetry (varphi, z0) -> (-varphi, -z0)
 rather than duplicating branches for both signs.
-
-`load_config` reads a physical or a dimensionless parameter set from a
-JSON file with errors that point at the offending line.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -31,11 +27,7 @@ __all__ = [
     "BROWNIAN_KAPPA",
     "Geometry",
     "OUProblem",
-    "ConfigError",
     "canonical_orientation",
-    "boltzmann_weight",
-    "boltzmann_weight_scaled",
-    "load_config",
 ]
 
 # Exact SI Boltzmann constant, J/K.
@@ -47,27 +39,17 @@ BROWNIAN_KAPPA = 1e-8
 
 
 class Geometry(str, enum.Enum):
-    """Escape-region layouts shared by the solvers.
+    """Escape-region layouts of the eigenbases and generating function
+    in `spectral`.
 
     INTERVAL is the centred segment [-L, L] on the line (the only layout
     that admits a pull); RADIAL_INTERIOR is escape from the ball of
-    radius L; RADIAL_EXTERIOR is capture by that ball from outside; and
-    EXTERIOR_LINE is the half-line x >= L in one dimension with the trap
-    at the origin.
+    radius L; and RADIAL_EXTERIOR is capture by that ball from outside.
     """
 
     INTERVAL = "interval"
     RADIAL_INTERIOR = "radial-interior"
     RADIAL_EXTERIOR = "radial-exterior"
-    EXTERIOR_LINE = "exterior-1d"
-
-
-class ConfigError(ValueError):
-    """A configuration file failed validation.
-
-    The message carries ``path:line`` of the offending entry so the file
-    can be fixed without guessing.
-    """
 
 
 def canonical_orientation(varphi: float, z0: float) -> tuple[float, float]:
@@ -167,81 +149,3 @@ class OUProblem:
         """Start position in the mirrored frame where varphi >= 0."""
         return self.orientation * x0
 
-
-def boltzmann_weight(problem: OUProblem, x: float) -> float:
-    """Stationary weight exp(-k x^2/(2 kB T) + F0 x/(kB T)), unnormalised."""
-    kbt = BOLTZMANN_K * problem.temperature
-    return math.exp((-0.5 * problem.k * x * x + problem.F0 * x) / kbt)
-
-
-def boltzmann_weight_scaled(kappa: float, varphi: float, z: float) -> float:
-    """Dimensionless stationary weight exp(-kappa z^2 + 2 kappa varphi z)."""
-    return math.exp(kappa * z * (2.0 * varphi - z))
-
-
-# --- configuration files ---------------------------------------------------
-
-_PHYSICAL_KEYS = {
-    "k": float, "gamma": float, "temperature": float,
-    "F0": float, "L": float, "d": int,
-}
-_DIMENSIONLESS_KEYS = {"kappa": float, "varphi": float, "d": int}
-_OPTIONAL_KEYS = {"z0": float, "t": float, "s": float, "n_modes": int}
-
-
-def _key_line(text: str, key: str) -> int:
-    """Best-effort line number of a JSON key in the raw file text."""
-    needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return 1
-
-
-def load_config(path: str) -> dict:
-    """Read a JSON parameter file, either physical or dimensionless.
-
-    The file must carry ``"mode": "physical"`` with keys k, gamma,
-    temperature, F0, L, d, or ``"mode": "dimensionless"`` with keys
-    kappa, varphi, d.  The solver keys z0, t, s and n_modes may ride
-    along.  Unknown keys, wrong types, and missing required keys raise
-    `ConfigError` with the file name and line number of the problem.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}:1: top level must be a JSON object")
-
-    mode = raw.get("mode")
-    if mode not in ("physical", "dimensionless"):
-        line = _key_line(text, "mode") if "mode" in raw else 1
-        raise ConfigError(
-            f"{path}:{line}: \"mode\" must be \"physical\" or \"dimensionless\"")
-    required = _PHYSICAL_KEYS if mode == "physical" else _DIMENSIONLESS_KEYS
-    allowed = {"mode"} | set(required) | set(_OPTIONAL_KEYS)
-
-    for key in raw:
-        if key not in allowed:
-            raise ConfigError(f"{path}:{_key_line(text, key)}: unknown key {key!r}")
-
-    out: dict = {"mode": mode}
-    for key, want in {**required, **_OPTIONAL_KEYS}.items():
-        if key not in raw:
-            if key in required and key not in ("F0", "varphi", "d"):
-                raise ConfigError(f"{path}:1: missing required key {key!r}")
-            continue
-        value = raw[key]
-        if want is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not ok:
-            raise ConfigError(
-                f"{path}:{_key_line(text, key)}: key {key!r} must be "
-                f"{'an integer' if want is int else 'a number'}, got {value!r}")
-        out[key] = want(value)
-    return out

@@ -1,9 +1,10 @@
 """Confluent hypergeometric and related special functions.
 
-Self-contained evaluation of the functions the exit-time solvers need:
-Kummer M(a,b,z) and Tricomi U(a,b,z) with their a-derivatives, Dawson's
-integral, the scaled complementary error function, integer-order Bessel
-J, gamma and digamma.
+Self-contained evaluation of the functions the exit-time solvers need,
+on the real arguments they pass: Kummer M(a,b,z) for z >= 0 and Tricomi
+U(a,b,z) for z > 0, each with its a-derivative; Dawson's integral, the
+scaled complementary error function, integer-order Bessel J, gamma,
+1/gamma and digamma.
 
 The pain point is M(a,b,z) with large negative a, where the power
 series' terms alternate and grow far beyond M, so a float sum loses every
@@ -58,17 +59,8 @@ _SERIES_STOP = 1e-15
 
 
 class NonConvergenceError(ArithmeticError):
-    """A series or quadrature failed to reach its stopping criterion.
-
-    Carries the partial value accumulated so far and the number of terms
-    consumed, so callers can decide whether the partial result is usable.
-    """
-
-    def __init__(self, message: str, partial: float = math.nan,
-                 terms: int = 0):
-        super().__init__(message)
-        self.partial = partial
-        self.terms = terms
+    """A Kummer series needs more than its term budget at these
+    arguments."""
 
 
 @dataclass(frozen=True)
@@ -89,9 +81,6 @@ class HypergeomResult:
     value: float
     abs_err_estimate: float
     method: str
-
-    def __float__(self):
-        return self.value
 
 
 # ----------------------------------------------------------------------
@@ -163,34 +152,28 @@ def gamma_fn(x: float) -> float:
     return _SQRT_2PI * p * (p * math.exp(-t)) * _lanczos_sum(x)
 
 
-def lgamma_fn(x: float):
-    """(log|Gamma(x)|, sign) for real non-pole x."""
-    if x == math.floor(x) and x <= 0.0:
-        raise ValueError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        lg, sg = lgamma_fn(1.0 - x)
-        s = _sinpi(x)
-        return math.log(math.pi / abs(s)) - lg, sg * (1.0 if s > 0 else -1.0)
+def _lgamma(x: float) -> float:
+    """ln Gamma(x) for x >= 1/2, where Gamma is positive."""
     y = x - 1.0
     t = y + _LANCZOS_G + 0.5
-    return math.log(_SQRT_2PI) + (y + 0.5) * math.log(t) - t + math.log(_lanczos_sum(y)), 1.0
+    return (math.log(_SQRT_2PI) + (y + 0.5) * math.log(t) - t
+            + math.log(_lanczos_sum(y)))
 
 
 def inv_gamma(x: float) -> float:
     """1/Gamma(x); entire, zero at nonpositive integers."""
     if x > 0.5:
         if x > 171.0:
-            lg, sg = lgamma_fn(x)
-            return sg * math.exp(-lg)
+            return math.exp(-_lgamma(x))
         return 1.0 / gamma_fn(x)
     # reflection: 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi
     s = _sinpi(x)
     if s == 0.0:
         return 0.0
-    lg, sg = lgamma_fn(1.0 - x)
+    lg = _lgamma(1.0 - x)
     if lg > 700.0:
-        return math.copysign(math.inf, s * sg)
-    return s * sg * math.exp(lg) / math.pi
+        return math.copysign(math.inf, s)
+    return s * math.exp(lg) / math.pi
 
 
 def _gamma_rel_err(x: float) -> float:
@@ -199,7 +182,7 @@ def _gamma_rel_err(x: float) -> float:
     Both evaluate the Lanczos form at w = max(x, 1-x) (1-x under
     reflection), whose power t^(w-1/2) e^-t, t = w + 6.5, is rounded in
     its exponent: eps w (ln t + 1) once as a power, up to three times
-    that through lgamma_fn's sum and exp.  Against 40-digit mpmath for x
+    that through _lgamma's sum and exp.  Against 40-digit mpmath for x
     from -170 to 171, inv_gamma's error reaches 1.7 of these units and
     gamma_fn's 0.95, each above 8 eps.
     """
@@ -393,7 +376,7 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
     if not (b + m > 0.0 and (aa + m) * z <= 0.5 * (m + b) * (m + 1)):
         raise NonConvergenceError(
             f"fixed-point Kummer series needs over {m} terms for a={a}, "
-            f"b={b}, z={z}", terms=m)
+            f"b={b}, z={z}")
     an, ad = a.as_integer_ratio()
     bn, bd = b.as_integer_ratio()
     zn, zd = z.as_integer_ratio()
@@ -464,8 +447,7 @@ def _kummer_series(a: float, b: float, z: float, want_da: bool = False):
             hits = 0
     else:
         raise NonConvergenceError(
-            f"Kummer series did not converge for a={a}, b={b}, z={z}",
-            partial=ds if want_da else s, terms=_MAX_TERMS)
+            f"Kummer series did not converge for a={a}, b={b}, z={z}")
     err = _EPS * 8.0 * abs_sum + 4.0 * (abs(dt) if want_da else abs(t))
     return (ds, err) if want_da else (s, err)
 
@@ -517,20 +499,15 @@ def _kummer(a: float, b: float, z: float, want_da: bool) -> HypergeomResult:
 
     Value and derivative take the same route everywhere except on the
     large-z asymptotic branch, which has no a-derivative: dM/da keeps the
-    power series there.  Negative z recurses once through Kummer's
-    transformation M(a,b,z) = e^z M(b-a,b,-z), whose a-derivative flips
-    sign.
+    power series there.  Every solver passes z = kappa z0^2 >= 0, so
+    z < 0 (and NaN) is refused.
     """
     if b <= 0.0 and b == math.floor(b):
         raise ValueError(f"Kummer M pole at b = {b}")
+    if not z >= 0.0:
+        raise ValueError(f"kummer_m requires z >= 0, got {z!r}")
     if z == 0.0:
         return HypergeomResult(0.0 if want_da else 1.0, 0.0, "DirectSeries")
-    if z < 0.0:
-        inner = _kummer(b - a, b, -z, want_da)
-        f = -math.exp(z) if want_da else math.exp(z)
-        return HypergeomResult(f * inner.value,
-                               abs(f) * inner.abs_err_estimate,
-                               inner.method)
     if a < -10.0 or (a <= 0.0 and a == math.floor(a)):
         v, e = _kummer_fixed(a, b, z, want_da)
         return HypergeomResult(v, e, "FixedPoint")
@@ -542,15 +519,16 @@ def _kummer(a: float, b: float, z: float, want_da: bool) -> HypergeomResult:
 
 
 def kummer_m(a: float, b: float, z: float) -> HypergeomResult:
-    """Confluent hypergeometric M(a, b, z) for real arguments.
+    """Confluent hypergeometric M(a, b, z) for real a, real b other than
+    a nonpositive integer, and z >= 0.
 
     Branch selection: a < -10 and every nonpositive integer a go to the
     fixed-point series (`_kummer_fixed`), which sums the alternating terms
     exactly enough that their cancellation costs nothing; otherwise the
     large-z asymptotic expansion serves z > 80 with |a| <= 10, and the
     float power series the rest (cancellation-free once a >= -10, the
-    e^z part of M dominating the alternating prefix).  Negative z is
-    mapped through Kummer's transformation M(a,b,z) = e^z M(b-a,b,-z).
+    e^z part of M dominating the alternating prefix).  z < 0 and NaN
+    raise ValueError.
     """
     return _kummer(a, b, z, False)
 

@@ -95,8 +95,8 @@ _RESIDUAL_TOL = 1e-10
 # _AUDIT_STEP * max(1, |a|) in a = -alpha^2/(4 kappa).
 _AUDIT_STEP = 1e-4
 
-# Version of the `basis_to_json` layout; schema 1 carried a second weight
-# list from a normalization quadrature.
+# Version of the `basis_to_json` layout, the only one `basis_from_json`
+# reads.
 _SCHEMA = 2
 
 # Spectral sums stop once a term drops below this fraction of the
@@ -626,10 +626,6 @@ def _brownian_basis(geometry: Geometry, kappa: float, varphi: float,
 def _validate_problem(geometry, kappa: float, varphi: float, d: int,
                       n_modes: int) -> Geometry:
     geometry = Geometry(geometry)
-    if geometry is Geometry.EXTERIOR_LINE:
-        raise ValueError(
-            "the forced half-line problem has no discrete eigenbasis; "
-            "its mean exit time is mean_exit.met_exterior_1d_forced")
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
     if not (math.isfinite(kappa) and kappa >= 0.0):
@@ -995,14 +991,19 @@ def basis_to_json(basis: SpectralBasis) -> str:
 def basis_from_json(text: str) -> SpectralBasis:
     """Rebuild a basis serialized by `basis_to_json`.
 
-    Schema-1 images (no "schema" key) load too; their second weight
-    list "weights_integral" and its "weight_route" tag are ignored.
+    Raises ValueError for another schema, or when a per-mode list does
+    not hold "n_modes" entries.
     """
     payload = json.loads(text)
-    schema = payload.get("schema", 1)
-    if schema not in (1, _SCHEMA):
+    schema = payload.get("schema")
+    if schema != _SCHEMA:
         raise ValueError(f"unknown basis schema {schema!r}")
-    basis = SpectralBasis(
+    n_modes = int(payload["n_modes"])
+    for key in ("alphas", "coeff_pairs", "weights", "betas"):
+        if len(payload[key]) != n_modes:
+            raise ValueError(f"serialized n_modes is {n_modes}, but {key} "
+                             f"holds {len(payload[key])} entries")
+    return SpectralBasis(
         geometry=Geometry(payload["geometry"]),
         kappa=float(payload["kappa"]),
         varphi=float(payload["varphi"]),
@@ -1014,6 +1015,3 @@ def basis_from_json(text: str) -> SpectralBasis:
         betas=tuple(float(b) for b in payload["betas"]),
         brownian=bool(payload["brownian"]),
     )
-    if basis.n_modes != int(payload["n_modes"]):
-        raise ValueError("serialized n_modes disagrees with alphas length")
-    return basis

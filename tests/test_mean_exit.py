@@ -25,12 +25,10 @@ from ouexit import _quad, mean_exit
 from ouexit._quad import tanh_sinh
 from ouexit.mean_exit import (
     _MARGINAL_CONSTANT,
-    MeanExitRequest,
     _f_exp_erf,
     _int_erfcx0,
     _met_interval_erf_form,
     _met_interval_erfc_form,
-    mean_exit_time,
     met_exterior_1d_forced,
     met_interval,
     met_interval_asymptotic,
@@ -38,7 +36,6 @@ from ouexit.mean_exit import (
     met_radial_interior,
     splitting_probability,
 )
-from ouexit.ou_model import Geometry
 
 # ---------------------------------------------------------------------------
 # Frozen oracle values (dimensionless times, units L**2/D).
@@ -613,39 +610,7 @@ def test_splitting_mirror_for_negative_pull():
 
 
 # ---------------------------------------------------------------------------
-# Request plumbing and validation.
-
-def test_request_dispatch_and_timescale():
-    req = MeanExitRequest(geometry="interval", kappa=1.0, z0=0.0,
-                          timescale=2.0)
-    assert req.geometry is Geometry.INTERVAL
-    want = 2.0 * INTERVAL_ORACLE[(1.0, 0.0, 0.0)]
-    assert rel(mean_exit_time(req), want) < 1e-12
-
-    req = MeanExitRequest(geometry=Geometry.RADIAL_INTERIOR, kappa=2.0,
-                          z0=0.4, d=3)
-    assert rel(mean_exit_time(req), RADIAL_INTERIOR_ORACLE[(3, 2.0, 0.4)]) \
-        < 1e-12
-
-    req = MeanExitRequest(geometry=Geometry.RADIAL_EXTERIOR, kappa=0.0,
-                          z0=2.0, d=3)
-    assert mean_exit_time(req) == math.inf
-
-    req = MeanExitRequest(geometry=Geometry.EXTERIOR_LINE, kappa=2.0,
-                          z0=1.8, varphi=0.5)
-    assert rel(mean_exit_time(req), EXTERIOR_1D_ORACLE[(2.0, 0.5, 1.8)]) \
-        < 1e-12
-
-
-def test_request_rejects_broken_inputs():
-    with pytest.raises(ValueError):
-        MeanExitRequest(geometry="interval", kappa=1.0, z0=0.0, timescale=0.0)
-    with pytest.raises(ValueError):
-        MeanExitRequest(geometry=Geometry.RADIAL_INTERIOR, kappa=1.0,
-                        z0=0.5, varphi=0.3)
-    with pytest.raises(ValueError):
-        MeanExitRequest(geometry="no-such-layout", kappa=1.0, z0=0.0)
-
+# Validation.
 
 def test_operations_reject_out_of_domain_points():
     with pytest.raises(ValueError):
@@ -704,3 +669,21 @@ def test_exterior_solvers_name_a_nonfinite_start(fn, z0):
     for kappa in (1.0, 0.0):
         with pytest.raises(ValueError, match="z0"):
             fn(kappa, z0)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("fn", [
+    lambda kappa: splitting_probability(kappa, 0.3, 0.2),
+    lambda kappa: met_radial_interior(3, kappa, 0.5),
+    lambda kappa: met_radial_exterior(3, kappa, 2.0),
+    lambda kappa: met_exterior_1d_forced(kappa, 0.5, 2.0),
+], ids=["splitting", "radial-interior", "radial-exterior",
+        "exterior-1d-forced"])
+def test_solvers_name_a_nonfinite_or_negative_kappa(fn, kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        fn(kappa)
+
+
+def test_exterior_1d_forced_names_a_nan_pull():
+    with pytest.raises(ValueError, match="varphi"):
+        met_exterior_1d_forced(1.0, math.nan, 2.0)

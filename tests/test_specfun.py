@@ -265,11 +265,39 @@ def test_error_estimates_bound_true_error_on_reference_grid():
         assert abs(r.value - ref) <= r.abs_err_estimate + slack
 
 
-def test_non_convergence_error_carries_partial_state():
-    err = NonConvergenceError("synthetic", partial=1.25, terms=77)
-    assert isinstance(err, ArithmeticError)
-    assert err.partial == 1.25
-    assert err.terms == 77
+@pytest.mark.parametrize("fn, args, error, named", [
+    # the fixed-point series' stop test cannot hold within its term budget
+    pytest.param(kummer_m, (-1e6, 0.5, 1e3), NonConvergenceError,
+                 "fixed-point", id="kummer_m-fixed-point-budget"),
+    # the float series needs more terms than its budget at z = 2e4
+    pytest.param(kummer_m_da, (1.0, 1.5, 2e4), NonConvergenceError,
+                 "converge", id="kummer_m_da-float-series-budget"),
+    pytest.param(kummer_m, (1.0, 1.5, -1.0), ValueError, "z >= 0",
+                 id="kummer_m-z-negative"),
+    pytest.param(kummer_m, (-20.5, 1.5, -1e-300), ValueError, "z >= 0",
+                 id="kummer_m-z-tiny-negative"),
+    pytest.param(kummer_m, (1.0, 1.5, math.nan), ValueError, "z >= 0",
+                 id="kummer_m-z-nan"),
+    pytest.param(kummer_m_da, (1.0, 1.5, -1.0), ValueError, "z >= 0",
+                 id="kummer_m_da-z-negative"),
+    pytest.param(tricomi_u_da, (1.0, 1.5, 0.0), ValueError, "z > 0",
+                 id="tricomi_u_da-z-zero"),
+    pytest.param(tricomi_u_da, (-0.5, 2.0, -1.0), ValueError, "z > 0",
+                 id="tricomi_u_da-z-negative"),
+    pytest.param(gamma_fn, (0.0,), ValueError, "pole", id="gamma_fn-0"),
+    pytest.param(gamma_fn, (-3.0,), ValueError, "pole", id="gamma_fn-minus-3"),
+])
+def test_special_functions_raise_typed_errors(fn, args, error, named):
+    with pytest.raises(error, match=named):
+        fn(*args)
+
+
+# mpmath (40 digits); below x = -62.5 gamma_fn reflects instead of taking
+# more than 64 upward steps
+def test_gamma_fn_reflection_below_minus_62_keeps_its_claim():
+    ref = -3.118029783727029643017991483806049636429e-101
+    x = -70.5
+    assert abs(gamma_fn(x) - ref) <= specfun._gamma_rel_err(x) * abs(ref)
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ on every module that binds the quadrature routines.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -30,7 +31,6 @@ from ouexit import _quad, mean_exit, specfun, spectral
 from ouexit.ou_model import Geometry
 from ouexit.spectral import (
     RootSearchError,
-    SpectralBasis,
     basis_from_json,
     basis_to_json,
     build_basis,
@@ -451,23 +451,6 @@ def test_build_makes_no_quadrature_call_of_its_own(monkeypatch, case):
 # ---------------------------------------------------------------------------
 # Serialization
 
-SCHEMA_1_TEXT = """{
-  "geometry": "interval",
-  "kappa": 4.0,
-  "varphi": 0.5,
-  "d": 1,
-  "n_modes": 2,
-  "alphas": [1.370550194521682, 3.705327732955887],
-  "coeff_pairs": [[0.6725818993393802, 0.6744902695534316],
-                  [0.36251150796379555, -0.811914841786927]],
-  "weights": [1.3788570849422126, 0.41004348214266034],
-  "weights_integral": [1.3788570849422115, 0.4100434821426607],
-  "betas": [1.60813157392118, 2.3789679640568524],
-  "weight_route": "both",
-  "brownian": false
-}"""
-
-
 @pytest.mark.parametrize("case", [("interval", 4.0, 0.5, 1, 3),
                                   ("radial-exterior", 1.0, 0.0, 3, 3),
                                   ("radial-interior", 0.0, 0.0, 4, 3)],
@@ -484,23 +467,22 @@ def test_json_round_trip_is_exact(case):
     assert basis_to_json(again) == text
 
 
-def test_json_loads_schema_1_and_drops_the_second_weight_list():
-    basis = basis_from_json(SCHEMA_1_TEXT)
-    assert basis == SpectralBasis(
-        geometry=Geometry.INTERVAL, kappa=4.0, varphi=0.5, d=1,
-        alphas=(1.370550194521682, 3.705327732955887),
-        coeff_pairs=((0.6725818993393802, 0.6744902695534316),
-                     (0.36251150796379555, -0.811914841786927)),
-        weights=(1.3788570849422126, 0.41004348214266034),
-        betas=(1.60813157392118, 2.3789679640568524))
-    assert json.loads(basis_to_json(basis))["schema"] == 2
-
-
 def test_json_rejects_an_unknown_schema():
     basis = build_basis("interval", 2.0, 0.0, 1, 2)
     payload = json.loads(basis_to_json(basis))
     payload["schema"] = 3
     with pytest.raises(ValueError, match="schema"):
+        basis_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("key", ["weights", "betas", "coeff_pairs"])
+def test_json_refuses_a_mode_list_shorter_than_n_modes(key):
+    # such an image used to load, and survival or mode_term then raised a
+    # bare IndexError at the first missing mode
+    basis = build_basis("interval", 2.0, 0.3, 1, 4)
+    payload = json.loads(basis_to_json(basis))
+    payload[key] = payload[key][:2]
+    with pytest.raises(ValueError, match=key):
         basis_from_json(json.dumps(payload))
 
 
@@ -700,3 +682,97 @@ def test_mgf_refuses_s_beyond_the_first_pole(geometry, kappa, d, z0):
     s = -1.3 * build_basis(geometry, kappa, 0.0, d, 3).alphas[0] ** 2
     with pytest.raises(ValueError):
         spectral.mgf(geometry, kappa, 0.0, d, z0, s)
+
+
+# ----------------------------------------------------------------------
+# the input contract: every refused input raises a ValueError that names
+# what is wrong
+# ----------------------------------------------------------------------
+
+@functools.cache
+def _basis(geometry):
+    """A 3-mode basis at kappa = 2, varphi = 0 (d = 3 in a ball)."""
+    return build_basis(geometry, 2.0, 0.0, 1 if geometry == "interval" else 3,
+                       3)
+
+
+def _image(drop=(), **changes):
+    """JSON image of the interval basis, with keys dropped or set."""
+    payload = json.loads(basis_to_json(_basis("interval")))
+    for key in drop:
+        del payload[key]
+    payload.update(changes)
+    return json.dumps(payload)
+
+
+INPUT_CONTRACT = [
+    pytest.param(lambda: build_basis("interval", 2.0, 0.0, 1, 0),
+                 "n_modes", id="build-n_modes-0"),
+    pytest.param(lambda: build_basis("radial-interior", 2.0, 0.0, 3, 2.0),
+                 "n_modes", id="build-n_modes-float"),
+    pytest.param(lambda: build_basis("interval", math.inf, 0.0, 1, 2),
+                 "kappa", id="build-kappa-inf"),
+    pytest.param(lambda: build_basis("radial-interior", -1.0, 0.0, 3, 2),
+                 "kappa", id="build-kappa-negative"),
+    pytest.param(lambda: build_basis("radial-exterior", math.nan, 0.0, 3, 2),
+                 "kappa", id="build-kappa-nan"),
+    pytest.param(lambda: build_basis("interval", 2.0, math.nan, 1, 2),
+                 "varphi", id="build-varphi-nan"),
+    pytest.param(lambda: build_basis("interval", 2.0, 0.0, 2, 2),
+                 "d must be 1", id="build-interval-d-2"),
+    pytest.param(lambda: build_basis("radial-interior", 2.0, 0.0, 5, 2),
+                 "dimensions", id="build-interior-d-5"),
+    pytest.param(lambda: build_basis("radial-exterior", 2.0, 0.0, 0, 2),
+                 "dimensions", id="build-exterior-d-0"),
+    pytest.param(lambda: build_basis("radial-interior", 2.0, 0.3, 3, 2),
+                 "varphi must be 0", id="build-interior-pull"),
+    pytest.param(lambda: build_basis("radial-exterior", 1e-9, 0.0, 3, 2),
+                 "BROWNIAN_KAPPA", id="build-exterior-free-diffusion"),
+    pytest.param(lambda: build_basis("interval", 1e-9, 100.0, 1, 2),
+                 r"kappa\*varphi", id="build-weak-trap-pull"),
+    pytest.param(lambda: spectral.survival(_basis("interval"), 1.5, 1.0),
+                 "start", id="survival-interval-start"),
+    pytest.param(lambda: spectral.survival(_basis("radial-interior"),
+                                           1.1, 1.0),
+                 "start", id="survival-interior-start"),
+    pytest.param(lambda: spectral.fet_density(_basis("interval"), -1.5, 1.0),
+                 "start", id="density-interval-start"),
+    pytest.param(lambda: spectral.fet_density(_basis("radial-interior"),
+                                              -0.1, 1.0),
+                 "start", id="density-interior-start"),
+    pytest.param(lambda: spectral.survival(_basis("interval"), 0.2, -1.0),
+                 "t must", id="survival-t-negative"),
+    pytest.param(lambda: spectral.survival(_basis("radial-interior"),
+                                           0.2, math.nan),
+                 "t must", id="survival-t-nan"),
+    pytest.param(lambda: spectral.fet_density(_basis("interval"), 0.2, -1.0),
+                 "t must", id="density-t-negative"),
+    pytest.param(lambda: spectral.fet_density(_basis("radial-exterior"),
+                                              1.5, math.nan),
+                 "t must", id="density-t-nan"),
+    pytest.param(lambda: spectral.mgf("interval", 2.0, 0.0, 1, 0.0, math.inf),
+                 "s must", id="mgf-s-inf"),
+    pytest.param(lambda: spectral.mgf("radial-interior", 2.0, 0.0, 3, 0.5,
+                                      -math.inf),
+                 "s must", id="mgf-s-minus-inf"),
+    pytest.param(lambda: spectral.mgf("radial-exterior", 2.0, 0.0, 3, 1.5,
+                                      math.nan),
+                 "s must", id="mgf-s-nan"),
+    pytest.param(lambda: spectral.mgf("radial-interior", 1e-9, 0.0, 3, 0.5,
+                                      1.0),
+                 "BROWNIAN_KAPPA", id="mgf-free-diffusion"),
+    pytest.param(lambda: basis_from_json(_image(n_modes=4)),
+                 "n_modes", id="json-n_modes-mismatch"),
+    pytest.param(lambda: basis_from_json(_image(drop=("schema",))),
+                 "schema", id="json-no-schema"),
+    pytest.param(lambda: build_basis("exterior-1d", 2.0, 0.5, 1, 2),
+                 "exterior-1d", id="build-exterior-1d"),
+    pytest.param(lambda: spectral.mgf("exterior-1d", 2.0, 0.5, 1, 1.5, 1.0),
+                 "exterior-1d", id="mgf-exterior-1d"),
+]
+
+
+@pytest.mark.parametrize("call, named", INPUT_CONTRACT)
+def test_spectral_refuses_inputs_outside_its_contract(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
