@@ -417,29 +417,43 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
 
 
 def _kummer_series(a: float, b: float, z: float, want_da: bool = False):
-    """Power series of M(a,b,z) in floats; propagates the a-derivative
-    alongside."""
-    t = 1.0
-    dt = 0.0
-    s = 1.0
-    ds = 0.0
-    abs_sum = 1.0
+    """Power series of M(a,b,z) in floats (want_da False), or of dM/da
+    differentiated term by term (want_da True); returns (value, claim).
+
+    Term n+1 is t (a+n) (z / ((b+n)(n+1))).  The sum stops after three
+    consecutive terms below 1e-15 of the running sum (near a = 0 the
+    leading terms are tiny while later ones still grow toward n ~ z, so a
+    small term counts only once terms fall), and claims
+    8 eps sum|terms| + 4 |last term|.
+
+    The value and the derivative each have their own loop, and neither
+    calls a builtin per term: `abs` and `max` are written out as
+    conditionals that keep NaN where the builtins do (max(nan, x) is
+    nan).  Both do the floating-point operations of one loop carrying
+    value and derivative together, in its order, and so return its values
+    and claims bit for bit; tests/test_specfun.py keeps that loop as their
+    oracle.
+    """
+    if want_da:
+        return _kummer_series_da(a, b, z)
+    stop = _SERIES_STOP
+    max_terms = float(_MAX_TERMS)
+    t = s = abs_sum = 1.0
     hits = 0
-    n = 0
-    while n < _MAX_TERMS:
-        r = z / ((b + n) * (n + 1.0))
-        dt = dt * (a + n) * r + t * r
-        t = t * (a + n) * r
+    n = 0.0
+    c = a + n
+    q = (b + n) * (n + 1.0)
+    while n < max_terms:
+        t = t * c * (z / q)
         s += t
-        ds += dt
-        abs_sum += abs(dt) if want_da else abs(t)
-        n += 1
-        m = abs(t) if not want_da else max(abs(t), abs(dt))
-        ref = abs(s) if not want_da else max(abs(s), abs(ds))
-        # near a = 0 the leading terms are tiny while later ones still
-        # grow toward n ~ z, so a small term counts only once terms fall
-        if (m < _SERIES_STOP * max(ref, 1e-300)
-                and abs(a + n) * z < (b + n) * (n + 1)):
+        at = t if t >= 0.0 else -t
+        abs_sum += at
+        n += 1.0
+        c = a + n
+        q = (b + n) * (n + 1.0)
+        ref = s if s >= 0.0 else -s
+        if (at < stop * (1e-300 if ref < 1e-300 else ref)
+                and (c if c >= 0.0 else -c) * z < q):
             hits += 1
             if hits >= 3:
                 break
@@ -448,8 +462,48 @@ def _kummer_series(a: float, b: float, z: float, want_da: bool = False):
     else:
         raise NonConvergenceError(
             f"Kummer series did not converge for a={a}, b={b}, z={z}")
-    err = _EPS * 8.0 * abs_sum + 4.0 * (abs(dt) if want_da else abs(t))
-    return (ds, err) if want_da else (s, err)
+    return s, _EPS * 8.0 * abs_sum + 4.0 * abs(t)
+
+
+def _kummer_series_da(a: float, b: float, z: float):
+    """`_kummer_series`'s derivative loop: dM/da and its claim, with the
+    value's terms carried alongside for the stop test."""
+    stop = _SERIES_STOP
+    max_terms = float(_MAX_TERMS)
+    t = s = abs_sum = 1.0
+    dt = ds = 0.0
+    hits = 0
+    n = 0.0
+    c = a + n
+    q = (b + n) * (n + 1.0)
+    while n < max_terms:
+        r = z / q
+        dt = dt * c * r + t * r
+        t = t * c * r
+        s += t
+        ds += dt
+        adt = dt if dt >= 0.0 else -dt
+        abs_sum += adt
+        n += 1.0
+        c = a + n
+        q = (b + n) * (n + 1.0)
+        at = t if t >= 0.0 else -t
+        m = adt if adt > at else at
+        ref = s if s >= 0.0 else -s
+        ads = ds if ds >= 0.0 else -ds
+        if ads > ref:
+            ref = ads
+        if (m < stop * (1e-300 if ref < 1e-300 else ref)
+                and (c if c >= 0.0 else -c) * z < q):
+            hits += 1
+            if hits >= 3:
+                break
+        else:
+            hits = 0
+    else:
+        raise NonConvergenceError(
+            f"Kummer series did not converge for a={a}, b={b}, z={z}")
+    return ds, _EPS * 8.0 * abs_sum + 4.0 * abs(dt)
 
 
 def _kummer_asympt(a: float, b: float, z: float):

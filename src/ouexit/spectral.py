@@ -159,7 +159,9 @@ class SpectralBasis:
     on demand.  `betas` are the eigenfunction normalization constants,
     from the Sturm-Liouville norm identity.  `brownian` marks a
     closed-form free-diffusion basis whose mode functions are
-    trigonometric or Bessel rather than confluent.
+    trigonometric or Bessel rather than confluent.  `coeff_pairs`,
+    `weights` and `betas` hold one entry per alpha, or construction
+    raises ValueError.
     """
 
     geometry: Geometry
@@ -171,6 +173,14 @@ class SpectralBasis:
     weights: tuple[float, ...]
     betas: tuple[float, ...]
     brownian: bool = False
+
+    def __post_init__(self):
+        n = len(self.alphas)
+        for key in ("coeff_pairs", "weights", "betas"):
+            got = len(getattr(self, key))
+            if got != n:
+                raise ValueError(
+                    f"{key} holds {got} entries, but alphas holds {n}")
 
     @property
     def n_modes(self) -> int:
@@ -992,17 +1002,17 @@ def basis_from_json(text: str) -> SpectralBasis:
     """Rebuild a basis serialized by `basis_to_json`.
 
     Raises ValueError for another schema, or when a per-mode list does
-    not hold "n_modes" entries.
+    not hold "n_modes" entries (`SpectralBasis` checks the others against
+    "alphas").
     """
     payload = json.loads(text)
     schema = payload.get("schema")
     if schema != _SCHEMA:
         raise ValueError(f"unknown basis schema {schema!r}")
     n_modes = int(payload["n_modes"])
-    for key in ("alphas", "coeff_pairs", "weights", "betas"):
-        if len(payload[key]) != n_modes:
-            raise ValueError(f"serialized n_modes is {n_modes}, but {key} "
-                             f"holds {len(payload[key])} entries")
+    if len(payload["alphas"]) != n_modes:
+        raise ValueError(f"serialized n_modes is {n_modes}, but alphas "
+                         f"holds {len(payload['alphas'])} entries")
     return SpectralBasis(
         geometry=Geometry(payload["geometry"]),
         kappa=float(payload["kappa"]),

@@ -414,6 +414,83 @@ def test_kummer_m_da_buchholz_route_is_exercised():
     assert r.value == pytest.approx(fd, rel=1e-6)
 
 
+def _one_loop_kummer_series(a, b, z, want_da=False):
+    """The float series as one loop that carries the derivative on both
+    paths and calls `abs` and `max` per term: the operation order that
+    `_kummer_series`'s value and derivative loops must keep."""
+    t = 1.0
+    dt = 0.0
+    s = 1.0
+    ds = 0.0
+    abs_sum = 1.0
+    hits = 0
+    n = 0
+    while n < specfun._MAX_TERMS:
+        r = z / ((b + n) * (n + 1.0))
+        dt = dt * (a + n) * r + t * r
+        t = t * (a + n) * r
+        s += t
+        ds += dt
+        abs_sum += abs(dt) if want_da else abs(t)
+        n += 1
+        m = abs(t) if not want_da else max(abs(t), abs(dt))
+        ref = abs(s) if not want_da else max(abs(s), abs(ds))
+        if (m < specfun._SERIES_STOP * max(ref, 1e-300)
+                and abs(a + n) * z < (b + n) * (n + 1)):
+            hits += 1
+            if hits >= 3:
+                break
+        else:
+            hits = 0
+    else:
+        raise NonConvergenceError("no convergence")
+    err = specfun._EPS * 8.0 * abs_sum + 4.0 * (abs(dt) if want_da else abs(t))
+    return (ds, err) if want_da else (s, err)
+
+
+def _series_outcome(series, a, b, z, want_da):
+    """(value, claim) as exact hex text, NaN equal to NaN, or the type of
+    the error raised."""
+    try:
+        value, claim = series(a, b, z, want_da)
+    except Exception as exc:
+        return type(exc)
+    return value.hex(), claim.hex()
+
+
+def _series_grid(count=5000):
+    rng = random.Random(20261019)
+    for _ in range(count):
+        a = math.copysign(10.0 ** rng.uniform(-6.0, 1.0), rng.random() - 0.5)
+        b = rng.choice([0.5, 1.5, 1.0, 2.0, -0.5, -2.5,
+                        rng.uniform(-3.0, 4.0)])
+        z = 10.0 ** rng.uniform(-4.0, math.log10(160.0))
+        yield a, b, z, rng.random() < 0.5
+
+
+# every term overflows (or, at z = inf, is inf or NaN from the first), so
+# each ends in NonConvergenceError
+SERIES_OVERFLOW = [(20.0, 0.5, 750.0), (3.0, -2.5, 1e3), (1.0, 1.5, 712.0),
+                   (5.0, 2.0, 700.0), (1e-6, 0.5, 740.0),
+                   (1.0, 1.5, math.inf), (-1e-6, 0.5, math.inf)]
+
+
+def test_kummer_series_loops_keep_the_one_loop_bits_on_a_grid():
+    for a, b, z, want_da in _series_grid():
+        assert (_series_outcome(specfun._kummer_series, a, b, z, want_da)
+                == _series_outcome(_one_loop_kummer_series, a, b, z,
+                                   want_da)), (a, b, z, want_da)
+
+
+@pytest.mark.parametrize("want_da", [False, True])
+@pytest.mark.parametrize("a,b,z", SERIES_OVERFLOW)
+def test_kummer_series_loops_raise_as_the_one_loop_on_overflow(a, b, z,
+                                                               want_da):
+    got = _series_outcome(specfun._kummer_series, a, b, z, want_da)
+    assert got == _series_outcome(_one_loop_kummer_series, a, b, z, want_da)
+    assert got is NonConvergenceError
+
+
 # ----------------------------------------------------------------------
 # tricomi_u
 # ----------------------------------------------------------------------

@@ -486,6 +486,15 @@ def test_json_refuses_a_mode_list_shorter_than_n_modes(key):
         basis_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("key", ["weights", "betas", "coeff_pairs"])
+def test_basis_refuses_a_mode_list_shorter_than_alphas(key):
+    # such a basis used to build, and survival then raised a bare
+    # IndexError at the first missing mode
+    basis = build_basis("interval", 2.0, 0.3, 1, 4)
+    with pytest.raises(ValueError, match=key):
+        dataclasses.replace(basis, **{key: getattr(basis, key)[:2]})
+
+
 # ----------------------------------------------------------------------
 # evaluation: reuse of a start's mode factors
 # ----------------------------------------------------------------------
