@@ -521,7 +521,8 @@ def _kummer_asympt(a: float, b: float, z: float):
         if min1 < 1e-18 * abs(s1):
             break
     lz = math.log(z)
-    t1 = math.exp(z + (a - b) * lz) * inv_gamma(a) * s1
+    ig1 = inv_gamma(a)
+    t1 = math.exp(z + (a - b) * lz) * ig1 * s1
     # cos(pi a) z^(-a) / Gamma(b-a) branch
     s2 = 1.0
     term = 1.0
@@ -534,14 +535,15 @@ def _kummer_asympt(a: float, b: float, z: float):
         min2 = abs(term)
         if min2 < 1e-18 * abs(s2):
             break
-    t2 = _cospi(a) * z ** (-a) * inv_gamma(b - a) * s2
+    ig2 = inv_gamma(b - a)
+    t2 = _cospi(a) * z ** (-a) * ig2 * s2
     g = gamma_fn(b)
     value = g * (t1 + t2)
     # exp's argument z + (a-b) ln z is rounded, as is ln z: t1 carries a
     # relative error of about eps (z + 2|a-b| ln z), and z^(-a) one of
     # about eps 2|a| ln z
-    err = abs(g) * (min1 * math.exp(z) * z ** (a - b) * abs(inv_gamma(a))
-                    + min2 * z ** (-a) * abs(inv_gamma(b - a))
+    err = abs(g) * (min1 * math.exp(z) * z ** (a - b) * abs(ig1)
+                    + min2 * z ** (-a) * abs(ig2)
                     + _EPS * (z + 2.0 * abs(a - b) * lz) * abs(t1)
                     + _EPS * 2.0 * abs(a) * lz * abs(t2)) \
         + _EPS * 8 * abs(value)
@@ -799,6 +801,23 @@ def _u_asympt(a: float, b: float, z: float):
     return None
 
 
+# Gamma-factor pairs of U's two-Kummer combination, one per (a, b); 128
+# holds every mode of several bases
+_U_FACTOR_CACHE = 128
+
+
+@functools.lru_cache(maxsize=_U_FACTOR_CACHE)
+def _u_gamma_factors(a: float, b: float):
+    """The (a, b)-only part of U's two-Kummer combination:
+    Gamma(1-b)/Gamma(a-b+1), Gamma(b-1)/Gamma(a), the first term's
+    relative rounding and the gamma part of the second's."""
+    g1 = gamma_fn(1.0 - b) * inv_gamma(a - b + 1.0)
+    g2 = gamma_fn(b - 1.0) * inv_gamma(a)
+    rel1 = _gamma_rel_err(1.0 - b) + _gamma_rel_err(a - b + 1.0)
+    rel2 = _gamma_rel_err(b - 1.0) + _gamma_rel_err(a)
+    return g1, g2, rel1, rel2
+
+
 def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
     """Tricomi confluent hypergeometric U(a, b, z), z > 0.
 
@@ -809,10 +828,13 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
         U = Gamma(1-b)/Gamma(a-b+1) M(a, b, z)
             + Gamma(b-1)/Gamma(a) z^(1-b) M(a-b+1, 2-b, z)
     (DirectSeries), whose claim adds the rounding of its gamma factors.
-    Integer b, where that combination is singular, and a combination that
-    loses too many digits take the Laplace integral (IntegralRep for
-    a >= 1/2, RecurrenceShift from a+n below), which has no restriction
-    on b.
+    The gamma factors and their rounding depend on (a, b) alone and are
+    cached per (a, b) (`_u_gamma_factors`), since a basis evaluates each
+    mode's (a, b) at many z; each call still forms z^(1-b) and its
+    rounding.  Integer b, where that combination is singular, and a
+    combination that loses too many digits, overflows or gives NaN take
+    the Laplace integral (IntegralRep for a >= 1/2, RecurrenceShift from
+    a+n below), which has no restriction on b.
     """
     if z <= 0.0:
         raise ValueError("tricomi_u requires z > 0")
@@ -824,22 +846,27 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
         if asympt is not None:
             return HypergeomResult(asympt[0], asympt[1], "AsymptoticZ")
     if b != math.floor(b):
-        m1 = kummer_m(a, b, z)
-        m2 = kummer_m(a - b + 1.0, 2.0 - b, z)
-        c1 = gamma_fn(1.0 - b) * inv_gamma(a - b + 1.0)
-        c2 = gamma_fn(b - 1.0) * inv_gamma(a) * z ** (1.0 - b)
-        t1 = c1 * m1.value
-        t2 = c2 * m2.value
-        value = t1 + t2
-        big = max(abs(t1), abs(t2))
-        rel1 = _gamma_rel_err(1.0 - b) + _gamma_rel_err(a - b + 1.0)
-        rel2 = (_gamma_rel_err(b - 1.0) + _gamma_rel_err(a)
-                + _EPS * abs((1.0 - b) * math.log(z)))
-        err = (abs(c1) * m1.abs_err_estimate + abs(c2) * m2.abs_err_estimate
-               + rel1 * abs(t1) + rel2 * abs(t2) + _EPS * 8.0 * big)
-        # a sum that lost 8 digits or more falls back on the integral
-        if not (abs(value) < 1e-8 * big or err > 1e-8 * abs(value)):
-            return HypergeomResult(value, err, "DirectSeries")
+        try:
+            m1 = kummer_m(a, b, z)
+            m2 = kummer_m(a - b + 1.0, 2.0 - b, z)
+            c1, g2, rel1, rel2 = _u_gamma_factors(a, b)
+            c2 = g2 * z ** (1.0 - b)
+        except OverflowError:
+            # an M or a factor beyond float range, though U may fit one
+            pass
+        else:
+            t1 = c1 * m1.value
+            t2 = c2 * m2.value
+            value = t1 + t2
+            big = max(abs(t1), abs(t2))
+            rel2 += _EPS * abs((1.0 - b) * math.log(z))
+            err = (abs(c1) * m1.abs_err_estimate
+                   + abs(c2) * m2.abs_err_estimate
+                   + rel1 * abs(t1) + rel2 * abs(t2) + _EPS * 8.0 * big)
+            # a sum that lost 8 digits or more, or a NaN value or claim,
+            # falls back on the integral
+            if abs(value) >= 1e-8 * big and err <= 1e-8 * abs(value):
+                return HypergeomResult(value, err, "DirectSeries")
     v, e, method = _u_integral(a, b, z)
     return HypergeomResult(v, e, method)
 

@@ -59,6 +59,7 @@ stay inside float range.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -186,13 +187,15 @@ class SpectralBasis:
     def n_modes(self) -> int:
         return len(self.alphas)
 
-    @property
+    @functools.cached_property
     def t_min(self) -> float:
         """Reliability horizon of the truncated sums.
 
         The time where the last kept contributing mode has decayed to
         1e-8; below it the omitted tail is of the same order as that
-        term and the evaluators flag their output.
+        term and the evaluators flag their output.  Computed once per
+        basis: the instance dict takes it, not a field, so equality,
+        `dataclasses.replace` and JSON do not see it.
         """
         for n in reversed(range(self.n_modes)):
             w = self.weights[n]

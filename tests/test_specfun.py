@@ -448,14 +448,16 @@ def _one_loop_kummer_series(a, b, z, want_da=False):
     return (ds, err) if want_da else (s, err)
 
 
-def _series_outcome(series, a, b, z, want_da):
-    """(value, claim) as exact hex text, NaN equal to NaN, or the type of
-    the error raised."""
+def _outcome(fn, *args):
+    """fn(*args) as exact hex text (a HypergeomResult also by its method),
+    NaN equal to NaN, or the type of the error raised."""
     try:
-        value, claim = series(a, b, z, want_da)
+        got = fn(*args)
     except Exception as exc:
         return type(exc)
-    return value.hex(), claim.hex()
+    if isinstance(got, HypergeomResult):
+        return got.value.hex(), got.abs_err_estimate.hex(), got.method
+    return tuple(x.hex() for x in got)
 
 
 def _series_grid(count=5000):
@@ -477,18 +479,83 @@ SERIES_OVERFLOW = [(20.0, 0.5, 750.0), (3.0, -2.5, 1e3), (1.0, 1.5, 712.0),
 
 def test_kummer_series_loops_keep_the_one_loop_bits_on_a_grid():
     for a, b, z, want_da in _series_grid():
-        assert (_series_outcome(specfun._kummer_series, a, b, z, want_da)
-                == _series_outcome(_one_loop_kummer_series, a, b, z,
-                                   want_da)), (a, b, z, want_da)
+        assert (_outcome(specfun._kummer_series, a, b, z, want_da)
+                == _outcome(_one_loop_kummer_series, a, b, z, want_da)), (
+                    a, b, z, want_da)
 
 
 @pytest.mark.parametrize("want_da", [False, True])
 @pytest.mark.parametrize("a,b,z", SERIES_OVERFLOW)
 def test_kummer_series_loops_raise_as_the_one_loop_on_overflow(a, b, z,
                                                                want_da):
-    got = _series_outcome(specfun._kummer_series, a, b, z, want_da)
-    assert got == _series_outcome(_one_loop_kummer_series, a, b, z, want_da)
+    got = _outcome(specfun._kummer_series, a, b, z, want_da)
+    assert got == _outcome(_one_loop_kummer_series, a, b, z, want_da)
     assert got is NonConvergenceError
+
+
+def _kummer_asympt_before_reuse(a, b, z):
+    """`_kummer_asympt` as it evaluated 1/Gamma(a) and 1/Gamma(b-a) twice,
+    once for the value and once for the claim: the operation order the
+    one-evaluation form must keep."""
+    s1 = 1.0
+    term = 1.0
+    min1 = math.inf
+    for n in range(60):
+        term *= (b - a + n) * (1.0 - a + n) / ((n + 1.0) * z)
+        if abs(term) > min1:
+            break
+        s1 += term
+        min1 = abs(term)
+        if min1 < 1e-18 * abs(s1):
+            break
+    lz = math.log(z)
+    t1 = math.exp(z + (a - b) * lz) * inv_gamma(a) * s1
+    s2 = 1.0
+    term = 1.0
+    min2 = math.inf
+    for n in range(60):
+        term *= -(a + n) * (1.0 + a - b + n) / ((n + 1.0) * z)
+        if abs(term) > min2:
+            break
+        s2 += term
+        min2 = abs(term)
+        if min2 < 1e-18 * abs(s2):
+            break
+    t2 = specfun._cospi(a) * z ** (-a) * inv_gamma(b - a) * s2
+    g = gamma_fn(b)
+    value = g * (t1 + t2)
+    err = abs(g) * (min1 * math.exp(z) * z ** (a - b) * abs(inv_gamma(a))
+                    + min2 * z ** (-a) * abs(inv_gamma(b - a))
+                    + specfun._EPS * (z + 2.0 * abs(a - b) * lz) * abs(t1)
+                    + specfun._EPS * 2.0 * abs(a) * lz * abs(t2)) \
+        + specfun._EPS * 8 * abs(value)
+    return value, abs(err)
+
+
+def _signed_a(rng):
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0,
+                                                         math.log10(50.0))
+
+
+def _noninteger_b(rng):
+    b = rng.choice((-2.5, -1.5, -0.5, 0.5, 1.5, 2.5,
+                    rng.uniform(-4.0, 4.0)))
+    return b + 0.25 if b == math.floor(b) else b
+
+
+def test_kummer_asympt_keeps_its_bits_with_each_gamma_factor_once():
+    # a = ±[1e-4, 50], non-integer b of either sign, z in (80, 200]:
+    # the large-z branch's own domain (|a| <= 10) and beyond it
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        a = _signed_a(rng)
+        b = _noninteger_b(rng)
+        z = 80.0 + 120.0 * (1.0 - rng.random())
+        assert (_outcome(specfun._kummer_asympt, a, b, z)
+                == _outcome(_kummer_asympt_before_reuse, a, b, z)), (a, b, z)
+        if abs(a) <= 10.0:
+            assert (_outcome(kummer_m, a, b, z)[:2]
+                    == _outcome(_kummer_asympt_before_reuse, a, b, z))
 
 
 # ----------------------------------------------------------------------
@@ -559,6 +626,125 @@ def test_kummer_tricomi_consistency_within_reported_error():
         r = tricomi_u(a, b, z)
         assert abs(combination - r.value) <= (
             r.abs_err_estimate + noise + 1e-300), (a, b, z)
+
+
+def _tricomi_u_before_cache(a, b, z):
+    """`tricomi_u` as it formed every gamma factor of the two-Kummer
+    combination on each call, and let a NaN sum through: the values,
+    claims and routes the cached factors must keep."""
+    if z <= 0.0:
+        raise ValueError("tricomi_u requires z > 0")
+    if a == 0.0:
+        return HypergeomResult(1.0, 0.0, "DirectSeries")
+    if z >= 40.0 and abs(a * (a - b + 1.0)) <= 0.7 * z:
+        asympt = specfun._u_asympt(a, b, z)
+        if asympt is not None:
+            return HypergeomResult(asympt[0], asympt[1], "AsymptoticZ")
+    if b != math.floor(b):
+        rel_err = specfun._gamma_rel_err
+        m1 = kummer_m(a, b, z)
+        m2 = kummer_m(a - b + 1.0, 2.0 - b, z)
+        c1 = gamma_fn(1.0 - b) * inv_gamma(a - b + 1.0)
+        c2 = gamma_fn(b - 1.0) * inv_gamma(a) * z ** (1.0 - b)
+        t1 = c1 * m1.value
+        t2 = c2 * m2.value
+        value = t1 + t2
+        big = max(abs(t1), abs(t2))
+        rel1 = rel_err(1.0 - b) + rel_err(a - b + 1.0)
+        rel2 = (rel_err(b - 1.0) + rel_err(a)
+                + specfun._EPS * abs((1.0 - b) * math.log(z)))
+        err = (abs(c1) * m1.abs_err_estimate + abs(c2) * m2.abs_err_estimate
+               + rel1 * abs(t1) + rel2 * abs(t2) + specfun._EPS * 8.0 * big)
+        if not (abs(value) < 1e-8 * big or err > 1e-8 * abs(value)):
+            return HypergeomResult(value, err, "DirectSeries")
+    v, e, method = specfun._u_integral(a, b, z)
+    return HypergeomResult(v, e, method)
+
+
+def _combination_pairs(rng, count):
+    return [(_signed_a(rng), _noninteger_b(rng)) for _ in range(count)]
+
+
+def _assert_u_matches_oracle(a, b, z):
+    got = _outcome(tricomi_u, a, b, z)
+    assert got == _outcome(_tricomi_u_before_cache, a, b, z), (a, b, z)
+    return got
+
+
+def _factor_cache_within_bound():
+    info = specfun._u_gamma_factors.cache_info()
+    return info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_cached_u_factors_keep_the_bits_on_a_cold_and_a_warm_cache():
+    # 60 pairs, fewer than the cache holds, each at four z in [1e-3, 40]:
+    # the first call of a pair on the cold pass misses, and every call of
+    # the warm pass hits
+    rng = random.Random(20261021)
+    pairs = _combination_pairs(rng, 60)
+    zs = [[10.0 ** rng.uniform(-3.0, math.log10(40.0)) for _ in range(4)]
+          for _ in pairs]
+    specfun._u_gamma_factors.cache_clear()
+    cold = [[_assert_u_matches_oracle(a, b, z) for z in row]
+            for (a, b), row in zip(pairs, zs)]
+    misses = specfun._u_gamma_factors.cache_info().misses
+    assert 0 < misses <= len(pairs)
+    warm = [[_assert_u_matches_oracle(a, b, z) for z in row]
+            for (a, b), row in zip(pairs, zs)]
+    assert warm == cold
+    assert specfun._u_gamma_factors.cache_info().misses == misses
+    assert _factor_cache_within_bound()
+
+
+def test_cached_u_factors_keep_the_bits_while_the_cache_evicts():
+    # 3x as many pairs as the cache holds, the walk over them interleaved
+    # with a second walk at half speed: the early revisits hit, and the
+    # later ones find their entry evicted
+    rng = random.Random(20261022)
+    maxsize = specfun._u_gamma_factors.cache_info().maxsize
+    pairs = _combination_pairs(rng, 3 * maxsize)
+    specfun._u_gamma_factors.cache_clear()
+    for i in range(len(pairs)):
+        for a, b in (pairs[i], pairs[i // 2]):
+            z = 10.0 ** rng.uniform(-3.0, math.log10(40.0))
+            _assert_u_matches_oracle(a, b, z)
+        assert _factor_cache_within_bound()
+    info = specfun._u_gamma_factors.cache_info()
+    assert info.hits > 0 and info.misses > maxsize
+    assert info.currsize == maxsize
+
+
+@pytest.mark.parametrize("a,b", [(2, 0.5), (-3, 1.5), (7, -0.5), (1, 2.5)])
+def test_int_and_float_a_share_cached_u_factors_bit_for_bit(a, b):
+    for first, second in ((a, float(a)), (float(a), a)):
+        specfun._u_gamma_factors.cache_clear()
+        for z in (0.01, 1.3, 25.0):
+            got = _assert_u_matches_oracle(first, b, z)
+            assert _assert_u_matches_oracle(second, b, z) == got
+        assert specfun._u_gamma_factors.cache_info().currsize == 1
+
+
+# 40-digit mpmath hyperu where the two-Kummer combination cannot hold U
+# though U fits a float: it returned NaN as DirectSeries at the first
+# point, and let the fixed-point series' OverflowError out at the second
+U_BEYOND_COMBINATION = [
+    ((-61.49, 0.5, 852.4), 1.3783034591278498945e178, float),
+    ((-27.52, 1.5, 850.8), 1.6668721386627917583e80, OverflowError),
+]
+
+
+@pytest.mark.parametrize("args,ref,before", U_BEYOND_COMBINATION,
+                         ids=["nan", "overflow"])
+def test_u_beyond_the_combination_takes_the_laplace_pass(args, ref, before):
+    old = _outcome(_tricomi_u_before_cache, *args)
+    if before is float:
+        assert math.isnan(float.fromhex(old[0])) and old[2] == "DirectSeries"
+    else:
+        assert old is before
+    r = tricomi_u(*args)
+    assert r.method in ("IntegralRep", "RecurrenceShift")
+    assert abs(r.value - ref) <= r.abs_err_estimate + 2.3e-16 * abs(ref)
+    assert r.value == pytest.approx(ref, rel=1e-13)
 
 
 TRICOMI_DA_POINTS = [

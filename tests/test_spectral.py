@@ -495,6 +495,33 @@ def test_basis_refuses_a_mode_list_shorter_than_alphas(key):
         dataclasses.replace(basis, **{key: getattr(basis, key)[:2]})
 
 
+def _t_min_loop(basis):
+    """The reliability horizon from the last mode of nonzero weight."""
+    for n in reversed(range(basis.n_modes)):
+        w = basis.weights[n]
+        if w != 0.0:
+            return max(0.0, math.log(abs(w) / spectral._TMIN_TERM)
+                       / (basis.alphas[n] ** 2))
+    return 0.0
+
+
+def test_t_min_is_computed_once_per_basis_and_follows_replace():
+    basis = build_basis("interval", 2.0, 0.3, 1, 4)
+    text = basis_to_json(basis)
+    first = basis.t_min
+    assert first == _t_min_loop(basis) > 0.0
+    assert vars(basis)["t_min"] is first
+    assert basis.t_min is first
+    # the cached horizon is no field: equality and JSON do not see it
+    assert basis == dataclasses.replace(basis)
+    assert basis_to_json(basis) == text
+    # a replaced basis computes its own, here from its third mode
+    silenced = dataclasses.replace(basis, weights=basis.weights[:3] + (0.0,))
+    assert silenced.t_min == _t_min_loop(silenced) != first
+    quiet = dataclasses.replace(basis, weights=(0.0,) * 4)
+    assert quiet.t_min == _t_min_loop(quiet) == 0.0
+
+
 # ----------------------------------------------------------------------
 # evaluation: reuse of a start's mode factors
 # ----------------------------------------------------------------------
