@@ -68,7 +68,10 @@ class HypergeomResult:
     """Value of a hypergeometric evaluation plus error bookkeeping.
 
     abs_err_estimate is deliberately pessimistic; tests assert it bounds
-    the true error against independent oracles.  method is one of
+    the true error against independent oracles.  On the integral routes
+    (IntegralRep, RecurrenceShift) it rests on an estimate of the Laplace
+    pass's error extrapolated from its last two levels, checked against
+    40-digit grids rather than proven a bound.  method is one of
     DirectSeries, FixedPoint, IntegralRep, RecurrenceShift, AsymptoticZ.
     For M and dM/da, DirectSeries is the float power series, FixedPoint
     the integer-scaled one and AsymptoticZ the large-z expansion.  For U,
@@ -602,8 +605,15 @@ def kummer_m_da(a: float, b: float, z: float) -> HypergeomResult:
 # ----------------------------------------------------------------------
 
 # U's Laplace integral by one exp-sinh pass.  Level 0 steps s by 1/2 and
-# level k > 0 holds only the new midpoints at step 2^-(k+1).
+# level k > 0 holds only the new midpoints at step 2^-(k+1).  Above
+# _ES_MIN_LEVEL a level is accepted by its extrapolated error, within
+# _ES_EST_TOL once every difference fell _ES_FALL-fold, where z c is at
+# least _ES_ONE_PEAK; from _ES_MIN_LEVEL on, once two levels agree to
+# _ES_TOL (see `_u_laplace`).
 _ES_TOL = 1e-13
+_ES_EST_TOL = 1e-11
+_ES_FALL = 100.0
+_ES_ONE_PEAK = 0.2
 _ES_MIN_LEVEL = 2
 _ES_MAX_LEVEL = 7
 # a level-0 node below this share of the running sum ends its side
@@ -641,6 +651,19 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
         dU/da = -psi(a) U + (1/Gamma(a)) int (...) ln x dt.
     Returns (values, errors): U(a), U(a+1) and, with want_da, dU/da at
     a and a+1.
+
+    Each level halves the step, so a level's difference d from the last
+    estimates the last one's error.  A level from 3 on whose every
+    difference fell at least 100-fold from the one before, d_old, is
+    accepted once the extrapolated error d^2/d_old is within 1e-11 of its
+    sum; its errors claim that estimate, which assumes the fall does not
+    slow.  That holds only where the integrand is one peak in ln t: with
+    z c < 0.2 (c the peak) e^(-zt) cuts it off ln(1/(z c)) beyond the
+    peak, and the error of that second feature falls on its own schedule
+    (at a = 0.99, b = 1, z = 0.0079, where z c = 0.085, level 3 is 1.7e-13
+    off where d^2/d_old says 3e-15), so there the rule is not used.  Any
+    level from 2 on is accepted once two levels agree to 1e-13, for sums
+    that stall at rounding level, and then claims d.
     """
     # t = c exp(u), u = pi/2 sinh s, about the peak of the integrand in
     # ln t, the positive root c of z t^2 + (z+1-b) t - a = 0.  Each node
@@ -681,12 +704,22 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
         sums = (n0, n1, k0, k1, km)
         if prev is not None:
             sums = tuple(0.5 * old + new for old, new in zip(prev, sums))
-            diffs = [abs(new - old) for old, new in zip(prev, sums)]
-            if (level >= _ES_MIN_LEVEL
-                    and diffs[0] <= _ES_TOL * sums[0]
-                    and diffs[1] <= _ES_TOL * sums[1]
-                    and max(diffs[2], diffs[3]) <= _ES_TOL * sums[4]):
+            diffs = [abs(new - old) for old, new in zip(prev, sums[:4])]
+            refs = (sums[0], sums[1], sums[4], sums[4])
+            errs = diffs
+            if level > _ES_MIN_LEVEL and zc >= _ES_ONE_PEAK and all(
+                    _ES_FALL * d <= d_old for d, d_old in zip(diffs, last)):
+                # every difference fell _ES_FALL-fold; if the next falls
+                # as fast, this level is off by about d^2/d_old
+                est = [d * d / d_old if d else 0.0
+                       for d, d_old in zip(diffs, last)]
+                if all(x <= _ES_EST_TOL * ref for x, ref in zip(est, refs)):
+                    errs = est
+                    break
+            if level >= _ES_MIN_LEVEL and all(
+                    d <= _ES_TOL * ref for d, ref in zip(diffs, refs)):
                 break
+            last = diffs
         prev = sums
     s0, s1, l0, l1, m = sums
     scale = math.exp(a * ln_c - zc + e * math.log1p(c)) * inv_gamma(a)
@@ -695,13 +728,13 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
            + _gamma_rel_err(a))
     u0 = scale * s0
     u1 = scale * s1 / a
-    eu0 = scale * (diffs[0] + _EPS * 8.0 * s0) + rel * u0
-    eu1 = scale * (diffs[1] + _EPS * 8.0 * s1) / a + rel * u1
+    eu0 = scale * (errs[0] + _EPS * 8.0 * s0) + rel * u0
+    eu1 = scale * (errs[1] + _EPS * 8.0 * s1) / a + rel * u1
     if not want_da:
         return (u0, u1), (eu0, eu1)
     psi = digamma(a)
     psi1 = psi + 1.0 / a
-    ed = scale * (max(diffs[2], diffs[3]) + _EPS * 8.0 * m)
+    ed = scale * (max(errs[2], errs[3]) + _EPS * 8.0 * m)
     return ((u0, u1, -psi * u0 + scale * l0, -psi1 * u1 + scale * l1 / a),
             (eu0, eu1, abs(psi) * eu0 + ed + rel * scale * abs(l0),
              abs(psi1) * eu1 + (ed + rel * scale * abs(l1)) / a))

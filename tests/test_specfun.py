@@ -10,6 +10,7 @@ differences of the value routines themselves.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -894,13 +895,14 @@ def test_asymptotic_route_claims_its_error_on_a_grid():
     assert routes.count("AsymptoticZ") >= 80
 
 
-def _integral_route_checks(mpmath, a, z):
+def _integral_route_checks(mpmath, a, z, bs=(0.5, 1.0, 1.5, 2.0, 2.5)):
     """(error, claim, value) of U and dU/da on the Laplace-integral routes
-    at every b the geometries use, against 40-digit mpmath; dU/da is a
-    central difference at h = 1e-12, good to about 1e-20."""
+    at each b of `bs` (by default every b the geometries use), against
+    40-digit mpmath; dU/da is a central difference at h = 1e-12, good to
+    about 1e-20."""
     h = mpmath.mpf(10) ** -12
     out = []
-    for b in (0.5, 1.0, 1.5, 2.0, 2.5):
+    for b in bs:
         u = float(mpmath.hyperu(a, b, z))
         du = float((mpmath.hyperu(a + h, b, z)
                     - mpmath.hyperu(a - h, b, z)) / (2 * h))
@@ -925,6 +927,99 @@ def test_integral_routes_claim_their_error_on_a_grid():
             for error, claim, want, case in _integral_route_checks(
                     mpmath, a, z):
                 assert error <= claim <= 1e-10 * abs(want), case
+
+
+# Gamma(a) U(a, b, z) <= 1/a + 1/z <= 1001 at a >= 1, b <= 2 and z >= 1e-3,
+# so beyond this log-gamma U is below the normal float range
+_LGAMMA_U_BELOW_FLOATS = math.log(1001.0) - math.log(sys.float_info.min)
+
+
+def test_integral_routes_claim_their_error_over_the_exterior_mgf_range():
+    # mgf outside the ball takes U at a = s/4kappa from 1e-5 to 1e3 and
+    # z = kappa z0^2 from 1e-3 to 1e3, at b = d/2 for d = 1 to 4: two
+    # draws in every cell of two decades of a by two of z.  Below the
+    # normal float range a value is only held within that range of the
+    # truth, since no claim counts the rounding of a subnormal result
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20141116)
+    bs = (0.5, 1.0, 1.5, 2.0)
+    below = 0
+    with mpmath.workdps(40):
+        for lo_a in (-5.0, -3.0, -1.0, 1.0):
+            for lo_z in (-3.0, -1.0, 1.0):
+                for _ in range(2):
+                    a = 10.0 ** rng.uniform(lo_a, lo_a + 2.0)
+                    z = 10.0 ** rng.uniform(lo_z, lo_z + 2.0)
+                    if math.lgamma(a) > _LGAMMA_U_BELOW_FLOATS:
+                        for b in bs:
+                            v, _, _ = specfun._u_integral(a, b, z)
+                            assert 0.0 <= v < sys.float_info.min, (a, b, z)
+                        below += 1
+                        continue
+                    for error, claim, want, case in _integral_route_checks(
+                            mpmath, a, z, bs):
+                        if abs(want) < sys.float_info.min:
+                            assert error < sys.float_info.min, case
+                            continue
+                        assert error <= claim <= 1e-10 * abs(want), case
+    # most draws must check a value in float range
+    assert below < 8
+
+
+# Laplace passes whose level differences mislead an extrapolation.
+MISLEADING_LEVELS = {
+    # the pass for U(0.171, -2, 0.00886) runs at a = 1.171, where its
+    # level differences fall as 2.5e-4, 1.2e-9, 2.2e-12, 1.4e-16: an
+    # estimate that squared the level-2 difference would claim 1.4e-18
+    # for an error of 2.2e-12
+    "not_squaring": (0.17112226283406873, -2.0, 0.008860158379290873),
+    # recorded closed-form inputs with z c < 0.2, where e^(-zt) cuts the
+    # integrand off far beyond its peak: the difference falls 14,000-fold
+    # to level 3 and then 6,000-fold, so d^2/d_old took level 3 with a
+    # claim 2.4 to 19 times below its error
+    "late_cutoff_b1": (0.999161, 1.0, 0.00188298),
+    "late_cutoff_b1_faster": (0.9919826506056413, 1.0, 0.007933328912581245),
+    # the same at d = 1, found on a random grid: 10 times below
+    "late_cutoff_b_half": (0.5668488204237768, 0.5, 0.025960832146949966),
+}
+
+
+@pytest.mark.parametrize("a,b,z", MISLEADING_LEVELS.values(),
+                         ids=MISLEADING_LEVELS.keys())
+def test_laplace_pass_claims_its_error_where_its_levels_mislead(a, b, z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for error, claim, want, case in _integral_route_checks(
+                mpmath, a, z, (b,)):
+            assert error <= claim <= 1e-10 * abs(want), case
+
+
+# recorded closed-form and basis-build inputs of the Laplace pass, where
+# two levels first agreed to 1e-13 at level 4, though level 3 was already
+# within about 1e-15 of it
+LEVEL_THREE_POINTS = [(1.032, 2.0, 3.024), (1.057, 1.0, 22.566),
+                      (1.233, 1.5, 0.996)]
+
+
+@pytest.mark.parametrize("a,b,z", LEVEL_THREE_POINTS)
+def test_laplace_pass_stops_at_level_three_within_its_claim(monkeypatch,
+                                                            a, b, z):
+    # U and dU/da at a and a+1, against 40-digit hyperu and a central
+    # difference of it at h = 1e-12
+    levels = _counting(monkeypatch, "_es_nodes")
+    passes = {want_da: specfun._u_laplace(a, b, z, want_da)
+              for want_da in (False, True)}
+    assert max(level for level, in levels) <= 3
+    mpmath = pytest.importorskip("mpmath")
+    h = mpmath.mpf(10) ** -12
+    with mpmath.workdps(40):
+        want = [float(mpmath.hyperu(a + k, b, z)) for k in (0, 1)]
+        want += [float((mpmath.hyperu(a + k + h, b, z)
+                        - mpmath.hyperu(a + k - h, b, z)) / (2 * h))
+                 for k in (0, 1)]
+    for vals, errs in passes.values():
+        for v, err, w in zip(vals, errs, want):
+            assert abs(v - w) <= err, (a, b, z, w)
 
 
 def test_recurrence_claims_its_error_down_to_a_minus_sixty():
