@@ -86,18 +86,20 @@ def _f_exp_erf(x: float) -> float:
     lo = x - hi
     x2_lo = ((hi * hi - x2) + 2.0 * hi * lo) + lo * lo
     term = x2  # 2^n x^(2n+2) / (2n+1)!!
+    ratio = 2.0 * x2  # term n / term n-1 is ratio / (2n+1)
     pieces = []
+    append = pieces.append
     total = slope = 0.0
-    n = 0
+    m = 1.0  # n + 1, counted in floats
     while True:
-        piece = term / (2 * n + 2)
-        pieces.append(piece)
+        piece = term / (m + m)
+        append(piece)
         total += piece
-        slope += (n + 1) * piece
+        slope += m * piece
         if piece <= 1e-17 * total:
             return 2.0 / _SQRTPI * (math.fsum(pieces) + x2_lo / x2 * slope)
-        n += 1
-        term *= 2.0 * x2 / (2 * n + 1)
+        term *= ratio / (m + m + 1.0)
+        m += 1.0
 
 
 def _int_erfcx0(x: float) -> float:
@@ -319,21 +321,35 @@ def _interior_series(b: float, kappa: float, z0: float) -> float:
     math.inf; that ends the work for large kappa.  Term n+1 is at most
     rho = kappa/(b+n+1) times term n, so once rho < 1 the tail is at most
     term_n rho/(1 - rho), and the sum stops when that is below an ulp.
+
+    expm1(x) is exactly -1.0 for every x below about -37.43, so from
+    n_flat = -40/ln(z0^2) - 1 on (n = 0 at z0 = 0, never at z0 = 1) the
+    term is coef itself and expm1 is not called; the margin of 2.5 covers the rounding
+    of n_flat.  rho < 1 holds exactly where kappa < b+n+1 (a correctly
+    rounded quotient below 1 stays below 1), so rho is formed only there.
+    n counts in floats; every n below 2^53 converts exactly, so each
+    operation is the one the integer count gave.
     """
     log_z2 = 2.0 * math.log(z0) if z0 > 0.0 else -math.inf
+    n_flat = -40.0 / log_z2 - 1.0 if log_z2 < 0.0 else math.inf
     big = math.ldexp(1.0, 900) / max(kappa, 1.0)
     coef = 0.25 / b  # kappa^n / (4 (n+1) (b)_(n+1)), times 2^-scale
     total = 0.0
     scale = 0
-    n = 0
+    n = 0.0
     while True:
-        term = -coef * math.expm1((n + 1) * log_z2)
+        if n >= n_flat:
+            term = coef
+        else:
+            term = -coef * math.expm1((n + 1.0) * log_z2)
         total += term
-        rho = kappa / (b + n + 1)
-        if rho < 1.0 and term * rho <= 5.5e-17 * (1.0 - rho) * total:
-            break
-        coef *= kappa * ((n + 1) / ((n + 2) * (b + n + 1)))
-        n += 1
+        d = b + n + 1.0
+        if kappa < d:
+            rho = kappa / d
+            if term * rho <= 5.5e-17 * (1.0 - rho) * total:
+                break
+        coef *= kappa * ((n + 1.0) / ((n + 2.0) * d))
+        n += 1.0
         if coef > big:
             coef, shift = math.frexp(coef)
             total = math.ldexp(total, -shift)

@@ -52,10 +52,21 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+# the spacing of floats below the smallest normal one, where a rounding's
+# error is absolute
+_TINY = math.ulp(0.0)
+_MIN_NORMAL = 2.2250738585072014e-308
 _LN2 = math.log(2.0)
 _MAX_TERMS = 10000
 # relative term size; three consecutive hits on falling terms stop a series
 _SERIES_STOP = 1e-15
+
+
+def _subnormal(x: float) -> float:
+    """The most a rounding to x is off by in absolute terms beyond its
+    relative error: one subnormal spacing where |x| is below the smallest
+    normal float, else 0."""
+    return _TINY if -_MIN_NORMAL < x < _MIN_NORMAL else 0.0
 
 
 class NonConvergenceError(ArithmeticError):
@@ -104,6 +115,7 @@ _LANCZOS = (
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_PI = math.sqrt(math.pi)
 
 
 def _sinpi(x: float) -> float:
@@ -230,6 +242,8 @@ def digamma(x: float) -> float:
 # ----------------------------------------------------------------------
 
 _RYBICKI_H = 0.2
+# the largest argument of exp whose value is finite
+_EXP_MAX = math.log(1.7976931348623157e308)
 
 
 def dawson(x: float) -> float:
@@ -237,41 +251,52 @@ def dawson(x: float) -> float:
 
     Sampling theorem approximation of Rybicki for |x| <= 10 (absolute
     error ~exp(-(pi/2h)^2), far below 1e-12 at h = 0.2), asymptotic
-    series in 1/x beyond.
+    series in 1/x beyond.  NaN gives NaN.
+
+    The sampling sum runs over the 45 odd n = n0-44, ..., n0+44 nearest
+    |x|/h, skipping any sample with |x - n h| > 9.  n counts in floats,
+    which every n here is exactly, so each sample is the one the integer
+    count gave.
     """
     ax = abs(x)
     if ax == 0.0:
         return 0.0
+    if ax != ax:  # NaN
+        return ax
     if ax > 10.0:
         # F(x) ~ 1/(2x) + 1/(4x^3) + 3/(8x^5) + ...
         inv2 = 1.0 / (2.0 * ax * ax)
         term = 1.0 / (2.0 * ax)
         s = term
-        for k in range(1, 40):
-            term *= (2 * k - 1) * inv2
+        odd = 1.0  # 2k - 1
+        for _ in range(39):
+            term *= odd * inv2
             s += term
             if term < 1e-17 * s:
                 break
+            odd += 2.0
         return math.copysign(s, x)
     h = _RYBICKI_H
-    n0 = int(round(ax / h))
+    exp = math.exp
+    n0 = round(ax / h)
     if n0 % 2 == 0:
         n0 += 1
     s = 0.0
-    for k in range(-44, 45, 2):  # even offsets keep n odd
-        n = n0 + k
+    n = n0 - 46.0
+    for _ in range(45):
+        n += 2.0
         d = ax - n * h
-        if abs(d) > 9.0:
-            continue
-        s += math.exp(-d * d) / n
-    return math.copysign(s / math.sqrt(math.pi), x)
+        if -9.0 <= d <= 9.0:
+            s += exp(-d * d) / n
+    return math.copysign(s / _SQRT_PI, x)
 
 
 def erfcx(x: float) -> float:
-    """exp(x^2) * erfc(x), valid for all real x that do not overflow."""
+    """exp(x^2) * erfc(x) for real x: NaN for NaN, and math.inf from
+    x = -26.64 down, where the value passes float range."""
     if x >= 25.0:
         inv2 = 1.0 / (2.0 * x * x)
-        term = 1.0 / (x * math.sqrt(math.pi))
+        term = 1.0 / (x * _SQRT_PI)
         s = term
         for k in range(1, 40):
             term *= -(2 * k - 1) * inv2
@@ -281,6 +306,10 @@ def erfcx(x: float) -> float:
         return s
     if x >= 0.0:
         return math.exp(x * x) * math.erfc(x)
+    if x != x:  # NaN
+        return x
+    if x * x > _EXP_MAX:
+        return math.inf
     return 2.0 * math.exp(x * x) - erfcx(-x)
 
 
@@ -722,22 +751,37 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
             last = diffs
         prev = sums
     s0, s1, l0, l1, m = sums
-    scale = math.exp(a * ln_c - zc + e * math.log1p(c)) * inv_gamma(a)
+    peak = math.exp(a * ln_c - zc + e * math.log1p(c))
+    inv_g = inv_gamma(a)
+    scale = peak * inv_g
     # rounding of the peak exponent, and of 1/Gamma(a)
     rel = (_EPS * (abs(a * ln_c) + zc + abs(e * math.log1p(c)))
            + _gamma_rel_err(a))
     u0 = scale * s0
-    u1 = scale * s1 / a
-    eu0 = scale * (errs[0] + _EPS * 8.0 * s0) + rel * u0
-    eu1 = scale * (errs[1] + _EPS * 8.0 * s1) / a + rel * u1
+    su1 = scale * s1
+    u1 = su1 / a
+    # where a factor or a product lands below the smallest normal float,
+    # its rounding is absolute and no relative term covers it
+    tiny = (_subnormal(peak) * inv_g + _subnormal(inv_g) * peak
+            + _subnormal(scale))
+    eu0 = (scale * (errs[0] + _EPS * 8.0 * s0) + rel * u0
+           + tiny * s0 + _subnormal(u0))
+    eu1 = (scale * (errs[1] + _EPS * 8.0 * s1) / a + rel * u1
+           + (tiny * s1 + _subnormal(su1)) / a + _subnormal(u1))
     if not want_da:
         return (u0, u1), (eu0, eu1)
     psi = digamma(a)
     psi1 = psi + 1.0 / a
-    ed = scale * (max(errs[2], errs[3]) + _EPS * 8.0 * m)
-    return ((u0, u1, -psi * u0 + scale * l0, -psi1 * u1 + scale * l1 / a),
-            (eu0, eu1, abs(psi) * eu0 + ed + rel * scale * abs(l0),
-             abs(psi1) * eu1 + (ed + rel * scale * abs(l1)) / a))
+    ed = scale * (max(errs[2], errs[3]) + _EPS * 8.0 * m) + tiny * m
+    sl0 = scale * l0
+    sl1 = scale * l1
+    # each derivative's own roundings: 3 and 4, all subnormal where its
+    # terms sum below the smallest normal float
+    ed0 = 3.0 * _subnormal(abs(psi * u0) + abs(sl0))
+    ed1 = 4.0 * _subnormal(abs(psi1 * u1) + abs(sl1))
+    return ((u0, u1, -psi * u0 + sl0, -psi1 * u1 + sl1 / a),
+            (eu0, eu1, abs(psi) * eu0 + ed + rel * scale * abs(l0) + ed0,
+             abs(psi1) * eu1 + (ed + rel * scale * abs(l1)) / a + ed1))
 
 
 def _u_integral(a: float, b: float, z: float, want_da: bool = False):
@@ -783,16 +827,19 @@ def _u_integral(a: float, b: float, z: float, want_da: bool = False):
         u1, u2, d1, d2 = vals
         e1, e2, de1, de2 = errs
         value = dp * u1 + p * d1 + dq * u2 + q * d2
+        terms = abs(dp * u1) + abs(p * d1) + abs(dq * u2) + abs(q * d2)
+        # 7 roundings, all subnormal where the terms sum below the
+        # smallest normal float; above it the relative term covers them
         err = (abs(dp) * e1 + abs(p) * de1 + abs(dq) * e2 + abs(q) * de2
-               + _EPS * 4.0 * (abs(dp * u1) + abs(p * d1)
-                               + abs(dq * u2) + abs(q * d2)))
+               + _EPS * 4.0 * terms + 7.0 * _subnormal(terms))
     else:
         u1, u2 = vals
         e1, e2 = errs
         d1 = d2 = 0.0
         value = p * u1 + q * u2
+        terms = abs(p * u1) + abs(q * u2)
         err = (abs(p) * e1 + abs(q) * e2
-               + _EPS * 2.0 * (abs(p * u1) + abs(q * u2)))
+               + _EPS * 2.0 * terms + 3.0 * _subnormal(terms))
     # U(a) = p_k U(a+k) + q_k U(a+k+1) at every k (and its a-derivative),
     # so step k's rounding reaches the result weighted by U and dU/da at
     # a+k and a+k+1, which the recurrence gives run down from the pass
@@ -804,7 +851,8 @@ def _u_integral(a: float, b: float, z: float, want_da: bool = False):
         else:
             err += ep * abs(u1) + eq * abs(u2)
         u1, u2 = -c * u1 - s * u2, u1
-    return scale * value, scale * err, method
+    value *= scale
+    return value, scale * err + _subnormal(value), method
 
 
 def _u_asympt(a: float, b: float, z: float):

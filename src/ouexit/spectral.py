@@ -346,17 +346,19 @@ def _refine_root(fn: Callable[[float], float], bracket) -> float:
             b, fb = m, fm
     x0, f0 = a, fa
     x1, f1 = b, fb
-    root = 0.5 * (a + b)
+    # every pass sets the root and its condition value, which the
+    # residual test reads
     for _ in range(80):
         if f1 == f0:
             root = 0.5 * (a + b)
+            f_root = fn(root)
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
         if not a < x2 < b:
             x2 = 0.5 * (a + b)
         f2 = fn(x2)
+        root, f_root = x2, f2
         if f2 == 0.0:
-            root = x2
             break
         if (f2 < 0.0) == (fa < 0.0):
             a, fa = x2, f2
@@ -365,13 +367,12 @@ def _refine_root(fn: Callable[[float], float], bracket) -> float:
         moved = abs(x2 - x1)
         x0, f0 = x1, f1
         x1, f1 = x2, f2
-        root = x2
         if moved < tol or (b - a) < tol:
             break
-    if abs(fn(root)) > _RESIDUAL_TOL * scale:
+    if abs(f_root) > _RESIDUAL_TOL * scale:
         raise RootSearchError(
             f"root at alpha = {root!r} kept residual "
-            f"{abs(fn(root)):.3e} against bracket scale {scale:.3e} "
+            f"{abs(f_root):.3e} against bracket scale {scale:.3e} "
             f"(bracket ({bracket[0]!r}, {bracket[1]!r}))")
     return root
 
@@ -720,9 +721,16 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
         cap = 2.0 * max(math.sqrt(4.0 * kappa) * math.sqrt(n_modes + 2.0),
                         brownian_gap * (n_modes + 2.0)) + 1.0
 
+    # The even and odd families alternate, so the lowest n_modes roots hold
+    # at most n_modes // 2 + 1 of either, and each family is asked for that
+    # many.  If a family skips one of its roots among the lowest n_modes
+    # (other than the lowest root of all), the two roots of the other family
+    # around it meet, both still among the lowest n_modes found, and the
+    # alternation check below raises as it would with every root asked for.
+    n_roots = n_modes // 2 + 1 if len(families) == 2 else n_modes
     tagged: list[tuple[float, str]] = []
     for fn, tag, dnu in families:
-        for root in _find_roots(fn, kappa, dnu, brownian_gap, n_modes,
+        for root in _find_roots(fn, kappa, dnu, brownian_gap, n_roots,
                                 cap, smooth_gaps):
             tagged.append((root, tag))
     tagged.sort()

@@ -493,6 +493,110 @@ def test_radial_interior_beyond_float_range_is_inf():
     assert met_radial_interior(1, 1.7976931348623157e308, 0.0) == math.inf
 
 
+# ---------------------------------------------------------------------------
+# the series kernels keep the bits of their one-call-per-term loops
+
+def _interior_series_with_expm1(b, kappa, z0):
+    """The radial interior series calling expm1 and forming rho at every
+    term, counting n in ints: the operations `_interior_series` must
+    keep."""
+    log_z2 = 2.0 * math.log(z0) if z0 > 0.0 else -math.inf
+    big = math.ldexp(1.0, 900) / max(kappa, 1.0)
+    coef = 0.25 / b
+    total = 0.0
+    scale = 0
+    n = 0
+    while True:
+        term = -coef * math.expm1((n + 1) * log_z2)
+        total += term
+        rho = kappa / (b + n + 1)
+        if rho < 1.0 and term * rho <= 5.5e-17 * (1.0 - rho) * total:
+            break
+        coef *= kappa * ((n + 1) / ((n + 2) * (b + n + 1)))
+        n += 1
+        if coef > big:
+            coef, shift = math.frexp(coef)
+            total = math.ldexp(total, -shift)
+            scale += shift
+            if scale + math.frexp(total)[1] > 1024:
+                return math.inf
+    if scale + math.frexp(total)[1] > 1024:
+        return math.inf
+    return math.ldexp(total, scale)
+
+
+def _f_exp_erf_int_count(x):
+    """The erf-form integral with int counters: the operations
+    `_f_exp_erf` must keep."""
+    x2 = x * x
+    if x2 == 0.0:
+        return 0.0
+    split = 134217729.0 * x
+    hi = split - (split - x)
+    lo = x - hi
+    x2_lo = ((hi * hi - x2) + 2.0 * hi * lo) + lo * lo
+    term = x2
+    pieces = []
+    total = slope = 0.0
+    n = 0
+    while True:
+        piece = term / (2 * n + 2)
+        pieces.append(piece)
+        total += piece
+        slope += (n + 1) * piece
+        if piece <= 1e-17 * total:
+            return 2.0 / math.sqrt(math.pi) * (math.fsum(pieces) + x2_lo / x2 * slope)
+        n += 1
+        term *= 2.0 * x2 / (2 * n + 1)
+
+
+def _same_bits(got, want):
+    return got.hex() == want.hex()
+
+
+def test_expm1_is_exactly_minus_one_from_minus_forty_down():
+    # `_interior_series` skips expm1 where its argument is at most -40
+    rng = random.Random(5)
+    grid = [-40.0, -40.5, -41.0, -100.0, -745.0, -1e300, -math.inf]
+    grid += [-40.0 - 1e4 * rng.random() ** 3 for _ in range(2000)]
+    for x in grid:
+        assert math.expm1(x) == -1.0, x
+
+
+def test_interior_series_keeps_the_expm1_loop_bits_at_the_edges():
+    largest = 1.7976931348623157e308
+    for b in (0.5, 1.0, 1.5, 2.0):
+        for kappa in (0.0, 5e-324, 1e-3, 1.0, 37.5, 699.0, 700.0,
+                      1200.0, 1e300, largest):
+            for z0 in (0.0, 5e-324, 1e-160, 0.5, math.exp(-20.0),
+                       0.999, 1.0 - 2.0**-53, 1.0):
+                got = mean_exit._interior_series(b, kappa, z0)
+                want = _interior_series_with_expm1(b, kappa, z0)
+                assert _same_bits(got, want), (b, kappa, z0)
+
+
+def test_interior_series_keeps_the_expm1_loop_bits_on_a_grid():
+    # kappa from 1e-3 to 1300 (past float range of the mean); starts
+    # anywhere, near the centre and near the wall
+    rng = random.Random(24)
+    for _ in range(8000):
+        b = 0.5 * rng.randint(1, 4)
+        kappa = 10.0 ** rng.uniform(-3.0, math.log10(1300.0))
+        z0 = rng.choice((rng.random(), rng.random() ** 8,
+                         1.0 - 10.0 ** rng.uniform(-15.0, -1.0)))
+        got = mean_exit._interior_series(b, kappa, z0)
+        want = _interior_series_with_expm1(b, kappa, z0)
+        assert _same_bits(got, want), (b, kappa, z0)
+
+
+def test_exp_erf_integral_keeps_the_int_count_bits():
+    rng = random.Random(7)
+    xs = [5e-324, 1e-300, 1e-8, 5.0, -5.0, math.nextafter(5.0, 6.0)]
+    xs += [rng.uniform(-5.0, 5.0) for _ in range(2000)]
+    for x in xs:
+        assert _same_bits(_f_exp_erf(x), _f_exp_erf_int_count(x)), x
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the erf form cancels between its start and left-exit terms "

@@ -845,6 +845,37 @@ def test_tricomi_u_at_large_a_is_within_its_claim(fn, args, ref):
     assert r.value == pytest.approx(ref, rel=1e-13)
 
 
+def test_laplace_claims_hold_where_u_is_subnormal():
+    # 1/Gamma(a) leaves the normal floats near a = 171, so the pass's U
+    # and dU/da land among the subnormals, where each rounding is off by
+    # up to a subnormal spacing that no relative claim covers.  dU/da is
+    # a central difference at h = 1e-12, good to about 1e-24 relative
+    mpmath = pytest.importorskip("mpmath")
+    h = mpmath.mpf(10) ** -12
+    tested = 0
+    with mpmath.workdps(40):
+        value, claim, _ = specfun._u_integral(172.0, 2.0, 0.5)
+        exact = mpmath.hyperu(172, 2, 0.5)  # 1.0553565451133054e-316
+        assert claim > 0.0
+        assert abs(mpmath.mpf(value) - exact) <= claim
+        for a in (170.5, 172.0, 174.0):
+            for b in (0.5, 1.0, 2.0):
+                for z in (0.3, 0.5, 1.0):
+                    exact = (mpmath.hyperu(a, b, z),
+                             (mpmath.hyperu(a + h, b, z)
+                              - mpmath.hyperu(a - h, b, z)) / (2 * h))
+                    for want_da in (False, True):
+                        want = exact[want_da]
+                        if abs(want) >= 2.2250738585072014e-308:
+                            continue
+                        value, claim, _ = specfun._u_integral(a, b, z,
+                                                              want_da)
+                        assert abs(mpmath.mpf(value) - want) <= claim, (
+                            a, b, z, want_da)
+                        tested += 1
+    assert tested >= 30
+
+
 def test_tricomi_u_and_da_claim_their_error_on_a_grid():
     # U and dU/da at every integer b from -2 to 3 and at non-integer b of
     # either sign, with |a| from 1e-4 to 50 of either sign and z from 1e-3
@@ -1180,6 +1211,71 @@ def test_dawson_is_odd():
 def test_dawson_reference_values():
     for x, ref in DAWSON_REFERENCE.items():
         assert dawson(x) == pytest.approx(ref, abs=1e-12)
+
+
+def _dawson_int_count(x):
+    """Dawson's integral with int counters and an `abs` test per sample:
+    the operations `dawson` must keep."""
+    ax = abs(x)
+    if ax == 0.0:
+        return 0.0
+    if ax > 10.0:
+        inv2 = 1.0 / (2.0 * ax * ax)
+        term = 1.0 / (2.0 * ax)
+        s = term
+        for k in range(1, 40):
+            term *= (2 * k - 1) * inv2
+            s += term
+            if term < 1e-17 * s:
+                break
+        return math.copysign(s, x)
+    h = 0.2
+    n0 = int(round(ax / h))
+    if n0 % 2 == 0:
+        n0 += 1
+    s = 0.0
+    for k in range(-44, 45, 2):
+        n = n0 + k
+        d = ax - n * h
+        if abs(d) > 9.0:
+            continue
+        s += math.exp(-d * d) / n
+    return math.copysign(s / math.sqrt(math.pi), x)
+
+
+def test_dawson_keeps_the_int_count_bits():
+    rng = random.Random(12)
+    xs = [5e-324, 1e-300, 1e-8, 0.1, 0.3, 9.9, 10.0, 10.1, 1e8, 1e300,
+          math.inf]
+    xs += [math.nextafter(10.0, 0.0), math.nextafter(10.0, 11.0)]
+    xs += [10.0 + rng.uniform(-0.5, 0.5) for _ in range(2000)]
+    xs += [rng.uniform(0.0, 12.0) for _ in range(10000)]
+    xs += [10.0 ** rng.uniform(-12.0, 6.0) for _ in range(2000)]
+    for x in xs:
+        for v in (x, -x):
+            assert dawson(v).hex() == _dawson_int_count(v).hex(), v
+
+
+def test_dawson_and_erfcx_give_nan_for_nan():
+    assert math.isnan(dawson(math.nan))
+    assert math.isnan(dawson(-math.nan))
+    assert math.isnan(erfcx(math.nan))
+
+
+def test_erfcx_beyond_float_range_is_inf():
+    # exp(x^2) passes float range from x = -26.64 on; -26.6 still fits
+    assert erfcx(-26.6) == pytest.approx(3.8943377196055206e307, rel=1e-12)
+    for x in (-26.65, -30.0, -1e3, -1e200, -math.inf):
+        assert erfcx(x) == math.inf, x
+
+
+def test_erfcx_keeps_its_bits_within_float_range():
+    # below zero erfcx is 2 exp(x^2) - erfcx(-x), down to where exp raises
+    rng = random.Random(13)
+    for _ in range(2000):
+        x = rng.uniform(-26.6, 0.0)
+        assert erfcx(x).hex() == (
+            2.0 * math.exp(x * x) - erfcx(-x)).hex(), x
 
 
 def test_erfcx_matches_stdlib_erfc():

@@ -285,6 +285,85 @@ def test_a_slowest_root_under_the_scan_floor_is_refused(case):
         build_basis(*case)
 
 
+@pytest.mark.parametrize("n_modes", [1, 5, 12])
+def test_a_centred_interval_asks_each_family_for_half_the_modes(
+        monkeypatch, n_modes):
+    asked = []
+    original = spectral._find_roots
+
+    def recorded(fn, kappa, dnu, brownian_gap, n_roots, *rest):
+        asked.append(n_roots)
+        return original(fn, kappa, dnu, brownian_gap, n_roots, *rest)
+
+    monkeypatch.setattr(spectral, "_find_roots", recorded)
+    basis = build_basis("interval", 1.0, 0.0, 1, n_modes)
+    assert asked == [n_modes // 2 + 1] * 2
+    assert len(basis.alphas) == n_modes
+    build_basis("interval", 1.0, 0.3, 1, n_modes)
+    assert asked[2:] == [n_modes]
+
+
+def test_root_refinement_evaluates_no_point_twice(monkeypatch):
+    # the residual test reads the last evaluated value of the condition
+    calls = []
+    original = spectral._refine_root
+
+    def recorded(fn, bracket):
+        def counted(x):
+            calls[-1].append(x)
+            return fn(x)
+
+        calls.append([])
+        return original(counted, bracket)
+
+    monkeypatch.setattr(spectral, "_refine_root", recorded)
+    for case in (("interval", 1.0, 0.0, 1, 12), ("interval", 4.0, 0.5, 1, 12),
+                 ("radial-interior", 2.0, 0.0, 3, 12),
+                 ("radial-exterior", 1.0, 0.0, 1, 8)):
+        build_basis(*case)
+    assert len(calls) > 40
+    for xs in calls:
+        assert len(set(xs)) == len(xs)
+
+
+# Each case hides one root of a centred interval family (kappa = 1, 12
+# modes) by flipping the sign of its condition from that root on, so the
+# condition touches zero there without a sign change.  The messages are
+# those of the build that asked each family for all 12 roots.
+HIDDEN_ROOT = [
+    (0.5, 1, "even"),
+    (0.5, 5, "even"),  # the 11th root of all
+    (1.5, 0, "odd"),
+    (1.5, 5, "odd"),  # the 12th root of all
+]
+
+
+@pytest.mark.parametrize("b,index,family", HIDDEN_ROOT)
+def test_a_hidden_family_root_breaks_the_alternation(monkeypatch, b, index,
+                                                     family):
+    basis = build_basis("interval", 1.0, 0.0, 1, 12)
+    even = b == 0.5
+    roots = [al for al, (_, c2) in zip(basis.alphas, basis.coeff_pairs)
+             if (c2 == 0.0) == even]
+    # the family's condition takes a = -alpha^2/4 (+1/2 for odd modes)
+    a_hidden = -roots[index] ** 2 / 4.0 + (0.0 if even else 0.5)
+    original = spectral.kummer_m
+
+    def hidden(a, b_, z):
+        result = original(a, b_, z)
+        if b_ == b and a <= a_hidden:
+            return specfun.HypergeomResult(
+                -result.value, result.abs_err_estimate, result.method)
+        return result
+
+    monkeypatch.setattr(spectral, "kummer_m", hidden)
+    with pytest.raises(RootSearchError) as err:
+        build_basis("interval", 1.0, 0.0, 1, 12)
+    assert str(err.value) == (
+        "even and odd interval families stopped alternating; a root was "
+        f"missed in the {family} family")
+
+
 def test_an_interval_mode_takes_eight_confluent_values(monkeypatch):
     # m1, m2 and their a-derivatives at both boundaries give the pair,
     # the weight and beta; the root search takes no a-derivative
