@@ -40,7 +40,7 @@ import math
 # unused here; perfbench/test_perfbench.py checks that its tracer patches it
 from ._quad import tanh_sinh  # noqa: F401
 from .ou_model import BROWNIAN_KAPPA, canonical_orientation
-from .specfun import dawson, erfcx, gamma_fn
+from .specfun import _EXP_MAX, dawson, erfcx, gamma_fn
 
 __all__ = [
     "met_interval",
@@ -281,7 +281,10 @@ def met_interval_asymptotic(kappa: float, varphi: float,
     varphi picks one of four branches: symmetric (varphi = 0), subcritical
     (0 < varphi < 1, Arrhenius escape over the residual barrier), marginal
     (varphi = 1, logarithmic; needs z0 < 1) and supercritical (varphi > 1,
-    deterministic drift time).
+    deterministic drift time).  The first two grow like
+    e^(kappa (1 - varphi)^2); they return the mean wherever it fits a
+    float, also where that exponential alone does not, and math.inf
+    beyond (at varphi = 0 from kappa about 720).
     """
     kappa, varphi, z0 = float(kappa), float(varphi), float(z0)
     if kappa <= 0.0 or not math.isfinite(kappa):
@@ -291,11 +294,17 @@ def met_interval_asymptotic(kappa: float, varphi: float,
     if not -1.0 <= z0 <= 1.0:
         raise ValueError(f"z0 must lie in [-1, 1], got {z0!r}")
     varphi, z0 = canonical_orientation(varphi, z0)
-    if varphi == 0.0:
-        return 0.25 * _SQRTPI * math.exp(kappa) / kappa**1.5
     if varphi < 1.0:
-        return (0.5 * _SQRTPI * math.exp(kappa * (1.0 - varphi) ** 2)
-                / (kappa**1.5 * (1.0 - varphi)))
+        # c e^x / (kappa^1.5 w): at varphi = 0 both ends are exits
+        w = 1.0 - varphi
+        c = (0.25 if varphi == 0.0 else 0.5) * _SQRTPI
+        x = kappa * w**2
+        try:
+            return c * math.exp(x) / (kappa**1.5 * w)
+        except (OverflowError, ZeroDivisionError):
+            # e^x or kappa^1.5 leaves float range, though the mean may not
+            ln_mean = x + math.log(c / w) - 1.5 * math.log(kappa)
+            return math.exp(ln_mean) if ln_mean < _EXP_MAX else math.inf
     if varphi == 1.0:
         if z0 >= 1.0:
             raise ValueError("the marginal pull varphi = 1 needs z0 < 1")

@@ -10,8 +10,9 @@ The pain point is M(a,b,z) with large negative a, where the power
 series' terms alternate and grow far beyond M, so a float sum loses every
 digit.  a, b and z are binary rationals, so there the series is summed in
 Python integers scaled by 2^P, with P sized to the terms' growth
-(`_kummer_fixed`); the same kernel serves terminating a.  Large-z
-evaluation uses the standard asymptotic series.  U(a,b,z) takes its
+(`_kummer_fixed`); the same kernel serves terminating a.  At large z
+both of M's asymptotic branches and U's expansion are the one series
+2F0 (DLMF 13.7), summed by one loop, `_two_f0`.  U(a,b,z) takes its
 Laplace integral representation at integer b, where the two-Kummer
 combination is singular, and wherever that combination cancels badly.
 The module needs the standard library alone.
@@ -448,9 +449,9 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
     return value, err
 
 
-def _kummer_series(a: float, b: float, z: float, want_da: bool = False):
-    """Power series of M(a,b,z) in floats (want_da False), or of dM/da
-    differentiated term by term (want_da True); returns (value, claim).
+def _kummer_series(a: float, b: float, z: float):
+    """Power series of M(a,b,z) in floats; returns (value, claim).
+    `_kummer_series_da` sums dM/da, differentiated term by term.
 
     Term n+1 is t (a+n) (z / ((b+n)(n+1))).  The sum stops after three
     consecutive terms below 1e-15 of the running sum (near a = 0 the
@@ -466,8 +467,6 @@ def _kummer_series(a: float, b: float, z: float, want_da: bool = False):
     and claims bit for bit; tests/test_specfun.py keeps that loop as their
     oracle.
     """
-    if want_da:
-        return _kummer_series_da(a, b, z)
     stop = _SERIES_STOP
     max_terms = float(_MAX_TERMS)
     t = s = abs_sum = 1.0
@@ -538,35 +537,36 @@ def _kummer_series_da(a: float, b: float, z: float):
     return ds, _EPS * 8.0 * abs_sum + 4.0 * abs(dt)
 
 
+def _two_f0(p: float, q: float, x: float):
+    """The asymptotic series 2F0(p, q; ; 1/x) = sum_n (p)_n (q)_n / (n! x^n)
+    of M and U at large z (DLMF 13.7), with x = z or -z.
+
+    Stops before a term that rises, once a term is below 1e-18 of the
+    sum, or after 60 terms.  Returns the sum and its smallest term.
+    """
+    s = term = 1.0
+    least = math.inf
+    for n in range(60):
+        term *= (p + n) * (q + n) / ((n + 1.0) * x)
+        mag = abs(term)
+        if mag > least:
+            break
+        s += term
+        least = mag
+        if least < 1e-18 * abs(s):
+            break
+    return s, least
+
+
 def _kummer_asympt(a: float, b: float, z: float):
     """Large-z asymptotics of M on the positive real axis."""
     # e^z z^(a-b) / Gamma(a) branch
-    s1 = 1.0
-    term = 1.0
-    min1 = math.inf
-    for n in range(60):
-        term *= (b - a + n) * (1.0 - a + n) / ((n + 1.0) * z)
-        if abs(term) > min1:
-            break
-        s1 += term
-        min1 = abs(term)
-        if min1 < 1e-18 * abs(s1):
-            break
+    s1, min1 = _two_f0(b - a, 1.0 - a, z)
     lz = math.log(z)
     ig1 = inv_gamma(a)
     t1 = math.exp(z + (a - b) * lz) * ig1 * s1
     # cos(pi a) z^(-a) / Gamma(b-a) branch
-    s2 = 1.0
-    term = 1.0
-    min2 = math.inf
-    for n in range(60):
-        term *= -(a + n) * (1.0 + a - b + n) / ((n + 1.0) * z)
-        if abs(term) > min2:
-            break
-        s2 += term
-        min2 = abs(term)
-        if min2 < 1e-18 * abs(s2):
-            break
+    s2, min2 = _two_f0(a, 1.0 + a - b, -z)
     ig2 = inv_gamma(b - a)
     t2 = _cospi(a) * z ** (-a) * ig2 * s2
     g = gamma_fn(b)
@@ -602,7 +602,7 @@ def _kummer(a: float, b: float, z: float, want_da: bool) -> HypergeomResult:
     if not want_da and z > 80.0 and abs(a) <= 10.0:
         v, e = _kummer_asympt(a, b, z)
         return HypergeomResult(v, e, "AsymptoticZ")
-    v, e = _kummer_series(a, b, z, want_da)
+    v, e = (_kummer_series_da if want_da else _kummer_series)(a, b, z)
     return HypergeomResult(v, e, "DirectSeries")
 
 
@@ -856,30 +856,21 @@ def _u_integral(a: float, b: float, z: float, want_da: bool = False):
 
 
 def _u_asympt(a: float, b: float, z: float):
-    """Large-z expansion U ~ z^-a sum_k (a)_k (a-b+1)_k / (k! (-z)^k).
+    """Large-z expansion U ~ z^-a 2F0(a, a-b+1; ; -1/z), by `_two_f0`.
 
     `tricomi_u` calls it only where |a (a-b+1)| <= 0.7 z, so the terms
     fall from the first one on until k nears z.  Returns None unless the
-    series reaches 1e-15 relative before a term rises.
+    smallest term summed is below 1e-15 of the sum.
     """
-    term = 1.0
-    s = 1.0
-    prev = 1.0
-    for k in range(60):
-        term *= (a + k) * (a - b + 1.0 + k) / ((k + 1.0) * (-z))
-        mag = abs(term)
-        if mag > prev:
-            return None  # divergent tail reached before convergence
-        s += term
-        prev = mag
-        if mag < 1e-15 * abs(s):
-            lz = math.log(z)
-            pref = math.exp(-a * lz)
-            # no term exceeds the first; z^-a's exponent a ln z is rounded
-            err = pref * (mag + _EPS * (8.0 * (abs(s) + 1.0)
-                                        + 2.0 * abs(a * lz) * abs(s)))
-            return pref * s, err
-    return None
+    s, least = _two_f0(a, a - b + 1.0, -z)
+    if not least < 1e-15 * abs(s):
+        return None
+    lz = math.log(z)
+    pref = math.exp(-a * lz)
+    # no term exceeds the first; z^-a's exponent a ln z is rounded
+    err = pref * (least + _EPS * (8.0 * (abs(s) + 1.0)
+                                  + 2.0 * abs(a * lz) * abs(s)))
+    return pref * s, err
 
 
 # Gamma-factor pairs of U's two-Kummer combination, one per (a, b); 128
@@ -913,9 +904,10 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
     cached per (a, b) (`_u_gamma_factors`), since a basis evaluates each
     mode's (a, b) at many z; each call still forms z^(1-b) and its
     rounding.  Integer b, where that combination is singular, and a
-    combination that loses too many digits, overflows or gives NaN take
-    the Laplace integral (IntegralRep for a >= 1/2, RecurrenceShift from
-    a+n below), which has no restriction on b.
+    combination that loses too many digits, overflows, gives NaN or
+    needs an M series beyond its term budget take the Laplace integral
+    (IntegralRep for a >= 1/2, RecurrenceShift from a+n below), which
+    has no restriction on b.
     """
     if z <= 0.0:
         raise ValueError("tricomi_u requires z > 0")
@@ -932,8 +924,9 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
             m2 = kummer_m(a - b + 1.0, 2.0 - b, z)
             c1, g2, rel1, rel2 = _u_gamma_factors(a, b)
             c2 = g2 * z ** (1.0 - b)
-        except OverflowError:
-            # an M or a factor beyond float range, though U may fit one
+        except (OverflowError, NonConvergenceError):
+            # an M or a factor beyond float range, or an M series beyond
+            # its term budget, though U may fit a float
             pass
         else:
             t1 = c1 * m1.value

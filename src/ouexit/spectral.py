@@ -12,7 +12,10 @@ exp(-alphas[n]**2 * t).
 The interval eigenfunctions combine the even and odd confluent
 solutions m1(z) = M(-nu, 1/2, kappa z^2) and m2(z) = z M(1/2 - nu,
 3/2, kappa z^2) about the trap centre z = varphi, with nu =
-alpha^2/(4 kappa).  A radial problem uses one solution, Kummer M
+alpha^2/(4 kappa).  The pair, or its a-derivatives, is read at the two
+boundaries z = +/-1 - varphi in one place, `_interval_ends`, for the
+determinant, the mode data, `mgf` and the weights audit.  A radial
+problem uses one solution, Kummer M
 (regular at the origin) inside the ball and Tricomi U (decaying at
 infinity) outside it, chosen once in `_radial_solution` for the build,
 the mode factors and `mgf`.
@@ -221,35 +224,32 @@ class WeightsReport:
 # confluent building blocks
 # ----------------------------------------------------------------------
 
-def _m1(a: float, kappa: float, z: float) -> float:
-    """Even interval solution M(a, 1/2, kappa z^2) with a = -nu."""
-    return kummer_m(a, 0.5, kappa * z * z).value
+def _m1(f, a: float, kappa: float, z: float) -> float:
+    """Even interval solution f(a, 1/2, kappa z^2) with a = -nu: m1 for
+    f = kummer_m, its a-derivative for f = kummer_m_da."""
+    return f(a, 0.5, kappa * z * z).value
 
 
-def _m2(a: float, kappa: float, z: float) -> float:
-    """Odd interval solution z * M(a + 1/2, 3/2, kappa z^2)."""
-    return z * kummer_m(a + 0.5, 1.5, kappa * z * z).value
+def _m2(f, a: float, kappa: float, z: float) -> float:
+    """Odd interval solution z * f(a + 1/2, 3/2, kappa z^2), as `_m1`."""
+    return z * f(a + 0.5, 1.5, kappa * z * z).value
 
 
-def _m1_da(a: float, kappa: float, z: float) -> float:
-    return kummer_m_da(a, 0.5, kappa * z * z).value
-
-
-def _m2_da(a: float, kappa: float, z: float) -> float:
-    return z * kummer_m_da(a + 0.5, 1.5, kappa * z * z).value
-
-
-def _interval_det(kappa: float, varphi: float) -> Callable[[float], float]:
-    """Boundary determinant, as a function of a = -alpha^2/(4 kappa),
-    whose zeros are the interval eigenvalues."""
-    zr = 1.0 - varphi
+def _interval_ends(f, a: float, kappa: float, varphi: float):
+    """((m1, m2) at z = -1 - varphi, (m1, m2) at z = 1 - varphi): the
+    interval pair (f = kummer_m), or its a-derivatives (f = kummer_m_da),
+    at the two boundaries."""
     zl = -1.0 - varphi
+    zr = 1.0 - varphi
+    return ((_m1(f, a, kappa, zl), _m2(f, a, kappa, zl)),
+            (_m1(f, a, kappa, zr), _m2(f, a, kappa, zr)))
 
-    def det(a: float) -> float:
-        return (_m1(a, kappa, zl) * _m2(a, kappa, zr)
-                - _m2(a, kappa, zl) * _m1(a, kappa, zr))
 
-    return det
+def _interval_det(a: float, kappa: float, varphi: float) -> float:
+    """Boundary determinant at a = -alpha^2/(4 kappa), whose zeros are
+    the interval eigenvalues."""
+    (m1_l, m2_l), (m1_r, m2_r) = _interval_ends(kummer_m, a, kappa, varphi)
+    return m1_l * m2_r - m2_l * m1_r
 
 
 # ----------------------------------------------------------------------
@@ -291,17 +291,17 @@ def _scan_brackets(fn: Callable[[float], float], kappa: float, dnu: float,
         raise RootSearchError(
             f"eigenvalue condition is already negative at alpha = "
             f"{prev_a:g}; the slowest mode lies below the scan")
-    alpha_lin = math.sqrt(4.0 * kappa * dnu)
-    if alpha_lin > 4.0 * prev_a:
-        n_log = 64
-        ratio = (alpha_lin / prev_a) ** (1.0 / n_log)
-        a = prev_a
-        for _ in range(n_log):
-            a *= ratio
-            f = fn(a)
-            if (f < 0.0) != (prev_f < 0.0):
-                brackets.append((prev_a, a, prev_f, f))
-            prev_a, prev_f = a, f
+    # its top sqrt(4 kappa dnu) is at least 1.4e-4, as kappa >=
+    # BROWNIAN_KAPPA and dnu >= 1/2
+    n_log = 64
+    ratio = (math.sqrt(4.0 * kappa * dnu) / prev_a) ** (1.0 / n_log)
+    a = prev_a
+    for _ in range(n_log):
+        a *= ratio
+        f = fn(a)
+        if (f < 0.0) != (prev_f < 0.0):
+            brackets.append((prev_a, a, prev_f, f))
+        prev_a, prev_f = a, f
     while len(brackets) < n_roots:
         a = prev_a + _local_step(prev_a, kappa, dnu, brownian_gap)
         if a > cap:
@@ -378,35 +378,35 @@ def _refine_root(fn: Callable[[float], float], bracket) -> float:
 
 
 def _find_roots(fn: Callable[[float], float], kappa: float, dnu: float,
-                brownian_gap: float, n_roots: int, cap: float,
-                smooth_gaps: bool) -> list[float]:
+                brownian_gap: float, n_roots: int, cap: float) -> list[float]:
     """Scan, refine, and gap-audit one root family."""
     brackets = _scan_brackets(fn, kappa, dnu, brownian_gap, n_roots, cap)
     roots = [_refine_root(fn, br) for br in brackets]
     for _ in range(2):
-        extras = _audit_gaps(fn, roots, kappa, brownian_gap, smooth_gaps)
+        extras = _audit_gaps(fn, roots, kappa, brownian_gap)
         if not extras:
             break
         roots = sorted(roots + extras)[:n_roots]
     return roots
 
 
-def _suspect_gaps(roots: list[float], kappa: float, brownian_gap: float,
-                  smooth_gaps: bool) -> list[int]:
+def _suspect_gaps(roots: list[float], kappa: float,
+                  brownian_gap: float) -> list[int]:
     """Indices i whose gap (roots[i], roots[i+1]) looks like a missed root.
 
     Families with a hard spacing law are held to it directly: at most
     _GAP_SLACK nu-periods or _GAP_SLACK free-diffusion gaps.  Exterior
     spectra have no such bound (their spacing grows like sqrt(kappa)
-    near the bottom) but decay smoothly mode to mode, so there a gap is
-    suspect when it exceeds 1.5x its smallest neighbour gap -- a miss
-    doubles one gap while legitimate neighbours stay within ~1.2x.
+    near the bottom) but decay smoothly mode to mode, so there (the one
+    family with brownian_gap = 0) a gap is suspect when it exceeds 1.5x
+    its smallest neighbour gap -- a miss doubles one gap while
+    legitimate neighbours stay within ~1.2x.
     """
     gaps = [hi - lo for lo, hi in zip(roots, roots[1:])]
     if not gaps:
         return []
     out = []
-    if smooth_gaps:
+    if brownian_gap == 0.0:
         if len(gaps) == 1:
             return []
         for i, g in enumerate(gaps):
@@ -418,14 +418,13 @@ def _suspect_gaps(roots: list[float], kappa: float, brownian_gap: float,
         return out
     for i, g in enumerate(gaps):
         nu_gap = (roots[i + 1] ** 2 - roots[i] ** 2) / (4.0 * kappa)
-        if nu_gap > _GAP_SLACK and (brownian_gap == 0.0
-                                    or g > _GAP_SLACK * brownian_gap):
+        if nu_gap > _GAP_SLACK and g > _GAP_SLACK * brownian_gap:
             out.append(i)
     return out
 
 
-def _audit_gaps(fn, roots: list[float], kappa: float, brownian_gap: float,
-                smooth_gaps: bool) -> list[float]:
+def _audit_gaps(fn, roots: list[float], kappa: float,
+                brownian_gap: float) -> list[float]:
     """Rescan any neighbour gap wider than the family's spacing law.
 
     Returns newly found refined roots.  A missed sign change is always
@@ -435,7 +434,7 @@ def _audit_gaps(fn, roots: list[float], kappa: float, brownian_gap: float,
     legitimately stretched spacings in the drift-dominated band.
     """
     extras = []
-    for i in _suspect_gaps(roots, kappa, brownian_gap, smooth_gaps):
+    for i in _suspect_gaps(roots, kappa, brownian_gap):
         lo, hi = roots[i], roots[i + 1]
         pad = 1e-9 * (hi - lo)
         grid = [lo + pad + (hi - lo - 2.0 * pad) * k / 96.0
@@ -482,12 +481,9 @@ def _interval_mode(kappa: float, varphi: float, alpha: float, tag: str):
     add.
     """
     a = -alpha * alpha / (4.0 * kappa)
-    zr = 1.0 - varphi
-    zl = -1.0 - varphi
-    e_r, o_r = _m2(a, kappa, zr), _m1(a, kappa, zr)
-    e_l, o_l = _m2(a, kappa, zl), _m1(a, kappa, zl)
-    e_r_a, o_r_a = _m2_da(a, kappa, zr), _m1_da(a, kappa, zr)
-    e_l_a, o_l_a = _m2_da(a, kappa, zl), _m1_da(a, kappa, zl)
+    (o_l, e_l), (o_r, e_r) = _interval_ends(kummer_m, a, kappa, varphi)
+    (o_l_a, e_l_a), (o_r_a, e_r_a) = _interval_ends(kummer_m_da, a, kappa,
+                                                    varphi)
     if tag == "symmetric":
         c1, c2 = e_r, 0.0
     elif tag == "antisymmetric":
@@ -691,25 +687,27 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
                 f"{kappa * varphi!r}")
         return _brownian_basis(geometry, kappa, varphi, d, n_modes)
 
-    smooth_gaps = geometry is Geometry.RADIAL_EXTERIOR
     if geometry is Geometry.INTERVAL:
         if varphi == 0.0:
+            # m1 and m2 at the right end z = 1
             families = [
-                (lambda al: kummer_m(-al * al / (4.0 * kappa), 0.5,
-                                     kappa).value, "symmetric", 1.0),
-                (lambda al: kummer_m(0.5 - al * al / (4.0 * kappa), 1.5,
-                                     kappa).value, "antisymmetric", 1.0),
+                (lambda al: _m1(kummer_m, -al * al / (4.0 * kappa), kappa,
+                                1.0), "symmetric", 1.0),
+                (lambda al: _m2(kummer_m, -al * al / (4.0 * kappa), kappa,
+                                1.0), "antisymmetric", 1.0),
             ]
         else:
-            det = _interval_det(kappa, varphi)
-            families = [(lambda al: det(-al * al / (4.0 * kappa)), "", 0.5)]
+            families = [(lambda al: _interval_det(-al * al / (4.0 * kappa),
+                                                  kappa, varphi), "", 0.5)]
         brownian_gap = math.pi if varphi == 0.0 else 0.5 * math.pi
     else:
         f, _ = _radial_solution(geometry)
         b = 0.5 * d
         families = [(lambda al: f(-al * al / (4.0 * kappa), b, kappa).value,
                      "", 1.0)]
-        brownian_gap = 0.0 if smooth_gaps else math.pi
+        # the exterior has no free-diffusion family
+        brownian_gap = (0.0 if geometry is Geometry.RADIAL_EXTERIOR
+                        else math.pi)
 
     if geometry is Geometry.RADIAL_EXTERIOR:
         # The exterior bottom level sits at nu0 <~ kappa/2 + 1.5 with
@@ -730,8 +728,7 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     n_roots = n_modes // 2 + 1 if len(families) == 2 else n_modes
     tagged: list[tuple[float, str]] = []
     for fn, tag, dnu in families:
-        for root in _find_roots(fn, kappa, dnu, brownian_gap, n_roots,
-                                cap, smooth_gaps):
+        for root in _find_roots(fn, kappa, dnu, brownian_gap, n_roots, cap):
             tagged.append((root, tag))
     tagged.sort()
     tagged = tagged[:n_modes]
@@ -794,7 +791,7 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
     if basis.geometry is Geometry.INTERVAL:
         c1, c2 = basis.coeff_pairs[n]
         z = z0 - basis.varphi
-        return c1 * _m1(a, kappa, z) - c2 * _m2(a, kappa, z)
+        return c1 * _m1(kummer_m, a, kappa, z) - c2 * _m2(kummer_m, a, kappa, z)
     f, _ = _radial_solution(basis.geometry)
     return f(a, 0.5 * basis.d, kappa * z0 * z0).value
 
@@ -911,18 +908,14 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
         return 1.0
     a = s / (4.0 * kappa)
     if geometry is Geometry.INTERVAL:
-        zr = 1.0 - varphi
-        zl = -1.0 - varphi
-        c1 = _m2(a, kappa, zr)
-        c2 = _m1(a, kappa, zr)
-        p = _m1(a, kappa, zl)
-        q = _m2(a, kappa, zl)
+        (p, q), (c2, c1) = _interval_ends(kummer_m, a, kappa, varphi)
         den = p * c1 - q * c2
         if s < 0.0 and abs(den) < _POLE_TOL * (abs(p * c1) + abs(q * c2)):
             raise ValueError(
                 f"s = {s!r} sits on a spectral pole of the interval problem")
         z = z0 - varphi
-        num = ((c1 - q) * _m1(a, kappa, z) + (p - c2) * _m2(a, kappa, z))
+        num = ((c1 - q) * _m1(kummer_m, a, kappa, z)
+               + (p - c2) * _m2(kummer_m, a, kappa, z))
         return num / den
     f, _ = _radial_solution(geometry)
     num = f(a, 0.5 * d, kappa * z0 * z0).value
@@ -947,15 +940,15 @@ def _pole_parts(basis: SpectralBasis, n: int):
     if basis.geometry is not Geometry.INTERVAL:
         f, _ = _radial_solution(basis.geometry)
         return lambda lam: f(-lam / (4.0 * kappa), 0.5 * d, kappa).value, 1.0
-    det = _interval_det(kappa, basis.varphi)
+    varphi = basis.varphi
     a = -basis.alphas[n] ** 2 / (4.0 * kappa)
-    zl = -1.0 - basis.varphi
+    (m1_l, m2_l), _ = _interval_ends(kummer_m, a, kappa, varphi)
     c1, c2 = basis.coeff_pairs[n]
     if abs(c1) >= abs(c2):
-        num = (c1 - _m2(a, kappa, zl)) / c1
+        num = (c1 - m2_l) / c1
     else:
-        num = -(_m1(a, kappa, zl) - c2) / c2
-    return lambda lam: det(-lam / (4.0 * kappa)), num
+        num = -(m1_l - c2) / c2
+    return lambda lam: _interval_det(-lam / (4.0 * kappa), kappa, varphi), num
 
 
 def weights_crosscheck(basis: SpectralBasis) -> WeightsReport:

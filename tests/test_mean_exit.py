@@ -309,6 +309,42 @@ def test_auto_regime_picks_the_matching_branch():
                math.log(2.0) / (2.0 * k)) < 1e-15
 
 
+def _arrhenius_before_range_guard(kappa, varphi):
+    """The symmetric and subcritical formulas as written before they
+    took e^x beyond float range: the bits they must keep below it."""
+    if varphi == 0.0:
+        return 0.25 * math.sqrt(math.pi) * math.exp(kappa) / kappa**1.5
+    return (0.5 * math.sqrt(math.pi) * math.exp(kappa * (1.0 - varphi) ** 2)
+            / (kappa**1.5 * (1.0 - varphi)))
+
+
+def test_arrhenius_formulas_keep_their_bits_inside_float_range():
+    rng = random.Random(20261023)
+    for _ in range(2000):
+        kappa = 10.0 ** rng.uniform(-3.0, math.log10(709.0))
+        varphi = rng.choice((0.0, rng.uniform(0.0, 1.0)))
+        assert (met_interval_asymptotic(kappa, varphi, 0.0).hex()
+                == _arrhenius_before_range_guard(kappa, varphi).hex()), (
+                    kappa, varphi)
+
+
+def test_arrhenius_formula_returns_the_mean_where_only_it_fits():
+    # e^712 passes float range, but the mean, about 3.85e304, does not;
+    # it let a bare OverflowError out, as at kappa = 800
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = float(mpmath.sqrt(mpmath.pi) / 4 * mpmath.exp(712)
+                    / mpmath.mpf(712) ** 1.5)
+    assert met_interval_asymptotic(712.0, 0.0, 0.0) == pytest.approx(
+        ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("kappa, varphi", [(800.0, 0.0), (3000.0, 0.5),
+                                           (1e-300, 0.5)])
+def test_arrhenius_formula_is_inf_beyond_float_range(kappa, varphi):
+    assert met_interval_asymptotic(kappa, varphi, 0.0) == math.inf
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="Gamma(d/2) e^kappa / (4 kappa^(1+d/2)) is 14% off the oracle at "

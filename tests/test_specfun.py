@@ -478,9 +478,13 @@ SERIES_OVERFLOW = [(20.0, 0.5, 750.0), (3.0, -2.5, 1e3), (1.0, 1.5, 712.0),
                    (1.0, 1.5, math.inf), (-1e-6, 0.5, math.inf)]
 
 
+def _series_loop(want_da):
+    return specfun._kummer_series_da if want_da else specfun._kummer_series
+
+
 def test_kummer_series_loops_keep_the_one_loop_bits_on_a_grid():
     for a, b, z, want_da in _series_grid():
-        assert (_outcome(specfun._kummer_series, a, b, z, want_da)
+        assert (_outcome(_series_loop(want_da), a, b, z)
                 == _outcome(_one_loop_kummer_series, a, b, z, want_da)), (
                     a, b, z, want_da)
 
@@ -489,39 +493,74 @@ def test_kummer_series_loops_keep_the_one_loop_bits_on_a_grid():
 @pytest.mark.parametrize("a,b,z", SERIES_OVERFLOW)
 def test_kummer_series_loops_raise_as_the_one_loop_on_overflow(a, b, z,
                                                                want_da):
-    got = _outcome(specfun._kummer_series, a, b, z, want_da)
+    got = _outcome(_series_loop(want_da), a, b, z)
     assert got == _outcome(_one_loop_kummer_series, a, b, z, want_da)
     assert got is NonConvergenceError
 
 
-def _kummer_asympt_before_reuse(a, b, z):
-    """`_kummer_asympt` as it evaluated 1/Gamma(a) and 1/Gamma(b-a) twice,
-    once for the value and once for the claim: the operation order the
-    one-evaluation form must keep."""
+# The three large-z loops as they were written before `_two_f0` served
+# them all: M's e^z and z^-a branches, each returning its sum, its
+# smallest term and how it stopped, and U's expansion, which accepted on
+# a term below 1e-15 of the sum and gave up on the first term that rose.
+
+def _m_exp_branch_loop(a, b, z):
     s1 = 1.0
     term = 1.0
     min1 = math.inf
     for n in range(60):
         term *= (b - a + n) * (1.0 - a + n) / ((n + 1.0) * z)
         if abs(term) > min1:
-            break
+            return s1, min1, "rise"
         s1 += term
         min1 = abs(term)
         if min1 < 1e-18 * abs(s1):
-            break
-    lz = math.log(z)
-    t1 = math.exp(z + (a - b) * lz) * inv_gamma(a) * s1
+            return s1, min1, "small"
+    return s1, min1, "all"
+
+
+def _m_power_branch_loop(a, b, z):
     s2 = 1.0
     term = 1.0
     min2 = math.inf
     for n in range(60):
         term *= -(a + n) * (1.0 + a - b + n) / ((n + 1.0) * z)
         if abs(term) > min2:
-            break
+            return s2, min2, "rise"
         s2 += term
         min2 = abs(term)
         if min2 < 1e-18 * abs(s2):
-            break
+            return s2, min2, "small"
+    return s2, min2, "all"
+
+
+def _u_asympt_own_loop(a, b, z):
+    term = 1.0
+    s = 1.0
+    prev = 1.0
+    for k in range(60):
+        term *= (a + k) * (a - b + 1.0 + k) / ((k + 1.0) * (-z))
+        mag = abs(term)
+        if mag > prev:
+            return None  # divergent tail reached before convergence
+        s += term
+        prev = mag
+        if mag < 1e-15 * abs(s):
+            lz = math.log(z)
+            pref = math.exp(-a * lz)
+            err = pref * (mag + specfun._EPS * (8.0 * (abs(s) + 1.0)
+                                                + 2.0 * abs(a * lz) * abs(s)))
+            return pref * s, err
+    return None
+
+
+def _kummer_asympt_before_reuse(a, b, z):
+    """`_kummer_asympt` as it evaluated 1/Gamma(a) and 1/Gamma(b-a) twice,
+    once for the value and once for the claim, each branch in its own
+    loop: the operation order the one-evaluation form must keep."""
+    s1, min1, _ = _m_exp_branch_loop(a, b, z)
+    lz = math.log(z)
+    t1 = math.exp(z + (a - b) * lz) * inv_gamma(a) * s1
+    s2, min2, _ = _m_power_branch_loop(a, b, z)
     t2 = specfun._cospi(a) * z ** (-a) * inv_gamma(b - a) * s2
     g = gamma_fn(b)
     value = g * (t1 + t2)
@@ -557,6 +596,73 @@ def test_kummer_asympt_keeps_its_bits_with_each_gamma_factor_once():
         if abs(a) <= 10.0:
             assert (_outcome(kummer_m, a, b, z)[:2]
                     == _outcome(_kummer_asympt_before_reuse, a, b, z))
+
+
+def _two_f0_grid(count=3000):
+    """M's large-z domain, |a| <= 10 and z in (80, 1e5], at the b the
+    geometries use.  Half the z lie below 700, where e^z fits a float and
+    `_kummer_asympt` returns a value, not OverflowError.  The loops stop
+    on a rising term or after all 60 terms only near |a| = 10 and z = 80,
+    so the grid ends with those corners."""
+    rng = random.Random(20261024)
+    bs = (0.5, 1.0, 1.5, 2.0, 2.5)
+    for i in range(count):
+        a = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 1.0)
+        z = (80.0 + 620.0 * (1.0 - rng.random()) if i % 2
+             else 10.0 ** rng.uniform(math.log10(80.0), 5.0))
+        yield a, rng.choice(bs), z
+    for a in (-10.0, -9.5, 9.5, 10.0):
+        for z in (80.25, 90.0, 100.0, 120.0):
+            for b in bs:
+                yield a, b, z
+
+
+def test_two_f0_keeps_the_bits_of_both_m_loops_on_a_grid():
+    stops = set()
+    for a, b, z in _two_f0_grid():
+        for got, loop in ((specfun._two_f0(b - a, 1.0 - a, z),
+                           _m_exp_branch_loop),
+                          (specfun._two_f0(a, 1.0 + a - b, -z),
+                           _m_power_branch_loop)):
+            *want, stop = loop(a, b, z)
+            stops.add(stop)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (
+                a, b, z, loop.__name__)
+        assert (_outcome(specfun._kummer_asympt, a, b, z)
+                == _outcome(_kummer_asympt_before_reuse, a, b, z)), (a, b, z)
+    # the grid reaches a rising term and the 60-term budget
+    assert stops == {"rise", "small", "all"}
+
+
+def test_u_asymptotic_route_matches_mpmath_across_its_gate():
+    # z from 40 to 9,000, |a| from 1e-3 to 60 of either sign and b from
+    # 1/2 to 3, inside tricomi_u's gate |a (a-b+1)| <= 0.7 z.  `_two_f0`
+    # sums past the parent loop's 1e-15 stop, so a value may move in its
+    # last bits; it accepts where that loop did, and both values lie
+    # within their claims and 1e-13 of 40-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261025)
+    accepted = 0
+    with mpmath.workdps(40):
+        while accepted < 300:
+            z = 10.0 ** rng.uniform(math.log10(40.0), math.log10(9000.0))
+            a = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(
+                -3.0, math.log10(60.0))
+            b = rng.choice((0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
+            if abs(a * (a - b + 1.0)) > 0.7 * z:
+                continue
+            got = specfun._u_asympt(a, b, z)
+            before = _u_asympt_own_loop(a, b, z)
+            assert (got is None) == (before is None), (a, b, z)
+            if got is None:
+                continue
+            accepted += 1
+            assert tricomi_u(a, b, z) == HypergeomResult(*got, "AsymptoticZ")
+            ref = mpmath.hyperu(a, b, z)
+            for value, claim in (got, before):
+                error = abs(mpmath.mpf(value) - ref)
+                assert error <= claim, (a, b, z)
+                assert error <= 1e-13 * abs(ref), (a, b, z)
 
 
 # ----------------------------------------------------------------------
@@ -746,6 +852,45 @@ def test_u_beyond_the_combination_takes_the_laplace_pass(args, ref, before):
     assert r.method in ("IntegralRep", "RecurrenceShift")
     assert abs(r.value - ref) <= r.abs_err_estimate + 2.3e-16 * abs(ref)
     assert r.value == pytest.approx(ref, rel=1e-13)
+
+
+# 40-digit mpmath hyperu just outside AsymptoticZ's gate, where one M of
+# the combination runs past its series' term budget: the float series at
+# the first point, the fixed-point one at the second
+U_PAST_SERIES_BUDGET = [
+    ((48.12, 0.5, 3000.0), 2.22641489348279785e-168),
+    ((-70.99, 0.5, 5000.0), 1.40921890837334286e262),
+]
+
+
+@pytest.mark.parametrize("args,ref", U_PAST_SERIES_BUDGET,
+                         ids=["float-series", "fixed-point"])
+def test_u_past_a_series_budget_takes_the_laplace_pass(args, ref):
+    assert _outcome(_tricomi_u_before_cache, *args) is NonConvergenceError
+    r = tricomi_u(*args)
+    assert r.method in ("IntegralRep", "RecurrenceShift")
+    assert abs(r.value - ref) <= r.abs_err_estimate + 2.3e-16 * abs(ref)
+
+
+def test_u_just_outside_the_asymptotic_gate_matches_mpmath():
+    # a = ±f sqrt(0.7 z), f from 1.01 to 1.5, so |a (a-b+1)| passes the
+    # gate's 0.7 z; most of these raised NonConvergenceError from an M
+    # series.  U is within its claim wherever 40-digit mpmath fits a
+    # float (an underflow to 0 included), and inf beyond
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for z in (3000.0, 6000.0, 12000.0, 20000.0):
+            for f in (1.01, 1.2, 1.5):
+                for sign in (1.0, -1.0):
+                    for b in (0.5, 1.5, 2.5):
+                        a = sign * f * math.sqrt(0.7 * z)
+                        ref = mpmath.hyperu(a, b, z)
+                        r = tricomi_u(a, b, z)
+                        if abs(ref) > sys.float_info.max:
+                            assert r.value == math.inf, (a, b, z)
+                        else:
+                            error = abs(mpmath.mpf(r.value) - ref)
+                            assert error <= r.abs_err_estimate, (a, b, z)
 
 
 TRICOMI_DA_POINTS = [
