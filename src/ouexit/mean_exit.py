@@ -26,11 +26,13 @@ x = 6 and an asymptotic expansion beyond.
 
 Weak traps (kappa below `BROWNIAN_KAPPA`) route the interval to the
 drift-diffusion closed form in eta = 2 kappa varphi.  The radial interior
-mean is the paper's series in kappa, whose terms are all positive; a mean
-beyond float range is reported as math.inf.  The radial exterior problem
-uses the finite-sum forms (logarithmic in even dimension, erfc-weighted
-in odd).  A vanishing trap makes the exterior mean infinite; that is
-reported as math.inf, not an exception, so callers can print it.
+mean is the paper's series in kappa, whose terms are all positive.  The
+radial exterior problem uses the finite-sum forms (logarithmic in even
+dimension, erfc-weighted in odd).  A vanishing trap makes the exterior
+mean infinite; that, and a mean beyond float range, is reported as
+math.inf, not an exception, so callers can print it.  Where exp(x^2) of
+an erfc-form term passes float range, that largest exponent is factored
+out of the difference, and the mean is formed from its logarithm.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ import math
 
 # unused here; perfbench/test_perfbench.py checks that its tracer patches it
 from ._quad import tanh_sinh  # noqa: F401
-from .ou_model import BROWNIAN_KAPPA, canonical_orientation
-from .specfun import _EXP_MAX, dawson, erfcx, gamma_fn
+from .ou_model import (BROWNIAN_KAPPA, Geometry, _check_dimension,
+                       _check_kappa, _check_start, _check_varphi,
+                       canonical_orientation)
+from .specfun import _EXP_MAX, _SQRT_PI, dawson, erfcx, gamma_fn
 
 __all__ = [
     "met_interval",
@@ -51,11 +55,13 @@ __all__ = [
     "splitting_probability",
 ]
 
-_SQRTPI = math.sqrt(math.pi)
-
 # The erf-form integrand exp(z^2) erf(z) is taken only while its peak
 # exp(kappa (1+varphi)^2) stays below ~1e11.
 _ERF_FORM_LIMIT = 25.0
+
+# The layouts, bound once in definition order: reading an enum member off
+# its class costs more than the start check itself.
+_INTERVAL, _INTERIOR, _EXTERIOR = Geometry
 
 # Euler's constant; it fixes the large-x offset of the erfcx integral
 # and the marginal-pull escape time.
@@ -97,7 +103,7 @@ def _f_exp_erf(x: float) -> float:
         total += piece
         slope += m * piece
         if piece <= 1e-17 * total:
-            return 2.0 / _SQRTPI * (math.fsum(pieces) + x2_lo / x2 * slope)
+            return 2.0 / _SQRT_PI * (math.fsum(pieces) + x2_lo / x2 * slope)
         term *= ratio / (m + m + 1.0)
         m += 1.0
 
@@ -133,7 +139,7 @@ def _int_erfcx0(x: float) -> float:
             total += term if k % 2 else -term
             last = term
             k += 1
-        return (math.log(2.0 * x) + 0.5 * _EULER_GAMMA + total) / _SQRTPI
+        return (math.log(2.0 * x) + 0.5 * _EULER_GAMMA + total) / _SQRT_PI
     panels = math.ceil(x / _PANEL_WIDTH)
     h = 0.5 * x / panels
     two_hh = 2.0 * h * h
@@ -142,7 +148,7 @@ def _int_erfcx0(x: float) -> float:
         c = (2 * i + 1) * h
         two_ch = 2.0 * c * h
         b_prev = erfcx(c)
-        b = (2.0 * c * b_prev - 2.0 / _SQRTPI) * h
+        b = (2.0 * c * b_prev - 2.0 / _SQRT_PI) * h
         piece = b_prev
         k = 1
         while abs(b) + abs(b_prev) > 1e-17 * piece or k < 3:
@@ -154,18 +160,31 @@ def _int_erfcx0(x: float) -> float:
     return 2.0 * h * total
 
 
-def _ic0(x: float) -> float:
-    """Integral of exp(z^2) erfc(z) from 0 to x, any sign of x.
+def _ic0(x: float, shift: float = 0.0) -> float:
+    """Integral of exp(z^2) erfc(z) from 0 to x, any sign of x, times
+    exp(-shift).
 
     For x < 0 the identity erfc(z) = 2 - erfc(-z) splits the integral
     into 2 exp(x^2) Daw(|x|) minus the bounded erfcx piece; the
-    exponential factor is the genuinely large part of the answer and may
-    overflow to inf for x^2 > ~709.
+    exponential factor is the genuinely large part of the answer, and
+    math.exp raises OverflowError for x^2 - shift > ~709.
     """
     if x >= 0.0:
-        return _int_erfcx0(x)
+        return _int_erfcx0(x) * math.exp(-shift)
     ax = -x
-    return -2.0 * math.exp(x * x) * dawson(ax) + _int_erfcx0(ax)
+    return (-2.0 * math.exp(x * x - shift) * dawson(ax)
+            + _int_erfcx0(ax) * math.exp(-shift))
+
+
+def _times_exp(m: float, e: float) -> float:
+    """m exp(e) where exp(e) alone passes float range: the value where it
+    fits a float, math.inf beyond.  A scaled difference m <= 0 has
+    cancelled to rounding (a start within ulps of an exit) and gives 0.0.
+    """
+    if m <= 0.0:
+        return 0.0
+    ln_value = e + math.log(m)
+    return math.exp(ln_value) if ln_value < _EXP_MAX else math.inf
 
 
 def _splitting_pair(kappa: float, varphi: float,
@@ -200,13 +219,8 @@ def splitting_probability(kappa: float, varphi: float, z0: float) -> float:
     (1 + z0)/2 for a vanishing trap.  A negative pull is handled through
     the mirror relation H(varphi, z0) = 1 - H(-varphi, -z0).
     """
-    kappa, varphi, z0 = float(kappa), float(varphi), float(z0)
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    if not math.isfinite(varphi):
-        raise ValueError(f"varphi must be finite, got {varphi!r}")
-    if not -1.0 <= z0 <= 1.0:
-        raise ValueError(f"z0 must lie in [-1, 1], got {z0!r}")
+    kappa, varphi = _check_kappa(kappa), _check_varphi(varphi)
+    z0 = _check_start(_INTERVAL, z0)
     if z0 == 1.0:
         return 1.0
     if z0 == -1.0:
@@ -234,39 +248,44 @@ def _met_interval_erf_form(kappa: float, varphi: float, z0: float) -> float:
     f_in = _f_exp_erf(sk * (1.0 - varphi))
     f_out = _f_exp_erf(sk * (1.0 + varphi))
     f_start = _f_exp_erf(sk * (z0 - varphi))
-    return 0.5 * _SQRTPI / kappa * (h * f_in - f_start + f_out * h_left)
+    return 0.5 * _SQRT_PI / kappa * (h * f_in - f_start + f_out * h_left)
 
 
-def _met_interval_erfc_form(kappa: float, varphi: float, z0: float) -> float:
+def _met_interval_erfc_form(kappa: float, varphi: float, z0: float,
+                            shift: float = 0.0) -> float:
+    """The erfc-form mean times exp(-shift)."""
     h = _splitting_pair(kappa, varphi, z0)[0]
     sk = math.sqrt(kappa)
-    top = _ic0(sk * (1.0 + varphi))
-    j_full = top - _ic0(sk * (varphi - 1.0))
-    j_start = top - _ic0(sk * (varphi - z0))
-    return 0.5 * _SQRTPI / kappa * (h * j_full - j_start)
+    top = _ic0(sk * (1.0 + varphi), shift)
+    j_full = top - _ic0(sk * (varphi - 1.0), shift)
+    j_start = top - _ic0(sk * (varphi - z0), shift)
+    return 0.5 * _SQRT_PI / kappa * (h * j_full - j_start)
 
 
 def met_interval(kappa: float, varphi: float, z0: float) -> float:
     """Mean first-exit time from the interval [-1, 1], units L**2/D.
 
     Starting point z0 in [-1, 1]; exact zero on the boundary.  The pull
-    may have either sign (mirror symmetry folds it to varphi >= 0).
+    may have either sign (mirror symmetry folds it to varphi >= 0).  A
+    mean beyond float range is returned as math.inf.
     """
-    kappa, varphi = float(kappa), float(varphi)
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    if not math.isfinite(varphi):
-        raise ValueError(f"varphi must be finite, got {varphi!r}")
-    varphi, z0 = canonical_orientation(varphi, float(z0))
-    if not -1.0 <= z0 <= 1.0:
-        raise ValueError(f"z0 must lie in [-1, 1], got {z0!r}")
+    kappa, varphi = _check_kappa(kappa), _check_varphi(varphi)
+    varphi, z0 = canonical_orientation(varphi, _check_start(_INTERVAL, z0))
     if abs(z0) == 1.0:
         return 0.0
     if kappa < BROWNIAN_KAPPA:
         return _met_brownian(2.0 * kappa * varphi, z0)
     if kappa * (1.0 + varphi) ** 2 <= _ERF_FORM_LIMIT:
         return _met_interval_erf_form(kappa, varphi, z0)
-    return _met_interval_erfc_form(kappa, varphi, z0)
+    try:
+        return _met_interval_erfc_form(kappa, varphi, z0)
+    except OverflowError:
+        # exp(kappa (1 - varphi)^2) passed float range.  It is the largest
+        # exponent, as 0 < z0 - varphi <= 1 - varphi wherever the start's
+        # own exponent arises, so it is factored out of every term.
+        x = math.sqrt(kappa) * (varphi - 1.0)
+        return _times_exp(_met_interval_erfc_form(kappa, varphi, z0, x * x),
+                          x * x)
 
 
 # c = lim z exp(-sqrt(pi) * integral_0^z erfcx) = exp(-gamma/2)/2 fixes
@@ -286,18 +305,14 @@ def met_interval_asymptotic(kappa: float, varphi: float,
     float, also where that exponential alone does not, and math.inf
     beyond (at varphi = 0 from kappa about 720).
     """
-    kappa, varphi, z0 = float(kappa), float(varphi), float(z0)
-    if kappa <= 0.0 or not math.isfinite(kappa):
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
-    if not math.isfinite(varphi):
-        raise ValueError(f"varphi must be finite, got {varphi!r}")
-    if not -1.0 <= z0 <= 1.0:
-        raise ValueError(f"z0 must lie in [-1, 1], got {z0!r}")
-    varphi, z0 = canonical_orientation(varphi, z0)
+    kappa, varphi = _check_kappa(kappa), _check_varphi(varphi)
+    if kappa == 0.0:
+        raise ValueError("the deep-trap formulas need kappa > 0, got 0.0")
+    varphi, z0 = canonical_orientation(varphi, _check_start(_INTERVAL, z0))
     if varphi < 1.0:
         # c e^x / (kappa^1.5 w): at varphi = 0 both ends are exits
         w = 1.0 - varphi
-        c = (0.25 if varphi == 0.0 else 0.5) * _SQRTPI
+        c = (0.25 if varphi == 0.0 else 0.5) * _SQRT_PI
         x = kappa * w**2
         try:
             return c * math.exp(x) / (kappa**1.5 * w)
@@ -311,12 +326,6 @@ def met_interval_asymptotic(kappa: float, varphi: float,
         return math.log(math.sqrt(kappa) * (1.0 - z0)
                         / _MARGINAL_CONSTANT) / (2.0 * kappa)
     return math.log((varphi - z0) / (varphi - 1.0)) / (2.0 * kappa)
-
-
-def _validate_dimension(d: int) -> int:
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    return d
 
 
 def _interior_series(b: float, kappa: float, z0: float) -> float:
@@ -380,34 +389,16 @@ def met_radial_interior(d: int, kappa: float, z0: float) -> float:
     whose terms are all positive, so nothing cancels.  A mean beyond float
     range (from kappa near 700 on) is returned as math.inf.
     """
-    d = _validate_dimension(d)
-    kappa, z0 = float(kappa), float(z0)
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    if not 0.0 <= z0 <= 1.0:
-        raise ValueError(f"z0 must lie in [0, 1], got {z0!r}")
+    d, kappa = _check_dimension(d), _check_kappa(kappa)
+    z0 = _check_start(_INTERIOR, z0)
     if z0 == 1.0:
         return 0.0
     return _interior_series(0.5 * d, kappa, z0)
 
 
-def met_radial_exterior(d: int, kappa: float, z0: float) -> float:
-    """Mean time to reach the d-ball of radius 1 from outside (z0 >= 1)
-    with the trap at the centre.  Units L**2/D.
-
-    For kappa = 0 the mean is infinite (free diffusion never guarantees
-    capture in finite mean time); that is returned as math.inf.
-    """
-    d = _validate_dimension(d)
-    kappa, z0 = float(kappa), float(z0)
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    if not 1.0 <= z0 < math.inf:
-        raise ValueError(f"z0 must be finite and >= 1, got {z0!r}")
-    if z0 == 1.0:
-        return 0.0
-    if kappa == 0.0:
-        return math.inf
+def _exterior_sum(d: int, kappa: float, z0: float) -> float:
+    """The finite-sum exterior mean for kappa > 0 and z0 > 1; every term
+    of `total` is positive."""
     half_d = 0.5 * d
     if d % 2 == 0:
         total = 2.0 * math.log(z0)
@@ -416,10 +407,10 @@ def met_radial_exterior(d: int, kappa: float, z0: float) -> float:
                       * kappa**-j * (1.0 - z0 ** (-2 * j)))
         return total / (4.0 * kappa)
     sk = math.sqrt(kappa)
-    total = 2.0 * _SQRTPI * (_int_erfcx0(sk * z0) - _int_erfcx0(sk))
+    total = 2.0 * _SQRT_PI * (_int_erfcx0(sk * z0) - _int_erfcx0(sk))
     for j in range(1, (d - 1) // 2):
         total += ((gamma_fn(half_d) / gamma_fn(half_d - j)
-                   - gamma_fn(j + 0.5) / _SQRTPI)
+                   - gamma_fn(j + 0.5) / _SQRT_PI)
                   * (1.0 - z0 ** (-2 * j)) / (j * kappa**j))
     s_near = sum(gamma_fn(half_d - j) * kappa ** (j - half_d)
                  for j in range(1, (d + 1) // 2))
@@ -429,22 +420,50 @@ def met_radial_exterior(d: int, kappa: float, z0: float) -> float:
     return total / (4.0 * kappa)
 
 
+def met_radial_exterior(d: int, kappa: float, z0: float) -> float:
+    """Mean time to reach the d-ball of radius 1 from outside (z0 >= 1)
+    with the trap at the centre.  Units L**2/D.
+
+    For kappa = 0 the mean is infinite (free diffusion never guarantees
+    capture in finite mean time); that, and a mean beyond float range at
+    kappa < 1, is returned as math.inf.
+    """
+    d, kappa = _check_dimension(d), _check_kappa(kappa)
+    z0 = _check_start(_EXTERIOR, z0)
+    if z0 == 1.0:
+        return 0.0
+    if kappa == 0.0:
+        return math.inf
+    try:
+        return _exterior_sum(d, kappa, z0)
+    except (OverflowError, ZeroDivisionError):
+        if kappa >= 1.0:
+            raise
+        # below kappa = 1 only a power kappa^-p, p > 0, leaves float range
+        # (kappa^j underflowing to 0 in a divisor is one); its term is
+        # positive, so the mean leaves float range too
+        return math.inf
+
+
 def met_exterior_1d_forced(kappa: float, varphi: float, z0: float) -> float:
     """Mean time to reach x = 1 from z0 >= 1 on the line, with the trap
-    at the origin and a pull of either sign.  Units L**2/D; kappa = 0
-    gives an infinite mean, returned as math.inf."""
-    kappa, varphi, z0 = float(kappa), float(varphi), float(z0)
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    if not math.isfinite(varphi):
-        raise ValueError("varphi must be finite")
-    if not 1.0 <= z0 < math.inf:
-        raise ValueError(f"z0 must be finite and >= 1, got {z0!r}")
+    at the origin and a pull of either sign.  Units L**2/D.  kappa = 0
+    gives an infinite mean; that, and a mean beyond float range, is
+    returned as math.inf."""
+    kappa, varphi = _check_kappa(kappa), _check_varphi(varphi)
+    z0 = _check_start(_EXTERIOR, z0)
     if z0 == 1.0:
         return 0.0
     if kappa == 0.0:
         return math.inf
     sk = math.sqrt(kappa)
-    return (0.5 * _SQRTPI / kappa
-            * (_ic0(sk * (z0 - varphi)) - _ic0(sk * (1.0 - varphi))))
+    c = 0.5 * _SQRT_PI / kappa
+    x, x_exit = sk * (z0 - varphi), sk * (1.0 - varphi)
+    try:
+        return c * (_ic0(x) - _ic0(x_exit))
+    except OverflowError:
+        # exp(x_exit^2) passed float range; as z0 >= 1, x < 0 only where
+        # |x| <= |x_exit|, so x_exit^2 is factored out of both terms
+        e = x_exit * x_exit
+        return _times_exp(c * (_ic0(x, e) - _ic0(x_exit, e)), e)
 

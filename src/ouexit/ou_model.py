@@ -14,12 +14,17 @@ the physical and dimensionless pictures.  A negative pull is folded into
 a positive `varphi` plus an orientation flag, because every solver in the
 package exploits the mirror symmetry (varphi, z0) -> (-varphi, -z0)
 rather than duplicating branches for both signs.
+
+The `_check_*` functions define the accepted problem once for every solver;
+each returns its input as a float (d as given) or raises one ValueError
+that names the quantity and its value.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -64,6 +69,46 @@ def canonical_orientation(varphi: float, z0: float) -> tuple[float, float]:
     return varphi, z0
 
 
+# Accepted starts of each layout.  Each check is one closed comparison:
+# bounded by the largest float, it refuses inf as it refuses NaN.
+_FLOAT_MAX = sys.float_info.max
+_START_SPAN = {
+    Geometry.INTERVAL: (-1.0, 1.0, "[-1, 1]"),
+    Geometry.RADIAL_INTERIOR: (0.0, 1.0, "[0, 1]"),
+    Geometry.RADIAL_EXTERIOR: (1.0, _FLOAT_MAX, "[1, inf)"),
+}
+
+
+def _check_kappa(kappa: float) -> float:
+    kappa = float(kappa)
+    if not 0.0 <= kappa <= _FLOAT_MAX:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
+    return kappa
+
+
+def _check_varphi(varphi: float) -> float:
+    varphi = float(varphi)
+    if not -_FLOAT_MAX <= varphi <= _FLOAT_MAX:
+        raise ValueError(f"varphi must be finite, got {varphi!r}")
+    return varphi
+
+
+def _check_dimension(d: int) -> int:
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be a positive integer, got {d!r}")
+    return d
+
+
+def _check_start(geometry: Geometry, z0: float) -> float:
+    """z0 as a float, refused unless inside the layout's `_START_SPAN`."""
+    z0 = float(z0)
+    lo, hi, span = _START_SPAN[geometry]
+    if not lo <= z0 <= hi:
+        raise ValueError(
+            f"start z0 must be finite and lie in {span}, got {z0!r}")
+    return z0
+
+
 def _positive(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
@@ -103,8 +148,7 @@ class OUProblem:
         _positive("gamma", self.gamma)
         _positive("temperature", self.temperature)
         _positive("L", self.L)
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
+        _check_dimension(self.d)
         if not math.isfinite(self.F0):
             raise ValueError("F0 must be finite")
         kbt = BOLTZMANN_K * self.temperature
@@ -131,9 +175,7 @@ class OUProblem:
                            d: int = 1) -> "OUProblem":
         """Build the unit problem (L = 1, D = 1, kB T = 1) realising the
         given kappa and varphi; convenient for solver-level work."""
-        kappa = float(kappa)
-        if not math.isfinite(kappa) or kappa <= 0.0:
-            raise ValueError(f"kappa must be a positive finite number, got {kappa!r}")
+        kappa = _positive("kappa", kappa)
         # With gamma = 1 and kB T = 1 the diffusion coefficient is 1, and
         # k = 2 kappa reproduces kappa = k L^2 / (2 kB T) at L = 1.
         k = 2.0 * kappa

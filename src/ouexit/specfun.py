@@ -188,7 +188,10 @@ def inv_gamma(x: float) -> float:
         return 0.0
     lg = _lgamma(1.0 - x)
     if lg > 700.0:
-        return math.copysign(math.inf, s)
+        # Gamma(1-x) alone may pass float range where 1/Gamma(x) does not
+        ln_mag = lg + math.log(abs(s) / math.pi)
+        return math.copysign(
+            math.exp(ln_mag) if ln_mag < _EXP_MAX else math.inf, s)
     return s * math.exp(lg) / math.pi
 
 

@@ -68,7 +68,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .ou_model import BROWNIAN_KAPPA, Geometry
+from .ou_model import (BROWNIAN_KAPPA, Geometry, _check_kappa, _check_start,
+                       _check_varphi)
 from .specfun import (bessel_j, gamma_fn, kummer_m, kummer_m_da, tricomi_u,
                       tricomi_u_da)
 
@@ -634,14 +635,11 @@ def _brownian_basis(geometry: Geometry, kappa: float, varphi: float,
 # ----------------------------------------------------------------------
 
 def _validate_problem(geometry, kappa: float, varphi: float, d: int,
-                      n_modes: int) -> Geometry:
+                      n_modes: int) -> tuple[Geometry, float, float]:
     geometry = Geometry(geometry)
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and nonnegative, got {kappa!r}")
-    if not math.isfinite(varphi):
-        raise ValueError(f"varphi must be finite, got {varphi!r}")
+    kappa, varphi = _check_kappa(kappa), _check_varphi(varphi)
     if geometry is Geometry.INTERVAL:
         if d != 1:
             raise ValueError("the interval layout is one-dimensional; d must be 1")
@@ -652,7 +650,7 @@ def _validate_problem(geometry, kappa: float, varphi: float, d: int,
             raise ValueError(
                 "a constant pull breaks radial symmetry; varphi must be 0 "
                 f"for {geometry.value}")
-    return geometry
+    return geometry, kappa, varphi
 
 
 def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
@@ -674,7 +672,8 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     the slowest root lies below alpha = 1e-12, as it does for deep traps
     (the centred interval from kappa about 63).
     """
-    geometry = _validate_problem(geometry, kappa, varphi, d, n_modes)
+    geometry, kappa, varphi = _validate_problem(geometry, kappa, varphi, d,
+                                                n_modes)
     if kappa < BROWNIAN_KAPPA:
         if geometry is Geometry.RADIAL_EXTERIOR:
             raise ValueError(
@@ -751,7 +750,7 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
         betas.append(beta)
 
     return SpectralBasis(
-        geometry=geometry, kappa=float(kappa), varphi=float(varphi), d=d,
+        geometry=geometry, kappa=kappa, varphi=varphi, d=d,
         alphas=tuple(alpha for alpha, _ in tagged),
         coeff_pairs=tuple(pairs), weights=tuple(weights),
         betas=tuple(betas), brownian=False)
@@ -760,19 +759,6 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
 # ----------------------------------------------------------------------
 # evaluation
 # ----------------------------------------------------------------------
-
-def _check_start(geometry: Geometry, z0: float) -> None:
-    if geometry is Geometry.INTERVAL:
-        if not -1.0 <= z0 <= 1.0:
-            raise ValueError(f"interval start must lie in [-1, 1], got {z0!r}")
-    elif geometry is Geometry.RADIAL_INTERIOR:
-        if not 0.0 <= z0 <= 1.0:
-            raise ValueError(f"interior start must lie in [0, 1], got {z0!r}")
-    else:
-        if not 1.0 <= z0 < math.inf:
-            raise ValueError(
-                f"exterior start must be finite with z0 >= 1, got {z0!r}")
-
 
 def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
     """Spatial factor of mode n in the survival series at start z0.
@@ -858,7 +844,7 @@ def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     call at another start or basis replaces them.  z0 must be finite and
     inside the geometry's domain.
     """
-    _check_start(basis.geometry, z0)
+    z0 = _check_start(basis.geometry, z0)
     if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     raw, _, converged = _spectral_sum(basis, z0, t, rate_weighted=False)
@@ -874,7 +860,7 @@ def fet_density(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     marks raw values below -1% of the term mass and any t below t_min.
     It shares the kept mode factors of the latest start with `survival`.
     """
-    _check_start(basis.geometry, z0)
+    z0 = _check_start(basis.geometry, z0)
     if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     raw, abs_acc, converged = _spectral_sum(basis, z0, t, rate_weighted=True)
@@ -896,14 +882,14 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     pole returns a huge value.  Below the pole the ratio comes back
     unchecked, often negative.
     """
-    geometry = _validate_problem(geometry, kappa, varphi, d, 1)
+    geometry, kappa, varphi = _validate_problem(geometry, kappa, varphi, d, 1)
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
     if kappa < BROWNIAN_KAPPA:
         raise ValueError(
             "the closed ratio needs kappa >= BROWNIAN_KAPPA; the "
             "free-diffusion limit has no trapped generating function")
-    _check_start(geometry, z0)
+    z0 = _check_start(geometry, z0)
     if abs(z0) == 1.0:
         return 1.0
     a = s / (4.0 * kappa)

@@ -1534,6 +1534,26 @@ def test_inv_gamma_keeps_its_digits_at_a_tiny_negative_argument():
         -2.499999999999996389e-15, rel=1e-13)
 
 
+# mpmath (40 digits, at the float arguments) on (-171, -168), where
+# Gamma(1 - x) alone passes float range but 1/Gamma(x) fits a float
+@pytest.mark.parametrize("x,ref", [
+    (-169.5, 1.7704690034223189163e+305),
+    (-168.99, -4.05480578385579522e+302),
+    (-169.9999, 7.2536870596790690079e+302),
+    (-170.5, -3.0186496508350537522e+307),
+    (-170.99, -1.1785937765444560975e+307),
+])
+def test_inv_gamma_fits_the_float_range_below_minus_168(x, ref):
+    assert abs(inv_gamma(x) - ref) <= specfun._gamma_rel_err(x) * abs(ref)
+
+
+def test_inv_gamma_is_signed_inf_only_past_float_range():
+    # 1/Gamma(-171.5) is about 5.2e309
+    assert inv_gamma(-171.5) == math.inf
+    assert inv_gamma(-172.5) == -math.inf
+    assert inv_gamma(-171.0) == 0.0
+
+
 def test_kummer_m_large_z_branch_near_a_zero():
     r = kummer_m(-2.5e-15, 0.5, 100.0)
     assert r.value == pytest.approx(-1.1971882502484716080e28, rel=1e-13)
