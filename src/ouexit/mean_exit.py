@@ -397,8 +397,9 @@ def met_radial_interior(d: int, kappa: float, z0: float) -> float:
 
 
 def _exterior_sum(d: int, kappa: float, z0: float) -> float:
-    """The finite-sum exterior mean for kappa > 0 and z0 > 1; every term
-    of `total` is positive."""
+    """The finite-sum exterior mean for kappa > 0, z0 > 1 and d <= 4, in
+    Gamma functions and kappa powers; every term of `total` is
+    positive."""
     half_d = 0.5 * d
     if d % 2 == 0:
         total = 2.0 * math.log(z0)
@@ -408,10 +409,6 @@ def _exterior_sum(d: int, kappa: float, z0: float) -> float:
         return total / (4.0 * kappa)
     sk = math.sqrt(kappa)
     total = 2.0 * _SQRT_PI * (_int_erfcx0(sk * z0) - _int_erfcx0(sk))
-    for j in range(1, (d - 1) // 2):
-        total += ((gamma_fn(half_d) / gamma_fn(half_d - j)
-                   - gamma_fn(j + 0.5) / _SQRT_PI)
-                  * (1.0 - z0 ** (-2 * j)) / (j * kappa**j))
     s_near = sum(gamma_fn(half_d - j) * kappa ** (j - half_d)
                  for j in range(1, (d + 1) // 2))
     s_far = sum(gamma_fn(half_d - j) * (kappa * z0 * z0) ** (j - half_d)
@@ -420,13 +417,62 @@ def _exterior_sum(d: int, kappa: float, z0: float) -> float:
     return total / (4.0 * kappa)
 
 
+def _exterior_sum_scaled(d: int, kappa: float, z0: float) -> float:
+    """`_exterior_sum` with every Gamma ratio and kappa power formed as a
+    running product, carried as a mantissa m and a power of two e, so no
+    factor leaves float range before the mean does; math.inf where the
+    mean passes float range.
+
+    Even d sums Gamma(h)/(j Gamma(h-j)) kappa^-j (1 - z0^-2j), h = d/2,
+    with the ratio built up from j = 1.  Odd d pairs that ratio with
+    Gamma(j+1/2)/(sqrt(pi) kappa^j), the smaller of the two, on one
+    exponent, and folds the near and far erfcx terms of each j into
+    Gamma(h-j) kappa^(j-h) (erfcx(sqrt(kappa)) - erfcx(sqrt(kappa) z0)
+    z0^(2(j-h))), built down from Gamma(1/2) kappa^(-1/2) at the top j.
+    """
+    frexp = math.frexp
+    h = 0.5 * d
+    terms = []  # (m, e) for m * 2**e
+    if d % 2 == 0:
+        terms.append((2.0 * math.log(z0), 0))
+        c, e = 1.0, 0
+        for j in range(1, d // 2):
+            c, de = frexp(c * (h - j) / kappa)
+            e += de
+            terms.append((c * (1.0 - z0 ** (-2 * j)) / j, e))
+    else:
+        sk = math.sqrt(kappa)
+        terms.append(
+            (2.0 * _SQRT_PI * (_int_erfcx0(sk * z0) - _int_erfcx0(sk)), 0))
+        a, b, e = 1.0, 1.0, 0
+        for j in range(1, (d - 1) // 2):
+            a, de = frexp(a * (h - j) / kappa)
+            b = math.ldexp(b * (j - 0.5) / kappa, -de)
+            e += de
+            terms.append(((a - b) * (1.0 - z0 ** (-2 * j)) / j, e))
+        near, far = erfcx(sk), erfcx(sk * z0)
+        g, e = frexp(_SQRT_PI / sk)
+        for j in range((d - 1) // 2, 0, -1):
+            terms.append((g * (near - far * z0 ** (2.0 * (j - h))), e))
+            g, de = frexp(g * (h - j) / kappa)
+            e += de
+    top = max((e for m, e in terms if m != 0.0), default=0)
+    total = sum(math.ldexp(m, e - top) for m, e in terms)
+    try:
+        return math.ldexp(total / (4.0 * kappa), top)
+    except OverflowError:
+        return math.inf
+
+
 def met_radial_exterior(d: int, kappa: float, z0: float) -> float:
     """Mean time to reach the d-ball of radius 1 from outside (z0 >= 1)
     with the trap at the centre.  Units L**2/D.
 
     For kappa = 0 the mean is infinite (free diffusion never guarantees
-    capture in finite mean time); that, and a mean beyond float range at
-    kappa < 1, is returned as math.inf.
+    capture in finite mean time); that, and a mean beyond float range, is
+    returned as math.inf.  From d = 5 the Gamma ratios and kappa powers
+    are scaled running products (`_exterior_sum_scaled`), as Gamma(d/2)
+    leaves float range from d = 344 and kappa^j sooner.
     """
     d, kappa = _check_dimension(d), _check_kappa(kappa)
     z0 = _check_start(_EXTERIOR, z0)
@@ -434,14 +480,13 @@ def met_radial_exterior(d: int, kappa: float, z0: float) -> float:
         return 0.0
     if kappa == 0.0:
         return math.inf
+    if d > 4:
+        return _exterior_sum_scaled(d, kappa, z0)
     try:
         return _exterior_sum(d, kappa, z0)
-    except (OverflowError, ZeroDivisionError):
-        if kappa >= 1.0:
-            raise
-        # below kappa = 1 only a power kappa^-p, p > 0, leaves float range
-        # (kappa^j underflowing to 0 in a divisor is one); its term is
-        # positive, so the mean leaves float range too
+    except OverflowError:
+        # up to d = 4 only kappa^-1, at kappa < 1, can leave float range;
+        # its term is positive, so the mean leaves float range too
         return math.inf
 
 

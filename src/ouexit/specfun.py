@@ -250,12 +250,19 @@ _RYBICKI_H = 0.2
 _EXP_MAX = math.log(1.7976931348623157e308)
 
 
+# Odd denominators of Dawson's Maclaurin series, innermost first.
+_DAWSON_SERIES_K = tuple(float(k) for k in range(21, 1, -2))
+
+
 def dawson(x: float) -> float:
     """Dawson's integral F(x) = exp(-x^2) * int_0^x exp(t^2) dt.
 
-    Sampling theorem approximation of Rybicki for |x| <= 10 (absolute
-    error ~exp(-(pi/2h)^2), far below 1e-12 at h = 0.2), asymptotic
-    series in 1/x beyond.  NaN gives NaN.
+    The Maclaurin series sum (-1)^n 2^n x^(2n+1) / (2n+1)!! for
+    |x| <= 0.2, within 1 ulp; the sampling theorem approximation of
+    Rybicki for 0.2 < |x| <= 10, within a few ulps (absolute error
+    ~exp(-(pi/2h)^2) at h = 0.2); the asymptotic series in 1/x beyond.
+    NaN gives NaN.  The samples nearly cancel near 0, so below 0.2 they
+    would lose relative accuracy (2.4e-5 at x = 1e-12).
 
     The sampling sum runs over the 45 odd n = n0-44, ..., n0+44 nearest
     |x|/h, skipping any sample with |x - n h| > 9.  n counts in floats,
@@ -267,6 +274,14 @@ def dawson(x: float) -> float:
         return 0.0
     if ax != ax:  # NaN
         return ax
+    if ax <= 0.2:
+        # x (1 - y/3 (1 - y/5 (1 - ...))), y = 2 x^2; the tenth term is
+        # below 1e-20 of the first
+        y = 2.0 * ax * ax
+        p = 1.0
+        for k in _DAWSON_SERIES_K:
+            p = 1.0 - y / k * p
+        return math.copysign(ax * p, x)
     if ax > 10.0:
         # F(x) ~ 1/(2x) + 1/(4x^3) + 3/(8x^5) + ...
         inv2 = 1.0 / (2.0 * ax * ax)

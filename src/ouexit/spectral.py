@@ -23,11 +23,17 @@ Eigenvalues are bracketed by an adaptive scan whose step follows the
 local level spacing -- pi/2-scaled where the spectrum is
 diffusion-like, nu-spacing-scaled where the trap dominates -- with a
 logarithmic sweep below that grid because the slowest rate collapses
-exponentially in kappa.  Brackets are refined one after another by
-bisection plus a secant polish to |d alpha| < 1e-12 (relative below
-alpha = 1), each root is re-verified against its bracket-scale
-residual, and suspiciously wide gaps trigger a fine rescan before being
-accepted.
+exponentially in kappa.  Domain monotonicity against the oscillator on
+the whole line or space, with no absorbing wall, leaves each family at
+most one level below the sweep's top, so the sweep reads its grid's
+ends, bisects the grid only when their signs differ, and tests its last
+cell on its own (a level can sit within rounding of the top): at most
+9 evaluations, where reading every grid point took 65.  Brackets are
+refined one after another by bisection plus a secant polish to
+|d alpha| < 1e-12 (relative below alpha = 1), each root is re-verified
+against its bracket-scale residual, and suspiciously wide gaps trigger
+a fine rescan before being accepted.  Mode sums read a per-basis table
+of the modes with nonzero weight.
 
 Per-mode data come from confluent functions alone, with no quadrature.
 Each survival weight is a residue of the closed-form generating
@@ -192,6 +198,14 @@ class SpectralBasis:
         return len(self.alphas)
 
     @functools.cached_property
+    def _live_modes(self) -> tuple[tuple[int, float, float], ...]:
+        """(n, weights[n], alphas[n] ** 2) of every mode with a nonzero
+        weight, in order: the terms a spectral sum reads.  Cached like
+        `t_min`."""
+        return tuple((n, w, self.alphas[n] ** 2)
+                     for n, w in enumerate(self.weights) if w != 0.0)
+
+    @functools.cached_property
     def t_min(self) -> float:
         """Reliability horizon of the truncated sums.
 
@@ -201,12 +215,10 @@ class SpectralBasis:
         basis: the instance dict takes it, not a field, so equality,
         `dataclasses.replace` and JSON do not see it.
         """
-        for n in reversed(range(self.n_modes)):
-            w = self.weights[n]
-            if w != 0.0:
-                return max(0.0, math.log(abs(w) / _TMIN_TERM)
-                           / (self.alphas[n] ** 2))
-        return 0.0
+        if not self._live_modes:
+            return 0.0
+        _, w, lam = self._live_modes[-1]
+        return max(0.0, math.log(abs(w) / _TMIN_TERM) / lam)
 
 
 @dataclass(frozen=True)
@@ -283,6 +295,20 @@ def _scan_brackets(fn: Callable[[float], float], kappa: float, dnu: float,
     Returns (a, b, fa, fb) tuples in ascending order.  A logarithmic
     sweep over [1e-12, sqrt(4 kappa dnu)] precedes the adaptive linear
     scan because the first root collapses exponentially with kappa.
+
+    The sweep's 65 grid points run up to nu = alpha^2/(4 kappa) = dnu,
+    and each family has at most one level below that: by Dirichlet
+    domain monotonicity against the oscillator on the whole line or
+    space, interval levels have nu_n >= n/2, the even and odd families
+    at varphi = 0 have nu_n >= n and nu_n >= n + 1/2 (dnu = 1), and
+    radial levels have nu_n >= n.  So fn is read at the grid's first
+    point and its last two, the 63 lower cells are bisected over their
+    own grid points when the first and the second-to-last signs differ,
+    and the last cell is tested on its own: rounding can put the top
+    point just past a level exponentially close to nu = dnu (the
+    centred interval at kappa = 50 has one).  That is at most 9
+    evaluations, and the brackets of a full sweep wherever it sees at
+    most one sign change below its last cell.
     """
     brackets = []
     prev_a = 1e-12
@@ -296,13 +322,24 @@ def _scan_brackets(fn: Callable[[float], float], kappa: float, dnu: float,
     # BROWNIAN_KAPPA and dnu >= 1/2
     n_log = 64
     ratio = (math.sqrt(4.0 * kappa * dnu) / prev_a) ** (1.0 / n_log)
-    a = prev_a
+    grid = [prev_a]
     for _ in range(n_log):
-        a *= ratio
-        f = fn(a)
-        if (f < 0.0) != (prev_f < 0.0):
-            brackets.append((prev_a, a, prev_f, f))
-        prev_a, prev_f = a, f
+        grid.append(grid[-1] * ratio)
+    lo, f_lo = 0, prev_f
+    hi, f_hi = n_log - 1, fn(grid[n_log - 1])
+    top_f = f_hi
+    if (f_hi < 0.0) != (f_lo < 0.0):
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            f = fn(grid[mid])
+            if (f < 0.0) == (f_lo < 0.0):
+                lo, f_lo = mid, f
+            else:
+                hi, f_hi = mid, f
+        brackets.append((grid[lo], grid[hi], f_lo, f_hi))
+    prev_a, prev_f = grid[n_log], fn(grid[n_log])
+    if (prev_f < 0.0) != (top_f < 0.0):
+        brackets.append((grid[n_log - 1], prev_a, top_f, prev_f))
     while len(brackets) < n_roots:
         a = prev_a + _local_step(prev_a, kappa, dnu, brownian_gap)
         if a > cap:
@@ -783,8 +820,8 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
 
 
 # The mode factors of the latest start: (basis, z0, factors), where
-# factors[n] = mode_term(basis, n, z0) for a prefix of the modes (0.0 at
-# zero-weight modes, which are never evaluated).  A curve at one start
+# factors[i] = mode_term(basis, n, z0) for a prefix of the basis's live
+# modes, n being the i-th entry of `_live_modes`.  A curve at one start
 # computes each factor once.  The slot is replaced whole and never
 # mutated, so concurrent callers at worst recompute; the basis is matched
 # by identity, which costs nothing and leaves equal but distinct bases
@@ -803,27 +840,22 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
         factors = ()
     known = len(factors)
     new = []
+    exp = math.exp
     acc = 0.0
     abs_acc = 0.0
-    kept = 0
     term = 0.0
-    for n in range(basis.n_modes):
-        w = basis.weights[n]
-        if n < known:
-            factor = factors[n]
+    for i, (n, w, lam) in enumerate(basis._live_modes):
+        if i < known:
+            factor = factors[i]
         else:
-            factor = mode_term(basis, n, z0) if w != 0.0 else 0.0
+            factor = mode_term(basis, n, z0)
             new.append(factor)
-        if w == 0.0:
-            continue
-        lam = basis.alphas[n] ** 2
-        term = w * math.exp(-lam * t) * factor
+        term = w * exp(-lam * t) * factor
         if rate_weighted:
             term *= lam
         acc += term
         abs_acc += abs(term)
-        kept += 1
-        if kept >= _MIN_TERMS and abs(term) < _TERM_STOP * abs(acc):
+        if i >= _MIN_TERMS - 1 and abs(term) < _TERM_STOP * abs(acc):
             converged = True
             break
     else:

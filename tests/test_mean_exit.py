@@ -531,6 +531,40 @@ def test_radial_interior_beyond_float_range_is_inf():
     assert met_radial_interior(1, 1.7976931348623157e308, 0.0) == math.inf
 
 
+# 30-digit mpmath of the exterior finite sum, Gamma functions and kappa
+# powers taken at full precision.  The first three broke the float sum:
+# Gamma(d/2) passes float range from d = 344 (NaN at d = 400, inf at
+# (344, 1, 2)), and kappa^169 at (341, 100, 1.5) raised OverflowError.
+LARGE_D_EXTERIOR = {
+    (400, 100.0, 1.5): 27052780568894.46721585,
+    (344, 1.0, 2.0): 4.961109264763957953753e+306,
+    (341, 100.0, 1.5): 549943.9926063199867455,
+    (343, 1.0, 2.0): 3.802266726949452703937e+305,
+    (345, 1.0, 2.0): 6.482639099643925125091e+307,
+    (5, 2.0, 1.7): 0.2030033847394985048315,
+    (6, 0.5, 2.0): 4.068147180559945309417,
+    (7, 3.0, 1.2): 0.06174230171922989762089,
+    (20, 10.0, 1.4): 0.04095930512785149512013,
+    (21, 0.3, 2.5): 12904838201.20584164548,
+    (100, 30.0, 1.1): 1.237828749988042726017,
+    (101, 50.0, 1.3): 0.01111641415676484195442,
+}
+
+
+@pytest.mark.parametrize("args,want", list(LARGE_D_EXTERIOR.items()),
+                         ids=str)
+def test_radial_exterior_at_large_d_matches_mpmath(args, want):
+    assert rel(met_radial_exterior(*args), want) < 1e-14
+
+
+# (346, 1, 2) is 8.48e308 in 30-digit mpmath
+@pytest.mark.parametrize("args", [(1000, 1.0, 2.0), (346, 1.0, 2.0),
+                                  (6, 1e-300, 2.0), (5, 1e-300, 2.0)],
+                         ids=str)
+def test_radial_exterior_at_large_d_beyond_float_range_is_inf(args):
+    assert met_radial_exterior(*args) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # the series kernels keep the bits of their one-call-per-term loops
 

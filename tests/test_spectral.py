@@ -285,6 +285,112 @@ def test_a_slowest_root_under_the_scan_floor_is_refused(case):
         build_basis(*case)
 
 
+def _full_sweep_scan(fn, kappa, dnu, brownian_gap, n_roots, cap):
+    """The scan with the logarithmic sweep evaluated at all 65 grid
+    points.  Returns its brackets, or the message of the RootSearchError
+    it raised, and the number of sign changes its sweep saw below the
+    sweep's last cell."""
+    brackets = []
+    prev_a = 1e-12
+    prev_f = fn(prev_a)
+    if prev_f < 0.0:
+        return (f"eigenvalue condition is already negative at alpha = "
+                f"{prev_a:g}; the slowest mode lies below the scan"), 0
+    n_log = 64
+    ratio = (math.sqrt(4.0 * kappa * dnu) / prev_a) ** (1.0 / n_log)
+    a = prev_a
+    for _ in range(n_log):
+        a *= ratio
+        f = fn(a)
+        if (f < 0.0) != (prev_f < 0.0):
+            brackets.append((prev_a, a, prev_f, f))
+        prev_a, prev_f = a, f
+    below_last_cell = sum(1 for br in brackets if br[1] < prev_a)
+    while len(brackets) < n_roots:
+        a = prev_a + spectral._local_step(prev_a, kappa, dnu, brownian_gap)
+        if a > cap:
+            return (f"found {len(brackets)} of {n_roots} eigenvalue brackets "
+                    f"before alpha = {cap:.6g}; last bracket scanned was "
+                    f"({prev_a:.17g}, {a:.17g})"), below_last_cell
+        f = fn(a)
+        if (f < 0.0) != (prev_f < 0.0):
+            brackets.append((prev_a, a, prev_f, f))
+        prev_a, prev_f = a, f
+    return brackets[:n_roots], below_last_cell
+
+
+def _sweep_cases(count, seed):
+    """Seeded builds whose families ask for 1 or 3 roots: radial d = 1-4,
+    centred intervals, and intervals with |varphi| <= 2.5, at kappa
+    log-uniform in [1e-7, 700]."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        kappa = math.exp(rng.uniform(math.log(1e-7), math.log(700.0)))
+        n_modes = rng.choice((1, 3))
+        if rng.random() < 0.45:
+            geometry = rng.choice(("radial-interior", "radial-exterior"))
+            cases.append((geometry, kappa, 0.0, rng.randint(1, 4), n_modes))
+        elif rng.random() < 0.25:
+            # each parity family is asked for n_modes // 2 + 1 roots
+            cases.append(("interval", kappa, 0.0, 1, 4 if n_modes == 3 else 1))
+        else:
+            cases.append(("interval", kappa, rng.uniform(-2.5, 2.5), 1,
+                          n_modes))
+    return cases
+
+
+def test_the_sweep_keeps_the_full_sweeps_brackets(monkeypatch):
+    # Each root family has at most one level below the sweep's top
+    # nu = dnu, so reading the sweep's ends and bisecting finds what
+    # evaluating every grid point found, wherever that saw at most one
+    # sign change below its last cell.  Where it saw more, the interval
+    # determinant is cancellation noise far from the trap centre.  The
+    # listed oracle cases hold a level rounding puts close to the top.
+    cases = _sweep_cases(200, 2027) + [
+        ("interval", 50.0, 0.0, 1, 4), ("interval", 100.0, 0.3, 1, 3),
+        ("interval", 62.0, 0.0, 1, 4), ("radial-interior", 60.0, 0.0, 3, 3)]
+    seen = []
+    scan = spectral._scan_brackets
+
+    def compared(fn, kappa, dnu, brownian_gap, n_roots, cap):
+        top = math.sqrt(4.0 * kappa * dnu)
+        sweep = []
+
+        def counted(x):
+            if x <= top * (1.0 + 1e-12):
+                sweep.append(x)
+            return fn(x)
+
+        args = (kappa, dnu, brownian_gap, n_roots, cap)
+        want, below_last_cell = _full_sweep_scan(fn, *args)
+        try:
+            got = scan(counted, *args)
+        except RootSearchError as err:
+            got = str(err)
+        seen.append((case, want, below_last_cell, got, len(sweep)))
+        if isinstance(got, str):
+            raise RootSearchError(got)
+        return got
+
+    monkeypatch.setattr(spectral, "_scan_brackets", compared)
+    for case in cases:
+        try:
+            build_basis(*case)
+        except (RootSearchError, ValueError, OverflowError,
+                ZeroDivisionError):
+            pass
+    compared_families = 0
+    for case, want, below_last_cell, got, n_sweep in seen:
+        assert n_sweep <= 9, case
+        if below_last_cell <= 1:
+            assert got == want, case
+            compared_families += 1
+        else:
+            assert case[0] == "interval" and abs(case[2]) > 1.5, case
+    assert compared_families >= 200
+
+
 @pytest.mark.parametrize("n_modes", [1, 5, 12])
 def test_a_centred_interval_asks_each_family_for_half_the_modes(
         monkeypatch, n_modes):
