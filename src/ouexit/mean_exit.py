@@ -44,7 +44,8 @@ from ._quad import tanh_sinh  # noqa: F401
 from .ou_model import (BROWNIAN_KAPPA, Geometry, _check_dimension,
                        _check_kappa, _check_start, _check_varphi,
                        canonical_orientation)
-from .specfun import _EXP_MAX, _SQRT_PI, dawson, erfcx, gamma_fn
+from .specfun import (_EXP_MAX, _MIN_NORMAL, _SQRT_PI, dawson, erfcx,
+                      gamma_fn)
 
 __all__ = [
     "met_interval",
@@ -66,6 +67,9 @@ _INTERVAL, _INTERIOR, _EXTERIOR = Geometry
 # Euler's constant; it fixes the large-x offset of the erfcx integral
 # and the marginal-pull escape time.
 _EULER_GAMMA = 0.5772156649015329
+_LN2 = math.log(2.0)
+# the largest x whose 2x fits a float
+_HALF_MAX = 0.5 * 1.7976931348623157e308
 
 # Below this x the erfcx integral is summed over Taylor panels of width at
 # most _PANEL_WIDTH; from it on, the large-x expansion's smallest term,
@@ -108,7 +112,7 @@ def _f_exp_erf(x: float) -> float:
         m += 1.0
 
 
-def _int_erfcx0(x: float) -> float:
+def _int_erfcx0(x: float, ln_x: float | None = None) -> float:
     """Integral of erfcx over [0, x] for x >= 0.
 
     Below x = 6, [0, x] is cut into equal panels of width at most 1/2.
@@ -122,6 +126,10 @@ def _int_erfcx0(x: float) -> float:
     (ln 2x + gamma/2)/sqrt(pi)
     + (1/sqrt(pi)) sum_(k>=1) (-1)^(k+1) (2k-1)!! / (2^k 2k x^(2k)).
     The sum diverges: it is stopped at its smallest term, about exp(-x^2).
+    Where 2x passes float range ln 2x is taken as ln 2 + ln x, and where x
+    itself did, as a product, the caller gives ln x as ln_x
+    (`_scaled_gap`): the sum is then 0, and the integral still fits a
+    float.
     """
     if x <= 0.0:
         return 0.0
@@ -139,7 +147,11 @@ def _int_erfcx0(x: float) -> float:
             total += term if k % 2 else -term
             last = term
             k += 1
-        return (math.log(2.0 * x) + 0.5 * _EULER_GAMMA + total) / _SQRT_PI
+        if x <= _HALF_MAX:
+            ln_2x = math.log(2.0 * x)
+        else:
+            ln_2x = _LN2 + (math.log(x) if ln_x is None else ln_x)
+        return (ln_2x + 0.5 * _EULER_GAMMA + total) / _SQRT_PI
     panels = math.ceil(x / _PANEL_WIDTH)
     h = 0.5 * x / panels
     two_hh = 2.0 * h * h
@@ -160,9 +172,21 @@ def _int_erfcx0(x: float) -> float:
     return 2.0 * h * total
 
 
-def _ic0(x: float, shift: float = 0.0) -> float:
+def _scaled_gap(sk: float, hi: float, lo: float = 0.0):
+    """(x, ln_x) for x = sk (hi - lo), sk > 0: ln_x is ln x where x passes
+    float range (x = inf), from ln sk and ln((hi - lo)/2), which fit a
+    float where hi - lo does not; else None.  The pair is what
+    `_int_erfcx0` and `_ic0` take."""
+    x = sk * (hi - lo)
+    if x != math.inf:
+        return x, None
+    return x, math.log(sk) + math.log(0.5 * hi - 0.5 * lo) + _LN2
+
+
+def _ic0(x: float, shift: float = 0.0, ln_x: float | None = None) -> float:
     """Integral of exp(z^2) erfc(z) from 0 to x, any sign of x, times
-    exp(-shift).
+    exp(-shift).  ln_x is ln x where x passed float range
+    (`_scaled_gap`).
 
     For x < 0 the identity erfc(z) = 2 - erfc(-z) splits the integral
     into 2 exp(x^2) Daw(|x|) minus the bounded erfcx piece; the
@@ -170,7 +194,7 @@ def _ic0(x: float, shift: float = 0.0) -> float:
     math.exp raises OverflowError for x^2 - shift > ~709.
     """
     if x >= 0.0:
-        return _int_erfcx0(x) * math.exp(-shift)
+        return _int_erfcx0(x, ln_x) * math.exp(-shift)
     ax = -x
     return (-2.0 * math.exp(x * x - shift) * dawson(ax)
             + _int_erfcx0(ax) * math.exp(-shift))
@@ -408,7 +432,8 @@ def _exterior_sum(d: int, kappa: float, z0: float) -> float:
                       * kappa**-j * (1.0 - z0 ** (-2 * j)))
         return total / (4.0 * kappa)
     sk = math.sqrt(kappa)
-    total = 2.0 * _SQRT_PI * (_int_erfcx0(sk * z0) - _int_erfcx0(sk))
+    total = 2.0 * _SQRT_PI * (_int_erfcx0(*_scaled_gap(sk, z0))
+                              - _int_erfcx0(sk))
     s_near = sum(gamma_fn(half_d - j) * kappa ** (j - half_d)
                  for j in range(1, (d + 1) // 2))
     s_far = sum(gamma_fn(half_d - j) * (kappa * z0 * z0) ** (j - half_d)
@@ -442,8 +467,8 @@ def _exterior_sum_scaled(d: int, kappa: float, z0: float) -> float:
             terms.append((c * (1.0 - z0 ** (-2 * j)) / j, e))
     else:
         sk = math.sqrt(kappa)
-        terms.append(
-            (2.0 * _SQRT_PI * (_int_erfcx0(sk * z0) - _int_erfcx0(sk)), 0))
+        terms.append((2.0 * _SQRT_PI * (_int_erfcx0(*_scaled_gap(sk, z0))
+                                        - _int_erfcx0(sk)), 0))
         a, b, e = 1.0, 1.0, 0
         for j in range(1, (d - 1) // 2):
             a, de = frexp(a * (h - j) / kappa)
@@ -503,12 +528,20 @@ def met_exterior_1d_forced(kappa: float, varphi: float, z0: float) -> float:
         return math.inf
     sk = math.sqrt(kappa)
     c = 0.5 * _SQRT_PI / kappa
-    x, x_exit = sk * (z0 - varphi), sk * (1.0 - varphi)
+    # sqrt(kappa) (z0 - varphi) and sqrt(kappa) (1 - varphi) may pass
+    # float range where the mean does not; then their logarithms stand in
+    x, ln_x = _scaled_gap(sk, z0, varphi)
+    x_exit, ln_exit = _scaled_gap(sk, 1.0, varphi)
     try:
-        return c * (_ic0(x) - _ic0(x_exit))
+        return c * (_ic0(x, 0.0, ln_x) - _ic0(x_exit, 0.0, ln_exit))
     except OverflowError:
         # exp(x_exit^2) passed float range; as z0 >= 1, x < 0 only where
         # |x| <= |x_exit|, so x_exit^2 is factored out of both terms
         e = x_exit * x_exit
-        return _times_exp(c * (_ic0(x, e) - _ic0(x_exit, e)), e)
+        m = _ic0(x, e, ln_x) - _ic0(x_exit, e)
+        if 0.0 < m and c * m < _MIN_NORMAL:
+            # c m alone leaves the normal floats (kappa near float range),
+            # so c joins the exponent instead
+            return _times_exp(m, e + math.log(c))
+        return _times_exp(c * m, e)
 

@@ -397,7 +397,11 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
     beyond M before they decay.  a, b and z are binary rationals, so each
     term t <- t (a+n) z / ((b+n)(n+1)) costs one integer product and one
     floor division, and the derivative term dt <- (dt (a+n) + t) z /
-    ((b+n)(n+1)) one more.  Returns (value, abs_err).
+    ((b+n)(n+1)) one more.  The numerator (a+n) z and the divisor
+    (b+n)(n+1), scaled to integers, pass from term to term by integer
+    additions, and the value and the derivative have a loop each; the
+    integers are exact, so each term is the one the products gave.
+    Returns (value, abs_err).
 
     With A = max(|a|, 1), rho_j = (A+j) z / (|b+j| (j+1)) bounds
     |t_(j+1) / t_j|.  The sum ends at the first term N within
@@ -442,22 +446,39 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
         e = 0
     p = _GUARD_BITS + int((z + 2.0 * math.sqrt(aa * z)) / _LN2) + 1
     t = s = 1 << p
-    dt = ds = 0
     tiny = 1 << (p - _GUARD_BITS)
-    c, q, n = an, bn, 0
-    while not (-tiny <= t <= tiny and (not want_da or -tiny <= dt <= tiny)
-               and n + b > 0.0
-               and (aa + n) * z <= 0.5 * (n + b) * (n + 1)):
-        k = q * (n + 1)
-        if want_da:
+    neg_tiny = -tiny
+    # c zn, with c = an + n ad, and k = q (n+1), with q = bn + n bd, are
+    # carried by increments: c zn by ad zn, and k by dk = q + bd (n+2),
+    # itself growing by 2 bd
+    cz, dcz = an * zn, ad * zn
+    k, dk, ddk = bn, bn + 2 * bd, 2 * bd
+    n = 0
+    if want_da:
+        c = an
+        dt = ds = 0
+        while not (neg_tiny <= t <= tiny and neg_tiny <= dt <= tiny
+                   and n + b > 0.0
+                   and (aa + n) * z <= 0.5 * (n + b) * (n + 1)):
             dt = (((dt * c + (t << la)) * zn) >> e) // k
             ds += dt
-        t = ((t * (c * zn)) >> e) // k
-        s += t
-        c += ad
-        q += bd
-        n += 1
-    value = (ds if want_da else s) / (1 << p)
+            t = ((t * cz) >> e) // k
+            c += ad
+            cz += dcz
+            k += dk
+            dk += ddk
+            n += 1
+        value = ds / (1 << p)
+    else:
+        while not (neg_tiny <= t <= tiny and n + b > 0.0
+                   and (aa + n) * z <= 0.5 * (n + b) * (n + 1)):
+            t = ((t * cz) >> e) // k
+            s += t
+            cz += dcz
+            k += dk
+            dk += ddk
+            n += 1
+        value = s / (1 << p)
     if b > 0.0:
         growth = (n + 1) / min(b, 1.0)
     else:
@@ -465,6 +486,41 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
     units = 4.0 * (n + 1) * growth * (3.0 + math.log1p(n) if want_da else 1.0)
     err = math.ldexp(units + 3.0, -_GUARD_BITS) + _EPS * abs(value)
     return value, err
+
+
+# M's float series reads (n, (b+n)(n+1.0)) for n = 1, 2, ... from a table
+# per b, in slots of _ROW_CHUNK rows that are filled as a series first
+# reads past the last one filled.  _SERIES_ROWS keeps the tables of up to
+# _ROW_TABLES values of b and starts over past that.
+_ROW_CHUNK = 32
+_ROW_SLOTS = -(-_MAX_TERMS // _ROW_CHUNK)
+_ROW_TABLES = 32
+_SERIES_ROWS: dict = {}
+
+
+def _series_rows(b: float, k: int) -> tuple:
+    """Slot k of b's table: the rows (n, (b + n)(n + 1.0)) for n from
+    k _ROW_CHUNK + 1 to (k+1) _ROW_CHUNK or _MAX_TERMS, formed by a
+    series loop's own step n += 1.0 and product (b + n)(n + 1.0), so each
+    row holds the bits a loop forming them per term gets."""
+    rows = []
+    n = float(k * _ROW_CHUNK)
+    for _ in range(min(_ROW_CHUNK, _MAX_TERMS - k * _ROW_CHUNK)):
+        n += 1.0
+        rows.append((n, (b + n) * (n + 1.0)))
+    return tuple(rows)
+
+
+def _series_table(b: float) -> list:
+    """b's table of series rows, as a list of _ROW_SLOTS slots each None
+    until `_series_rows` fills it.  A slot is filled whole by one
+    assignment, and threads that race to fill it write equal rows.  NaN b
+    gets a table of its own that is not kept."""
+    if b != b:
+        return [None] * _ROW_SLOTS
+    if len(_SERIES_ROWS) >= _ROW_TABLES:
+        _SERIES_ROWS.clear()
+    return _SERIES_ROWS.setdefault(b, [None] * _ROW_SLOTS)
 
 
 def _kummer_series(a: float, b: float, z: float):
@@ -475,84 +531,86 @@ def _kummer_series(a: float, b: float, z: float):
     consecutive terms below 1e-15 of the running sum (near a = 0 the
     leading terms are tiny while later ones still grow toward n ~ z, so a
     small term counts only once terms fall), and claims
-    8 eps sum|terms| + 4 |last term|.
+    8 eps sum|terms| + 4 |last term|.  It raises NonConvergenceError
+    after _MAX_TERMS terms.
 
     The value and the derivative each have their own loop, and neither
     calls a builtin per term: `abs` and `max` are written out as
     conditionals that keep NaN where the builtins do (max(nan, x) is
-    nan).  Both do the floating-point operations of one loop carrying
-    value and derivative together, in its order, and so return its values
-    and claims bit for bit; tests/test_specfun.py keeps that loop as their
-    oracle.
+    nan).  Both read n and (b+n)(n+1) from b's table (`_series_table`)
+    rather than forming them per term.  Both do the floating-point
+    operations of one loop carrying value and derivative together, in its
+    order, and so return its values and claims bit for bit;
+    tests/test_specfun.py keeps that loop as their oracle.
     """
     stop = _SERIES_STOP
-    max_terms = float(_MAX_TERMS)
     t = s = abs_sum = 1.0
     hits = 0
     n = 0.0
     c = a + n
     q = (b + n) * (n + 1.0)
-    while n < max_terms:
-        t = t * c * (z / q)
-        s += t
-        at = t if t >= 0.0 else -t
-        abs_sum += at
-        n += 1.0
-        c = a + n
-        q = (b + n) * (n + 1.0)
-        ref = s if s >= 0.0 else -s
-        if (at < stop * (1e-300 if ref < 1e-300 else ref)
-                and (c if c >= 0.0 else -c) * z < q):
-            hits += 1
-            if hits >= 3:
-                break
-        else:
-            hits = 0
-    else:
-        raise NonConvergenceError(
-            f"Kummer series did not converge for a={a}, b={b}, z={z}")
-    return s, _EPS * 8.0 * abs_sum + 4.0 * abs(t)
+    table = _SERIES_ROWS.get(b) or _series_table(b)
+    for k, rows in enumerate(table):
+        if rows is None:
+            rows = table[k] = _series_rows(b, k)
+        for n, q_next in rows:
+            t = t * c * (z / q)
+            s += t
+            at = t if t >= 0.0 else -t
+            abs_sum += at
+            c = a + n
+            ref = s if s >= 0.0 else -s
+            if (at < stop * (1e-300 if ref < 1e-300 else ref)
+                    and (c if c >= 0.0 else -c) * z < q_next):
+                hits += 1
+                if hits >= 3:
+                    return s, _EPS * 8.0 * abs_sum + 4.0 * abs(t)
+            else:
+                hits = 0
+            q = q_next
+    raise NonConvergenceError(
+        f"Kummer series did not converge for a={a}, b={b}, z={z}")
 
 
 def _kummer_series_da(a: float, b: float, z: float):
     """`_kummer_series`'s derivative loop: dM/da and its claim, with the
     value's terms carried alongside for the stop test."""
     stop = _SERIES_STOP
-    max_terms = float(_MAX_TERMS)
     t = s = abs_sum = 1.0
     dt = ds = 0.0
     hits = 0
     n = 0.0
     c = a + n
     q = (b + n) * (n + 1.0)
-    while n < max_terms:
-        r = z / q
-        dt = dt * c * r + t * r
-        t = t * c * r
-        s += t
-        ds += dt
-        adt = dt if dt >= 0.0 else -dt
-        abs_sum += adt
-        n += 1.0
-        c = a + n
-        q = (b + n) * (n + 1.0)
-        at = t if t >= 0.0 else -t
-        m = adt if adt > at else at
-        ref = s if s >= 0.0 else -s
-        ads = ds if ds >= 0.0 else -ds
-        if ads > ref:
-            ref = ads
-        if (m < stop * (1e-300 if ref < 1e-300 else ref)
-                and (c if c >= 0.0 else -c) * z < q):
-            hits += 1
-            if hits >= 3:
-                break
-        else:
-            hits = 0
-    else:
-        raise NonConvergenceError(
-            f"Kummer series did not converge for a={a}, b={b}, z={z}")
-    return ds, _EPS * 8.0 * abs_sum + 4.0 * abs(dt)
+    table = _SERIES_ROWS.get(b) or _series_table(b)
+    for k, rows in enumerate(table):
+        if rows is None:
+            rows = table[k] = _series_rows(b, k)
+        for n, q_next in rows:
+            r = z / q
+            dt = dt * c * r + t * r
+            t = t * c * r
+            s += t
+            ds += dt
+            adt = dt if dt >= 0.0 else -dt
+            abs_sum += adt
+            c = a + n
+            at = t if t >= 0.0 else -t
+            m = adt if adt > at else at
+            ref = s if s >= 0.0 else -s
+            ads = ds if ds >= 0.0 else -ds
+            if ads > ref:
+                ref = ads
+            if (m < stop * (1e-300 if ref < 1e-300 else ref)
+                    and (c if c >= 0.0 else -c) * z < q_next):
+                hits += 1
+                if hits >= 3:
+                    return ds, _EPS * 8.0 * abs_sum + 4.0 * abs(dt)
+            else:
+                hits = 0
+            q = q_next
+    raise NonConvergenceError(
+        f"Kummer series did not converge for a={a}, b={b}, z={z}")
 
 
 def _two_f0(p: float, q: float, x: float):
@@ -560,11 +618,14 @@ def _two_f0(p: float, q: float, x: float):
     of M and U at large z (DLMF 13.7), with x = z or -z.
 
     Stops before a term that rises, once a term is below 1e-18 of the
-    sum, or after 60 terms.  Returns the sum and its smallest term.
+    sum, or after 60 terms.  Returns the sum and its smallest term.  n
+    counts in floats, which every n here is exactly, so each term is the
+    one an integer count gave.
     """
     s = term = 1.0
     least = math.inf
-    for n in range(60):
+    n = 0.0
+    for _ in range(60):
         term *= (p + n) * (q + n) / ((n + 1.0) * x)
         mag = abs(term)
         if mag > least:
@@ -573,6 +634,7 @@ def _two_f0(p: float, q: float, x: float):
         least = mag
         if least < 1e-18 * abs(s):
             break
+        n += 1.0
     return s, least
 
 

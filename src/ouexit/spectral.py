@@ -32,8 +32,12 @@ cell on its own (a level can sit within rounding of the top): at most
 refined one after another by bisection plus a secant polish to
 |d alpha| < 1e-12 (relative below alpha = 1), each root is re-verified
 against its bracket-scale residual, and suspiciously wide gaps trigger
-a fine rescan before being accepted.  Mode sums read a per-basis table
-of the modes with nonzero weight.
+a fine rescan before being accepted.  The same theorem places the first
+such gap: where a family's lowest root lies below the sweep's top, no
+level is missed between the two, so that gap is measured and rescanned
+from the top, not from the lowest root: a trap's ground gap is wider
+than the spacing law though it can hide no level.  Mode sums read a
+per-basis table of the modes with nonzero weight.
 
 Per-mode data come from confluent functions alone, with no quadrature.
 Each survival weight is a residue of the closed-form generating
@@ -48,7 +52,11 @@ raised-parameter functions.  An interval mode takes it at the trap
 centre, where m1, m2 and their slopes do not depend on a, once for each
 half of the interval; its pair, weight and norm then all come from m1,
 m2 and their a-derivatives at the two boundaries, eight confluent
-values.  `weights_crosscheck` is an opt-in audit, computed on demand: it
+values.  Each family's condition keeps the confluent values it computes
+(`_keeping`), and a root's mode data read them there: the interval
+pair, or the radial F(a, b, kappa), is not computed again, and at
+varphi = 0 the left boundary mirrors the right exactly.
+`weights_crosscheck` is an opt-in audit, computed on demand: it
 rebuilds every weight with dD/da replaced by a central difference of
 D's values, so a wrong parameter derivative or coefficient shows as a
 discrepancy.  Below `BROWNIAN_KAPPA` the basis switches to its
@@ -248,21 +256,51 @@ def _m2(f, a: float, kappa: float, z: float) -> float:
     return z * f(a + 0.5, 1.5, kappa * z * z).value
 
 
-def _interval_ends(f, a: float, kappa: float, varphi: float):
+def _interval_ends(f, a: float, kappa: float, varphi: float,
+                   m1_r: float | None = None, m2_r: float | None = None):
     """((m1, m2) at z = -1 - varphi, (m1, m2) at z = 1 - varphi): the
     interval pair (f = kummer_m), or its a-derivatives (f = kummer_m_da),
-    at the two boundaries."""
+    at the two boundaries.
+
+    At varphi = 0 the left end mirrors the right: m1 is even and m2 odd
+    about the centre, and in floats too, since kappa (-1)(-1) is kappa
+    and -1 times m2(1) is the product m2(-1) forms.  There a right-end
+    value the caller already holds (m1_r, m2_r) is taken as given.
+    """
+    if varphi == 0.0:
+        if m1_r is None:
+            m1_r = _m1(f, a, kappa, 1.0)
+        if m2_r is None:
+            m2_r = _m2(f, a, kappa, 1.0)
+        return (m1_r, -1.0 * m2_r), (m1_r, m2_r)
     zl = -1.0 - varphi
     zr = 1.0 - varphi
     return ((_m1(f, a, kappa, zl), _m2(f, a, kappa, zl)),
             (_m1(f, a, kappa, zr), _m2(f, a, kappa, zr)))
 
 
-def _interval_det(a: float, kappa: float, varphi: float) -> float:
-    """Boundary determinant at a = -alpha^2/(4 kappa), whose zeros are
-    the interval eigenvalues."""
-    (m1_l, m2_l), (m1_r, m2_r) = _interval_ends(kummer_m, a, kappa, varphi)
+def _interval_det(ends) -> float:
+    """Boundary determinant m1(zl) m2(zr) - m2(zl) m1(zr) of the pair's
+    values at the two ends (`_interval_ends`), whose zeros in a =
+    -alpha^2/(4 kappa) are the interval eigenvalues."""
+    (m1_l, m2_l), (m1_r, m2_r) = ends
     return m1_l * m2_r - m2_l * m1_r
+
+
+def _keeping(values_at: Callable[[float], object],
+             condition: Callable[[object], float] = float):
+    """(fn, kept): the eigenvalue condition fn(alpha) =
+    condition(values_at(alpha)) and the dict in which fn keeps
+    values_at(alpha) for every alpha it reads.  Every root is a point the
+    refinement read, so its mode data take the confluent values there
+    from `kept` instead of computing them again."""
+    kept: dict[float, object] = {}
+
+    def fn(alpha: float) -> float:
+        values = kept[alpha] = values_at(alpha)
+        return condition(values)
+
+    return fn, kept
 
 
 # ----------------------------------------------------------------------
@@ -421,24 +459,29 @@ def _find_roots(fn: Callable[[float], float], kappa: float, dnu: float,
     brackets = _scan_brackets(fn, kappa, dnu, brownian_gap, n_roots, cap)
     roots = [_refine_root(fn, br) for br in brackets]
     for _ in range(2):
-        extras = _audit_gaps(fn, roots, kappa, brownian_gap)
+        extras = _audit_gaps(fn, roots, kappa, dnu, brownian_gap)
         if not extras:
             break
         roots = sorted(roots + extras)[:n_roots]
     return roots
 
 
-def _suspect_gaps(roots: list[float], kappa: float,
-                  brownian_gap: float) -> list[int]:
-    """Indices i whose gap (roots[i], roots[i+1]) looks like a missed root.
+def _suspect_gaps(roots: list[float], kappa: float, dnu: float,
+                  brownian_gap: float) -> list[tuple[float, float]]:
+    """Gaps (lo, hi) between neighbour roots that look like a missed root.
 
     Families with a hard spacing law are held to it directly: at most
-    _GAP_SLACK nu-periods or _GAP_SLACK free-diffusion gaps.  Exterior
-    spectra have no such bound (their spacing grows like sqrt(kappa)
-    near the bottom) but decay smoothly mode to mode, so there (the one
-    family with brownian_gap = 0) a gap is suspect when it exceeds 1.5x
-    its smallest neighbour gap -- a miss doubles one gap while
-    legitimate neighbours stay within ~1.2x.
+    _GAP_SLACK nu-periods or _GAP_SLACK free-diffusion gaps.  Such a
+    family has at most one level below the sweep's top alpha =
+    sqrt(4 kappa dnu) (see `_scan_brackets`), so no level is missed
+    between a lowest root below the top and the top itself: the first gap
+    is measured, and rescanned, from max(roots[0], top).  (In a trap the
+    ground gap is wider than the spacing law, yet it can hide no level
+    below the top.)  Exterior spectra have no such bound (their spacing
+    grows like sqrt(kappa) near the bottom) but decay smoothly mode to
+    mode, so there (the one family with brownian_gap = 0) a gap is
+    suspect when it exceeds 1.5x its smallest neighbour gap -- a miss
+    doubles one gap while legitimate neighbours stay within ~1.2x.
     """
     gaps = [hi - lo for lo, hi in zip(roots, roots[1:])]
     if not gaps:
@@ -452,16 +495,19 @@ def _suspect_gaps(roots: list[float], kappa: float,
                           if 0 <= j < len(gaps)]
             if g > 1.5 * min(neighbours) and g > _GAP_SLACK * (
                     4.0 * kappa) / (roots[i] + roots[i + 1]):
-                out.append(i)
+                out.append((roots[i], roots[i + 1]))
         return out
-    for i, g in enumerate(gaps):
-        nu_gap = (roots[i + 1] ** 2 - roots[i] ** 2) / (4.0 * kappa)
-        if nu_gap > _GAP_SLACK and g > _GAP_SLACK * brownian_gap:
-            out.append(i)
+    top = math.sqrt(4.0 * kappa * dnu)
+    for i, (lo, hi) in enumerate(zip(roots, roots[1:])):
+        if i == 0 and lo < top:
+            lo = top
+        nu_gap = (hi ** 2 - lo ** 2) / (4.0 * kappa)
+        if nu_gap > _GAP_SLACK and hi - lo > _GAP_SLACK * brownian_gap:
+            out.append((lo, hi))
     return out
 
 
-def _audit_gaps(fn, roots: list[float], kappa: float,
+def _audit_gaps(fn, roots: list[float], kappa: float, dnu: float,
                 brownian_gap: float) -> list[float]:
     """Rescan any neighbour gap wider than the family's spacing law.
 
@@ -469,11 +515,13 @@ def _audit_gaps(fn, roots: list[float], kappa: float,
     a close root pair (the spectrum is simple), so the 96x finer rescan
     recovers it; an empty rescan certifies the wide gap as genuine --
     interval problems with the trap centre outside the domain produce
-    legitimately stretched spacings in the drift-dominated band.
+    legitimately stretched spacings in the drift-dominated band.  A
+    family with a free-diffusion law has its first gap measured from the
+    sweep's top sqrt(4 kappa dnu) where its lowest root lies below it
+    (`_suspect_gaps`), since no second level lies below the top.
     """
     extras = []
-    for i in _suspect_gaps(roots, kappa, brownian_gap):
-        lo, hi = roots[i], roots[i + 1]
+    for lo, hi in _suspect_gaps(roots, kappa, dnu, brownian_gap):
         pad = 1e-9 * (hi - lo)
         grid = [lo + pad + (hi - lo - 2.0 * pad) * k / 96.0
                 for k in range(97)]
@@ -488,11 +536,18 @@ def _audit_gaps(fn, roots: list[float], kappa: float,
 # per-mode data (coefficients, weights, normalization)
 # ----------------------------------------------------------------------
 
-def _interval_mode(kappa: float, varphi: float, alpha: float, tag: str):
+def _interval_mode(kappa: float, varphi: float, alpha: float, tag: str,
+                   kept=None):
     """Coefficients, residue weight, and beta for one interval mode.
 
     All three come from m1, m2 and their a-derivatives at the two
-    boundaries, eight confluent values.  The residue weight divides by
+    boundaries, eight confluent values.  `kept` is what the family's
+    condition kept at alpha (`_keeping`), if it was read there: the four
+    values of the pair for the determinant, m1(1) for the symmetric
+    family and m2(1) for the antisymmetric one; those are not computed
+    again.  At varphi = 0 the left end mirrors the right
+    (`_interval_ends`), so a mode of a centred family takes one value of
+    the pair and two a-derivatives.  The residue weight divides by
     whichever boundary coefficient is better conditioned; the two
     groupings agree through the eigenvalue identity c1 A2 = -c2 A1, and
     at a symmetry-silenced mode (odd eigenfunction at varphi = 0, where
@@ -519,7 +574,13 @@ def _interval_mode(kappa: float, varphi: float, alpha: float, tag: str):
     add.
     """
     a = -alpha * alpha / (4.0 * kappa)
-    (o_l, e_l), (o_r, e_r) = _interval_ends(kummer_m, a, kappa, varphi)
+    if tag == "symmetric":
+        ends = _interval_ends(kummer_m, a, kappa, varphi, m1_r=kept)
+    elif tag == "antisymmetric":
+        ends = _interval_ends(kummer_m, a, kappa, varphi, m2_r=kept)
+    else:
+        ends = kept or _interval_ends(kummer_m, a, kappa, varphi)
+    (o_l, e_l), (o_r, e_r) = ends
     (o_l_a, e_l_a), (o_r_a, e_r_a) = _interval_ends(kummer_m_da, a, kappa,
                                                     varphi)
     if tag == "symmetric":
@@ -577,14 +638,19 @@ def _radial_solution(geometry: Geometry):
     return tricomi_u, tricomi_u_da
 
 
-def _radial_mode(geometry: Geometry, kappa: float, b: float, alpha: float):
+def _radial_mode(geometry: Geometry, kappa: float, b: float, alpha: float,
+                 y: float | None = None):
     """Pair, residue weight and beta for one radial mode, from F and dF/da
-    at (a, b, kappa) and at (a+1, b+1, kappa), four confluent values."""
+    at (a, b, kappa) and at (a+1, b+1, kappa), four confluent values.  y
+    is F(a, b, kappa) where the family's condition kept it at alpha
+    (`_keeping`); it is then not computed again."""
     f, f_da = _radial_solution(geometry)
     nu = alpha * alpha / (4.0 * kappa)
     y_a = f_da(-nu, b, kappa).value
     w_res = 4.0 * kappa / (alpha * alpha * y_a)
-    mass = _radial_mass(kappa, -nu, f(-nu, b, kappa).value, y_a,
+    if y is None:
+        y = f(-nu, b, kappa).value
+    mass = _radial_mass(kappa, -nu, y, y_a,
                         f(1.0 - nu, b + 1.0, kappa).value,
                         f_da(1.0 - nu, b + 1.0, kappa).value)
     lagrange = 2.0 * b if geometry is Geometry.RADIAL_INTERIOR else 2.0
@@ -697,7 +763,9 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     Each mode gets one weight, the residue of the closed-form generating
     function, and a normalization from the Sturm-Liouville norm
     identity; neither takes a quadrature, and an interval mode takes
-    both from eight confluent values at its two boundaries.
+    both from eight confluent values at its two boundaries.  A mode reads
+    the values its root's condition already computed rather than
+    computing them again (`_keeping`).
     `weights_crosscheck` audits the weights on demand; the build itself
     does not run it.  At varphi = 0 the even and odd interval families
     are scanned separately and merged; the generic determinant covers
@@ -723,24 +791,29 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
                 f"{kappa * varphi!r}")
         return _brownian_basis(geometry, kappa, varphi, d, n_modes)
 
+    # each family's condition keeps its confluent values (`_keeping`)
     if geometry is Geometry.INTERVAL:
         if varphi == 0.0:
             # m1 and m2 at the right end z = 1
             families = [
-                (lambda al: _m1(kummer_m, -al * al / (4.0 * kappa), kappa,
-                                1.0), "symmetric", 1.0),
-                (lambda al: _m2(kummer_m, -al * al / (4.0 * kappa), kappa,
-                                1.0), "antisymmetric", 1.0),
+                (*_keeping(lambda al: _m1(
+                    kummer_m, -al * al / (4.0 * kappa), kappa, 1.0)),
+                 "symmetric", 1.0),
+                (*_keeping(lambda al: _m2(
+                    kummer_m, -al * al / (4.0 * kappa), kappa, 1.0)),
+                 "antisymmetric", 1.0),
             ]
         else:
-            families = [(lambda al: _interval_det(-al * al / (4.0 * kappa),
-                                                  kappa, varphi), "", 0.5)]
+            families = [(*_keeping(lambda al: _interval_ends(
+                kummer_m, -al * al / (4.0 * kappa), kappa, varphi),
+                _interval_det), "", 0.5)]
         brownian_gap = math.pi if varphi == 0.0 else 0.5 * math.pi
     else:
         f, _ = _radial_solution(geometry)
         b = 0.5 * d
-        families = [(lambda al: f(-al * al / (4.0 * kappa), b, kappa).value,
-                     "", 1.0)]
+        families = [(*_keeping(
+            lambda al: f(-al * al / (4.0 * kappa), b, kappa).value), "",
+            1.0)]
         # the exterior has no free-diffusion family
         brownian_gap = (0.0 if geometry is Geometry.RADIAL_EXTERIOR
                         else math.pi)
@@ -763,7 +836,9 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     # alternation check below raises as it would with every root asked for.
     n_roots = n_modes // 2 + 1 if len(families) == 2 else n_modes
     tagged: list[tuple[float, str]] = []
-    for fn, tag, dnu in families:
+    kept_by_tag = {}
+    for fn, kept, tag, dnu in families:
+        kept_by_tag[tag] = kept
         for root in _find_roots(fn, kappa, dnu, brownian_gap, n_roots, cap):
             tagged.append((root, tag))
     tagged.sort()
@@ -778,10 +853,12 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
 
     pairs, weights, betas = [], [], []
     for alpha, tag in tagged:
+        values = kept_by_tag[tag].get(alpha)
         if geometry is Geometry.INTERVAL:
-            pair, w, beta = _interval_mode(kappa, varphi, alpha, tag)
+            pair, w, beta = _interval_mode(kappa, varphi, alpha, tag, values)
         else:
-            pair, w, beta = _radial_mode(geometry, kappa, 0.5 * d, alpha)
+            pair, w, beta = _radial_mode(geometry, kappa, 0.5 * d, alpha,
+                                         values)
         pairs.append(pair)
         weights.append(w)
         betas.append(beta)
@@ -966,7 +1043,8 @@ def _pole_parts(basis: SpectralBasis, n: int):
         num = (c1 - m2_l) / c1
     else:
         num = -(m1_l - c2) / c2
-    return lambda lam: _interval_det(-lam / (4.0 * kappa), kappa, varphi), num
+    return lambda lam: _interval_det(_interval_ends(
+        kummer_m, -lam / (4.0 * kappa), kappa, varphi)), num
 
 
 def weights_crosscheck(basis: SpectralBasis) -> WeightsReport:

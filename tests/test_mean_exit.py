@@ -565,6 +565,54 @@ def test_radial_exterior_at_large_d_beyond_float_range_is_inf(args):
     assert met_radial_exterior(*args) == math.inf
 
 
+# sqrt(kappa) z0 passes float range at these points though the mean, about
+# 2 ln z0 / (4 kappa), does not; 30-digit mpmath of the closed formula,
+# whose erfcx integral over [1e150, 1e450] takes erfcx's asymptotic series
+# there (exact far beyond 30 digits).  All three are the same integral.
+OVERFLOWED_PRODUCT = {
+    (met_radial_exterior, (1, 1e300, 1e300)): 3.453877639491068344944494e-298,
+    (met_radial_exterior, (3, 1e300, 1e300)): 3.453877639491068344944494e-298,
+    (met_exterior_1d_forced, (1e300, 0.0, 1e300)):
+        3.453877639491068344944494e-298,
+}
+
+
+@pytest.mark.parametrize("fn,args", list(OVERFLOWED_PRODUCT), ids=str)
+def test_exterior_means_hold_where_sqrt_kappa_z0_overflows(fn, args):
+    assert rel(fn(*args), OVERFLOWED_PRODUCT[fn, args]) < 1e-15
+
+
+def test_exterior_mean_at_odd_large_d_holds_where_sqrt_kappa_z0_overflows():
+    # d = 9 takes the scaled sum; its erfcx terms add about 1e-300 of 1
+    assert rel(met_radial_exterior(9, 1e300, 1e300),
+               3.453877639491068344944494e-298) < 1e-15
+
+
+# sqrt(kappa) (z0 - varphi), and at the second point sqrt(kappa)
+# (1 - varphi) too, pass float range; the mean is ln((z0 - varphi)/
+# (1 - varphi))/(2 kappa) to 1e-600, here in 30-digit mpmath.  The two
+# erfcx integrals, about 710/sqrt(pi) each, cancel to ln of that ratio, so
+# about 1,000 eps of relative accuracy is lost to their rounding.
+FORCED_OVERFLOWED_GAPS = {
+    (1.0, -1.7e308, 1.7e308): 0.3465735902799726547086161,
+    (4.0, -1.5e308, 1e308): 0.06385320297074883540068926,
+}
+
+
+@pytest.mark.parametrize("args,want", list(FORCED_OVERFLOWED_GAPS.items()),
+                         ids=str)
+def test_forced_exterior_mean_holds_where_both_gaps_overflow(args, want):
+    assert rel(met_exterior_1d_forced(*args), want) < 1e-12
+
+
+def test_forced_exterior_mean_is_inf_where_its_scaled_difference_underflows():
+    # at kappa = 1e300 the exit term exp(kappa/4)/(sqrt(kappa)/2) times
+    # c = sqrt(pi)/(2 kappa) is far beyond float range; c m underflowed to
+    # 0 and read as a cancelled difference, 0.0
+    assert met_exterior_1d_forced(1e300, 1.5, 2.0) == math.inf
+    assert met_exterior_1d_forced(1e300, 1.5, 1e300) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # the series kernels keep the bits of their one-call-per-term loops
 

@@ -10,7 +10,9 @@ differences of the value routines themselves.
 
 import math
 import random
+import struct
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -496,6 +498,285 @@ def test_kummer_series_loops_raise_as_the_one_loop_on_overflow(a, b, z,
     got = _outcome(_series_loop(want_da), a, b, z)
     assert got == _outcome(_one_loop_kummer_series, a, b, z, want_da)
     assert got is NonConvergenceError
+
+
+# The kernels as they were before M's series read a table of rows per b,
+# `_kummer_fixed` carried its products by increments and `_two_f0` counted
+# in floats: the operation order each must keep.
+
+def _series_before_table(a, b, z):
+    stop = specfun._SERIES_STOP
+    max_terms = float(specfun._MAX_TERMS)
+    t = s = abs_sum = 1.0
+    hits = 0
+    n = 0.0
+    c = a + n
+    q = (b + n) * (n + 1.0)
+    while n < max_terms:
+        t = t * c * (z / q)
+        s += t
+        at = t if t >= 0.0 else -t
+        abs_sum += at
+        n += 1.0
+        c = a + n
+        q = (b + n) * (n + 1.0)
+        ref = s if s >= 0.0 else -s
+        if (at < stop * (1e-300 if ref < 1e-300 else ref)
+                and (c if c >= 0.0 else -c) * z < q):
+            hits += 1
+            if hits >= 3:
+                break
+        else:
+            hits = 0
+    else:
+        raise NonConvergenceError(
+            f"Kummer series did not converge for a={a}, b={b}, z={z}")
+    return s, specfun._EPS * 8.0 * abs_sum + 4.0 * abs(t)
+
+
+def _series_da_before_table(a, b, z):
+    stop = specfun._SERIES_STOP
+    max_terms = float(specfun._MAX_TERMS)
+    t = s = abs_sum = 1.0
+    dt = ds = 0.0
+    hits = 0
+    n = 0.0
+    c = a + n
+    q = (b + n) * (n + 1.0)
+    while n < max_terms:
+        r = z / q
+        dt = dt * c * r + t * r
+        t = t * c * r
+        s += t
+        ds += dt
+        adt = dt if dt >= 0.0 else -dt
+        abs_sum += adt
+        n += 1.0
+        c = a + n
+        q = (b + n) * (n + 1.0)
+        at = t if t >= 0.0 else -t
+        m = adt if adt > at else at
+        ref = s if s >= 0.0 else -s
+        ads = ds if ds >= 0.0 else -ds
+        if ads > ref:
+            ref = ads
+        if (m < stop * (1e-300 if ref < 1e-300 else ref)
+                and (c if c >= 0.0 else -c) * z < q):
+            hits += 1
+            if hits >= 3:
+                break
+        else:
+            hits = 0
+    else:
+        raise NonConvergenceError(
+            f"Kummer series did not converge for a={a}, b={b}, z={z}")
+    return ds, specfun._EPS * 8.0 * abs_sum + 4.0 * abs(dt)
+
+
+def _fixed_before_increments(a, b, z, want_da):
+    aa = max(-a, 1.0)
+    m = specfun._MAX_TERMS
+    if not (b + m > 0.0 and (aa + m) * z <= 0.5 * (m + b) * (m + 1)):
+        raise NonConvergenceError(
+            f"fixed-point Kummer series needs over {m} terms for a={a}, "
+            f"b={b}, z={z}")
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    la = ad.bit_length() - 1
+    e = la + zd.bit_length() - bd.bit_length()
+    if e < 0:
+        zn <<= -e
+        e = 0
+    guard = specfun._GUARD_BITS
+    p = guard + int((z + 2.0 * math.sqrt(aa * z)) / specfun._LN2) + 1
+    t = s = 1 << p
+    dt = ds = 0
+    tiny = 1 << (p - guard)
+    c, q, n = an, bn, 0
+    while not (-tiny <= t <= tiny and (not want_da or -tiny <= dt <= tiny)
+               and n + b > 0.0
+               and (aa + n) * z <= 0.5 * (n + b) * (n + 1)):
+        k = q * (n + 1)
+        if want_da:
+            dt = (((dt * c + (t << la)) * zn) >> e) // k
+            ds += dt
+        t = ((t * (c * zn)) >> e) // k
+        s += t
+        c += ad
+        q += bd
+        n += 1
+    value = (ds if want_da else s) / (1 << p)
+    if b > 0.0:
+        growth = (n + 1) / min(b, 1.0)
+    else:
+        growth = math.prod(max(1.0, (j + 1) / abs(b + j)) for j in range(n))
+    units = 4.0 * (n + 1) * growth * (3.0 + math.log1p(n) if want_da else 1.0)
+    err = math.ldexp(units + 3.0, -guard) + specfun._EPS * abs(value)
+    return value, err
+
+
+def _two_f0_int_count(p, q, x):
+    s = term = 1.0
+    least = math.inf
+    for n in range(60):
+        term *= (p + n) * (q + n) / ((n + 1.0) * x)
+        mag = abs(term)
+        if mag > least:
+            break
+        s += term
+        least = mag
+        if least < 1e-18 * abs(s):
+            break
+    return s, least
+
+
+def _bits(fn, *args):
+    """fn(*args) as the exact bits of each float returned (NaN by its
+    sign and payload too), or the error raised, by type and text."""
+    try:
+        got = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(struct.pack("<d", x) for x in got)
+
+
+# (a, b, z) where the float series' terms land on +0.0 or -0.0: a
+# nonpositive integer a ends the terms, and a negative b or a negative
+# term gives the zero its sign
+SERIES_SIGNED_ZEROS = [(0.0, 0.5, 3.0), (-0.0, 1.5, 3.0), (-1.0, 0.5, 2.0),
+                       (-2.0, -0.5, 7.0), (-3.0, -2.5, 1.5), (-1.0, 2.0, 0.25),
+                       (-4.0, 1.5, 40.0), (-7.0, -0.5, 12.0)]
+# NaN z and z = inf run to the 10,000-term budget; so do terms that
+# overflow, and NaN b
+SERIES_BUDGET = [(1.0, 1.5, math.nan), (-0.5, 0.5, math.nan),
+                 (1.0, 1.5, math.inf), (20.0, 0.5, 750.0),
+                 (1.0, math.nan, 2.0), (3.0, -2.5, 1e3)]
+
+
+def test_series_kernels_keep_their_loops_bits_on_a_grid():
+    cases = [(a, b, z) for a, b, z, _ in _series_grid(3000)]
+    cases += SERIES_SIGNED_ZEROS + SERIES_BUDGET
+    zeros = set()
+    for a, b, z in cases:
+        for new, old in ((specfun._kummer_series, _series_before_table),
+                         (specfun._kummer_series_da,
+                          _series_da_before_table)):
+            want = _bits(old, a, b, z)
+            assert _bits(new, a, b, z) == want, (a, b, z, new.__name__)
+            if (a, b, z) in SERIES_BUDGET:
+                assert want[0] is NonConvergenceError
+    for a, b, z in SERIES_SIGNED_ZEROS:
+        t, n = 1.0, 0.0
+        while t != 0.0:
+            t *= (a + n) * (z / ((b + n) * (n + 1.0)))
+            n += 1.0
+        zeros.add(math.copysign(1.0, t))
+    # both signs of zero are reached
+    assert zeros == {1.0, -1.0}
+
+
+def _fixed_grid(count=1500):
+    rng = random.Random(20261028)
+    for _ in range(count):
+        a = (-float(rng.randint(0, 60)) if rng.random() < 0.3
+             else -10.0 ** rng.uniform(1.0, 2.3))
+        b = rng.choice([0.5, 1.5, 1.0, 2.0, 2.5, -0.5, -2.5, -7.25,
+                        rng.uniform(-6.0, 4.0)])
+        z = 10.0 ** rng.uniform(-3.0, 2.0)
+        yield a, b, z, rng.random() < 0.5
+
+
+# b <= 0 takes the growth product; z past the budget raises before
+# summing; NaN z raises there too
+FIXED_EDGES = [(-20.0, -2.5, 3.0), (-15.5, -0.5, 30.0), (-40.0, -7.25, 5.0),
+               (-12.0, -11.5, 2.0), (-20.0, 0.5, 2e4), (-1e4, 1.5, 1.0),
+               (-20.0, 0.5, math.nan), (-3.0, 1.5, 0.0)]
+
+
+@pytest.mark.parametrize("want_da", [False, True])
+def test_fixed_point_series_keeps_its_loops_bits_on_a_grid(want_da):
+    outcomes = set()
+    for a, b, z, _ in list(_fixed_grid()) + [e + (0,) for e in FIXED_EDGES]:
+        want = _bits(_fixed_before_increments, a, b, z, want_da)
+        assert _bits(_kummer_fixed, a, b, z, want_da) == want, (a, b, z)
+        outcomes.add(want[0] if isinstance(want[0], type) else b <= 0.0)
+    # the grid reaches b <= 0, b > 0 and the budget
+    assert {True, False, NonConvergenceError} <= outcomes
+
+
+def test_two_f0_keeps_the_int_count_bits_on_a_grid():
+    cases = [(p, q, x) for a, b, z in _two_f0_grid()
+             for p, q, x in ((b - a, 1.0 - a, z), (a, 1.0 + a - b, -z))]
+    # NaN x, and a nonpositive integer p or q, whose terms end on +0.0
+    # or -0.0
+    cases += [(0.5, 1.5, math.nan), (math.nan, 1.0, 90.0),
+              (-2.0, 0.5, 90.0), (0.5, -3.0, -85.0), (-1.0, -1.0, -100.0)]
+    for p, q, x in cases:
+        assert (_bits(specfun._two_f0, p, q, x)
+                == _bits(_two_f0_int_count, p, q, x)), (p, q, x)
+
+
+def test_series_tables_keep_their_rows_and_stay_bounded(monkeypatch):
+    monkeypatch.setattr(specfun, "_SERIES_ROWS", {})
+    specfun._kummer_series(1.5, 0.5, 100.0)
+    table = specfun._SERIES_ROWS[0.5]
+    filled = [rows for rows in table if rows is not None]
+    # only as many slots as the longest series read past
+    assert 0 < len(filled) < len(table)
+    assert table[:len(filled)] == filled
+    for k, rows in enumerate(filled):
+        assert rows == specfun._series_rows(0.5, k)
+    n = 0.0
+    for rows in filled:
+        for row in rows:
+            n += 1.0
+            assert row == (n, (0.5 + n) * (n + 1.0))
+    # the last slot ends at the term budget
+    last = specfun._series_rows(0.5, specfun._ROW_SLOTS - 1)
+    assert last[-1][0] == float(specfun._MAX_TERMS)
+    for i in range(3 * specfun._ROW_TABLES):
+        specfun._kummer_series(0.25, 0.5 + i / 7.0, 1.0)
+    assert len(specfun._SERIES_ROWS) <= specfun._ROW_TABLES
+    with pytest.raises(NonConvergenceError):
+        specfun._kummer_series(1.0, math.nan, 1.0)
+    assert all(b == b for b in specfun._SERIES_ROWS)
+
+
+def test_concurrent_first_fill_gives_every_thread_the_same_table(
+        monkeypatch):
+    monkeypatch.setattr(specfun, "_SERIES_ROWS", {})
+    b = 1.5
+    jobs = [(specfun._kummer_series, 0.3, 120.0),
+            (specfun._kummer_series_da, -2.5, 80.0),
+            (specfun._kummer_series, 7.0, 40.0),
+            (specfun._kummer_series_da, 0.01, 150.0)] * 2
+    oracle = {specfun._kummer_series: _series_before_table,
+              specfun._kummer_series_da: _series_da_before_table}
+    want = [_bits(oracle[fn], a, b, z) for fn, a, z in jobs]
+    results = [None] * len(jobs)
+
+    def run(i):
+        fn, a, z = jobs[i]
+        results[i] = _bits(fn, a, b, z)
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == want
+    table = specfun._SERIES_ROWS[b]
+    filled = [rows for rows in table if rows is not None]
+    assert table[:len(filled)] == filled
+    assert filled == [specfun._series_rows(b, k) for k in range(len(filled))]
 
 
 # The three large-z loops as they were written before `_two_f0` served

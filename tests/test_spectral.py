@@ -20,6 +20,7 @@ on every module that binds the quadrature routines.
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import random
@@ -526,6 +527,113 @@ def test_a_radial_mode_takes_four_confluent_values_by_module_name(
     spectral.mgf(geometry, kappa, 0.0, d, z0, 2.0)
     assert calls == [(f, 2.0 / (4.0 * kappa), b, kappa * z0 * z0),
                      (f, 2.0 / (4.0 * kappa), b, kappa)]
+
+
+# The benchmark's nine basis-build scenarios at their nominal kappa, and
+# the sha256 of each basis's `basis_to_json` as the code gave it before a
+# root's mode data read the values its condition kept and the audit
+# measured the ground gap from the sweep's top: both change no bit.
+BUILD_SHA256 = {
+    ("interval", 1.0, 0.0, 1, 12):
+        "64a5314947b49c9f8248700d03a351f4177d9dbdfe2914004f70ebc17f3f985e",
+    ("interval", 4.0, 0.5, 1, 12):
+        "881f9172af9227e47b4334adb974bc23c52462f9392abae7dc19f6f71835355b",
+    ("interval", 2.0, 1.0, 1, 12):
+        "ab29e9c025c6cac31596f07a2003d5a501bd6a404e0eabb64f1e61c395de6192",
+    ("interval", 10.0, 2.0, 1, 4):
+        "e1ee228e4c8e53ebb84e3450d24b9a97ee655451104d81021cfc6f8ebca004fa",
+    ("radial-interior", 2.0, 0.0, 3, 12):
+        "31d1cc6521fe79c6c3a77b20a7ed7010bfa665aeb1f4b44f1d1de90cd33aadcc",
+    ("radial-interior", 5.0, 0.0, 2, 12):
+        "bc45a0272b3147bd15f038addb4a8797b275e5287bd8683e6619006e5cbc534c",
+    ("radial-exterior", 1.0, 0.0, 3, 12):
+        "1d3a5984275d0eb348c58da507a6b53e5e2b7f4f21e3a7b1d4369683789cb2c5",
+    ("radial-exterior", 1.0, 0.0, 1, 8):
+        "dd4fdd385444e8bb8f29aeac51fe03dae95a7479b5c7e1ece6d035efcbfe5c91",
+    ("radial-exterior", 2.0, 0.0, 2, 4):
+        "93ec1d6ecdde9ec05401cf763899e848e903bb2305f522078da79388ce285625",
+}
+# confluent calls of the nine builds, through spectral's names; 4,195
+# when every mode computed its values again and the interior kappa = 5
+# build rescanned its ground gap
+BUILD_CALL_CEILING = 3950
+
+
+def test_benchmark_builds_keep_their_bits_and_call_ceiling(monkeypatch):
+    calls = []
+    for name in ("kummer_m", "kummer_m_da", "tricomi_u", "tricomi_u_da"):
+        original = getattr(specfun, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(spectral, name, wrapper)
+    for case, digest in BUILD_SHA256.items():
+        text = basis_to_json(build_basis(*case))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, case
+    assert len(calls) <= BUILD_CALL_CEILING
+
+
+def test_an_interior_build_runs_no_rescan_below_the_sweep_top(monkeypatch):
+    # its ground gap (0.74, 5.33) is wide, but no level lies between the
+    # ground root and the sweep's top sqrt(4 kappa) = 4.47, and (4.47,
+    # 5.33) is within the spacing law
+    found = []
+    original = spectral._suspect_gaps
+
+    def recorded(*args):
+        found.append(original(*args))
+        return found[-1]
+
+    monkeypatch.setattr(spectral, "_suspect_gaps", recorded)
+    basis = build_basis("radial-interior", 5.0, 0.0, 2, 12)
+    assert basis.alphas[0] < math.sqrt(4.0 * 5.0) < basis.alphas[1]
+    assert found and not any(found)
+
+
+def test_a_hidden_root_pair_above_the_sweep_top_is_still_caught(monkeypatch):
+    # The d = 3 ball at kappa = 2: the ground root 2.23 lies below the
+    # sweep's top sqrt(4 kappa) = 2.83.  As in the alternation test, the
+    # condition's sign flips from the second root (5.90) on, which hides
+    # it and leaves a gap from the top to the third root (9.17) wider than
+    # the spacing law; a factor (alpha - 3.55)(alpha - 3.7) puts a close
+    # root pair in that gap, between two points of the linear scan
+    kappa, d = 2.0, 3
+    b = 0.5 * d
+    alphas = build_basis("radial-interior", kappa, 0.0, d, 6).alphas
+    a_hidden = -alphas[1] ** 2 / (4.0 * kappa)
+    lo, hi = 3.55, 3.7
+    original = spectral.kummer_m
+
+    def hidden(a, b_, z):
+        result = original(a, b_, z)
+        if b_ != b or z != kappa:
+            return result
+        alpha = math.sqrt(-4.0 * kappa * a) if a < 0.0 else 0.0
+        value = result.value * (alpha - lo) * (alpha - hi)
+        return specfun.HypergeomResult(-value if a <= a_hidden else value,
+                                       result.abs_err_estimate,
+                                       result.method)
+
+    monkeypatch.setattr(spectral, "kummer_m", hidden)
+    gaps = []
+    suspect = spectral._suspect_gaps
+
+    def recorded(*args):
+        gaps.extend(suspect(*args))
+        return suspect(*args)
+
+    monkeypatch.setattr(spectral, "_suspect_gaps", recorded)
+    basis = build_basis("radial-interior", kappa, 0.0, d, 6)
+    top = math.sqrt(4.0 * kappa)
+    assert gaps[0] == (top, pytest.approx(alphas[2], rel=1e-9))
+    assert basis.alphas[1:3] == (lo, hi)
+    assert basis.alphas[3] == pytest.approx(alphas[2], rel=1e-9)
+    # the scan alone misses the pair
+    monkeypatch.setattr(spectral, "_audit_gaps", lambda *args: [])
+    missed = build_basis("radial-interior", kappa, 0.0, d, 6).alphas
+    assert not {lo, hi} & set(missed)
 
 
 # ---------------------------------------------------------------------------
