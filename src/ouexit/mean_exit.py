@@ -28,9 +28,11 @@ Weak traps (kappa below `BROWNIAN_KAPPA`) route the interval to the
 drift-diffusion closed form in eta = 2 kappa varphi.  The radial interior
 mean is the paper's series in kappa, whose terms are all positive.  The
 radial exterior problem uses the finite-sum forms (logarithmic in even
-dimension, erfc-weighted in odd).  A vanishing trap makes the exterior
-mean infinite; that, and a mean beyond float range, is reported as
-math.inf, not an exception, so callers can print it.  Where exp(x^2) of
+dimension, erfc-weighted in odd), summed at every dimension with their
+Gamma ratios and kappa powers as scaled running products, so no factor
+leaves float range before the mean does.  A vanishing trap makes the
+exterior mean infinite; that, and a mean beyond float range, is reported
+as math.inf, not an exception, so callers can print it.  Where exp(x^2) of
 an erfc-form term passes float range, that largest exponent is factored
 out of the difference, and the mean is formed from its logarithm.
 """
@@ -44,8 +46,7 @@ from ._quad import tanh_sinh  # noqa: F401
 from .ou_model import (BROWNIAN_KAPPA, Geometry, _check_dimension,
                        _check_kappa, _check_start, _check_varphi,
                        canonical_orientation)
-from .specfun import (_EXP_MAX, _MIN_NORMAL, _SQRT_PI, dawson, erfcx,
-                      gamma_fn)
+from .specfun import _EXP_MAX, _MIN_NORMAL, _SQRT_PI, dawson, erfcx
 
 __all__ = [
     "met_interval",
@@ -421,39 +422,20 @@ def met_radial_interior(d: int, kappa: float, z0: float) -> float:
 
 
 def _exterior_sum(d: int, kappa: float, z0: float) -> float:
-    """The finite-sum exterior mean for kappa > 0, z0 > 1 and d <= 4, in
-    Gamma functions and kappa powers; every term of `total` is
-    positive."""
-    half_d = 0.5 * d
-    if d % 2 == 0:
-        total = 2.0 * math.log(z0)
-        for j in range(1, d // 2):
-            total += (gamma_fn(half_d) / (j * gamma_fn(half_d - j))
-                      * kappa**-j * (1.0 - z0 ** (-2 * j)))
-        return total / (4.0 * kappa)
-    sk = math.sqrt(kappa)
-    total = 2.0 * _SQRT_PI * (_int_erfcx0(*_scaled_gap(sk, z0))
-                              - _int_erfcx0(sk))
-    s_near = sum(gamma_fn(half_d - j) * kappa ** (j - half_d)
-                 for j in range(1, (d + 1) // 2))
-    s_far = sum(gamma_fn(half_d - j) * (kappa * z0 * z0) ** (j - half_d)
-                for j in range(1, (d + 1) // 2))
-    total += erfcx(sk) * s_near - erfcx(sk * z0) * s_far
-    return total / (4.0 * kappa)
+    """The finite-sum exterior mean for kappa > 0 and z0 > 1, with every
+    Gamma ratio and kappa power formed as a running product, carried as a
+    mantissa m and a power of two e, so no factor leaves float range
+    before the mean does; math.inf where the mean passes float range.
 
-
-def _exterior_sum_scaled(d: int, kappa: float, z0: float) -> float:
-    """`_exterior_sum` with every Gamma ratio and kappa power formed as a
-    running product, carried as a mantissa m and a power of two e, so no
-    factor leaves float range before the mean does; math.inf where the
-    mean passes float range.
-
-    Even d sums Gamma(h)/(j Gamma(h-j)) kappa^-j (1 - z0^-2j), h = d/2,
-    with the ratio built up from j = 1.  Odd d pairs that ratio with
+    Even d sums 2 ln z0 and Gamma(h)/(j Gamma(h-j)) kappa^-j (1 - z0^-2j),
+    h = d/2, with the ratio built up from j = 1.  Odd d starts from
+    2 sqrt(pi) times the integral of erfcx over [sqrt(kappa),
+    sqrt(kappa) z0].  From d = 5 it pairs the same ratio with
     Gamma(j+1/2)/(sqrt(pi) kappa^j), the smaller of the two, on one
-    exponent, and folds the near and far erfcx terms of each j into
-    Gamma(h-j) kappa^(j-h) (erfcx(sqrt(kappa)) - erfcx(sqrt(kappa) z0)
-    z0^(2(j-h))), built down from Gamma(1/2) kappa^(-1/2) at the top j.
+    exponent, and from d = 3 it folds the near and far erfcx terms of
+    each j into Gamma(h-j) kappa^(j-h) (erfcx(sqrt(kappa))
+    - erfcx(sqrt(kappa) z0) z0^(2(j-h))), built down from Gamma(1/2)
+    kappa^(-1/2) at the top j.
     """
     frexp = math.frexp
     h = 0.5 * d
@@ -475,12 +457,13 @@ def _exterior_sum_scaled(d: int, kappa: float, z0: float) -> float:
             b = math.ldexp(b * (j - 0.5) / kappa, -de)
             e += de
             terms.append(((a - b) * (1.0 - z0 ** (-2 * j)) / j, e))
-        near, far = erfcx(sk), erfcx(sk * z0)
-        g, e = frexp(_SQRT_PI / sk)
-        for j in range((d - 1) // 2, 0, -1):
-            terms.append((g * (near - far * z0 ** (2.0 * (j - h))), e))
-            g, de = frexp(g * (h - j) / kappa)
-            e += de
+        if d > 1:
+            near, far = erfcx(sk), erfcx(sk * z0)
+            g, e = frexp(_SQRT_PI / sk)
+            for j in range((d - 1) // 2, 0, -1):
+                terms.append((g * (near - far * z0 ** (2.0 * (j - h))), e))
+                g, de = frexp(g * (h - j) / kappa)
+                e += de
     top = max((e for m, e in terms if m != 0.0), default=0)
     total = sum(math.ldexp(m, e - top) for m, e in terms)
     try:
@@ -495,9 +478,9 @@ def met_radial_exterior(d: int, kappa: float, z0: float) -> float:
 
     For kappa = 0 the mean is infinite (free diffusion never guarantees
     capture in finite mean time); that, and a mean beyond float range, is
-    returned as math.inf.  From d = 5 the Gamma ratios and kappa powers
-    are scaled running products (`_exterior_sum_scaled`), as Gamma(d/2)
-    leaves float range from d = 344 and kappa^j sooner.
+    returned as math.inf.  At every d the Gamma ratios and kappa powers
+    are scaled running products (`_exterior_sum`), as Gamma(d/2) leaves
+    float range from d = 344 and kappa^j sooner.
     """
     d, kappa = _check_dimension(d), _check_kappa(kappa)
     z0 = _check_start(_EXTERIOR, z0)
@@ -505,14 +488,7 @@ def met_radial_exterior(d: int, kappa: float, z0: float) -> float:
         return 0.0
     if kappa == 0.0:
         return math.inf
-    if d > 4:
-        return _exterior_sum_scaled(d, kappa, z0)
-    try:
-        return _exterior_sum(d, kappa, z0)
-    except OverflowError:
-        # up to d = 4 only kappa^-1, at kappa < 1, can leave float range;
-        # its term is positive, so the mean leaves float range too
-        return math.inf
+    return _exterior_sum(d, kappa, z0)
 
 
 def met_exterior_1d_forced(kappa: float, varphi: float, z0: float) -> float:

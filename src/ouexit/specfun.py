@@ -488,18 +488,17 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
     return value, err
 
 
-# M's float series reads (n, (b+n)(n+1.0)) for n = 1, 2, ... from a table
-# per b, in slots of _ROW_CHUNK rows that are filled as a series first
-# reads past the last one filled.  _SERIES_ROWS keeps the tables of up to
-# _ROW_TABLES values of b and starts over past that.
+# M's float series reads (n, (b+n)(n+1.0)) for n = 1, 2, ... per b, in
+# slots of _ROW_CHUNK rows.  _ROW_CACHE slots are kept over all b, about
+# 1 MB; the series of a basis build read about twenty.
 _ROW_CHUNK = 32
 _ROW_SLOTS = -(-_MAX_TERMS // _ROW_CHUNK)
-_ROW_TABLES = 32
-_SERIES_ROWS: dict = {}
+_ROW_CACHE = 256
 
 
+@functools.lru_cache(maxsize=_ROW_CACHE)
 def _series_rows(b: float, k: int) -> tuple:
-    """Slot k of b's table: the rows (n, (b + n)(n + 1.0)) for n from
+    """Slot k of b's rows: (n, (b + n)(n + 1.0)) for n from
     k _ROW_CHUNK + 1 to (k+1) _ROW_CHUNK or _MAX_TERMS, formed by a
     series loop's own step n += 1.0 and product (b + n)(n + 1.0), so each
     row holds the bits a loop forming them per term gets."""
@@ -509,18 +508,6 @@ def _series_rows(b: float, k: int) -> tuple:
         n += 1.0
         rows.append((n, (b + n) * (n + 1.0)))
     return tuple(rows)
-
-
-def _series_table(b: float) -> list:
-    """b's table of series rows, as a list of _ROW_SLOTS slots each None
-    until `_series_rows` fills it.  A slot is filled whole by one
-    assignment, and threads that race to fill it write equal rows.  NaN b
-    gets a table of its own that is not kept."""
-    if b != b:
-        return [None] * _ROW_SLOTS
-    if len(_SERIES_ROWS) >= _ROW_TABLES:
-        _SERIES_ROWS.clear()
-    return _SERIES_ROWS.setdefault(b, [None] * _ROW_SLOTS)
 
 
 def _kummer_series(a: float, b: float, z: float):
@@ -537,11 +524,11 @@ def _kummer_series(a: float, b: float, z: float):
     The value and the derivative each have their own loop, and neither
     calls a builtin per term: `abs` and `max` are written out as
     conditionals that keep NaN where the builtins do (max(nan, x) is
-    nan).  Both read n and (b+n)(n+1) from b's table (`_series_table`)
-    rather than forming them per term.  Both do the floating-point
-    operations of one loop carrying value and derivative together, in its
-    order, and so return its values and claims bit for bit;
-    tests/test_specfun.py keeps that loop as their oracle.
+    nan).  Both read n and (b+n)(n+1) from b's cached rows
+    (`_series_rows`) rather than forming them per term.  Both do the
+    floating-point operations of one loop carrying value and derivative
+    together, in its order, and so return its values and claims bit for
+    bit; tests/test_specfun.py keeps that loop as their oracle.
     """
     stop = _SERIES_STOP
     t = s = abs_sum = 1.0
@@ -549,11 +536,8 @@ def _kummer_series(a: float, b: float, z: float):
     n = 0.0
     c = a + n
     q = (b + n) * (n + 1.0)
-    table = _SERIES_ROWS.get(b) or _series_table(b)
-    for k, rows in enumerate(table):
-        if rows is None:
-            rows = table[k] = _series_rows(b, k)
-        for n, q_next in rows:
+    for k in range(_ROW_SLOTS):
+        for n, q_next in _series_rows(b, k):
             t = t * c * (z / q)
             s += t
             at = t if t >= 0.0 else -t
@@ -582,11 +566,8 @@ def _kummer_series_da(a: float, b: float, z: float):
     n = 0.0
     c = a + n
     q = (b + n) * (n + 1.0)
-    table = _SERIES_ROWS.get(b) or _series_table(b)
-    for k, rows in enumerate(table):
-        if rows is None:
-            rows = table[k] = _series_rows(b, k)
-        for n, q_next in rows:
+    for k in range(_ROW_SLOTS):
+        for n, q_next in _series_rows(b, k):
             r = z / q
             dt = dt * c * r + t * r
             t = t * c * r

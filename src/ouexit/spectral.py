@@ -82,8 +82,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .ou_model import (BROWNIAN_KAPPA, Geometry, _check_kappa, _check_start,
-                       _check_varphi)
+from .ou_model import (BROWNIAN_KAPPA, Geometry, _check_dimension,
+                       _check_kappa, _check_start, _check_varphi)
 from .specfun import (bessel_j, gamma_fn, kummer_m, kummer_m_da, tricomi_u,
                       tricomi_u_da)
 
@@ -179,8 +179,9 @@ class SpectralBasis:
     from the Sturm-Liouville norm identity.  `brownian` marks a
     closed-form free-diffusion basis whose mode functions are
     trigonometric or Bessel rather than confluent.  `coeff_pairs`,
-    `weights` and `betas` hold one entry per alpha, or construction
-    raises ValueError.
+    `weights` and `betas` hold one entry per alpha, `geometry` names a
+    `Geometry` (a layout's string value is taken as its member) and `d`
+    is a positive integer, or construction raises ValueError.
     """
 
     geometry: Geometry
@@ -194,6 +195,8 @@ class SpectralBasis:
     brownian: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "geometry", Geometry(self.geometry))
+        _check_dimension(self.d)
         n = len(self.alphas)
         for key in ("coeff_pairs", "weights", "betas"):
             got = len(getattr(self, key))
@@ -743,11 +746,12 @@ def _validate_problem(geometry, kappa: float, varphi: float, d: int,
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
     kappa, varphi = _check_kappa(kappa), _check_varphi(varphi)
+    d = _check_dimension(d)
     if geometry is Geometry.INTERVAL:
         if d != 1:
             raise ValueError("the interval layout is one-dimensional; d must be 1")
     else:
-        if d not in (1, 2, 3, 4):
+        if d > 4:
             raise ValueError(f"supported dimensions are 1..4, got {d!r}")
         if varphi != 0.0:
             raise ValueError(
@@ -1102,8 +1106,9 @@ def basis_from_json(text: str) -> SpectralBasis:
     """Rebuild a basis serialized by `basis_to_json`.
 
     Raises ValueError for another schema, or when a per-mode list does
-    not hold "n_modes" entries (`SpectralBasis` checks the others against
-    "alphas").
+    not hold "n_modes" entries.  `SpectralBasis` checks the other lists
+    against "alphas", the layout name, and "d" as written (2.5 is
+    refused, not truncated).
     """
     payload = json.loads(text)
     schema = payload.get("schema")
@@ -1114,10 +1119,10 @@ def basis_from_json(text: str) -> SpectralBasis:
         raise ValueError(f"serialized n_modes is {n_modes}, but alphas "
                          f"holds {len(payload['alphas'])} entries")
     return SpectralBasis(
-        geometry=Geometry(payload["geometry"]),
+        geometry=payload["geometry"],
         kappa=float(payload["kappa"]),
         varphi=float(payload["varphi"]),
-        d=int(payload["d"]),
+        d=payload["d"],
         alphas=tuple(float(a) for a in payload["alphas"]),
         coeff_pairs=tuple((float(c1), float(c2))
                           for c1, c2 in payload["coeff_pairs"]),

@@ -24,7 +24,8 @@ import pytest
 from ouexit import _quad, mean_exit
 from ouexit._quad import tanh_sinh
 from ouexit.ou_model import canonical_orientation
-from ouexit.specfun import _EPS, kummer_m, kummer_m_da, tricomi_u_da
+from ouexit.specfun import (_EPS, erfcx, gamma_fn, kummer_m, kummer_m_da,
+                            tricomi_u_da)
 from ouexit.mean_exit import (
     _MARGINAL_CONSTANT,
     _f_exp_erf,
@@ -611,6 +612,106 @@ def test_forced_exterior_mean_is_inf_where_its_scaled_difference_underflows():
     # 0 and read as a cancelled difference, 0.0
     assert met_exterior_1d_forced(1e300, 1.5, 2.0) == math.inf
     assert met_exterior_1d_forced(1e300, 1.5, 1e300) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# one exterior sum at every d
+
+def _exterior_sum_gamma_form(d, kappa, z0):
+    """The exterior finite sum in Gamma functions and kappa powers, as
+    `met_radial_exterior` took it up to d = 4 before the scaled running
+    products served every d; inf where a float operation overflowed."""
+    half_d = 0.5 * d
+    try:
+        if d % 2 == 0:
+            total = 2.0 * math.log(z0)
+            for j in range(1, d // 2):
+                total += (gamma_fn(half_d) / (j * gamma_fn(half_d - j))
+                          * kappa**-j * (1.0 - z0 ** (-2 * j)))
+            return total / (4.0 * kappa)
+        sk = math.sqrt(kappa)
+        total = 2.0 * math.sqrt(math.pi) * (
+            _int_erfcx0(*mean_exit._scaled_gap(sk, z0)) - _int_erfcx0(sk))
+        s_near = sum(gamma_fn(half_d - j) * kappa ** (j - half_d)
+                     for j in range(1, (d + 1) // 2))
+        s_far = sum(gamma_fn(half_d - j) * (kappa * z0 * z0) ** (j - half_d)
+                    for j in range(1, (d + 1) // 2))
+        total += erfcx(sk) * s_near - erfcx(sk * z0) * s_far
+        return total / (4.0 * kappa)
+    except OverflowError:
+        return math.inf
+
+
+def test_exterior_mean_keeps_the_gamma_form_bits_at_d_1_and_2():
+    # neither dimension has a Gamma ratio, so the scaled sum does the
+    # Gamma form's operations; kappa below 1, starts near the wall, and
+    # means beyond float range (the last ones, from kappa near 5e-324)
+    rng = random.Random(2029)
+    cases = []
+    for _ in range(4000):
+        kappa = 10.0 ** rng.uniform(-8.0, 4.0)
+        z0 = rng.choice((1.0 + 10.0 ** rng.uniform(-15.0, -3.0),
+                         1.0 + 10.0 ** rng.uniform(-3.0, 2.0),
+                         10.0 ** rng.uniform(2.0, 300.0)))
+        cases.append((kappa, z0))
+    cases += [(k, z0) for k in (5e-324, 1e-310, 1e-300, 1e300)
+              for z0 in (math.nextafter(1.0, 2.0), 2.0, 1e300)]
+    beyond = 0
+    for d in (1, 2):
+        for kappa, z0 in cases:
+            want = _exterior_sum_gamma_form(d, kappa, z0)
+            got = met_radial_exterior(d, kappa, z0)
+            assert _same_bits(got, want), (d, kappa, z0)
+            beyond += want == math.inf
+    assert beyond >= 4
+
+
+# 40-digit mpmath quadrature of the integrating-factor form
+# int_1^z0 z^(1-d) e^(kappa z^2) Gamma(d/2, kappa z^2) / (2 kappa^(d/2)) dz
+# (the same at 60 digits), on points drawn from random.Random(29) with
+# kappa log-uniform in [1e-3, 1e3] and z0 - 1 log-uniform in [1e-3, 2].
+# Nearer the wall the odd-d erfcx difference loses digits, which is
+# outside this grid.
+EXTERIOR_D3_D4 = {
+    (3, 1.9440808525179338, 1.0138548306691486): 4.29404079477677368066e-3,
+    (3, 117.24829375422314, 1.008967446429801): 3.823105998093931228523e-5,
+    (3, 1.153639606816173, 1.0136439854688206): 7.829391102726649301336e-3,
+    (3, 0.3111455314582876, 2.639596936281213): 2.315170571792119675599,
+    (3, 0.004191757349533958, 1.029375068332948): 46.78509754803169756082,
+    (3, 0.022327772506790702, 1.0142537689669149): 1.904430856310590571303,
+    (3, 982.7445933314397, 1.0122187213585943): 6.182062397879681199153e-6,
+    (3, 4.432683416254762, 1.0242754825969556): 2.977988564438740800653e-3,
+    (3, 24.139135698820677, 1.0299395611609432): 6.231003429268313634287e-4,
+    (3, 0.010534519400957135, 1.0270619330063995): 10.90657652831324534319,
+    (3, 0.2807764905685693, 1.413794332380968): 1.102278167009194142839,
+    (3, 2.37486376976615, 1.0044496568029389): 1.103406184159671289982e-3,
+    (3, 11.042598299553692, 1.0096593120076014): 4.540093156458366453899e-4,
+    (3, 1.1785414759780426, 1.0053180462724913): 2.991416879952698986951e-3,
+    (3, 0.2914251068428233, 1.3935347177255613): 1.009869105183652413082,
+    (3, 1.2422899426812954, 1.3043970114402117): 0.1342019871457262826839,
+    (4, 34.70861345131892, 1.0866988089239609): 1.229542178967094799855e-3,
+    (4, 7.429541535498483, 1.0204859201441838): 1.544765039088079944428e-3,
+    (4, 5.10166646890589, 1.3678640219622469): 0.03517250813410415774683,
+    (4, 0.003936425710774002, 2.2449284036940673): 13035.15441658233176088,
+    (4, 0.15974403166381482, 1.0028788057440619): 0.06516210288284788146092,
+    (4, 0.007943306458030125, 1.013322371796485): 104.3322509378170817195,
+    (4, 0.002603726941841056, 1.0205753858557713): 1475.823570123149336861,
+    (4, 0.309407974172565, 1.1456526724703286): 0.8415307911049207578365,
+    (4, 0.6302702287608459, 2.2229448198549595): 1.135705214853906254022,
+    (4, 9.041682940765131, 1.0114735606569185): 6.998526522636562117314e-4,
+    (4, 177.57326761821713, 1.2030416789376874): 5.229484274132479493891e-4,
+    (4, 636.658961563229, 1.2655155042521082): 1.85165482301143908171e-4,
+    (4, 621.9358943700291, 1.0047580734481756): 3.822247441579067064462e-6,
+    (4, 0.04679053858425667, 2.6203733648116287): 107.8526318732179684869,
+    (4, 0.00135287875866867, 2.1203270833220422): 106486.8079052781142383,
+    (4, 289.9994854808426, 1.0028093883474931): 4.853622892532454219578e-6,
+}
+
+
+def test_exterior_mean_at_d_3_and_4_matches_mpmath_on_a_grid():
+    for (d, kappa, z0), want in EXTERIOR_D3_D4.items():
+        assert rel(met_radial_exterior(d, kappa, z0), want) < 5e-14, (
+            d, kappa, z0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ start) is defined once here, and every solver refuses an input outside it
 with that one check's message.
 """
 
+import dataclasses
 import functools
+import json
 import math
 
 import pytest
@@ -209,6 +211,14 @@ def test_every_solver_refuses_a_start_with_its_layouts_message(name):
         assert str(info.value) == want, z0
 
 
+def _with_d(d):
+    """The JSON image of the d = 3 ball basis with "d" set to d."""
+    payload = json.loads(spectral.basis_to_json(
+        _basis(Geometry.RADIAL_INTERIOR)))
+    payload["d"] = d
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize("d", [0, -1, 1.5, 2.0, None])
 def test_every_dimension_taker_refuses_d_with_the_one_message(d):
     want = _message(_check_dimension, d)
@@ -216,7 +226,19 @@ def test_every_dimension_taker_refuses_d_with_the_one_message(d):
     for call in (lambda: mean_exit.met_radial_interior(d, 1.0, 0.5),
                  lambda: mean_exit.met_radial_exterior(d, 1.0, 2.0),
                  lambda: OUProblem(k=1e-6, gamma=1e-8, temperature=300.0,
-                                   F0=0.0, L=1e-7, d=d)):
+                                   F0=0.0, L=1e-7, d=d),
+                 lambda: spectral.build_basis("radial-interior", 2.0, 0.0,
+                                              d, 2),
+                 lambda: spectral.build_basis("radial-exterior", 2.0, 0.0,
+                                              d, 2),
+                 lambda: spectral.mgf("radial-interior", 2.0, 0.0, d, 0.5,
+                                      1.0),
+                 lambda: spectral.mgf("radial-exterior", 2.0, 0.0, d, 1.5,
+                                      1.0),
+                 lambda: dataclasses.replace(
+                     _basis(Geometry.RADIAL_INTERIOR), d=d),
+                 # "d" is read as written: int() used to turn 1.5 into 1
+                 lambda: spectral.basis_from_json(_with_d(d))):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == want

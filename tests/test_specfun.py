@@ -717,35 +717,37 @@ def test_two_f0_keeps_the_int_count_bits_on_a_grid():
                 == _bits(_two_f0_int_count, p, q, x)), (p, q, x)
 
 
-def test_series_tables_keep_their_rows_and_stay_bounded(monkeypatch):
-    monkeypatch.setattr(specfun, "_SERIES_ROWS", {})
+def test_series_tables_keep_their_rows_and_stay_bounded():
+    rows = specfun._series_rows
+    rows.cache_clear()
     specfun._kummer_series(1.5, 0.5, 100.0)
-    table = specfun._SERIES_ROWS[0.5]
-    filled = [rows for rows in table if rows is not None]
+    read = rows.cache_info().currsize
     # only as many slots as the longest series read past
-    assert 0 < len(filled) < len(table)
-    assert table[:len(filled)] == filled
-    for k, rows in enumerate(filled):
-        assert rows == specfun._series_rows(0.5, k)
+    assert 0 < read < specfun._ROW_SLOTS
+    filled = [rows(0.5, k) for k in range(read)]
+    assert rows.cache_info().currsize == read  # all of them kept
     n = 0.0
-    for rows in filled:
-        for row in rows:
+    for slot in filled:
+        for row in slot:
             n += 1.0
             assert row == (n, (0.5 + n) * (n + 1.0))
+    assert n == read * specfun._ROW_CHUNK
     # the last slot ends at the term budget
-    last = specfun._series_rows(0.5, specfun._ROW_SLOTS - 1)
+    last = rows(0.5, specfun._ROW_SLOTS - 1)
     assert last[-1][0] == float(specfun._MAX_TERMS)
-    for i in range(3 * specfun._ROW_TABLES):
+    # the cache holds at most _ROW_CACHE slots, however many b are read
+    assert rows.cache_info().maxsize == specfun._ROW_CACHE
+    for i in range(3 * specfun._ROW_CACHE):
         specfun._kummer_series(0.25, 0.5 + i / 7.0, 1.0)
-    assert len(specfun._SERIES_ROWS) <= specfun._ROW_TABLES
+    assert rows.cache_info().currsize == specfun._ROW_CACHE
     with pytest.raises(NonConvergenceError):
         specfun._kummer_series(1.0, math.nan, 1.0)
-    assert all(b == b for b in specfun._SERIES_ROWS)
+    assert rows.cache_info().currsize <= specfun._ROW_CACHE
 
 
-def test_concurrent_first_fill_gives_every_thread_the_same_table(
-        monkeypatch):
-    monkeypatch.setattr(specfun, "_SERIES_ROWS", {})
+def test_concurrent_first_fill_gives_every_thread_the_same_table():
+    rows = specfun._series_rows
+    rows.cache_clear()
     b = 1.5
     jobs = [(specfun._kummer_series, 0.3, 120.0),
             (specfun._kummer_series_da, -2.5, 80.0),
@@ -773,10 +775,12 @@ def test_concurrent_first_fill_gives_every_thread_the_same_table(
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == want
-    table = specfun._SERIES_ROWS[b]
-    filled = [rows for rows in table if rows is not None]
-    assert table[:len(filled)] == filled
-    assert filled == [specfun._series_rows(b, k) for k in range(len(filled))]
+    # the slots the threads filled are b's first ones, as formed serially
+    read = rows.cache_info().currsize
+    assert read > 0
+    filled = [rows(b, k) for k in range(read)]
+    assert rows.cache_info().currsize == read
+    assert filled == [rows.__wrapped__(b, k) for k in range(read)]
 
 
 # The three large-z loops as they were written before `_two_f0` served

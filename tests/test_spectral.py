@@ -788,6 +788,23 @@ def test_basis_refuses_a_mode_list_shorter_than_alphas(key):
         dataclasses.replace(basis, **{key: getattr(basis, key)[:2]})
 
 
+@pytest.mark.parametrize("case, z0, t", [
+    (("interval", 2.0, 0.3, 1, 4), 0.2, 1.0),
+    (("radial-interior", 2.0, 0.0, 3, 4), 0.2, 0.1)], ids=str)
+def test_basis_takes_a_layout_name_as_its_member(case, z0, t):
+    # a plain-string geometry used to pass every `is Geometry.X` test
+    # by: survival gave 0.2557 here on the interval (0.3044) and 1.0 in
+    # the ball (0.8234), and basis_to_json raised AttributeError
+    basis = build_basis(*case)
+    named = dataclasses.replace(basis, geometry=case[0])
+    assert named.geometry is basis.geometry
+    assert named == basis
+    assert spectral.survival(named, z0, t) == spectral.survival(basis, z0, t)
+    assert basis_to_json(named) == basis_to_json(basis)
+    with pytest.raises(ValueError, match="exterior-1d"):
+        dataclasses.replace(basis, geometry="exterior-1d")
+
+
 def _t_min_loop(basis):
     """The reliability horizon from the last mode of nonzero weight."""
     for n in reversed(range(basis.n_modes)):
@@ -1052,7 +1069,7 @@ INPUT_CONTRACT = [
     pytest.param(lambda: build_basis("radial-interior", 2.0, 0.0, 5, 2),
                  "dimensions", id="build-interior-d-5"),
     pytest.param(lambda: build_basis("radial-exterior", 2.0, 0.0, 0, 2),
-                 "dimensions", id="build-exterior-d-0"),
+                 "d must be a positive integer", id="build-exterior-d-0"),
     pytest.param(lambda: build_basis("radial-interior", 2.0, 0.3, 3, 2),
                  "varphi must be 0", id="build-interior-pull"),
     pytest.param(lambda: build_basis("radial-exterior", 1e-9, 0.0, 3, 2),
