@@ -242,7 +242,10 @@ def splitting_probability(kappa: float, varphi: float, z0: float) -> float:
 
     Exact at the boundaries (1.0 at z0 = 1, 0.0 at z0 = -1) and equal to
     (1 + z0)/2 for a vanishing trap.  A negative pull is handled through
-    the mirror relation H(varphi, z0) = 1 - H(-varphi, -z0).
+    the mirror: H(varphi, z0) is the left-exit probability of (-varphi,
+    -z0), taken from its own Dawson arrangement rather than as
+    1 - H(-varphi, -z0), which rounds probabilities below about 1e-16
+    to 0.
     """
     kappa, varphi = _check_kappa(kappa), _check_varphi(varphi)
     z0 = _check_start(_INTERVAL, z0)
@@ -251,7 +254,7 @@ def splitting_probability(kappa: float, varphi: float, z0: float) -> float:
     if z0 == -1.0:
         return 0.0
     if varphi < 0.0:
-        return 1.0 - _splitting_pair(kappa, -varphi, -z0)[0]
+        return _splitting_pair(kappa, -varphi, -z0)[1]
     return _splitting_pair(kappa, varphi, z0)[0]
 
 

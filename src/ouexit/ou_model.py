@@ -94,7 +94,8 @@ def _check_varphi(varphi: float) -> float:
 
 
 def _check_dimension(d: int) -> int:
-    if not isinstance(d, int) or d < 1:
+    # a bool is an int, but True is no dimension
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     return d
 
@@ -168,7 +169,7 @@ class OUProblem:
         """Build from SI inputs; the diffusion coefficient follows from
         the fluctuation-dissipation relation D = kB T / gamma."""
         return cls(k=float(k), gamma=float(gamma), temperature=float(temperature),
-                   F0=float(F0), L=float(L), d=int(d))
+                   F0=float(F0), L=float(L), d=d)
 
     @classmethod
     def from_dimensionless(cls, kappa: float, varphi: float = 0.0,
@@ -180,7 +181,7 @@ class OUProblem:
         # k = 2 kappa reproduces kappa = k L^2 / (2 kB T) at L = 1.
         k = 2.0 * kappa
         return cls(k=k, gamma=1.0, temperature=1.0 / BOLTZMANN_K,
-                   F0=float(varphi) * k, L=1.0, d=int(d))
+                   F0=float(varphi) * k, L=1.0, d=d)
 
     @property
     def timescale(self) -> float:

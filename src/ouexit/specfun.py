@@ -649,12 +649,13 @@ def _kummer(a: float, b: float, z: float, want_da: bool) -> HypergeomResult:
     Value and derivative take the same route everywhere except on the
     large-z asymptotic branch, which has no a-derivative: dM/da keeps the
     power series there.  Every solver passes z = kappa z0^2 >= 0, so
-    z < 0 (and NaN) is refused.
+    z < 0, NaN and inf are refused, in a message that names the function.
     """
     if b <= 0.0 and b == math.floor(b):
         raise ValueError(f"Kummer M pole at b = {b}")
-    if not z >= 0.0:
-        raise ValueError(f"kummer_m requires z >= 0, got {z!r}")
+    if not 0.0 <= z < math.inf:
+        name = "kummer_m_da" if want_da else "kummer_m"
+        raise ValueError(f"{name} requires finite z >= 0, got {z!r}")
     if z == 0.0:
         return HypergeomResult(0.0 if want_da else 1.0, 0.0, "DirectSeries")
     if a < -10.0 or (a <= 0.0 and a == math.floor(a)):
@@ -676,8 +677,8 @@ def kummer_m(a: float, b: float, z: float) -> HypergeomResult:
     exactly enough that their cancellation costs nothing; otherwise the
     large-z asymptotic expansion serves z > 80 with |a| <= 10, and the
     float power series the rest (cancellation-free once a >= -10, the
-    e^z part of M dominating the alternating prefix).  z < 0 and NaN
-    raise ValueError.
+    e^z part of M dominating the alternating prefix).  z < 0, NaN and
+    inf raise ValueError.
     """
     return _kummer(a, b, z, False)
 
@@ -968,10 +969,10 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
     combination that loses too many digits, overflows, gives NaN or
     needs an M series beyond its term budget take the Laplace integral
     (IntegralRep for a >= 1/2, RecurrenceShift from a+n below), which
-    has no restriction on b.
+    has no restriction on b.  z <= 0, NaN and inf raise ValueError.
     """
-    if z <= 0.0:
-        raise ValueError("tricomi_u requires z > 0")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"tricomi_u requires finite z > 0, got {z!r}")
     if a == 0.0:
         # the integral representation degenerates: U(0, b, z) = 1
         return HypergeomResult(1.0, 0.0, "DirectSeries")
@@ -1010,8 +1011,8 @@ def tricomi_u_da(a: float, b: float, z: float) -> HypergeomResult:
     """dU/da at (a, b, z), z > 0, by the Laplace integral for every b:
     the one pass that gives U weights its integrand by ln(t/(1+t)) at
     the same nodes (IntegralRep for a >= 1/2, RecurrenceShift from a+n
-    below)."""
-    if z <= 0.0:
-        raise ValueError("tricomi_u_da requires z > 0")
+    below).  z <= 0, NaN and inf raise ValueError."""
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"tricomi_u_da requires finite z > 0, got {z!r}")
     v, e, method = _u_integral(a, b, z, want_da=True)
     return HypergeomResult(v, e, method)

@@ -52,17 +52,17 @@ raised-parameter functions.  An interval mode takes it at the trap
 centre, where m1, m2 and their slopes do not depend on a, once for each
 half of the interval; its pair, weight and norm then all come from m1,
 m2 and their a-derivatives at the two boundaries, eight confluent
-values.  Each family's condition keeps the confluent values it computes
-(`_keeping`), and a root's mode data read them there: the interval
-pair, or the radial F(a, b, kappa), is not computed again, and at
-varphi = 0 the left boundary mirrors the right exactly.
+values.  Each root family brings its condition, the values that
+condition keeps (`_keeping`) and its mode routine, which reads them at
+its roots: the interval pair, or the radial F(a, b, kappa), is not
+computed again, and at varphi = 0 the left end mirrors the right.
 `weights_crosscheck` is an opt-in audit, computed on demand: it
 rebuilds every weight with dD/da replaced by a central difference of
 D's values, so a wrong parameter derivative or coefficient shows as a
 discrepancy.  Below `BROWNIAN_KAPPA` the basis switches to its
 closed-form free-diffusion limit (cosines on the interval, Bessel modes
 in the ball); the exterior problem keeps no discrete spectrum in that
-limit and raises instead.
+limit and raises instead.  kappa alone marks a free-diffusion basis.
 
 Deep traps meet two limits.  The slowest rate alpha_0^2 is about one
 over the mean exit time, and the scan starts at alpha = 1e-12: every
@@ -84,8 +84,7 @@ from typing import Callable
 
 from .ou_model import (BROWNIAN_KAPPA, Geometry, _check_dimension,
                        _check_kappa, _check_start, _check_varphi)
-from .specfun import (bessel_j, gamma_fn, kummer_m, kummer_m_da, tricomi_u,
-                      tricomi_u_da)
+from .specfun import bessel_j, kummer_m, kummer_m_da, tricomi_u, tricomi_u_da
 
 __all__ = [
     "SpectralBasis",
@@ -176,12 +175,10 @@ class SpectralBasis:
     (1.0, 0.0).  `weights` are the survival weights, residues of the
     closed-form generating function; `weights_crosscheck` audits them
     on demand.  `betas` are the eigenfunction normalization constants,
-    from the Sturm-Liouville norm identity.  `brownian` marks a
-    closed-form free-diffusion basis whose mode functions are
-    trigonometric or Bessel rather than confluent.  `coeff_pairs`,
-    `weights` and `betas` hold one entry per alpha, `geometry` names a
-    `Geometry` (a layout's string value is taken as its member) and `d`
-    is a positive integer, or construction raises ValueError.
+    from the Sturm-Liouville norm identity.  `coeff_pairs`, `weights`
+    and `betas` hold one entry per alpha, `geometry` names a `Geometry`
+    (a layout's string value is taken as its member) and `d` is a
+    positive integer, or construction raises ValueError.
     """
 
     geometry: Geometry
@@ -192,7 +189,6 @@ class SpectralBasis:
     coeff_pairs: tuple[tuple[float, float], ...]
     weights: tuple[float, ...]
     betas: tuple[float, ...]
-    brownian: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "geometry", Geometry(self.geometry))
@@ -207,6 +203,12 @@ class SpectralBasis:
     @property
     def n_modes(self) -> int:
         return len(self.alphas)
+
+    @property
+    def brownian(self) -> bool:
+        """A closed-form free-diffusion basis (trigonometric or Bessel
+        modes, not confluent ones): kappa below `BROWNIAN_KAPPA`."""
+        return self.kappa < BROWNIAN_KAPPA
 
     @functools.cached_property
     def _live_modes(self) -> tuple[tuple[int, float, float], ...]:
@@ -295,8 +297,8 @@ def _keeping(values_at: Callable[[float], object],
     """(fn, kept): the eigenvalue condition fn(alpha) =
     condition(values_at(alpha)) and the dict in which fn keeps
     values_at(alpha) for every alpha it reads.  Every root is a point the
-    refinement read, so its mode data take the confluent values there
-    from `kept` instead of computing them again."""
+    refinement read, so the family's mode routine takes the confluent
+    values there, kept[root], instead of computing them again."""
     kept: dict[float, object] = {}
 
     def fn(alpha: float) -> float:
@@ -539,16 +541,16 @@ def _audit_gaps(fn, roots: list[float], kappa: float, dnu: float,
 # per-mode data (coefficients, weights, normalization)
 # ----------------------------------------------------------------------
 
-def _interval_mode(kappa: float, varphi: float, alpha: float, tag: str,
-                   kept=None):
+def _interval_mode(kappa: float, varphi: float, alpha: float, ends=None,
+                   m1_r: float | None = None, m2_r: float | None = None):
     """Coefficients, residue weight, and beta for one interval mode.
 
     All three come from m1, m2 and their a-derivatives at the two
-    boundaries, eight confluent values.  `kept` is what the family's
-    condition kept at alpha (`_keeping`), if it was read there: the four
-    values of the pair for the determinant, m1(1) for the symmetric
-    family and m2(1) for the antisymmetric one; those are not computed
-    again.  At varphi = 0 the left end mirrors the right
+    boundaries, eight confluent values.  What the family's condition
+    kept at alpha (`_keeping`) is not computed again: `ends`, the pair at
+    both ends, for the determinant, m1_r = m1(1) for the even centred
+    family and m2_r = m2(1) for the odd one, whose mode has c2, or c1,
+    exactly 0.0.  At varphi = 0 the left end mirrors the right
     (`_interval_ends`), so a mode of a centred family takes one value of
     the pair and two a-derivatives.  The residue weight divides by
     whichever boundary coefficient is better conditioned; the two
@@ -577,21 +579,13 @@ def _interval_mode(kappa: float, varphi: float, alpha: float, tag: str,
     add.
     """
     a = -alpha * alpha / (4.0 * kappa)
-    if tag == "symmetric":
-        ends = _interval_ends(kummer_m, a, kappa, varphi, m1_r=kept)
-    elif tag == "antisymmetric":
-        ends = _interval_ends(kummer_m, a, kappa, varphi, m2_r=kept)
-    else:
-        ends = kept or _interval_ends(kummer_m, a, kappa, varphi)
+    if ends is None:
+        ends = _interval_ends(kummer_m, a, kappa, varphi, m1_r, m2_r)
     (o_l, e_l), (o_r, e_r) = ends
     (o_l_a, e_l_a), (o_r_a, e_r_a) = _interval_ends(kummer_m_da, a, kappa,
                                                     varphi)
-    if tag == "symmetric":
-        c1, c2 = e_r, 0.0
-    elif tag == "antisymmetric":
-        c1, c2 = 0.0, o_r
-    else:
-        c1, c2 = e_r, o_r
+    c1 = 0.0 if m2_r is not None else e_r
+    c2 = 0.0 if m1_r is not None else o_r
 
     det_da = o_l_a * e_r + o_l * e_r_a - e_l_a * o_r - e_l * o_r_a
     if abs(c1) >= abs(c2):
@@ -677,7 +671,7 @@ def _bessel_zero(order: int, k: int) -> float:
 
 def _free_radial(d: int, x: float) -> float:
     """Regular free-diffusion radial mode Gamma(b) J_{b-1}(x) / (x/2)^(b-1),
-    b = d/2, normalized to 1 at x = 0."""
+    b = d/2, normalized to 1 at x = 0 (Gamma(b) is 1 at even d)."""
     if x == 0.0:
         return 1.0
     if d == 1:
@@ -685,7 +679,7 @@ def _free_radial(d: int, x: float) -> float:
     if d == 3:
         return math.sin(x) / x
     b = d // 2
-    return gamma_fn(b) * bessel_j(b - 1, x) / (0.5 * x) ** (b - 1)
+    return bessel_j(b - 1, x) / (0.5 * x) ** (b - 1)
 
 
 def _brownian_basis(geometry: Geometry, kappa: float, varphi: float,
@@ -726,25 +720,23 @@ def _brownian_basis(geometry: Geometry, kappa: float, varphi: float,
                 alpha = _bessel_zero(b - 1, n + 1)
                 jb = bessel_j(b, alpha)
                 scale = (0.5 * alpha) ** (b - 1)
-                weights.append(2.0 * scale / (alpha * gamma_fn(b) * jb))
-                betas.append(scale * math.sqrt(2.0) / (gamma_fn(b) * abs(jb)))
+                weights.append(2.0 * scale / (alpha * jb))
+                betas.append(scale * math.sqrt(2.0) / abs(jb))
             alphas.append(alpha)
             pairs.append((1.0, 0.0))
     return SpectralBasis(
         geometry=geometry, kappa=kappa, varphi=varphi, d=d,
         alphas=tuple(alphas), coeff_pairs=tuple(pairs),
-        weights=tuple(weights), betas=tuple(betas), brownian=True)
+        weights=tuple(weights), betas=tuple(betas))
 
 
 # ----------------------------------------------------------------------
 # basis construction
 # ----------------------------------------------------------------------
 
-def _validate_problem(geometry, kappa: float, varphi: float, d: int,
-                      n_modes: int) -> tuple[Geometry, float, float]:
+def _validate_problem(geometry, kappa: float, varphi: float,
+                      d: int) -> tuple[Geometry, float, float]:
     geometry = Geometry(geometry)
-    if not isinstance(n_modes, int) or n_modes < 1:
-        raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
     kappa, varphi = _check_kappa(kappa), _check_varphi(varphi)
     d = _check_dimension(d)
     if geometry is Geometry.INTERVAL:
@@ -767,9 +759,9 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     Each mode gets one weight, the residue of the closed-form generating
     function, and a normalization from the Sturm-Liouville norm
     identity; neither takes a quadrature, and an interval mode takes
-    both from eight confluent values at its two boundaries.  A mode reads
-    the values its root's condition already computed rather than
-    computing them again (`_keeping`).
+    both from eight confluent values at its two boundaries.  Each root
+    family brings its mode routine, which reads the values its condition
+    kept at a root rather than computing them again (`_keeping`).
     `weights_crosscheck` audits the weights on demand; the build itself
     does not run it.  At varphi = 0 the even and odd interval families
     are scanned separately and merged; the generic determinant covers
@@ -781,8 +773,9 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     the slowest root lies below alpha = 1e-12, as it does for deep traps
     (the centred interval from kappa about 63).
     """
-    geometry, kappa, varphi = _validate_problem(geometry, kappa, varphi, d,
-                                                n_modes)
+    geometry, kappa, varphi = _validate_problem(geometry, kappa, varphi, d)
+    if not isinstance(n_modes, int) or n_modes < 1:
+        raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
     if kappa < BROWNIAN_KAPPA:
         if geometry is Geometry.RADIAL_EXTERIOR:
             raise ValueError(
@@ -795,29 +788,33 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
                 f"{kappa * varphi!r}")
         return _brownian_basis(geometry, kappa, varphi, d, n_modes)
 
-    # each family's condition keeps its confluent values (`_keeping`)
+    # (condition, kept, mode, tag, dnu) per family; mode(root, kept[root])
     if geometry is Geometry.INTERVAL:
         if varphi == 0.0:
             # m1 and m2 at the right end z = 1
             families = [
                 (*_keeping(lambda al: _m1(
                     kummer_m, -al * al / (4.0 * kappa), kappa, 1.0)),
-                 "symmetric", 1.0),
+                 lambda al, m1_r: _interval_mode(kappa, varphi, al, m1_r=m1_r),
+                 "even", 1.0),
                 (*_keeping(lambda al: _m2(
                     kummer_m, -al * al / (4.0 * kappa), kappa, 1.0)),
-                 "antisymmetric", 1.0),
+                 lambda al, m2_r: _interval_mode(kappa, varphi, al, m2_r=m2_r),
+                 "odd", 1.0),
             ]
         else:
             families = [(*_keeping(lambda al: _interval_ends(
                 kummer_m, -al * al / (4.0 * kappa), kappa, varphi),
-                _interval_det), "", 0.5)]
+                _interval_det),
+                lambda al, ends: _interval_mode(kappa, varphi, al, ends),
+                "", 0.5)]
         brownian_gap = math.pi if varphi == 0.0 else 0.5 * math.pi
     else:
         f, _ = _radial_solution(geometry)
         b = 0.5 * d
         families = [(*_keeping(
-            lambda al: f(-al * al / (4.0 * kappa), b, kappa).value), "",
-            1.0)]
+            lambda al: f(-al * al / (4.0 * kappa), b, kappa).value),
+            lambda al, y: _radial_mode(geometry, kappa, b, al, y), "", 1.0)]
         # the exterior has no free-diffusion family
         brownian_gap = (0.0 if geometry is Geometry.RADIAL_EXTERIOR
                         else math.pi)
@@ -839,39 +836,26 @@ def build_basis(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     # around it meet, both still among the lowest n_modes found, and the
     # alternation check below raises as it would with every root asked for.
     n_roots = n_modes // 2 + 1 if len(families) == 2 else n_modes
-    tagged: list[tuple[float, str]] = []
-    kept_by_tag = {}
-    for fn, kept, tag, dnu in families:
-        kept_by_tag[tag] = kept
+    found = []
+    for fn, kept, mode, tag, dnu in families:
         for root in _find_roots(fn, kappa, dnu, brownian_gap, n_roots, cap):
-            tagged.append((root, tag))
-    tagged.sort()
-    tagged = tagged[:n_modes]
-    if geometry is Geometry.INTERVAL and varphi == 0.0:
-        for (_, t0), (_, t1) in zip(tagged, tagged[1:]):
+            found.append((root, tag, mode, kept[root]))
+    found.sort(key=lambda entry: entry[:2])
+    found = found[:n_modes]
+    if len(families) == 2:
+        for (_, t0, *_), (_, t1, *_) in zip(found, found[1:]):
             if t0 == t1:
                 raise RootSearchError(
                     "even and odd interval families stopped alternating; "
                     "a root was missed in the "
-                    f"{'odd' if t0 == 'symmetric' else 'even'} family")
+                    f"{'odd' if t0 == 'even' else 'even'} family")
 
-    pairs, weights, betas = [], [], []
-    for alpha, tag in tagged:
-        values = kept_by_tag[tag].get(alpha)
-        if geometry is Geometry.INTERVAL:
-            pair, w, beta = _interval_mode(kappa, varphi, alpha, tag, values)
-        else:
-            pair, w, beta = _radial_mode(geometry, kappa, 0.5 * d, alpha,
-                                         values)
-        pairs.append(pair)
-        weights.append(w)
-        betas.append(beta)
-
+    pairs, weights, betas = zip(*(mode(alpha, values)
+                                  for alpha, _, mode, values in found))
     return SpectralBasis(
         geometry=geometry, kappa=kappa, varphi=varphi, d=d,
-        alphas=tuple(alpha for alpha, _ in tagged),
-        coeff_pairs=tuple(pairs), weights=tuple(weights),
-        betas=tuple(betas), brownian=False)
+        alphas=tuple(entry[0] for entry in found), coeff_pairs=pairs,
+        weights=weights, betas=betas)
 
 
 # ----------------------------------------------------------------------
@@ -912,10 +896,14 @@ _factors = (None, math.nan, ())
 
 def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
                   rate_weighted: bool):
-    """Truncated mode sum; the last flag reports whether the final kept
-    term was already negligible (False means the basis ran out of modes
-    while terms still mattered)."""
+    """Truncated mode sum, at z0 and t checked here for both evaluators;
+    the last flag reports whether the final kept term was already
+    negligible (False means the basis ran out of modes while terms still
+    mattered)."""
     global _factors
+    z0 = _check_start(basis.geometry, z0)
+    if not t >= 0.0:
+        raise ValueError(f"t must be nonnegative, got {t!r}")
     slot_basis, slot_z0, factors = _factors
     if slot_basis is not basis or slot_z0 != z0:
         factors = ()
@@ -957,9 +945,6 @@ def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     call at another start or basis replaces them.  z0 must be finite and
     inside the geometry's domain.
     """
-    z0 = _check_start(basis.geometry, z0)
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
     raw, _, converged = _spectral_sum(basis, z0, t, rate_weighted=False)
     warning = (raw < -_CLAMP_SLACK or raw > 1.0 + _CLAMP_SLACK
                or t < basis.t_min or not converged)
@@ -973,9 +958,6 @@ def fet_density(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     marks raw values below -1% of the term mass and any t below t_min.
     It shares the kept mode factors of the latest start with `survival`.
     """
-    z0 = _check_start(basis.geometry, z0)
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
     raw, abs_acc, converged = _spectral_sum(basis, z0, t, rate_weighted=True)
     warning = (raw < -_CLAMP_SLACK * abs_acc or t < basis.t_min
                or not converged)
@@ -995,7 +977,7 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     pole returns a huge value.  Below the pole the ratio comes back
     unchecked, often negative.
     """
-    geometry, kappa, varphi = _validate_problem(geometry, kappa, varphi, d, 1)
+    geometry, kappa, varphi = _validate_problem(geometry, kappa, varphi, d)
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
     if kappa < BROWNIAN_KAPPA:
@@ -1007,8 +989,9 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
         return 1.0
     a = s / (4.0 * kappa)
     if geometry is Geometry.INTERVAL:
-        (p, q), (c2, c1) = _interval_ends(kummer_m, a, kappa, varphi)
-        den = p * c1 - q * c2
+        ends = _interval_ends(kummer_m, a, kappa, varphi)
+        (p, q), (c2, c1) = ends
+        den = _interval_det(ends)
         if s < 0.0 and abs(den) < _POLE_TOL * (abs(p * c1) + abs(q * c2)):
             raise ValueError(
                 f"s = {s!r} sits on a spectral pole of the interval problem")
@@ -1105,10 +1088,10 @@ def basis_to_json(basis: SpectralBasis) -> str:
 def basis_from_json(text: str) -> SpectralBasis:
     """Rebuild a basis serialized by `basis_to_json`.
 
-    Raises ValueError for another schema, or when a per-mode list does
-    not hold "n_modes" entries.  `SpectralBasis` checks the other lists
-    against "alphas", the layout name, and "d" as written (2.5 is
-    refused, not truncated).
+    Raises ValueError for another schema, when a per-mode list does not
+    hold "n_modes" entries, or when "brownian" disagrees with "kappa".
+    `SpectralBasis` checks the other lists against "alphas", the layout
+    name, and "d" as written (2.5 is refused, not truncated).
     """
     payload = json.loads(text)
     schema = payload.get("schema")
@@ -1118,7 +1101,7 @@ def basis_from_json(text: str) -> SpectralBasis:
     if len(payload["alphas"]) != n_modes:
         raise ValueError(f"serialized n_modes is {n_modes}, but alphas "
                          f"holds {len(payload['alphas'])} entries")
-    return SpectralBasis(
+    basis = SpectralBasis(
         geometry=payload["geometry"],
         kappa=float(payload["kappa"]),
         varphi=float(payload["varphi"]),
@@ -1128,5 +1111,8 @@ def basis_from_json(text: str) -> SpectralBasis:
                           for c1, c2 in payload["coeff_pairs"]),
         weights=tuple(float(w) for w in payload["weights"]),
         betas=tuple(float(b) for b in payload["betas"]),
-        brownian=bool(payload["brownian"]),
     )
+    if payload["brownian"] != basis.brownian:
+        raise ValueError(f"serialized brownian {payload['brownian']!r} "
+                         f"disagrees with kappa = {basis.kappa!r}")
+    return basis

@@ -78,6 +78,16 @@ SPLITTING_ORACLE = {
     (1.0, 0.5, 0.0): 0.76346565106589342,
     (3.0, 0.2, 0.4): 0.88715404523896523,
     (2.0, 1.3, -0.5): 0.97782954450581116,
+    # A pull toward -1 puts these far below 1e-16, where 1 - H(-varphi,
+    # -z0) rounded to 0.0.  H = (erfi(sk (z0 - varphi)) - erfi(sk (-1 -
+    # varphi))) / (erfi(sk (1 - varphi)) - erfi(sk (-1 - varphi))), sk =
+    # sqrt(kappa), in 120-digit mpmath at the float inputs; a 400-panel
+    # quadrature of exp(kappa (z - varphi)^2) agrees to 1e-28.
+    (50.0, -0.9, 0.0): 3.36984850613451768847838882821307719468235597e-61,
+    (20.0, -0.5, -0.5): 1.45789720327279040464714331378322693666995265e-17,
+    (100.0, -0.95, 0.3): 8.1656119624713713566000197719312829399152663e-98,
+    (8.0, -2.0, 0.0): 6.43155288184339660206851072373806294823383622e-18,
+    (300.0, -0.5, 0.9): 1.76356343865548573041233496925928931707159258e-38,
 }
 
 # Limit constant of the marginal-pull escape time, exp(-gamma/2)/2; 40-digit

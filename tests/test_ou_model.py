@@ -219,7 +219,9 @@ def _with_d(d):
     return json.dumps(payload)
 
 
-@pytest.mark.parametrize("d", [0, -1, 1.5, 2.0, None])
+# a bool is an int, but True used to pass as d = 1; the constructors used
+# to truncate 2.5 to 2 with int()
+@pytest.mark.parametrize("d", [0, -1, 1.5, 2.0, None, True, False, 2.5])
 def test_every_dimension_taker_refuses_d_with_the_one_message(d):
     want = _message(_check_dimension, d)
     assert repr(d) in want
@@ -227,6 +229,8 @@ def test_every_dimension_taker_refuses_d_with_the_one_message(d):
                  lambda: mean_exit.met_radial_exterior(d, 1.0, 2.0),
                  lambda: OUProblem(k=1e-6, gamma=1e-8, temperature=300.0,
                                    F0=0.0, L=1e-7, d=d),
+                 lambda: OUProblem.from_physical(1e-6, 1e-8, 300.0, d=d),
+                 lambda: OUProblem.from_dimensionless(1.0, d=d),
                  lambda: spectral.build_basis("radial-interior", 2.0, 0.0,
                                               d, 2),
                  lambda: spectral.build_basis("radial-exterior", 2.0, 0.0,

@@ -287,6 +287,41 @@ def test_error_estimates_bound_true_error_on_reference_grid():
                  id="tricomi_u_da-z-zero"),
     pytest.param(tricomi_u_da, (-0.5, 2.0, -1.0), ValueError, "z > 0",
                  id="tricomi_u_da-z-negative"),
+    # NaN and +/-inf fail the one comparison; the message names the
+    # function and z
+    pytest.param(kummer_m, (1.0, 1.5, math.inf), ValueError,
+                 r"^kummer_m requires finite z >= 0, got inf$",
+                 id="kummer_m-z-inf"),
+    pytest.param(kummer_m, (1.0, 1.5, -math.inf), ValueError,
+                 r"^kummer_m requires finite z >= 0, got -inf$",
+                 id="kummer_m-z-minus-inf"),
+    pytest.param(kummer_m_da, (0.5, 0.5, math.nan), ValueError,
+                 r"^kummer_m_da requires finite z >= 0, got nan$",
+                 id="kummer_m_da-z-nan"),
+    pytest.param(kummer_m_da, (0.5, 0.5, math.inf), ValueError,
+                 r"^kummer_m_da requires finite z >= 0, got inf$",
+                 id="kummer_m_da-z-inf"),
+    pytest.param(kummer_m_da, (0.5, 0.5, -math.inf), ValueError,
+                 r"^kummer_m_da requires finite z >= 0, got -inf$",
+                 id="kummer_m_da-z-minus-inf"),
+    pytest.param(tricomi_u, (0.5, 0.5, math.nan), ValueError,
+                 r"^tricomi_u requires finite z > 0, got nan$",
+                 id="tricomi_u-z-nan"),
+    pytest.param(tricomi_u, (1.0, 2.0, math.inf), ValueError,
+                 r"^tricomi_u requires finite z > 0, got inf$",
+                 id="tricomi_u-z-inf"),
+    pytest.param(tricomi_u, (0.5, 0.5, -math.inf), ValueError,
+                 r"^tricomi_u requires finite z > 0, got -inf$",
+                 id="tricomi_u-z-minus-inf"),
+    pytest.param(tricomi_u_da, (0.5, 0.5, math.nan), ValueError,
+                 r"^tricomi_u_da requires finite z > 0, got nan$",
+                 id="tricomi_u_da-z-nan"),
+    pytest.param(tricomi_u_da, (0.5, 0.5, math.inf), ValueError,
+                 r"^tricomi_u_da requires finite z > 0, got inf$",
+                 id="tricomi_u_da-z-inf"),
+    pytest.param(tricomi_u_da, (0.5, 0.5, -math.inf), ValueError,
+                 r"^tricomi_u_da requires finite z > 0, got -inf$",
+                 id="tricomi_u_da-z-minus-inf"),
     pytest.param(gamma_fn, (0.0,), ValueError, "pole", id="gamma_fn-0"),
     pytest.param(gamma_fn, (-3.0,), ValueError, "pole", id="gamma_fn-minus-3"),
 ])

@@ -486,7 +486,7 @@ def test_an_interval_mode_takes_eight_confluent_values(monkeypatch):
     basis = build_basis("interval", 4.0, 0.5, 1, 12)
     assert counts["kummer_m_da"] == 4 * 12
     counts.update(kummer_m=0, kummer_m_da=0)
-    spectral._interval_mode(4.0, 0.5, basis.alphas[0], "")
+    spectral._interval_mode(4.0, 0.5, basis.alphas[0])
     assert counts == {"kummer_m": 4, "kummer_m_da": 4}
 
 
@@ -758,6 +758,32 @@ def test_json_round_trip_is_exact(case):
     again = basis_from_json(text)
     assert again == basis
     assert basis_to_json(again) == text
+
+
+@pytest.mark.parametrize("case, free", [
+    (("interval", 0.0, 0.0, 1, 4), True),
+    (("radial-interior", 0.5 * spectral.BROWNIAN_KAPPA, 0.0, 2, 3), True),
+    (("interval", 1.0, 0.0, 1, 4), False),
+    (("radial-interior", spectral.BROWNIAN_KAPPA, 0.0, 2, 3), False)],
+    ids=str)
+def test_kappa_alone_marks_a_free_diffusion_basis(case, free):
+    # a stored flag could disagree with kappa: flipped to False on the free
+    # interval, survival raised ZeroDivisionError; flipped to True on the
+    # kappa = 1 one, survival(basis, 0.2, 0.3) gave 0.70164, not 0.70133
+    basis = build_basis(*case)
+    assert basis.brownian is free
+    assert "brownian" not in {f.name for f in dataclasses.fields(basis)}
+    with pytest.raises(TypeError):
+        dataclasses.replace(basis, brownian=not free)
+    text = basis_to_json(basis)
+    payload = json.loads(text)
+    assert payload["brownian"] is free
+    again = basis_from_json(text)
+    assert again == basis and again.brownian is free
+    assert basis_to_json(again) == text
+    payload["brownian"] = not free
+    with pytest.raises(ValueError, match="brownian"):
+        basis_from_json(json.dumps(payload))
 
 
 def test_json_rejects_an_unknown_schema():
