@@ -468,7 +468,11 @@ def _exterior_sum(d: int, kappa: float, z0: float) -> float:
                 g, de = frexp(g * (h - j) / kappa)
                 e += de
     top = max((e for m, e in terms if m != 0.0), default=0)
-    total = sum(math.ldexp(m, e - top) for m, e in terms)
+    # left to right, as builtin sum adds floats before CPython 3.12; from
+    # 3.12 it compensates, which moves last bits from d = 5 on
+    total = 0.0
+    for m, e in terms:
+        total += math.ldexp(m, e - top)
     try:
         return math.ldexp(total / (4.0 * kappa), top)
     except OverflowError:

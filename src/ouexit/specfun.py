@@ -601,19 +601,21 @@ def _two_f0(p: float, q: float, x: float):
     Stops before a term that rises, once a term is below 1e-18 of the
     sum, or after 60 terms.  Returns the sum and its smallest term.  n
     counts in floats, which every n here is exactly, so each term is the
-    one an integer count gave.
+    one an integer count gave.  |term| and |sum| are conditionals, not
+    calls of `abs`: 0.0 - term is |term| for every term but NaN, -0.0
+    included, so every value but a NaN's sign is the one `abs` gave.
     """
     s = term = 1.0
     least = math.inf
     n = 0.0
     for _ in range(60):
         term *= (p + n) * (q + n) / ((n + 1.0) * x)
-        mag = abs(term)
+        mag = term if term > 0.0 else 0.0 - term
         if mag > least:
             break
         s += term
         least = mag
-        if least < 1e-18 * abs(s):
+        if least < 1e-18 * (s if s >= 0.0 else -s):
             break
         n += 1.0
     return s, least
@@ -754,7 +756,9 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
     (at a = 0.99, b = 1, z = 0.0079, where z c = 0.085, level 3 is 1.7e-13
     off where d^2/d_old says 3e-15), so there the rule is not used.  Any
     level from 2 on is accepted once two levels agree to 1e-13, for sums
-    that stall at rounding level, and then claims d.
+    that stall at rounding level, and then claims d.  The derivative's
+    sum of |w ln x| takes each node's magnitude by a conditional, not by
+    `abs`, which keeps every value but a NaN's sign.
     """
     # t = c exp(u), u = pi/2 sinh s, about the peak of the integrand in
     # ln t, the positive root c of z t^2 + (z+1-b) t - a = 0.  Each node
@@ -791,7 +795,7 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
                     fl = f * lx
                     k0 += fl
                     k1 += fl * x
-                    km += abs(fl)
+                    km += fl if fl >= 0.0 else -fl
         sums = (n0, n1, k0, k1, km)
         if prev is not None:
             sums = tuple(0.5 * old + new for old, new in zip(prev, sums))

@@ -397,14 +397,95 @@ def _scan_brackets(fn: Callable[[float], float], kappa: float, dnu: float,
     return brackets[:n_roots]
 
 
+def _last_cell(fn: Callable[[float], float], bracket, stop: float):
+    """(a, fa, b, fb): the final cell that bisecting the sign-change
+    bracket (A, B, fA, fB) by halvings 0.5 (a + b) reaches, with fn at
+    its ends, or (x, 0.0, x, 0.0) where a probe x reads exactly zero.
+
+    A cell of width at most `stop`, or 64 halvings deep, is final, so the
+    halvings form a fixed tree of floats; replaying them finds the final
+    cell holding any x without reading fn.  The read points lo and hi
+    that straddle the sign change are kept, and each read lies strictly
+    between them, so no point is read twice.  The secant through the two
+    points read so far with the smallest |fn| (A and B to begin with)
+    gives an estimate, and the probe is the nearer end of the final cell
+    holding it, or the other end where the nearer is lo or hi.  Once the
+    reads reach the depth of the deepest cell holding [lo, hi] plus two,
+    the read is that cell's midpoint instead, a halving, which takes at
+    least one level.  Reading stops when lo and hi are the ends of one
+    final cell, after at most its depth plus two reads.
+    """
+    a, b, f_lo, f_hi = bracket
+    negative = f_lo < 0.0
+    lo, hi = a, b
+    # the secant's points, |f1| <= |f0|
+    x0, f0, x1, f1 = (a, f_lo, b, f_hi) if abs(f_hi) <= abs(f_lo) else (
+        b, f_hi, a, f_lo)
+    reads = depth = 0
+    while True:
+        # descend to the deepest cell holding [lo, hi]; unless it is
+        # final, when lo and hi are its ends, its midpoint m lies
+        # strictly between them
+        while depth < 64 and b - a > stop:
+            m = 0.5 * (a + b)
+            if hi <= m:
+                b = m
+            elif lo >= m:
+                a = m
+            else:
+                break
+            depth += 1
+        else:
+            return lo, f_lo, hi, f_hi
+        if reads <= depth + 1 and f1 != f0:
+            x = x1 - f1 * (x1 - x0) / (f1 - f0)
+            if lo < x < hi:
+                ca, cb = a, b
+                for _ in range(depth, 64):
+                    if cb - ca <= stop:
+                        break
+                    mid = 0.5 * (ca + cb)
+                    if x < mid:
+                        cb = mid
+                    else:
+                        ca = mid
+                near, far = (ca, cb) if x - ca < cb - x else (cb, ca)
+                m = near if lo < near < hi else far
+        fm = fn(m)
+        reads += 1
+        if fm == 0.0:
+            return m, fm, m, fm
+        if (fm < 0.0) == negative:
+            lo, f_lo = m, fm
+        else:
+            hi, f_hi = m, fm
+        if abs(fm) < abs(f1):
+            x0, f0, x1, f1 = x1, f1, m, fm
+        elif abs(fm) < abs(f0):
+            x0, f0 = m, fm
+
+
 def _refine_root(fn: Callable[[float], float], bracket) -> float:
     """Polish one sign-change bracket to |d alpha| < _ALPHA_TOL, relative
     below alpha = 1.
 
-    Bisection shrinks the bracket three decades below its width, then
-    secant steps (clipped to the live bracket, falling back to its
-    midpoint) finish superlinearly.  The result must beat the residual
-    tolerance relative to the detection-bracket endpoint magnitudes.
+    First the bracket shrinks to the cell of bisection's last step, three
+    decades below its width: halving it, up to 64 times, until the width
+    is at most 1e-3 of the bracket's plus 64 tolerances.  Those halvings
+    are a fixed grid of floats, and `_last_cell` reaches the cell without
+    walking it: it reads grid points that secant steps on the points
+    read so far pick, until two adjacent final points straddle the sign
+    change, and halves instead wherever the probes would cost more than
+    bisection's count plus two reads.  A probe reading exactly 0.0 is the
+    root, as such a midpoint was bisection's.  Where fn changes sign once
+    among the grid's points in the bracket, the cell is bisection's, with
+    the same floats and values at its ends, so the root and everything
+    built on it stay bit for bit; where it changes sign more than once
+    (the interval determinant's noise with the trap far outside the
+    domain), the two may stop at different changes.  Then secant steps,
+    clipped to the live bracket and falling back to its midpoint, finish
+    superlinearly.  The result must beat the residual tolerance relative
+    to the detection-bracket endpoint magnitudes.
     """
     a, b, fa, fb = bracket
     scale = max(abs(fa), abs(fb), 1e-300)
@@ -414,17 +495,10 @@ def _refine_root(fn: Callable[[float], float], bracket) -> float:
         return a
     if fb == 0.0:
         return b
-    for _ in range(64):
-        if b - a <= 1e-3 * (bracket[1] - bracket[0]) + 64.0 * tol:
-            break
-        m = 0.5 * (a + b)
-        fm = fn(m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
+    a, fa, b, fb = _last_cell(fn, bracket,
+                              1e-3 * (bracket[1] - bracket[0]) + 64.0 * tol)
+    if fa == 0.0:
+        return a
     x0, f0 = a, fa
     x1, f1 = b, fb
     # every pass sets the root and its condition value, which the
@@ -866,7 +940,8 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
     """Spatial factor of mode n in the survival series at start z0.
 
     This is the unnormalized combination the weights pair with;
-    multiply by betas[n] for the orthonormal eigenfunction value.
+    multiply by betas[n] for the orthonormal eigenfunction value.  A
+    radial start whose factor passes float range raises ValueError.
     """
     alpha = basis.alphas[n]
     kappa = basis.kappa
@@ -881,7 +956,21 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
         z = z0 - basis.varphi
         return c1 * _m1(kummer_m, a, kappa, z) - c2 * _m2(kummer_m, a, kappa, z)
     f, _ = _radial_solution(basis.geometry)
-    return f(a, 0.5 * basis.d, kappa * z0 * z0).value
+    z = kappa * z0 * z0
+    # a far exterior start takes kappa z0^2, or U there, past float range
+    try:
+        if z < math.inf:
+            return f(a, 0.5 * basis.d, z).value
+    except OverflowError:
+        pass
+    raise _far_start(z0, z)
+
+
+def _far_start(z0: float, z: float) -> ValueError:
+    """The error for a start whose radial factor, at z = kappa z0^2,
+    passes float range, naming the start rather than z."""
+    return ValueError(f"start z0 = {z0!r} lies too far out: the radial "
+                      f"factor at kappa z0^2 = {z:.6g} passes float range")
 
 
 # The mode factors of the latest start: (basis, z0, factors), where
@@ -943,7 +1032,8 @@ def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     (`mode_term`) of the latest start are kept, so a curve of calls at
     one start on one basis object computes each mode's factor once; a
     call at another start or basis replaces them.  z0 must be finite and
-    inside the geometry's domain.
+    inside the geometry's domain, and near enough that its mode factors
+    fit a float.
     """
     raw, _, converged = _spectral_sum(basis, z0, t, rate_weighted=False)
     warning = (raw < -_CLAMP_SLACK or raw > 1.0 + _CLAMP_SLACK
@@ -1000,7 +1090,10 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
                + (p - c2) * _m2(kummer_m, a, kappa, z))
         return num / den
     f, _ = _radial_solution(geometry)
-    num = f(a, 0.5 * d, kappa * z0 * z0).value
+    z = kappa * z0 * z0
+    if not z < math.inf:
+        raise _far_start(z0, z)
+    num = f(a, 0.5 * d, z).value
     den = f(a, 0.5 * d, kappa).value
     if s < 0.0 and abs(den) < _POLE_TOL * max(1.0, abs(num)):
         raise ValueError(

@@ -676,6 +676,78 @@ def test_exterior_mean_keeps_the_gamma_form_bits_at_d_1_and_2():
     assert beyond >= 4
 
 
+def _exterior_terms(d, kappa, z0):
+    """`mean_exit._exterior_sum`'s scaled terms, each as ldexp(m, e -
+    top) on the largest exponent top of a nonzero mantissa, and top."""
+    h = 0.5 * d
+    terms = []
+    if d % 2 == 0:
+        terms.append((2.0 * math.log(z0), 0))
+        c, e = 1.0, 0
+        for j in range(1, d // 2):
+            c, de = math.frexp(c * (h - j) / kappa)
+            e += de
+            terms.append((c * (1.0 - z0 ** (-2 * j)) / j, e))
+    else:
+        sk = math.sqrt(kappa)
+        terms.append((2.0 * math.sqrt(math.pi) * (
+            _int_erfcx0(*mean_exit._scaled_gap(sk, z0)) - _int_erfcx0(sk)),
+            0))
+        a, b, e = 1.0, 1.0, 0
+        for j in range(1, (d - 1) // 2):
+            a, de = math.frexp(a * (h - j) / kappa)
+            b = math.ldexp(b * (j - 0.5) / kappa, -de)
+            e += de
+            terms.append(((a - b) * (1.0 - z0 ** (-2 * j)) / j, e))
+        if d > 1:
+            near, far = erfcx(sk), erfcx(sk * z0)
+            g, e = math.frexp(math.sqrt(math.pi) / sk)
+            for j in range((d - 1) // 2, 0, -1):
+                terms.append((g * (near - far * z0 ** (2.0 * (j - h))), e))
+                g, de = math.frexp(g * (h - j) / kappa)
+                e += de
+    top = max((e for m, e in terms if m != 0.0), default=0)
+    return [math.ldexp(m, e - top) for m, e in terms], top
+
+
+def _compensated(xs):
+    """Neumaier's compensated sum, the rule builtin sum follows for
+    floats from CPython 3.12 on."""
+    total = c = 0.0
+    for x in xs:
+        t = total + x
+        if abs(total) >= abs(x):
+            c += (total - t) + x
+        else:
+            c += (x - t) + total
+        total = t
+    return total + c
+
+
+def test_exterior_mean_adds_its_terms_left_to_right_at_every_d():
+    # builtin sum adds left to right up to CPython 3.11 and compensates
+    # from 3.12, which would move the mean's last bits from d = 5 on; the
+    # mean must keep the left-to-right bits on every version
+    rng = random.Random(2031)
+    moved = {}
+    for d in range(1, 10):
+        moved[d] = 0
+        for _ in range(300):
+            kappa = 10.0 ** rng.uniform(-3.0, 3.0)
+            z0 = 1.0 + 10.0 ** rng.uniform(-3.0, 2.0)
+            xs, top = _exterior_terms(d, kappa, z0)
+            total = 0.0
+            for x in xs:
+                total += x
+            want = math.ldexp(total / (4.0 * kappa), top)
+            assert _same_bits(met_radial_exterior(d, kappa, z0), want), (
+                d, kappa, z0)
+            compensated = math.ldexp(_compensated(xs) / (4.0 * kappa), top)
+            moved[d] += not _same_bits(compensated, want)
+    # a compensated sum would have moved bits at every d from 5
+    assert all(moved[d] > 0 for d in range(5, 10))
+
+
 # 40-digit mpmath quadrature of the integrating-factor form
 # int_1^z0 z^(1-d) e^(kappa z^2) Gamma(d/2, kappa z^2) / (2 kappa^(d/2)) dz
 # (the same at 60 digits), on points drawn from random.Random(29) with

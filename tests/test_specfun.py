@@ -752,6 +752,61 @@ def test_two_f0_keeps_the_int_count_bits_on_a_grid():
                 == _bits(_two_f0_int_count, p, q, x)), (p, q, x)
 
 
+def _bits_but_nan_sign(fn, *args):
+    """`_bits`, with every NaN as one marker: a conditional negation
+    keeps each value an `abs` call gave except the sign of a NaN."""
+    got = _bits(fn, *args)
+    if isinstance(got[0], type):
+        return got
+    nan = struct.pack("<d", math.nan)
+    return tuple(nan if math.isnan(struct.unpack("<d", x)[0]) else x
+                 for x in got)
+
+
+def _two_f0_calling_abs(p, q, x):
+    s = term = 1.0
+    least = math.inf
+    n = 0.0
+    for _ in range(60):
+        term *= (p + n) * (q + n) / ((n + 1.0) * x)
+        mag = abs(term)
+        if mag > least:
+            break
+        s += term
+        least = mag
+        if least < 1e-18 * abs(s):
+            break
+        n += 1.0
+    return s, least
+
+
+# (p, q, x) whose terms end on +0.0 or -0.0
+TWO_F0_SIGNED_ZEROS = [(-2.0, 0.5, 90.0), (0.5, -3.0, -85.0),
+                       (-1.0, -1.0, -100.0), (-0.0, 1.5, 90.0)]
+
+
+def test_two_f0_keeps_the_bits_of_its_abs_loop_on_a_grid():
+    cases = [(p, q, x) for a, b, z in _two_f0_grid()
+             for p, q, x in ((b - a, 1.0 - a, z), (a, 1.0 + a - b, -z))]
+    # x = 0, infinite terms, and NaN of either sign
+    cases += TWO_F0_SIGNED_ZEROS + [
+        (0.5, 1.5, 0.0), (1e300, 1e300, -1e-300), (1e300, 1e300, 1e-300),
+        (0.5, 1.5, math.nan), (0.5, 1.5, -math.nan), (math.nan, 1.0, -90.0)]
+    for p, q, x in cases:
+        want = _bits_but_nan_sign(_two_f0_calling_abs, p, q, x)
+        assert _bits_but_nan_sign(specfun._two_f0, p, q, x) == want, (p, q, x)
+    zeros = set()
+    for p, q, x in TWO_F0_SIGNED_ZEROS:
+        assert specfun._two_f0(p, q, x)[1].hex() == "0x0.0p+0"
+        term, n = 1.0, 0.0
+        while term != 0.0:
+            term *= (p + n) * (q + n) / ((n + 1.0) * x)
+            n += 1.0
+        zeros.add(math.copysign(1.0, term))
+    # the smallest term is +0.0 from a last term of either sign
+    assert zeros == {1.0, -1.0}
+
+
 def test_series_tables_keep_their_rows_and_stay_bounded():
     rows = specfun._series_rows
     rows.cache_clear()
@@ -1516,6 +1571,110 @@ def test_laplace_pass_stops_at_level_three_within_its_claim(monkeypatch,
     for vals, errs in passes.values():
         for v, err, w in zip(vals, errs, want):
             assert abs(v - w) <= err, (a, b, z, w)
+
+
+# `_u_laplace` as it summed |w ln x| by calling `abs` at every node
+def _u_laplace_calling_abs(a, b, z, want_da):
+    sf = specfun
+    bb = z + 1.0 - b
+    root = math.sqrt(bb * bb + 4.0 * a * z)
+    c = 2.0 * a / (bb + root) if bb >= 0.0 else (root - bb) / (2.0 * z)
+    zc = z * c
+    r = c / (1.0 + c)
+    ln_c = math.log(c)
+    e = b - a - 1.0
+    cuts = [math.inf, math.inf]
+    prev = None
+    for level in range(sf._ES_MAX_LEVEL + 1):
+        n0 = n1 = k0 = k1 = km = 0.0
+        for side, nodes in enumerate(sf._es_nodes(level)):
+            cut = cuts[side]
+            for s, u, em1, w in nodes:
+                if s > cut:
+                    break
+                f = w * math.exp(a * u - zc * em1 + e * math.log1p(r * em1))
+                if level == 0 and f < sf._ES_CUT * n0:
+                    cuts[side] = s
+                    break
+                t = c + c * em1
+                x = t / (1.0 + t)
+                n0 += f
+                n1 += f * x
+                if want_da:
+                    lx = (ln_c + u - math.log1p(t) if t <= 1.0
+                          else -math.log1p(1.0 / t))
+                    fl = f * lx
+                    k0 += fl
+                    k1 += fl * x
+                    km += abs(fl)
+        sums = (n0, n1, k0, k1, km)
+        if prev is not None:
+            sums = tuple(0.5 * old + new for old, new in zip(prev, sums))
+            diffs = [abs(new - old) for old, new in zip(prev, sums[:4])]
+            refs = (sums[0], sums[1], sums[4], sums[4])
+            errs = diffs
+            if level > sf._ES_MIN_LEVEL and zc >= sf._ES_ONE_PEAK and all(
+                    sf._ES_FALL * d <= d_old
+                    for d, d_old in zip(diffs, last)):
+                est = [d * d / d_old if d else 0.0
+                       for d, d_old in zip(diffs, last)]
+                if all(x <= sf._ES_EST_TOL * ref
+                       for x, ref in zip(est, refs)):
+                    errs = est
+                    break
+            if level >= sf._ES_MIN_LEVEL and all(
+                    d <= sf._ES_TOL * ref for d, ref in zip(diffs, refs)):
+                break
+            last = diffs
+        prev = sums
+    s0, s1, l0, l1, m = sums
+    peak = math.exp(a * ln_c - zc + e * math.log1p(c))
+    inv_g = sf.inv_gamma(a)
+    scale = peak * inv_g
+    rel = (sf._EPS * (abs(a * ln_c) + zc + abs(e * math.log1p(c)))
+           + sf._gamma_rel_err(a))
+    u0 = scale * s0
+    su1 = scale * s1
+    u1 = su1 / a
+    tiny = (sf._subnormal(peak) * inv_g + sf._subnormal(inv_g) * peak
+            + sf._subnormal(scale))
+    eu0 = (scale * (errs[0] + sf._EPS * 8.0 * s0) + rel * u0
+           + tiny * s0 + sf._subnormal(u0))
+    eu1 = (scale * (errs[1] + sf._EPS * 8.0 * s1) / a + rel * u1
+           + (tiny * s1 + sf._subnormal(su1)) / a
+           + sf._subnormal(u1))
+    if not want_da:
+        return (u0, u1), (eu0, eu1)
+    psi = sf.digamma(a)
+    psi1 = psi + 1.0 / a
+    ed = scale * (max(errs[2], errs[3]) + sf._EPS * 8.0 * m) + tiny * m
+    sl0 = scale * l0
+    sl1 = scale * l1
+    ed0 = 3.0 * sf._subnormal(abs(psi * u0) + abs(sl0))
+    ed1 = 4.0 * sf._subnormal(abs(psi1 * u1) + abs(sl1))
+    return ((u0, u1, -psi * u0 + sl0, -psi1 * u1 + sl1 / a),
+            (eu0, eu1, abs(psi) * eu0 + ed + rel * scale * abs(l0) + ed0,
+             abs(psi1) * eu1 + (ed + rel * scale * abs(l1)) / a + ed1))
+
+
+def test_laplace_pass_keeps_the_bits_of_its_abs_loop_on_a_grid():
+    rng = random.Random(20261019)
+    cases = [(0.5 + 10.0 ** rng.uniform(-4.0, 1.7),
+              rng.choice((-0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+              10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(300)]
+    # NaN z sums NaN; NaN a and z = 0 raise, the same error either way
+    cases += [(1.5, 1.5, math.nan), (math.nan, 1.5, 2.0), (0.75, 1.0, 0.0)]
+
+    def flat(fn, *args):
+        values, errors = fn(*args)
+        return values + errors
+
+    for a, b, z in cases:
+        for want_da in (False, True):
+            args = (a, b, z, want_da)
+            assert (_bits_but_nan_sign(flat, specfun._u_laplace, *args)
+                    == _bits_but_nan_sign(flat, _u_laplace_calling_abs,
+                                          *args)), args
 
 
 def test_recurrence_claims_its_error_down_to_a_minus_sixty():

@@ -433,6 +433,212 @@ def test_root_refinement_evaluates_no_point_twice(monkeypatch):
         assert len(set(xs)) == len(xs)
 
 
+def _bisect_then_secant(fn, bracket):
+    """The refiner that walked bisection's path to its last cell: every
+    new refiner must reach the same cell and so return the same root."""
+    a, b, fa, fb = bracket
+    scale = max(abs(fa), abs(fb), 1e-300)
+    tol = spectral._ALPHA_TOL * min(1.0, bracket[1])
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    for _ in range(64):
+        if b - a <= 1e-3 * (bracket[1] - bracket[0]) + 64.0 * tol:
+            break
+        m = 0.5 * (a + b)
+        fm = fn(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    x0, f0 = a, fa
+    x1, f1 = b, fb
+    for _ in range(80):
+        if f1 == f0:
+            root = 0.5 * (a + b)
+            f_root = fn(root)
+            break
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not a < x2 < b:
+            x2 = 0.5 * (a + b)
+        f2 = fn(x2)
+        root, f_root = x2, f2
+        if f2 == 0.0:
+            break
+        if (f2 < 0.0) == (fa < 0.0):
+            a, fa = x2, f2
+        else:
+            b, fb = x2, f2
+        moved = abs(x2 - x1)
+        x0, f0 = x1, f1
+        x1, f1 = x2, f2
+        if moved < tol or (b - a) < tol:
+            break
+    if abs(f_root) > spectral._RESIDUAL_TOL * scale:
+        raise RootSearchError(
+            f"root at alpha = {root!r} kept residual "
+            f"{abs(f_root):.3e} against bracket scale {scale:.3e} "
+            f"(bracket ({bracket[0]!r}, {bracket[1]!r}))")
+    return root
+
+
+def _twelve_mode_cases(count, seed):
+    """Seeded 12-mode builds, taking the three layouts in turn, at kappa
+    log-uniform in [1e-3, 10]: intervals with |varphi| <= 1.5, balls
+    with d = 1-4."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        geometry = ("interval", "radial-interior", "radial-exterior")[k % 3]
+        kappa = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+        if geometry == "interval":
+            cases.append((geometry, kappa, rng.uniform(-1.5, 1.5), 1, 12))
+        else:
+            cases.append((geometry, kappa, 0.0, rng.randint(1, 4), 12))
+    return cases
+
+
+def _confluent_values_once(monkeypatch):
+    """Give each confluent value spectral reads from a dict after its
+    first call, so two builds of one case compute their shared points
+    once."""
+    for name in ("kummer_m", "kummer_m_da", "tricomi_u", "tricomi_u_da"):
+        original = getattr(spectral, name)
+        seen = {}
+
+        def once(*args, _seen=seen, _original=original):
+            try:
+                return _seen[args]
+            except KeyError:
+                value = _seen[args] = _original(*args)
+                return value
+
+        monkeypatch.setattr(spectral, name, once)
+
+
+def test_probed_refinement_builds_bisections_bases(monkeypatch):
+    # The probes reach the cell bisection reaches, so each build gives the
+    # same bytes, or raises the same type of error: a bracket whose
+    # condition changes sign more than once may stop the two at different
+    # changes (pinned below)
+    _confluent_values_once(monkeypatch)
+    probed = spectral._refine_root
+    built = 0
+    for case in _sweep_cases(300, 2027) + _twelve_mode_cases(102, 2032):
+        outcomes = []
+        for refine in (probed, _bisect_then_secant):
+            monkeypatch.setattr(spectral, "_refine_root", refine)
+            try:
+                outcomes.append(basis_to_json(build_basis(*case)))
+            except (RootSearchError, ValueError, OverflowError,
+                    ZeroDivisionError) as err:
+                outcomes.append(type(err))
+        assert outcomes[0] == outcomes[1], case
+        built += isinstance(outcomes[0], str)
+    assert built >= 350
+
+
+def test_probed_refinement_reads_fewer_points_for_each_benchmark_root(
+        monkeypatch):
+    # the same roots from the same brackets, each within bisection's count
+    # plus two reads of the condition; the nine builds took 1,310 reads
+    # when bisection walked to its last cell
+    counts = []
+    probed = spectral._refine_root
+
+    def both(fn, bracket):
+        roots = []
+        for refine in (probed, _bisect_then_secant):
+            reads = [0]
+
+            def counted(x, _reads=reads):
+                _reads[0] += 1
+                return fn(x)
+
+            roots.append(refine(counted, bracket))
+            counts.append(reads[0])
+        assert roots[0].hex() == roots[1].hex(), bracket
+        return roots[0]
+
+    monkeypatch.setattr(spectral, "_refine_root", both)
+    for case in BUILD_SHA256:
+        build_basis(*case)
+    new, old = counts[::2], counts[1::2]
+    assert all(n <= o + 2 for n, o in zip(new, old))
+    assert sum(new) <= 800 and sum(old) == 1310
+
+
+def test_a_probe_reading_zero_is_the_root_bisection_returns():
+    # 0.625 is the third midpoint of (0, 1); the secant of a line lands
+    # on it at once
+    reads = []
+
+    def line(x):
+        reads.append(x)
+        return x - 0.625
+
+    assert spectral._refine_root(line, (0.0, 1.0, -0.625, 0.375)) == 0.625
+    assert reads == [0.625]
+    assert _bisect_then_secant(line, (0.0, 1.0, -0.625, 0.375)) == 0.625
+
+
+def test_halvings_bound_the_probes_on_a_step_like_condition():
+    # flat below its root and steep above: the secant through the two
+    # smallest |f|, both near -1, runs away, so after its two spare reads
+    # the refiner halves as bisection does, and ends two reads behind it
+    def step(x):
+        return math.expm1(60.0 * (x - 0.9123))
+
+    bracket = (0.0, 1.0, step(0.0), step(1.0))
+    runs = []
+    for refine in (spectral._refine_root, _bisect_then_secant):
+        reads = []
+
+        def counted(x, _reads=reads):
+            _reads.append(x)
+            return step(x)
+
+        runs.append((refine(counted, bracket), reads))
+    (root, reads), (want, bisected) = runs
+    assert root == want
+    assert reads[1] == 0.5 and reads[0] not in bisected
+    assert len(reads) == len(bisected) + 2
+
+
+# Where a scan bracket holds several sign changes, the refiners may stop
+# at different ones.  Here the trap centre lies far outside the interval
+# and the determinant is noise: the first scan bracket changes sign 271
+# times on 1,025 even points.  Bisection's root there fails the residual
+# test; the probes find a change that passes it, and the build fails at
+# the next bracket instead.
+SEVERAL_CHANGES = ("interval", 41.516549480617144, 2.1586833270880614, 1, 3)
+
+
+def test_a_bracket_with_several_sign_changes_fails_at_another_root(
+        monkeypatch):
+    brackets = []
+    probed = spectral._refine_root
+
+    def recorded(fn, bracket):
+        brackets.append((fn, bracket))
+        return probed(fn, bracket)
+
+    monkeypatch.setattr(spectral, "_refine_root", recorded)
+    with pytest.raises(RootSearchError, match="residual") as new:
+        build_basis(*SEVERAL_CHANGES)
+    fn, (a, b, _, _) = brackets[0]
+    signs = [fn(a + (b - a) * k / 1024) < 0.0 for k in range(1025)]
+    assert sum(s != t for s, t in zip(signs, signs[1:])) > 1
+    monkeypatch.setattr(spectral, "_refine_root", _bisect_then_secant)
+    with pytest.raises(RootSearchError, match="residual") as old:
+        build_basis(*SEVERAL_CHANGES)
+    assert f"({a!r}, {b!r})" in str(old.value)
+    assert f"({a!r}, {b!r})" not in str(new.value)
+
+
 # Each case hides one root of a centred interval family (kappa = 1, 12
 # modes) by flipping the sign of its condition from that root on, so the
 # condition touches zero there without a sign change.  The messages are
@@ -531,8 +737,9 @@ def test_a_radial_mode_takes_four_confluent_values_by_module_name(
 
 # The benchmark's nine basis-build scenarios at their nominal kappa, and
 # the sha256 of each basis's `basis_to_json` as the code gave it before a
-# root's mode data read the values its condition kept and the audit
-# measured the ground gap from the sweep's top: both change no bit.
+# root's mode data read the values its condition kept, the audit
+# measured the ground gap from the sweep's top and refinement reached
+# bisection's last cell by probes: none of them changes a bit.
 BUILD_SHA256 = {
     ("interval", 1.0, 0.0, 1, 12):
         "64a5314947b49c9f8248700d03a351f4177d9dbdfe2914004f70ebc17f3f985e",
@@ -553,10 +760,11 @@ BUILD_SHA256 = {
     ("radial-exterior", 2.0, 0.0, 2, 4):
         "93ec1d6ecdde9ec05401cf763899e848e903bb2305f522078da79388ce285625",
 }
-# confluent calls of the nine builds, through spectral's names; 4,195
-# when every mode computed its values again and the interior kappa = 5
-# build rescanned its ground gap
-BUILD_CALL_CEILING = 3950
+# confluent calls of the nine builds, through spectral's names: 2,768;
+# 3,878 when refinement walked bisection's path to its last cell, and
+# 4,195 when every mode computed its values again and the interior
+# kappa = 5 build rescanned its ground gap
+BUILD_CALL_CEILING = 2850
 
 
 def test_benchmark_builds_keep_their_bits_and_call_ceiling(monkeypatch):
@@ -953,6 +1161,32 @@ def test_exterior_evaluators_reject_a_nonfinite_start(curve_bases, z0):
             fn(basis, z0, 1.0)
     with pytest.raises(ValueError, match=f"z0.*{z0!r}"):
         spectral.mgf("radial-exterior", 1.0, 0.0, 3, z0, 1.0)
+
+
+FAR_OUT = "start z0 = {!r} lies too far out: the radial factor at kappa z0"
+
+
+@pytest.mark.parametrize("z0, fn", [
+    (1e150, spectral.survival), (1e150, spectral.fet_density),
+    (1e200, spectral.survival), (1e200, spectral.fet_density)])
+def test_exterior_curves_refuse_a_start_whose_factor_passes_float_range(
+        z0, fn):
+    # at 1e150 a mode factor U overflows in its asymptotic form; at 1e200
+    # kappa z0^2 itself is inf
+    basis = build_basis("radial-exterior", 1, 0, 3, 4)
+    with pytest.raises(ValueError) as err:
+        fn(basis, z0, 0.5)
+    assert str(err.value).startswith(FAR_OUT.format(z0))
+    # the refused start leaves no factors behind
+    assert fn(basis, 2.0, 0.5) == fn(dataclasses.replace(basis), 2.0, 0.5)
+
+
+def test_exterior_mgf_refuses_a_start_where_kappa_z0_squared_is_inf():
+    with pytest.raises(ValueError) as err:
+        spectral.mgf("radial-exterior", 1, 0, 3, 1e200, 1)
+    assert str(err.value).startswith(FAR_OUT.format(1e200))
+    # where U at kappa z0^2 still fits, the ratio is returned
+    assert 0.0 < spectral.mgf("radial-exterior", 1, 0, 3, 1e150, 1) < 1e-75
 
 
 # ----------------------------------------------------------------------
