@@ -128,8 +128,8 @@ _MIN_TERMS = 5
 _TMIN_TERM = 1e-8
 _CLAMP_SLACK = 0.01
 
-# The generating-function denominator is treated as sitting on a pole
-# when it falls below this fraction of its term scale.
+# At s < 0 the generating-function denominator is treated as sitting on
+# or beyond its first pole unless it exceeds this fraction of its scale.
 _POLE_TOL = 1e-8
 
 # Consecutive eigenvalues never sit further apart than one nu-period
@@ -1061,11 +1061,13 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     Evaluated directly from the closed hypergeometric ratio (m1, m2 on
     the interval, M or U in the ball), with no eigen-decomposition;
     derivatives in s at 0 give the exit-time moments.  Negative s holds
-    only above the first pole s = -alphas[0]**2.  A ValueError is raised
-    where the denominator falls below 1e-8 of its term scale; on the
-    interval at varphi = 0 and 1 that scale vanishes with it, so a float
-    pole returns a huge value.  Below the pole the ratio comes back
-    unchecked, often negative.
+    only above the first pole s = -alphas[0]**2, where the denominator
+    falls to zero from its positive value at s = 0.  So at s < 0 a
+    ValueError is raised unless the denominator exceeds 1e-8 of a fixed
+    scale: max(2, |p c1| + |q c2|) on the interval, whose determinant is
+    at least 2 at s = 0, and 1 in the ball, where M and U are 1 there.
+    That refuses the first pole and the negative stretch after it; past
+    the second pole the ratio comes back unchecked.
     """
     geometry, kappa, varphi = _validate_problem(geometry, kappa, varphi, d)
     if not math.isfinite(s):
@@ -1082,9 +1084,7 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
         ends = _interval_ends(kummer_m, a, kappa, varphi)
         (p, q), (c2, c1) = ends
         den = _interval_det(ends)
-        if s < 0.0 and abs(den) < _POLE_TOL * (abs(p * c1) + abs(q * c2)):
-            raise ValueError(
-                f"s = {s!r} sits on a spectral pole of the interval problem")
+        _refuse_pole(s, den, max(2.0, abs(p * c1) + abs(q * c2)), geometry)
         z = z0 - varphi
         num = ((c1 - q) * _m1(kummer_m, a, kappa, z)
                + (p - c2) * _m2(kummer_m, a, kappa, z))
@@ -1095,11 +1095,17 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
         raise _far_start(z0, z)
     num = f(a, 0.5 * d, z).value
     den = f(a, 0.5 * d, kappa).value
-    if s < 0.0 and abs(den) < _POLE_TOL * max(1.0, abs(num)):
-        raise ValueError(
-            f"s = {s!r} sits on a spectral pole of the {geometry.value} "
-            "problem")
+    _refuse_pole(s, den, 1.0, geometry)
     return num / den
+
+
+def _refuse_pole(s: float, den: float, scale: float,
+                 geometry: Geometry) -> None:
+    """`mgf`'s pole rule: at s < 0, den must exceed _POLE_TOL * scale."""
+    if s < 0.0 and not den > _POLE_TOL * scale:
+        raise ValueError(
+            f"s = {s!r} sits on or beyond the first spectral pole of the "
+            f"{geometry.value} problem")
 
 
 def _pole_parts(basis: SpectralBasis, n: int):

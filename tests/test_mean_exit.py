@@ -22,7 +22,6 @@ import random
 import pytest
 
 from ouexit import _quad, mean_exit
-from ouexit._quad import tanh_sinh
 from ouexit.ou_model import canonical_orientation
 from ouexit.specfun import (_EPS, erfcx, gamma_fn, kummer_m, kummer_m_da,
                             tricomi_u_da)
@@ -483,10 +482,11 @@ def test_erfcx_integral_matches_oracle(x, want):
 
 def test_mean_exit_makes_no_quadrature_call(monkeypatch):
     calls = []
+    original = _quad.tanh_sinh
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return tanh_sinh(*args, **kwargs)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(_quad, "tanh_sinh", counting)
     monkeypatch.setattr(mean_exit, "tanh_sinh", counting)
@@ -961,19 +961,22 @@ def test_one_dimensional_exterior_routes_agree():
 
 
 def _exterior_double_quadrature(d, kappa, z0):
-    """Integrating-factor form, evaluated blind: tau(z0) =
-    int_1^z0 dy y^(1-d) e^(kappa y^2) int_y^inf dx x^(d-1) e^(-kappa x^2)."""
-    cut = z0 + 30.0 / math.sqrt(kappa)
+    """Integrating-factor form, evaluated blind in 30-digit mpmath:
+    tau(z0) = int_1^z0 dy y^(1-d) e^(kappa y^2) int_y^inf dx x^(d-1)
+    e^(-kappa x^2), whose inner integral is Gamma(d/2, kappa y^2) /
+    (2 kappa^(d/2))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        k = mpmath.mpf(kappa)
+        half_d = mpmath.mpf(d) / 2
 
-    def outer(y):
-        inner, _ = tanh_sinh(
-            lambda x: x ** (d - 1) * math.exp(-kappa * (x * x - y * y)),
-            y, cut, 1e-13)
-        return y ** (1 - d) * inner
+        def outer(y):
+            inner = mpmath.gammainc(half_d, k * y * y) / (2 * k ** half_d)
+            return y ** (1 - d) * mpmath.exp(k * y * y) * inner
 
-    value, err = tanh_sinh(outer, 1.0, z0, 1e-11)
-    assert err < 1e-9 * value
-    return value
+        value, err = mpmath.quad(outer, [1, mpmath.mpf(z0)], error=True)
+        assert err < 1e-20 * value
+        return float(value)
 
 
 def test_even_d_closed_form_equals_double_quadrature():
@@ -1064,6 +1067,20 @@ def test_interval_solvers_name_a_nonfinite_pull_or_start(fn, varphi, z0,
 def test_interval_asymptotic_names_a_bad_pull_or_start(varphi, z0, named):
     with pytest.raises(ValueError, match=named):
         met_interval_asymptotic(10.0, varphi, z0)
+
+
+@pytest.mark.parametrize("varphi", [0.0, 0.5, 1.0, 2.0])
+def test_interval_asymptotic_refuses_kappa_zero(varphi):
+    # every branch divides by a power of kappa
+    with pytest.raises(ValueError, match="need kappa > 0, got 0.0"):
+        met_interval_asymptotic(0.0, varphi, 0.0)
+
+
+@pytest.mark.parametrize("m", [0.0, -0.0, -1e-300, -2.5])
+def test_a_cancelled_scaled_difference_gives_zero(m):
+    # a start within ulps of an exit leaves a scaled difference m <= 0,
+    # whose mean is 0.0 however large exp(e) is
+    assert mean_exit._times_exp(m, 800.0) == 0.0
 
 
 @pytest.mark.parametrize("z0", [math.nan, math.inf])

@@ -236,17 +236,33 @@ def test_free_diffusion_interval_is_the_cosine_series():
         assert abs(abs(got) - abs(want)) < 1e-15
 
 
+# the free ball's mode factor Gamma(b) J_{b-1}(x) / (x/2)^(b-1), b = d/2
+FREE_BALL_FACTOR = {1: math.cos, 2: lambda x: sp.jv(0, x),
+                    3: lambda x: math.sin(x) / x,
+                    4: lambda x: sp.jv(1, x) / (0.5 * x)}
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_free_diffusion_ball_is_the_bessel_series(d):
     # 12 modes take the roots past x = 37; d = 1 and 3 are cos(x) and
     # sin(x)/x, whose weights and beta are closed forms
     basis = build_basis("radial-interior", 0.0, 0.0, d, 12)
+    z0 = 0.37
+    for n, alpha in enumerate(basis.alphas):
+        want = FREE_BALL_FACTOR[d](alpha * z0)
+        assert abs(spectral.mode_term(basis, n, z0) - want) < 4e-16
     if d == 1:
         alphas = [math.pi * (n + 0.5) for n in range(12)]
         assert basis.alphas == tuple(alphas)
         assert basis.weights == tuple(2.0 * (-1) ** n / a
                                       for n, a in enumerate(alphas))
         assert basis.betas == (math.sqrt(2.0),) * 12
+        # the d = 1 ball is the free interval, whose odd modes carry no
+        # weight
+        interval = build_basis("interval", 0.0, 0.0, 1, 24)
+        for t in (0.05, 0.1, 0.5):
+            assert rel(spectral.survival(basis, z0, t),
+                       spectral.survival(interval, z0, t)) < 1e-15
         return
     if d == 3:
         alphas = [math.pi * (n + 1) for n in range(12)]
@@ -284,6 +300,21 @@ def test_a_slowest_root_under_the_scan_floor_is_refused(case):
     # negative at the 1e-12 floor, so a basis would lack its ground mode
     with pytest.raises(RootSearchError, match="below the scan"):
         build_basis(*case)
+
+
+def test_a_scan_that_finds_no_sign_change_stops_at_its_cap():
+    # the cap is what keeps a condition without roots from being scanned
+    # forever
+    reads = []
+
+    def positive(alpha):
+        reads.append(alpha)
+        return 1.0
+
+    with pytest.raises(RootSearchError, match=(
+            "found 0 of 3 eigenvalue brackets before alpha = 10;")):
+        spectral._scan_brackets(positive, 1.0, 1.0, 0.0, 3, 10.0)
+    assert max(reads) <= 10.0
 
 
 def _full_sweep_scan(fn, kappa, dnu, brownian_gap, n_roots, cap):
@@ -876,7 +907,10 @@ def test_audit_passes_on_benchmark_scenarios(audit_bases, case):
 
 
 @pytest.mark.parametrize("case", [("interval", 0.0, 0.0, 1, 6),
-                                  ("radial-interior", 0.0, 0.0, 2, 6)],
+                                  ("radial-interior", 0.0, 0.0, 1, 6),
+                                  ("radial-interior", 0.0, 0.0, 2, 6),
+                                  ("radial-interior", 0.0, 0.0, 3, 6),
+                                  ("radial-interior", 0.0, 0.0, 4, 6)],
                          ids=str)
 def test_audit_passes_on_free_diffusion_bases(case):
     assert weights_crosscheck(build_basis(*case)).max_discrepancy < AUDIT_BOUND
@@ -1262,32 +1296,34 @@ def test_mgf_raises_on_the_first_pole(geometry, kappa, varphi, d, z0):
         spectral.mgf(geometry, kappa, varphi, d, z0, s)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the interval pole test's scale |p c1| + |q c2| vanishes with the "
-    "denominator at varphi = 0 and 1: at s = -alpha_0^2, "
-    "mgf('interval', 1, 0, 1, 0.1, s) returns -7.9e15 and the (2, 1) "
-    "basis gives 6.8e15"))
 @pytest.mark.parametrize("kappa, varphi", [(1.0, 0.0), (2.0, 1.0)])
 def test_mgf_raises_on_the_first_interval_pole_at_varphi_0_and_1(
         kappa, varphi):
+    # the term scale |p c1| + |q c2| vanishes with the denominator here;
+    # the determinant's value 2 at s = 0 bounds the scale from below
     s = -build_basis("interval", kappa, varphi, 1, 3).alphas[0] ** 2
     with pytest.raises(ValueError, match="pole"):
         spectral.mgf("interval", kappa, varphi, 1, 0.1, s)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "beyond the first pole mgf returns a negative number where its "
-    "docstring accepts negative s only until that pole: at "
-    "s = -1.3 alpha_0^2 it gives -4.05 (interval 1, 0, z0 = 0.1), "
-    "-4.43 (interior d = 3, kappa = 2, z0 = 0.4) and -5.02 (exterior "
-    "d = 3, kappa = 1, z0 = 2)"))
 @pytest.mark.parametrize("geometry, kappa, d, z0", [
     ("interval", 1.0, 1, 0.1), ("radial-interior", 2.0, 3, 0.4),
     ("radial-exterior", 1.0, 3, 2.0)])
 def test_mgf_refuses_s_beyond_the_first_pole(geometry, kappa, d, z0):
+    # between the first and second poles the denominator is negative, so
+    # the ratio would be a negative "generating function"
     s = -1.3 * build_basis(geometry, kappa, 0.0, d, 3).alphas[0] ** 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pole"):
         spectral.mgf(geometry, kappa, 0.0, d, z0, s)
+
+
+def test_mgf_keeps_a_large_finite_ratio_at_a_far_exterior_start():
+    # U(a, 3/2, kappa z0^2) grows like (kappa z0^2)^-a, so at s < 0 the
+    # numerator is huge while the denominator, 0.93, sits far from its
+    # pole: the pole rule must not scale with the numerator.  40-digit
+    # mpmath of the ratio gives 3.40085877402259537e37
+    value = spectral.mgf("radial-exterior", 1, 0, 3, 1e150, -0.5)
+    assert value == pytest.approx(3.40085877402259537e37, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
