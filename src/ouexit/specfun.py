@@ -711,6 +711,8 @@ _ES_MIN_LEVEL = 2
 _ES_MAX_LEVEL = 7
 # a level-0 node below this share of the running sum ends its side
 _ES_CUT = 1e-20
+# an extrapolated error claims at least this share of its sum
+_ES_FLOOR = 16.0 * _EPS
 
 
 @functools.cache
@@ -754,11 +756,15 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
     z c < 0.2 (c the peak) e^(-zt) cuts it off ln(1/(z c)) beyond the
     peak, and the error of that second feature falls on its own schedule
     (at a = 0.99, b = 1, z = 0.0079, where z c = 0.085, level 3 is 1.7e-13
-    off where d^2/d_old says 3e-15), so there the rule is not used.  Any
-    level from 2 on is accepted once two levels agree to 1e-13, for sums
-    that stall at rounding level, and then claims d.  The derivative's
-    sum of |w ln x| takes each node's magnitude by a conditional, not by
-    `abs`, which keeps every value but a NaN's sign.
+    off where d^2/d_old says 3e-15), so there the rule is not used.  Near
+    the rounding floor the fall slows too, so the claim is never below
+    16 eps of the sum (at a = 0.554, b = 1/2, z = 137.4 the differences
+    of the x-weighted sum fall 2.4e7-fold, then 1,200-fold, and level 3 is
+    5.7e-15 off where d^2/d_old says 3e-19).  Any level from 2 on is
+    accepted once two levels agree to 1e-13, for sums that stall at
+    rounding level, and then claims d.  The derivative's sum of |w ln x|
+    takes each node's magnitude by a conditional, not by `abs`, which
+    keeps every value but a NaN's sign.
     """
     # t = c exp(u), u = pi/2 sinh s, about the peak of the integrand in
     # ln t, the positive root c of z t^2 + (z+1-b) t - a = 0.  Each node
@@ -809,7 +815,8 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
                 est = [d * d / d_old if d else 0.0
                        for d, d_old in zip(diffs, last)]
                 if all(x <= _ES_EST_TOL * ref for x, ref in zip(est, refs)):
-                    errs = est
+                    errs = [max(x, _ES_FLOOR * ref)
+                            for x, ref in zip(est, refs)]
                     break
             if level >= _ES_MIN_LEVEL and all(
                     d <= _ES_TOL * ref for d, ref in zip(diffs, refs)):
@@ -956,6 +963,16 @@ def _u_gamma_factors(a: float, b: float):
     return g1, g2, rel1, rel2
 
 
+def _u_result(value: float, err: float, method: str) -> HypergeomResult:
+    """U's or dU/da's result, claiming inf where the value is +/-inf: a
+    claim's own arithmetic can meet inf - inf there, as the Laplace
+    route's backward loop does, which runs U and dU/da down from the pass
+    unscaled."""
+    if abs(value) == math.inf:
+        err = math.inf
+    return HypergeomResult(value, err, method)
+
+
 def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
     """Tricomi confluent hypergeometric U(a, b, z), z > 0.
 
@@ -973,7 +990,9 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
     combination that loses too many digits, overflows, gives NaN or
     needs an M series beyond its term budget take the Laplace integral
     (IntegralRep for a >= 1/2, RecurrenceShift from a+n below), which
-    has no restriction on b.  z <= 0, NaN and inf raise ValueError.
+    has no restriction on b.  A U beyond float range returns +/-inf,
+    with claim inf: U(-97.211, 1/2, 6000) is inf, U(-204, 1/2, 2.76)
+    -inf.  z <= 0, NaN and inf raise ValueError.
     """
     if not 0.0 < z < math.inf:
         raise ValueError(f"tricomi_u requires finite z > 0, got {z!r}")
@@ -983,7 +1002,7 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
     if z >= 40.0 and abs(a * (a - b + 1.0)) <= 0.7 * z:
         asympt = _u_asympt(a, b, z)
         if asympt is not None:
-            return HypergeomResult(asympt[0], asympt[1], "AsymptoticZ")
+            return _u_result(asympt[0], asympt[1], "AsymptoticZ")
     if b != math.floor(b):
         try:
             m1 = kummer_m(a, b, z)
@@ -1006,17 +1025,17 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
             # a sum that lost 8 digits or more, or a NaN value or claim,
             # falls back on the integral
             if abs(value) >= 1e-8 * big and err <= 1e-8 * abs(value):
-                return HypergeomResult(value, err, "DirectSeries")
-    v, e, method = _u_integral(a, b, z)
-    return HypergeomResult(v, e, method)
+                return _u_result(value, err, "DirectSeries")
+    return _u_result(*_u_integral(a, b, z))
 
 
 def tricomi_u_da(a: float, b: float, z: float) -> HypergeomResult:
     """dU/da at (a, b, z), z > 0, by the Laplace integral for every b:
     the one pass that gives U weights its integrand by ln(t/(1+t)) at
     the same nodes (IntegralRep for a >= 1/2, RecurrenceShift from a+n
-    below).  z <= 0, NaN and inf raise ValueError."""
+    below).  A dU/da beyond float range returns +/-inf, with claim inf:
+    -inf at (-97.211, 1/2, 6000), inf at (-204, 1/2, 2.76).  z <= 0, NaN
+    and inf raise ValueError."""
     if not 0.0 < z < math.inf:
         raise ValueError(f"tricomi_u_da requires finite z > 0, got {z!r}")
-    v, e, method = _u_integral(a, b, z, want_da=True)
-    return HypergeomResult(v, e, method)
+    return _u_result(*_u_integral(a, b, z, want_da=True))

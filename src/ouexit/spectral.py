@@ -158,7 +158,7 @@ class SpectralValue(float):
     warning: bool
 
     def __new__(cls, value: float, raw: float, warning: bool):
-        obj = super().__new__(cls, value)
+        obj = float.__new__(cls, value)
         obj.raw = raw
         obj.warning = bool(warning)
         return obj
@@ -973,14 +973,34 @@ def _far_start(z0: float, z: float) -> ValueError:
                       f"factor at kappa z0^2 = {z:.6g} passes float range")
 
 
-# The mode factors of the latest start: (basis, z0, factors), where
-# factors[i] = mode_term(basis, n, z0) for a prefix of the basis's live
-# modes, n being the i-th entry of `_live_modes`.  A curve at one start
-# computes each factor once.  The slot is replaced whole and never
-# mutated, so concurrent callers at worst recompute; the basis is matched
-# by identity, which costs nothing and leaves equal but distinct bases
-# to their own evaluations.
-_factors = (None, math.nan, ())
+# The mode rows of the latest start: (basis, z0, rows), where rows[i] =
+# (weights[n], alphas[n] ** 2, mode_term(basis, n, z0)) for n the i-th
+# entry of `_live_modes`, over a prefix of the live modes.  A curve at one
+# start computes each factor once, and its later points read the rows
+# alone.  The slot is replaced whole and never mutated, so concurrent
+# callers at worst recompute; the basis is matched by identity, which
+# costs nothing and leaves equal but distinct bases to their own
+# evaluations.
+_rows = (None, math.nan, ())
+
+
+def _fresh_rows(basis: SpectralBasis, z0: float, kept: tuple):
+    """The rows at z0 of every live mode: the kept ones, then each later
+    one as the sum reaches it, its factor from `mode_term`, read through
+    the module's name so that a wrapper put on it sees every call.  The
+    slot takes the longer table once the sum stops reading, which closes
+    the generator where it returns early."""
+    global _rows
+    yield from kept
+    new = []
+    try:
+        for n, w, lam in basis._live_modes[len(kept):]:
+            row = w, lam, mode_term(basis, n, z0)
+            new.append(row)
+            yield row
+    finally:
+        if new:
+            _rows = (basis, z0, kept + tuple(new))
 
 
 def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
@@ -988,39 +1008,39 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
     """Truncated mode sum, at z0 and t checked here for both evaluators;
     the last flag reports whether the final kept term was already
     negligible (False means the basis ran out of modes while terms still
-    mattered)."""
-    global _factors
+    mattered).  Magnitudes are taken by conditionals, not by `abs`; they
+    agree with it on every value, -0.0 and inf included, but a NaN's
+    sign."""
     z0 = _check_start(basis.geometry, z0)
     if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    slot_basis, slot_z0, factors = _factors
+    slot_basis, slot_z0, rows = _rows
     if slot_basis is not basis or slot_z0 != z0:
-        factors = ()
-    known = len(factors)
-    new = []
+        rows = ()
+    if len(rows) < len(basis._live_modes):
+        rows = _fresh_rows(basis, z0, rows)
     exp = math.exp
-    acc = 0.0
-    abs_acc = 0.0
-    term = 0.0
-    for i, (n, w, lam) in enumerate(basis._live_modes):
-        if i < known:
-            factor = factors[i]
-        else:
-            factor = mode_term(basis, n, z0)
-            new.append(factor)
+    acc = abs_acc = size = 0.0
+    # terms summed before the stop test applies
+    ahead = _MIN_TERMS
+    for w, lam, factor in rows:
         term = w * exp(-lam * t) * factor
         if rate_weighted:
             term *= lam
         acc += term
-        abs_acc += abs(term)
-        if i >= _MIN_TERMS - 1 and abs(term) < _TERM_STOP * abs(acc):
-            converged = True
-            break
-    else:
-        converged = abs(term) < _TMIN_TERM * max(1.0, abs(acc))
-    if new:
-        _factors = (basis, z0, factors + tuple(new))
-    return acc, abs_acc, converged
+        size = -term if term < 0.0 else term
+        abs_acc += size
+        ahead -= 1
+        if ahead <= 0 and size < _TERM_STOP * (-acc if acc < 0.0 else acc):
+            return acc, abs_acc, True
+    scale = -acc if acc < 0.0 else acc
+    return acc, abs_acc, size < _TMIN_TERM * (scale if scale > 1.0 else 1.0)
+
+
+# `survival` and `fet_density` build their `SpectralValue` by this and two
+# slot writes: their flag is a bool already, so the public constructor's
+# call and its bool() are skipped.
+_float_new = float.__new__
 
 
 def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
@@ -1028,17 +1048,24 @@ def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
 
     The truncated sum is clamped to [0, 1]; the result's `warning`
     flag marks raw values outside [-0.01, 1.01] and any t below the
-    basis reliability horizon `t_min`.  The spatial factors
-    (`mode_term`) of the latest start are kept, so a curve of calls at
-    one start on one basis object computes each mode's factor once; a
-    call at another start or basis replaces them.  z0 must be finite and
-    inside the geometry's domain, and near enough that its mode factors
-    fit a float.
+    basis reliability horizon `t_min`.  The (weight, rate, factor) rows
+    of the latest start's live modes are kept, each factor from
+    `mode_term`, so a curve of calls at one start on one basis object
+    computes each mode's factor once and its later points sum the rows
+    alone; a call at another start or basis replaces them.  z0 must be
+    finite and inside the geometry's domain, and near enough that its
+    mode factors fit a float.
     """
-    raw, _, converged = _spectral_sum(basis, z0, t, rate_weighted=False)
-    warning = (raw < -_CLAMP_SLACK or raw > 1.0 + _CLAMP_SLACK
-               or t < basis.t_min or not converged)
-    return SpectralValue(min(1.0, max(0.0, raw)), raw, warning)
+    raw, _, converged = _spectral_sum(basis, z0, t, False)
+    # min(1.0, max(0.0, raw)), NaN to 0.0 included
+    value = _float_new(SpectralValue, raw if 0.0 < raw < 1.0
+                       else 1.0 if raw >= 1.0 else 0.0)
+    value.raw = raw
+    # `not t >= t_min` is a bool for any t that compares, where `t < t_min`
+    # would pass a numpy flag through
+    value.warning = (raw < -_CLAMP_SLACK or raw > 1.0 + _CLAMP_SLACK
+                     or not t >= basis.t_min or not converged)
+    return value
 
 
 def fet_density(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
@@ -1046,12 +1073,15 @@ def fet_density(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
 
     Negative truncation noise is clamped to zero; the `warning` flag
     marks raw values below -1% of the term mass and any t below t_min.
-    It shares the kept mode factors of the latest start with `survival`.
+    It shares the kept mode rows of the latest start with `survival`.
     """
-    raw, abs_acc, converged = _spectral_sum(basis, z0, t, rate_weighted=True)
-    warning = (raw < -_CLAMP_SLACK * abs_acc or t < basis.t_min
-               or not converged)
-    return SpectralValue(max(0.0, raw), raw, warning)
+    raw, abs_acc, converged = _spectral_sum(basis, z0, t, True)
+    # max(0.0, raw), NaN to 0.0 included
+    value = _float_new(SpectralValue, raw if raw > 0.0 else 0.0)
+    value.raw = raw
+    value.warning = (raw < -_CLAMP_SLACK * abs_acc or not t >= basis.t_min
+                     or not converged)
+    return value
 
 
 def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,

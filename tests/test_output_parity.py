@@ -4,7 +4,7 @@
 workloads.  Run twice in one process, the second run meets the caches the
 first one filled: U's gamma factors per (a, b) (`specfun._u_gamma_factors`),
 the Laplace pass's nodes per level (`specfun._es_nodes`) and the latest
-start's mode factors (`spectral._factors`).  Equal records show that a warm
+start's mode rows (`spectral._rows`).  Equal records show that a warm
 cache gives the same bits as a cold one.
 """
 

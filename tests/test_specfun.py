@@ -1268,6 +1268,31 @@ def test_u_just_outside_the_asymptotic_gate_matches_mpmath():
                             assert error <= r.abs_err_estimate, (a, b, z)
 
 
+# (a, b, z) where U and dU/da pass float range, with their signs from
+# 40-digit mpmath: U = 3.86e366 and dU/da = -3.34e367 at the first, U =
+# -1.97e383 and dU/da = 1.25e384 at the second
+U_BEYOND_FLOAT_RANGE = [((-97.211, 0.5, 6000.0), "RecurrenceShift"),
+                        ((-204.0, 0.5, 2.76), "DirectSeries")]
+
+
+@pytest.mark.parametrize("args,u_method", U_BEYOND_FLOAT_RANGE)
+def test_u_beyond_float_range_is_a_signed_inf_claiming_inf(args, u_method):
+    mpmath = pytest.importorskip("mpmath")
+    a, b, z = args
+    h = mpmath.mpf(10) ** -12
+    with mpmath.workdps(40):
+        u = mpmath.hyperu(a, b, z)
+        du = (mpmath.hyperu(a + h, b, z) - mpmath.hyperu(a - h, b, z)) / (
+            2 * h)
+    for fn, want, method in ((tricomi_u, u, u_method),
+                             (tricomi_u_da, du, "RecurrenceShift")):
+        assert abs(want) > sys.float_info.max
+        r = fn(a, b, z)
+        assert r.value == math.copysign(math.inf, want), fn.__name__
+        assert r.abs_err_estimate == math.inf, fn.__name__
+        assert r.method == method
+
+
 TRICOMI_DA_POINTS = [
     (1.3, 0.7, 2.0),    # non-integer b, the pass at a itself
     (3.7, 1.0, 12.0),   # integer b
@@ -1550,9 +1575,15 @@ def test_laplace_pass_claims_its_error_where_its_levels_mislead(a, b, z):
 # within about 1e-15 of it
 LEVEL_THREE_POINTS = [(1.032, 2.0, 3.024), (1.057, 1.0, 22.566),
                       (1.233, 1.5, 0.996)]
+# level-3 stops of the extrapolation rule whose U(a+1) is off 40-digit
+# hyperu by 1.045 and 1.015 times d^2/d_old plus the rounding terms: its
+# differences fell 2.4e7-fold, and the next fall is 1,200-fold.  The
+# 16-eps floor of the claim covers them
+FLOOR_POINTS = [(0.5544086763539317, 0.5, 137.3821361344025),
+                (0.5563397085593437, -0.5, 262.9231932547984)]
 
 
-@pytest.mark.parametrize("a,b,z", LEVEL_THREE_POINTS)
+@pytest.mark.parametrize("a,b,z", LEVEL_THREE_POINTS + FLOOR_POINTS)
 def test_laplace_pass_stops_at_level_three_within_its_claim(monkeypatch,
                                                             a, b, z):
     # U and dU/da at a and a+1, against 40-digit hyperu and a central
@@ -1620,7 +1651,8 @@ def _u_laplace_calling_abs(a, b, z, want_da):
                        for d, d_old in zip(diffs, last)]
                 if all(x <= sf._ES_EST_TOL * ref
                        for x, ref in zip(est, refs)):
-                    errs = est
+                    errs = [max(x, sf._ES_FLOOR * ref)
+                            for x, ref in zip(est, refs)]
                     break
             if level >= sf._ES_MIN_LEVEL and all(
                     d <= sf._ES_TOL * ref for d, ref in zip(diffs, refs)):

@@ -24,6 +24,8 @@ import hashlib
 import json
 import math
 import random
+import sys
+import threading
 
 import pytest
 import scipy.special as sp
@@ -1184,6 +1186,152 @@ def test_a_curve_at_one_start_computes_each_mode_factor_once(
             spectral.fet_density(basis, z0, t)
         assert 0 < len(calls) <= basis.n_modes
         assert len(set(calls)) == len(calls)
+
+
+def test_the_later_points_of_a_curve_call_no_mode_term(monkeypatch,
+                                                        curve_bases):
+    calls = []
+    mode_term = spectral.mode_term
+
+    def counted(basis, n, z0):
+        calls.append(n)
+        return mode_term(basis, n, z0)
+
+    monkeypatch.setattr(spectral, "mode_term", counted)
+    for basis in curve_bases:
+        z0 = 0.4 if basis.geometry is not Geometry.RADIAL_EXTERIOR else 1.4
+        rate0 = basis.alphas[0] ** 2
+        times = [basis.t_min + 10.0 / rate0 * i / 199 for i in range(200)]
+        spectral.survival(basis, z0, times[0])
+        assert calls
+        calls.clear()
+        for t in times[1:]:
+            spectral.survival(basis, z0, t)
+        assert calls == []
+
+
+def test_threads_sharing_the_kept_rows_get_each_starts_own_values(
+        curve_bases):
+    # four threads run curves at their own starts under a short switch
+    # interval, so each replaces the one slot of kept rows under the others
+    starts = {"interval": (-0.9, 0.35), "radial-interior": (0.0, 0.6),
+              "radial-exterior": (1.0, 1.7)}
+    curves = [[(basis, z0, t) for t in _curve_times(basis, 40)]
+              for basis in curve_bases
+              for z0 in starts[basis.geometry.value]]
+    want = [[_memo_free_sum(*call, False)[0].hex() for call in curve]
+            for curve in curves]
+    wrong = []
+
+    def run(seed):
+        order = list(range(len(curves)))
+        random.Random(seed).shuffle(order)
+        for k in order:
+            for call, hexed in zip(curves[k], want[k]):
+                if spectral.survival(*call).raw.hex() != hexed:
+                    wrong.append(call)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,))
+                   for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def _memo_free_values(basis, z0, t):
+    """(value, raw, warning) of `survival` and of `fet_density`, from the
+    memo-free sum with the builtin clamp and magnitudes."""
+    raw, _, converged = _memo_free_sum(basis, z0, t, False)
+    survival = (min(1.0, max(0.0, raw)), raw,
+                bool(raw < -spectral._CLAMP_SLACK
+                     or raw > 1.0 + spectral._CLAMP_SLACK
+                     or t < basis.t_min or not converged))
+    raw, abs_acc, converged = _memo_free_sum(basis, z0, t, True)
+    density = (max(0.0, raw), raw,
+               bool(raw < -spectral._CLAMP_SLACK * abs_acc
+                    or t < basis.t_min or not converged))
+    return survival, density
+
+
+def _hexed(values):
+    return [x.hex() if type(x) is float else x for x in values]
+
+
+EDGE_WEIGHTS = (0.8, 0.0, -0.3, 0.25, 0.1, -0.05, 0.02, 0.01)
+# mode factors with -0.0, NaN and +/-inf among ordinary ones; the weights
+# above silence mode 1
+EDGE_FACTORS = (
+    (1.0, 7.0, -0.5, 0.25, 2.0, -1.0, 0.5, 0.25),
+    (-0.0, 7.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0),
+    (1.0, 7.0, math.nan, 0.25, 2.0, -1.0, 0.5, 0.25),
+    (1.0, 7.0, -0.5, 0.25, 2.0, -1.0, 0.5, math.nan),
+    (math.inf, 7.0, -0.5, 0.25, 2.0, -1.0, 0.5, 0.25),
+    (1.0, 7.0, -0.5, 0.25, 2.0, -1.0, 0.5, -math.inf),
+    (-math.inf, 7.0, -0.5, 0.25, 2.0, -1.0, 0.5, math.inf),
+    (-2.0, 7.0, -0.5, 0.25, 2.0, -1.0, 0.5, 0.25),
+    (3.0, 7.0, 1e-300, -1e300, 2.0, -1.0, 0.5, 0.25),
+    # the fourth live term is negligible: the stop test waits for the fifth
+    (1.0, 7.0, -0.5, 0.25, 1e-20, -1.0, 0.5, 0.25),
+)
+
+
+@pytest.mark.parametrize("factors", EDGE_FACTORS)
+def test_kept_rows_keep_the_builtin_edge_semantics(monkeypatch, factors):
+    # a hand-built basis whose mode factors are the table above
+    n = len(EDGE_WEIGHTS)
+    basis = spectral.SpectralBasis(
+        geometry="interval", kappa=4.0, varphi=0.0, d=1,
+        alphas=tuple(0.5 + k for k in range(n)),
+        coeff_pairs=((1.0, 0.0),) * n, weights=EDGE_WEIGHTS,
+        betas=(1.0,) * n)
+    monkeypatch.setattr(spectral, "mode_term",
+                        lambda basis, n, z0: factors[n])
+    # t = 0 keeps every term; t = 1e4 underflows each exponential to 0.0,
+    # which meets an inf factor as NaN
+    times = (0.0, 1e-3, basis.t_min, 1.0, 4.0, 60.0, 1e4)
+    # each start meets its factors cold, then kept, then after another
+    # start replaced them
+    for z0 in (0.3, -0.6, 0.3):
+        for t in times + times[::-1]:
+            survival, density = _memo_free_values(basis, z0, t)
+            for rate_weighted, fn, want in (
+                    (False, spectral.survival, survival),
+                    (True, spectral.fet_density, density)):
+                got = fn(basis, z0, t)
+                assert type(got) is spectral.SpectralValue
+                assert type(got.warning) is bool
+                assert _hexed((float(got), got.raw, got.warning)) == \
+                    _hexed(want)
+                assert _hexed(spectral._spectral_sum(
+                    basis, z0, t, rate_weighted)) == _hexed(
+                    _memo_free_sum(basis, z0, t, rate_weighted))
+
+
+def test_a_spectral_value_from_its_constructor_is_a_float_with_a_bool_flag():
+    value = spectral.SpectralValue(0.25, 0.2500001, 1)
+    assert type(value) is spectral.SpectralValue
+    assert value == 0.25 and value.raw == 0.2500001
+    assert value.warning is True
+    assert spectral.SpectralValue(1.0, 1.0, []).warning is False
+
+
+def test_evaluators_flag_with_a_bool_at_a_numpy_time(curve_bases):
+    numpy = pytest.importorskip("numpy")
+    basis = curve_bases[0]
+    for t in (0.5 * basis.t_min, 2.0 * basis.t_min):
+        for fn in (spectral.survival, spectral.fet_density):
+            got = fn(basis, 0.3, numpy.float64(t))
+            assert type(got.warning) is bool
+            assert got.warning is fn(basis, 0.3, t).warning
 
 
 @pytest.mark.parametrize("z0", [math.nan, math.inf, -math.inf])
