@@ -121,7 +121,8 @@ def _int_erfcx0(x: float, ln_x: float | None = None) -> float:
     which needs one erfcx call: from y' = 2zy - 2/sqrt(pi) the coefficients
     are y_0 = erfcx(c), y_1 = 2c y_0 - 2/sqrt(pi) and
     y_(k+1) = (2c y_k + 2 y_(k-1))/(k+1), and the odd ones integrate to
-    zero.  Here they are carried as b_k = y_k h^k with h the half-width.
+    zero.  They are carried as b_k = y_k h^k, h the half-width, two steps
+    a turn (`test_erfcx_integral_keeps_the_one_step_panel_bits`).
 
     From x = 6 on, the integral is
     (ln 2x + gamma/2)/sqrt(pi)
@@ -160,15 +161,21 @@ def _int_erfcx0(x: float, ln_x: float | None = None) -> float:
     for i in range(panels):
         c = (2 * i + 1) * h
         two_ch = 2.0 * c * h
-        b_prev = erfcx(c)
-        b = (2.0 * c * b_prev - 2.0 / _SQRT_PI) * h
-        piece = b_prev
-        k = 1
-        while abs(b) + abs(b_prev) > 1e-17 * piece or k < 3:
-            b_prev, b = b, (two_ch * b + two_hh * b_prev) / (k + 1)
-            k += 1
-            if k % 2 == 0:
-                piece += b / (k + 1)
+        b0 = erfcx(c)
+        b1 = (2.0 * c * b0 - 2.0 / _SQRT_PI) * h
+        ev = (two_ch * b1 + two_hh * b0) / 2.0
+        piece = b0 + ev / 3.0
+        od = (two_ch * ev + two_hh * b1) / 3.0
+        n = 4.0  # the next even k
+        while ((od if od >= 0.0 else -od) + (ev if ev >= 0.0 else -ev)
+               > 1e-17 * piece):
+            ev = (two_ch * od + two_hh * ev) / n
+            piece += ev / (n + 1.0)
+            if not ((ev if ev >= 0.0 else -ev) + (od if od >= 0.0 else -od)
+                    > 1e-17 * piece):
+                break
+            od = (two_ch * ev + two_hh * od) / (n + 1.0)
+            n += 2.0
         total += piece
     return 2.0 * h * total
 

@@ -698,11 +698,8 @@ def kummer_m_da(a: float, b: float, z: float) -> HypergeomResult:
 # ----------------------------------------------------------------------
 
 # U's Laplace integral by one exp-sinh pass.  Level 0 steps s by 1/2 and
-# level k > 0 holds only the new midpoints at step 2^-(k+1).  Above
-# _ES_MIN_LEVEL a level is accepted by its extrapolated error, within
-# _ES_EST_TOL once every difference fell _ES_FALL-fold, where z c is at
-# least _ES_ONE_PEAK; from _ES_MIN_LEVEL on, once two levels agree to
-# _ES_TOL (see `_u_laplace`).
+# level k > 0 holds only the new midpoints at step 2^-(k+1); the rules
+# that accept a level are `_u_laplace`'s.
 _ES_TOL = 1e-13
 _ES_EST_TOL = 1e-11
 _ES_FALL = 100.0
@@ -755,16 +752,17 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
     slow.  That holds only where the integrand is one peak in ln t: with
     z c < 0.2 (c the peak) e^(-zt) cuts it off ln(1/(z c)) beyond the
     peak, and the error of that second feature falls on its own schedule
-    (at a = 0.99, b = 1, z = 0.0079, where z c = 0.085, level 3 is 1.7e-13
-    off where d^2/d_old says 3e-15), so there the rule is not used.  Near
+    (the tests' MISLEADING_LEVELS), so there the rule is not used.  Near
     the rounding floor the fall slows too, so the claim is never below
-    16 eps of the sum (at a = 0.554, b = 1/2, z = 137.4 the differences
-    of the x-weighted sum fall 2.4e7-fold, then 1,200-fold, and level 3 is
-    5.7e-15 off where d^2/d_old says 3e-19).  Any level from 2 on is
+    16 eps of the sum (their FLOOR_POINTS).  Any level from 2 on is
     accepted once two levels agree to 1e-13, for sums that stall at
-    rounding level, and then claims d.  The derivative's sum of |w ln x|
-    takes each node's magnitude by a conditional, not by `abs`, which
-    keeps every value but a NaN's sign.
+    rounding level, and then claims d.
+
+    Level 0 finds each side's cutoff in its own node loop, and the later
+    levels stop there; a level has one loop for U, one for U and dU/da.
+    The sums and tests are scalars, bit for bit the per-level tuples they
+    replaced (`test_laplace_pass_keeps_the_bits_at_its_loops_edges`), and
+    |w ln x| a conditional, which keeps all but a NaN's sign from `abs`.
     """
     # t = c exp(u), u = pi/2 sinh s, about the peak of the integrand in
     # ln t, the positive root c of z t^2 + (z+1-b) t - a = 0.  Each node
@@ -777,59 +775,90 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
     r = c / (1.0 + c)
     ln_c = math.log(c)
     e = b - a - 1.0
-    cuts = [math.inf, math.inf]
-    prev = None
-    for level in range(_ES_MAX_LEVEL + 1):
-        # sums of w, w x, w ln x, w x ln x and |w ln x| over new nodes
-        n0 = n1 = k0 = k1 = km = 0.0
-        for side, nodes in enumerate(_es_nodes(level)):
-            cut = cuts[side]
+    exp, log1p = math.exp, math.log1p
+    # sums of w, w x, w ln x, w x ln x and |w ln x| over level 0's nodes,
+    # then over all levels; without want_da the last three stay 0
+    s0 = s1 = l0 = l1 = m = d2 = d3 = 0.0
+    cuts = []
+    for nodes in _es_nodes(0):
+        cut = math.inf
+        if want_da:
             for s, u, em1, w in nodes:
-                if s > cut:
-                    break
-                f = w * math.exp(a * u - zc * em1 + e * math.log1p(r * em1))
-                if level == 0 and f < _ES_CUT * n0:
-                    cuts[side] = s
+                f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
+                if f < _ES_CUT * s0:
+                    cut = s
                     break
                 t = c + c * em1
                 x = t / (1.0 + t)
-                n0 += f
-                n1 += f * x
-                if want_da:
-                    lx = (ln_c + u - math.log1p(t) if t <= 1.0
-                          else -math.log1p(1.0 / t))
-                    fl = f * lx
+                s0 += f
+                s1 += f * x
+                fl = f * (ln_c + u - log1p(t) if t <= 1.0 else -log1p(1.0 / t))
+                l0 += fl
+                l1 += fl * x
+                m += fl if fl >= 0.0 else -fl
+        else:
+            for s, u, em1, w in nodes:
+                f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
+                if f < _ES_CUT * s0:
+                    cut = s
+                    break
+                t = c + c * em1
+                s0 += f
+                s1 += f * (t / (1.0 + t))
+        cuts.append(cut)
+    for level in range(1, _ES_MAX_LEVEL + 1):
+        n0 = n1 = k0 = k1 = km = 0.0
+        for nodes, cut in zip(_es_nodes(level), cuts):
+            if want_da:
+                for s, u, em1, w in nodes:
+                    if s > cut:
+                        break
+                    f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
+                    t = c + c * em1
+                    x = t / (1.0 + t)
+                    n0 += f
+                    n1 += f * x
+                    fl = f * (ln_c + u - log1p(t) if t <= 1.0
+                              else -log1p(1.0 / t))
                     k0 += fl
                     k1 += fl * x
                     km += fl if fl >= 0.0 else -fl
-        sums = (n0, n1, k0, k1, km)
-        if prev is not None:
-            sums = tuple(0.5 * old + new for old, new in zip(prev, sums))
-            diffs = [abs(new - old) for old, new in zip(prev, sums[:4])]
-            refs = (sums[0], sums[1], sums[4], sums[4])
-            errs = diffs
-            if level > _ES_MIN_LEVEL and zc >= _ES_ONE_PEAK and all(
-                    _ES_FALL * d <= d_old for d, d_old in zip(diffs, last)):
-                # every difference fell _ES_FALL-fold; if the next falls
-                # as fast, this level is off by about d^2/d_old
-                est = [d * d / d_old if d else 0.0
-                       for d, d_old in zip(diffs, last)]
-                if all(x <= _ES_EST_TOL * ref for x, ref in zip(est, refs)):
-                    errs = [max(x, _ES_FLOOR * ref)
-                            for x, ref in zip(est, refs)]
-                    break
-            if level >= _ES_MIN_LEVEL and all(
-                    d <= _ES_TOL * ref for d, ref in zip(diffs, refs)):
+            else:
+                for s, u, em1, w in nodes:
+                    if s > cut:
+                        break
+                    f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
+                    t = c + c * em1
+                    n0 += f
+                    n1 += f * (t / (1.0 + t))
+        n0, n1 = 0.5 * s0 + n0, 0.5 * s1 + n1
+        d0, d1, s0, s1 = abs(n0 - s0), abs(n1 - s1), n0, n1
+        if want_da:
+            k0, k1, m = 0.5 * l0 + k0, 0.5 * l1 + k1, 0.5 * m + km
+            d2, d3, l0, l1 = abs(k0 - l0), abs(k1 - l1), k0, k1
+        if (level > _ES_MIN_LEVEL and zc >= _ES_ONE_PEAK
+                and _ES_FALL * d0 <= o0 and _ES_FALL * d1 <= o1
+                and _ES_FALL * d2 <= o2 and _ES_FALL * d3 <= o3):
+            # every difference fell _ES_FALL-fold; if the next falls as
+            # fast, this level is off by about d^2/d_old
+            x0, x1 = d0 * d0 / o0 if d0 else 0.0, d1 * d1 / o1 if d1 else 0.0
+            x2, x3 = d2 * d2 / o2 if d2 else 0.0, d3 * d3 / o3 if d3 else 0.0
+            if (x0 <= _ES_EST_TOL * s0 and x1 <= _ES_EST_TOL * s1
+                    and x2 <= _ES_EST_TOL * m and x3 <= _ES_EST_TOL * m):
+                d0, d1 = max(x0, _ES_FLOOR * s0), max(x1, _ES_FLOOR * s1)
+                d2, d3 = max(x2, _ES_FLOOR * m), max(x3, _ES_FLOOR * m)
                 break
-            last = diffs
-        prev = sums
-    s0, s1, l0, l1, m = sums
-    peak = math.exp(a * ln_c - zc + e * math.log1p(c))
+        if (level >= _ES_MIN_LEVEL and d0 <= _ES_TOL * s0
+                and d1 <= _ES_TOL * s1 and d2 <= _ES_TOL * m
+                and d3 <= _ES_TOL * m):
+            break
+        o0, o1, o2, o3 = d0, d1, d2, d3
+    ln1p_c = log1p(c)
+    peak = exp(a * ln_c - zc + e * ln1p_c)
     inv_g = inv_gamma(a)
     scale = peak * inv_g
     # rounding of the peak exponent, and of 1/Gamma(a)
-    rel = (_EPS * (abs(a * ln_c) + zc + abs(e * math.log1p(c)))
-           + _gamma_rel_err(a))
+    rel = _EPS * (abs(a * ln_c) + zc + abs(e * ln1p_c)) + _gamma_rel_err(a)
     u0 = scale * s0
     su1 = scale * s1
     u1 = su1 / a
@@ -837,15 +866,15 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
     # its rounding is absolute and no relative term covers it
     tiny = (_subnormal(peak) * inv_g + _subnormal(inv_g) * peak
             + _subnormal(scale))
-    eu0 = (scale * (errs[0] + _EPS * 8.0 * s0) + rel * u0
+    eu0 = (scale * (d0 + _EPS * 8.0 * s0) + rel * u0
            + tiny * s0 + _subnormal(u0))
-    eu1 = (scale * (errs[1] + _EPS * 8.0 * s1) / a + rel * u1
+    eu1 = (scale * (d1 + _EPS * 8.0 * s1) / a + rel * u1
            + (tiny * s1 + _subnormal(su1)) / a + _subnormal(u1))
     if not want_da:
         return (u0, u1), (eu0, eu1)
     psi = digamma(a)
     psi1 = psi + 1.0 / a
-    ed = scale * (max(errs[2], errs[3]) + _EPS * 8.0 * m) + tiny * m
+    ed = scale * (max(d2, d3) + _EPS * 8.0 * m) + tiny * m
     sl0 = scale * l0
     sl1 = scale * l1
     # each derivative's own roundings: 3 and 4, all subnormal where its
@@ -933,13 +962,16 @@ def _u_asympt(a: float, b: float, z: float):
 
     `tricomi_u` calls it only where |a (a-b+1)| <= 0.7 z, so the terms
     fall from the first one on until k nears z.  Returns None unless the
-    smallest term summed is below 1e-15 of the sum.
+    smallest term summed is below 1e-15 of the sum; +/-inf past float range.
     """
     s, least = _two_f0(a, a - b + 1.0, -z)
     if not least < 1e-15 * abs(s):
         return None
     lz = math.log(z)
-    pref = math.exp(-a * lz)
+    try:
+        pref = math.exp(-a * lz)
+    except OverflowError:
+        return math.copysign(math.inf, s), math.inf
     # no term exceeds the first; z^-a's exponent a ln z is rounded
     err = pref * (least + _EPS * (8.0 * (abs(s) + 1.0)
                                   + 2.0 * abs(a * lz) * abs(s)))

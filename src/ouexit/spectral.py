@@ -959,10 +959,11 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
     z = kappa * z0 * z0
     # a far exterior start takes kappa z0^2, or U there, past float range
     try:
-        if z < math.inf:
-            return f(a, 0.5 * basis.d, z).value
+        value = f(a, 0.5 * basis.d, z).value if z < math.inf else math.inf
     except OverflowError:
-        pass
+        value = math.inf
+    if abs(value) != math.inf:
+        return value
     raise _far_start(z0, z)
 
 

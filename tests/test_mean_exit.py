@@ -900,6 +900,58 @@ def test_exp_erf_integral_keeps_the_int_count_bits():
         assert _same_bits(_f_exp_erf(x), _f_exp_erf_int_count(x)), x
 
 
+def _int_erfcx0_one_step_panels(x):
+    """The erfcx integral over [0, x], 0 < x < 6, as its Taylor panels
+    took one step an iteration, testing k % 2 and swapping a tuple: the
+    operations `_int_erfcx0`'s two-step loop must keep."""
+    panels = math.ceil(x / 0.5)
+    h = 0.5 * x / panels
+    two_hh = 2.0 * h * h
+    total = 0.0
+    for i in range(panels):
+        c = (2 * i + 1) * h
+        two_ch = 2.0 * c * h
+        b_prev = erfcx(c)
+        b = (2.0 * c * b_prev - 2.0 / math.sqrt(math.pi)) * h
+        piece = b_prev
+        k = 1
+        while abs(b) + abs(b_prev) > 1e-17 * piece or k < 3:
+            b_prev, b = b, (two_ch * b + two_hh * b_prev) / (k + 1)
+            k += 1
+            if k % 2 == 0:
+                piece += b / (k + 1)
+        total += piece
+    return 2.0 * h * total
+
+
+def test_erfcx_integral_keeps_the_one_step_panel_bits():
+    rng = random.Random(34)
+    xs = [rng.uniform(0.0, 6.0) for _ in range(4000)]
+    # each panel edge k/2, where the panel count steps, and its neighbours
+    for k in range(1, 12):
+        edge = 0.5 * k
+        xs += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 6.0)]
+    xs += [5e-324, math.nextafter(6.0, 0.0)]
+    # the arguments of the odd-d exterior, forced 1-D and interval means:
+    # sqrt(kappa) times 1, a start, or a gap between the pull and a start
+    # or a wall, each by `_scaled_gap`, at closed-form draws' parameters
+    for _ in range(2000):
+        sk = math.sqrt(10.0 ** rng.uniform(-3.0, 3.0))
+        varphi = rng.uniform(-2.5, 2.5)
+        z0 = rng.uniform(1.0, 3.0)
+        zi = rng.uniform(-1.0, 1.0)
+        for hi, lo in ((1.0, 0.0), (z0, 0.0), (z0, varphi), (1.0, varphi),
+                       (1.0, -varphi), (varphi, 1.0), (varphi, zi)):
+            xs.append(abs(mean_exit._scaled_gap(sk, hi, lo)[0]))
+    tested = 0
+    for x in xs:
+        if 0.0 < x < 6.0:
+            want = _int_erfcx0_one_step_panels(x)
+            assert _same_bits(_int_erfcx0(x), want), x
+            tested += 1
+    assert tested >= 12000
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the erf form cancels between its start and left-exit terms "

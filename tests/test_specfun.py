@@ -1270,9 +1270,13 @@ def test_u_just_outside_the_asymptotic_gate_matches_mpmath():
 
 # (a, b, z) where U and dU/da pass float range, with their signs from
 # 40-digit mpmath: U = 3.86e366 and dU/da = -3.34e367 at the first, U =
-# -1.97e383 and dU/da = 1.25e384 at the second
+# -1.97e383 and dU/da = 1.25e384 at the second.  At the last two U takes
+# the large-z expansion, whose z^-a passes float range: U = 2.19e955 and
+# dU/da = -2.41e956, U = 1.16e690 and dU/da = -1.23e691
 U_BEYOND_FLOAT_RANGE = [((-97.211, 0.5, 6000.0), "RecurrenceShift"),
-                        ((-204.0, 0.5, 2.76), "DirectSeries")]
+                        ((-204.0, 0.5, 2.76), "DirectSeries"),
+                        ((-200.0, 0.5, 60000.0), "AsymptoticZ"),
+                        ((-150.0, 0.5, 40000.0), "AsymptoticZ")]
 
 
 @pytest.mark.parametrize("args,u_method", U_BEYOND_FLOAT_RANGE)
@@ -1707,6 +1711,87 @@ def test_laplace_pass_keeps_the_bits_of_its_abs_loop_on_a_grid():
             assert (_bits_but_nan_sign(flat, specfun._u_laplace, *args)
                     == _bits_but_nan_sign(flat, _u_laplace_calling_abs,
                                           *args)), args
+
+
+def _peak_share(a, b, z):
+    """z c, c the peak of the Laplace integrand, as `_u_laplace` forms it."""
+    bb = z + 1.0 - b
+    root = math.sqrt(bb * bb + 4.0 * a * z)
+    return z * (2.0 * a / (bb + root) if bb >= 0.0
+                else (root - bb) / (2.0 * z))
+
+
+def _peak_share_crossing(b, z):
+    """The two adjacent floats a about the a with z c = _ES_ONE_PEAK at
+    (b, z): z c is below it at the first and not below at the second."""
+    c = specfun._ES_ONE_PEAK / z
+    a = z * c * c + (z + 1.0 - b) * c
+    step = -math.inf if _peak_share(a, b, z) >= specfun._ES_ONE_PEAK \
+        else math.inf
+    for _ in range(10000):
+        nxt = math.nextafter(a, step)
+        if ((_peak_share(nxt, b, z) >= specfun._ES_ONE_PEAK)
+                != (_peak_share(a, b, z) >= specfun._ES_ONE_PEAK)):
+            return tuple(sorted((a, nxt)))
+        a = nxt
+    raise AssertionError((b, z))
+
+
+# (a, b, z) where the pass ends where its loops change hands: a level-0
+# cutoff on the s < 0 side only, as e^(-zt) never cuts the s > 0 side
+# off before its last node (the first stopping at level 5, the second at
+# level 7 without accepting a level), and passes that run to level 7
+# with both sides cut off and no level accepted
+ONE_SIDE_CUT = [(0.5, 0.95, 1e-250), (0.5, 0.99, 1e-250),
+                (3.0, 0.95, 1e-250)]
+UNACCEPTED = [
+    (0.5, 0.95, 1e-100),
+    (0.7231783216155471, 0.9915974835231759, 1.5041998390087443e-119),
+    (0.5142346961568101, 0.9848436208631476, 1.515696647450132e-84)]
+
+
+def test_laplace_pass_keeps_the_bits_at_its_loops_edges(monkeypatch):
+    # the cases the level-0 loop, the refining loops and the scalar
+    # level bookkeeping must hand on unchanged, each with both want_da
+    cases = []
+    for b, z in ((0.5, 0.01), (0.5, 0.1), (0.5, 0.4), (1.0, 0.001),
+                 (1.0, 0.05), (1.0, 0.13), (-0.5, 1.0)):
+        below, above = _peak_share_crossing(b, z)
+        assert _peak_share(below, b, z) < specfun._ES_ONE_PEAK
+        assert _peak_share(above, b, z) >= specfun._ES_ONE_PEAK
+        cases += [(below, b, z), (above, b, z)]
+    cases += ONE_SIDE_CUT + UNACCEPTED
+    # the subnormal U of `test_laplace_claims_hold_where_u_is_subnormal`
+    cases += [(a, b, z) for a in (170.5, 172.0, 174.0)
+              for b in (0.5, 1.0, 2.0) for z in (0.3, 0.5, 1.0)]
+    # mgf outside the ball: U at a = s/4kappa, raised to a + n >= 1/2 as
+    # `_u_integral` does, b = d/2 and z = kappa z0^2 or kappa
+    rng = random.Random(20261020)
+    for _ in range(200):
+        kappa = 10.0 ** rng.uniform(-3.0, 3.0)
+        a = math.exp(rng.uniform(math.log(1e-2), math.log(30.0))) / (
+            4.0 * kappa)
+        a += max(0, math.ceil(0.5 - a))
+        z0 = rng.uniform(1.0, 3.0)
+        for b in (0.5, 1.0, 1.5, 2.0):
+            cases += [(a, b, kappa * z0 * z0), (a, b, kappa)]
+
+    def flat(fn, *args):
+        values, errors = fn(*args)
+        return values + errors
+
+    for a, b, z in cases:
+        for want_da in (False, True):
+            args = (a, b, z, want_da)
+            assert (_bits_but_nan_sign(flat, specfun._u_laplace, *args)
+                    == _bits_but_nan_sign(flat, _u_laplace_calling_abs,
+                                          *args)), args
+    # the named cases still stop at the levels they stopped at
+    levels = _counting(monkeypatch, "_es_nodes")
+    for args, last in zip(ONE_SIDE_CUT + UNACCEPTED, (5, 7, 5, 7, 7, 7)):
+        levels.clear()
+        specfun._u_laplace(*args)
+        assert max(level for level, in levels) == last, args
 
 
 def test_recurrence_claims_its_error_down_to_a_minus_sixty():
