@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "HypergeomResult",
@@ -75,9 +75,13 @@ class NonConvergenceError(ArithmeticError):
     arguments."""
 
 
-@dataclass(frozen=True)
-class HypergeomResult:
+class HypergeomResult(NamedTuple):
     """Value of a hypergeometric evaluation plus error bookkeeping.
+
+    A named tuple (value, abs_err_estimate, method): immutable, read by
+    field name, equal and hashed by value, and cheap to build, as every
+    confluent call returns one.  Being a tuple, it also unpacks into its
+    three fields and equals a plain tuple holding them.
 
     abs_err_estimate is deliberately pessimistic; tests assert it bounds
     the true error against independent oracles.  On the integral routes
@@ -680,8 +684,14 @@ def kummer_m(a: float, b: float, z: float) -> HypergeomResult:
     large-z asymptotic expansion serves z > 80 with |a| <= 10, and the
     float power series the rest (cancellation-free once a >= -10, the
     e^z part of M dominating the alternating prefix).  z < 0, NaN and
-    inf raise ValueError.
+    inf raise ValueError.  The float series' commonest case, 0 < z <= 80,
+    b > 0 and a >= -10 other than a nonpositive integer, is tested first
+    and summed here; every other point takes `_kummer`'s table.
     """
+    if (0.0 < z <= 80.0 and b > 0.0 and a >= -10.0
+            and (a > 0.0 or a % 1.0 != 0.0)):
+        v, e = _kummer_series(a, b, z)
+        return HypergeomResult(v, e, "DirectSeries")
     return _kummer(a, b, z, False)
 
 
@@ -924,7 +934,17 @@ def _u_integral(a: float, b: float, z: float, want_da: bool = False):
             log_scale += math.log(big)
     scale = math.exp(log_scale) if log_scale < 700.0 else math.inf
     method = "RecurrenceShift" if n else "IntegralRep"
-    vals, errs = _u_laplace(a + n, b, z, want_da)
+    try:
+        vals, errs = _u_laplace(a + n, b, z, want_da)
+    except (ValueError, OverflowError):
+        # at tiny z the pass's log1p(r (e^u - 1)) meets r = c/(1+c)
+        # rounded to 1, or its peak's exp passes float range; past z ~
+        # 1e154 the peak's root squares z past float range and c is 0
+        name = "tricomi_u_da" if want_da else "tricomi_u"
+        raise ValueError(
+            f"{name} cannot be evaluated at z = {z!r} (a = {a!r}, "
+            f"b = {b!r}): its Laplace integral cannot be formed in floats "
+            "there") from None
     if want_da:
         u1, u2, d1, d2 = vals
         e1, e2, de1, de2 = errs
@@ -1024,7 +1044,10 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
     (IntegralRep for a >= 1/2, RecurrenceShift from a+n below), which
     has no restriction on b.  A U beyond float range returns +/-inf,
     with claim inf: U(-97.211, 1/2, 6000) is inf, U(-204, 1/2, 2.76)
-    -inf.  z <= 0, NaN and inf raise ValueError.
+    -inf.  z <= 0, NaN and inf raise ValueError, and so does a z at
+    which the Laplace integral, where it is taken, cannot be formed in
+    floats: so near 0 as (0.5, 2, 1e-20) and (-56.73, 3, 6.7e-297), or
+    past about 1e154.
     """
     if not 0.0 < z < math.inf:
         raise ValueError(f"tricomi_u requires finite z > 0, got {z!r}")
@@ -1067,7 +1090,9 @@ def tricomi_u_da(a: float, b: float, z: float) -> HypergeomResult:
     the same nodes (IntegralRep for a >= 1/2, RecurrenceShift from a+n
     below).  A dU/da beyond float range returns +/-inf, with claim inf:
     -inf at (-97.211, 1/2, 6000), inf at (-204, 1/2, 2.76).  z <= 0, NaN
-    and inf raise ValueError."""
+    and inf raise ValueError, and so does a z at which the Laplace
+    integral cannot be formed in floats: so near 0 as (0.5, 2, 1e-20),
+    or past about 1e154, as (0.7, 2, 1e200)."""
     if not 0.0 < z < math.inf:
         raise ValueError(f"tricomi_u_da requires finite z > 0, got {z!r}")
     return _u_result(*_u_integral(a, b, z, want_da=True))

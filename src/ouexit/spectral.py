@@ -17,8 +17,9 @@ boundaries z = +/-1 - varphi in one place, `_interval_ends`, for the
 determinant, the mode data, `mgf` and the weights audit.  A radial
 problem uses one solution, Kummer M
 (regular at the origin) inside the ball and Tricomi U (decaying at
-infinity) outside it, chosen once in `_radial_solution` for the build,
-the mode factors and `mgf`.
+infinity) outside it, chosen once in `_radial_solution` for the build
+and `mgf`; the mode factors read each mode's layout and parameters from
+a table cached on the basis (`mode_term`).
 Eigenvalues are bracketed by an adaptive scan whose step follows the
 local level spacing -- pi/2-scaled where the spectrum is
 diffusion-like, nu-spacing-scaled where the trap dominates -- with a
@@ -37,7 +38,8 @@ such gap: where a family's lowest root lies below the sweep's top, no
 level is missed between the two, so that gap is measured and rescanned
 from the top, not from the lowest root: a trap's ground gap is wider
 than the spacing law though it can hide no level.  Mode sums read a
-per-basis table of the modes with nonzero weight.
+per-basis table of the modes with nonzero weight, and skip a mode whose
+term a per-mode bound on its factor shows cannot move a bit of the sum.
 
 Per-mode data come from confluent functions alone, with no quadrature.
 Each survival weight is a residue of the closed-form generating
@@ -232,6 +234,29 @@ class SpectralBasis:
             return 0.0
         _, w, lam = self._live_modes[-1]
         return max(0.0, math.log(abs(w) / _TMIN_TERM) / lam)
+
+    @functools.cached_property
+    def _factor_rows(self) -> tuple[tuple, ...]:
+        """(layout, a, b, c1, c2) of every mode, the constants `mode_term`
+        reads: the layout (None for a free-diffusion basis, whose factors
+        read `alphas`), a = -alphas[n]**2 / (4 kappa), b = d/2 and the
+        boundary pair.  Cached like `t_min`."""
+        if self.brownian:
+            return tuple((None, 0.0, 0.0, c1, c2)
+                         for c1, c2 in self.coeff_pairs)
+        b = 0.5 * self.d
+        return tuple((self.geometry, -alpha * alpha / (4.0 * self.kappa), b,
+                      c1, c2)
+                     for alpha, (c1, c2) in zip(self.alphas,
+                                                self.coeff_pairs))
+
+    @functools.cached_property
+    def _factor_bounds(self) -> tuple[float, ...]:
+        """`_factor_bound` of each entry of `_live_modes`, in order: the
+        bounds by which a spectral sum skips a factor that cannot move
+        it.  Formed at the first sum that meets a mode beyond its start's
+        kept rows, and cached like `t_min`."""
+        return tuple(_factor_bound(self, n) for n, _, _ in self._live_modes)
 
 
 @dataclass(frozen=True)
@@ -942,29 +967,65 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
     This is the unnormalized combination the weights pair with;
     multiply by betas[n] for the orthonormal eigenfunction value.  A
     radial start whose factor passes float range raises ValueError.
+    The mode's layout, a, b and pair come from the basis's cached table
+    (`_factor_rows`), and the confluent values from `kummer_m` and
+    `tricomi_u` through this module's names.
     """
-    alpha = basis.alphas[n]
-    kappa = basis.kappa
-    if basis.brownian:
+    layout, a, b, c1, c2 = basis._factor_rows[n]
+    if layout == "interval":
+        # m1 = M(a, 1/2, kappa z^2) and m2 = z M(a + 1/2, 3/2, kappa z^2)
+        z = z0 - basis.varphi
+        zz = basis.kappa * z * z
+        return (c1 * kummer_m(a, 0.5, zz).value
+                - c2 * (z * kummer_m(a + 0.5, 1.5, zz).value))
+    if layout is None:
+        alpha = basis.alphas[n]
         if basis.geometry is Geometry.INTERVAL:
-            c1, c2 = basis.coeff_pairs[n]
             return c1 * math.cos(alpha * z0) - c2 * math.sin(alpha * z0) / alpha
         return _free_radial(basis.d, alpha * z0)
-    a = -alpha * alpha / (4.0 * kappa)
-    if basis.geometry is Geometry.INTERVAL:
-        c1, c2 = basis.coeff_pairs[n]
-        z = z0 - basis.varphi
-        return c1 * _m1(kummer_m, a, kappa, z) - c2 * _m2(kummer_m, a, kappa, z)
-    f, _ = _radial_solution(basis.geometry)
-    z = kappa * z0 * z0
+    z = basis.kappa * z0 * z0
     # a far exterior start takes kappa z0^2, or U there, past float range
     try:
-        value = f(a, 0.5 * basis.d, z).value if z < math.inf else math.inf
+        value = ((kummer_m if layout == "radial-interior" else tricomi_u)(
+            a, b, z).value if z < math.inf else math.inf)
     except OverflowError:
         value = math.inf
     if abs(value) != math.inf:
         return value
     raise _far_start(z0, z)
+
+
+def _factor_bound(basis: SpectralBasis, n: int) -> float:
+    """B_n >= 2 sup |mode_term(basis, n, z0)| over the accepted starts,
+    or inf.
+
+    The Pochhammer bound |(a)_k| <= (|a|)_k gives |M(a, b, Z)| <=
+    M(|a|, b, Z), and M(|a|, b, Z) grows with Z.  Inside the ball Z =
+    kappa z0^2 <= kappa, so the factor is at most M(|a|, d/2, kappa).  On
+    the interval |z| = |z0 - varphi| <= 1 + |varphi| and Z <= Z* =
+    kappa (1 + |varphi|)^2, and |a + 1/2| <= |a| + 1/2, so |c1 m1 - c2 m2|
+    is at most |c1| M(|a|, 1/2, Z*) + |c2| (1 + |varphi|) M(|a| + 1/2,
+    3/2, Z*).  B_n is twice that, which absorbs the rounding of the bound
+    and of the factor.  U grows without bound as z0 -> inf, so an
+    exterior mode takes inf, and so does a free-diffusion one; a bound
+    that raises or reaches 1e300 is inf too.  An inf bound never lets
+    a sum skip its mode.
+    """
+    layout, a, b, c1, c2 = basis._factor_rows[n]
+    try:
+        if layout == "radial-interior":
+            bound = 2.0 * kummer_m(-a, b, basis.kappa).value
+        elif layout == "interval":
+            span = 1.0 + abs(basis.varphi)
+            zz = basis.kappa * span * span
+            bound = 2.0 * (abs(c1) * kummer_m(-a, 0.5, zz).value
+                           + abs(c2) * span
+                           * kummer_m(0.5 - a, 1.5, zz).value)
+        else:
+            return math.inf
+    except (ArithmeticError, ValueError):
+        return math.inf
+    return bound if bound < 1e300 else math.inf
 
 
 def _far_start(z0: float, z: float) -> ValueError:
@@ -976,32 +1037,17 @@ def _far_start(z0: float, z: float) -> ValueError:
 
 # The mode rows of the latest start: (basis, z0, rows), where rows[i] =
 # (weights[n], alphas[n] ** 2, mode_term(basis, n, z0)) for n the i-th
-# entry of `_live_modes`, over a prefix of the live modes.  A curve at one
-# start computes each factor once, and its later points read the rows
-# alone.  The slot is replaced whole and never mutated, so concurrent
-# callers at worst recompute; the basis is matched by identity, which
-# costs nothing and leaves equal but distinct bases to their own
-# evaluations.
+# entry of `_live_modes`, over a prefix of the live modes: those a sum
+# computed before the first mode it skipped (`_spectral_sum`).  A curve at
+# one start computes each factor it needs once, and its later points read
+# the rows alone.  The slot is replaced whole and never mutated, so
+# concurrent callers at worst recompute; the basis is matched by
+# identity, which costs nothing and leaves equal but distinct bases to
+# their own evaluations.
 _rows = (None, math.nan, ())
 
-
-def _fresh_rows(basis: SpectralBasis, z0: float, kept: tuple):
-    """The rows at z0 of every live mode: the kept ones, then each later
-    one as the sum reaches it, its factor from `mode_term`, read through
-    the module's name so that a wrapper put on it sees every call.  The
-    slot takes the longer table once the sum stops reading, which closes
-    the generator where it returns early."""
-    global _rows
-    yield from kept
-    new = []
-    try:
-        for n, w, lam in basis._live_modes[len(kept):]:
-            row = w, lam, mode_term(basis, n, z0)
-            new.append(row)
-            yield row
-    finally:
-        if new:
-            _rows = (basis, z0, kept + tuple(new))
+# A term below this share of |acc| is under a quarter of acc's ulp.
+_SKIP_SHARE = 2.0 ** -55
 
 
 def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
@@ -1011,15 +1057,42 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
     negligible (False means the basis ran out of modes while terms still
     mattered).  Magnitudes are taken by conditionals, not by `abs`; they
     agree with it on every value, -0.0 and inf included, but a NaN's
-    sign."""
+    sign.
+
+    The start's kept rows are summed first; each later live mode takes
+    its factor from `mode_term`, read through the module's name so that
+    a wrapper put on it sees every call, unless the factor cannot move a
+    bit of the sum.  With pw = w exp(-lambda t), the product the term
+    forms first (times lambda for a density), and the mode's bound
+    B_n >= 2 sup |factor| over the accepted starts (`_factor_bound`), such
+    a mode is skipped where |pw| B_n < 2^-55 |acc|:
+
+    - the term, pw times the factor (times lambda), rounded, is then
+      below 2^-55 |acc| too, which is under a quarter of acc's ulp
+      (ulp(acc) > 2^-53 |acc|, and the subnormal spacing is wider), so
+      acc + term rounds to acc, also at a power of two, where the
+      spacing below is half the one above;
+    - rounding is monotone, so abs_acc >= |acc|, and abs_acc + |term|
+      rounds to abs_acc;
+    - |term| < 1e-12 |acc| meets the stop test, so `ahead` counts down
+      and the sum returns (acc, abs_acc, True) once it reaches 0, as the
+      full sum would; a skipped last mode leaves size 0.0, which meets
+      the final test as |term| did;
+    - acc = 0 and NaN never skip, the comparison being false.
+
+    So the value, `raw` and `warning` of either evaluator are the full
+    sum's, bit for bit.  The slot takes the rows computed before the
+    first skipped mode, a prefix of the live modes, once the sum stops
+    reading; a later call at the start computes a skipped mode where it
+    needs it.
+    """
+    global _rows
     z0 = _check_start(basis.geometry, z0)
     if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     slot_basis, slot_z0, rows = _rows
     if slot_basis is not basis or slot_z0 != z0:
         rows = ()
-    if len(rows) < len(basis._live_modes):
-        rows = _fresh_rows(basis, z0, rows)
     exp = math.exp
     acc = abs_acc = size = 0.0
     # terms summed before the stop test applies
@@ -1034,6 +1107,40 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
         ahead -= 1
         if ahead <= 0 and size < _TERM_STOP * (-acc if acc < 0.0 else acc):
             return acc, abs_acc, True
+    live = basis._live_modes
+    if len(rows) < len(live):
+        bounds = basis._factor_bounds
+        new = []
+        keeping = True
+        try:
+            for i in range(len(rows), len(live)):
+                n, w, lam = live[i]
+                pw = w * exp(-lam * t)
+                mag = pw * lam if rate_weighted else pw
+                if ((mag if mag >= 0.0 else -mag) * bounds[i]
+                        < _SKIP_SHARE * (-acc if acc < 0.0 else acc)):
+                    keeping = False
+                    size = 0.0
+                    ahead -= 1
+                    if ahead <= 0:
+                        return acc, abs_acc, True
+                    continue
+                factor = mode_term(basis, n, z0)
+                if keeping:
+                    new.append((w, lam, factor))
+                term = pw * factor
+                if rate_weighted:
+                    term *= lam
+                acc += term
+                size = -term if term < 0.0 else term
+                abs_acc += size
+                ahead -= 1
+                if ahead <= 0 and size < _TERM_STOP * (
+                        -acc if acc < 0.0 else acc):
+                    return acc, abs_acc, True
+        finally:
+            if new:
+                _rows = (basis, z0, rows + tuple(new))
     scale = -acc if acc < 0.0 else acc
     return acc, abs_acc, size < _TMIN_TERM * (scale if scale > 1.0 else 1.0)
 
@@ -1053,9 +1160,14 @@ def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     of the latest start's live modes are kept, each factor from
     `mode_term`, so a curve of calls at one start on one basis object
     computes each mode's factor once and its later points sum the rows
-    alone; a call at another start or basis replaces them.  z0 must be
-    finite and inside the geometry's domain, and near enough that its
-    mode factors fit a float.
+    alone; a call at another start or basis replaces them.  A mode whose
+    term cannot move a bit of the sum, |w exp(-lambda t)| B_n below
+    2^-55 of it with B_n a bound on twice the mode's factor over every
+    start, is skipped with no `mode_term` call (`_spectral_sum`), and
+    the kept rows stop before the first skipped mode; value, `raw` and
+    `warning` are the full sum's, bit for bit.  z0 must be finite and
+    inside the geometry's domain, and near enough that its mode factors
+    fit a float.
     """
     raw, _, converged = _spectral_sum(basis, z0, t, False)
     # min(1.0, max(0.0, raw)), NaN to 0.0 included
@@ -1074,7 +1186,9 @@ def fet_density(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
 
     Negative truncation noise is clamped to zero; the `warning` flag
     marks raw values below -1% of the term mass and any t below t_min.
-    It shares the kept mode rows of the latest start with `survival`.
+    It shares the kept mode rows of the latest start with `survival`,
+    and skips a mode as `survival` does, with lambda |w exp(-lambda t)|
+    in the test.
     """
     raw, abs_acc, converged = _spectral_sum(basis, z0, t, True)
     # max(0.0, raw), NaN to 0.0 included

@@ -252,6 +252,51 @@ def test_method_tag_tracks_routing():
     assert tricomi_u(-0.25, 0.5, 50.0).method == "AsymptoticZ"
 
 
+# one point of every route of each confluent entry point: (function,
+# arguments, method tag)
+ROUTES = (
+    (kummer_m, (-3.5, 1.5, 2.0), "DirectSeries"),  # the float series first
+    (kummer_m, (0.5, -1.5, 2.0), "DirectSeries"),  # b < 0, by the table
+    (kummer_m, (12.5, 1.5, 90.0), "DirectSeries"),  # a > 10 beyond z = 80
+    (kummer_m, (-3.5, 1.5, 0.0), "DirectSeries"),  # z = 0
+    (kummer_m, (-3.0, 1.5, 2.0), "FixedPoint"),
+    (kummer_m, (-10.5, 1.5, 30.0), "FixedPoint"),
+    (kummer_m, (0.25, 1.5, 300.0), "AsymptoticZ"),
+    (kummer_m_da, (-3.5, 1.5, 2.0), "DirectSeries"),
+    (kummer_m_da, (-10.5, 1.5, 30.0), "FixedPoint"),
+    (tricomi_u, (0.3, 0.5, 1.0), "DirectSeries"),
+    (tricomi_u, (0.0, 2.0, 1.0), "DirectSeries"),  # U(0, b, z) = 1
+    (tricomi_u, (1.3, 2.0, 1.0), "IntegralRep"),
+    (tricomi_u, (-0.25, 0.5, 30.0), "RecurrenceShift"),
+    (tricomi_u, (-0.25, 0.5, 50.0), "AsymptoticZ"),
+    (tricomi_u_da, (1.3, 2.0, 1.0), "IntegralRep"),
+    (tricomi_u_da, (-0.25, 0.5, 30.0), "RecurrenceShift"),
+)
+
+
+@pytest.mark.parametrize("fn,args,method", ROUTES,
+                         ids=[f"{fn.__name__}-{m}-{i}"
+                              for i, (fn, _, m) in enumerate(ROUTES)])
+def test_hypergeom_result_is_an_immutable_value_by_its_field_names(
+        fn, args, method):
+    r = fn(*args)
+    assert type(r) is HypergeomResult
+    assert r.method == method
+    assert isinstance(r.value, float) and isinstance(r.abs_err_estimate,
+                                                     float)
+    for field in ("value", "abs_err_estimate", "method"):
+        with pytest.raises(AttributeError):
+            setattr(r, field, 0.0)
+    again = HypergeomResult(value=r.value,
+                            abs_err_estimate=r.abs_err_estimate,
+                            method=r.method)
+    assert again == r and hash(again) == hash(r)
+    assert len({r, again}) == 1
+    assert r != HypergeomResult(r.value, r.abs_err_estimate, "other")
+    assert r != HypergeomResult(math.nextafter(r.value, math.inf),
+                                r.abs_err_estimate, r.method)
+
+
 def test_error_estimates_bound_true_error_on_reference_grid():
     checks = []
     for args, ref in KUMMER_REFERENCE.items():
@@ -322,6 +367,33 @@ def test_error_estimates_bound_true_error_on_reference_grid():
     pytest.param(tricomi_u_da, (0.5, 0.5, -math.inf), ValueError,
                  r"^tricomi_u_da requires finite z > 0, got -inf$",
                  id="tricomi_u_da-z-minus-inf"),
+    # so near z = 0 U's Laplace pass cannot be formed in floats: r =
+    # c/(1+c) rounds to 1 under log1p, or the peak's exp overflows; past
+    # z ~ 1e154 the peak's root overflows and c is 0; the message names
+    # the function and z
+    pytest.param(tricomi_u, (0.5, 2.0, 1e-20), ValueError,
+                 r"^tricomi_u cannot be evaluated at z = 1e-20 ",
+                 id="tricomi_u-tiny-z-b-2"),
+    pytest.param(tricomi_u_da, (0.5, 2.0, 1e-20), ValueError,
+                 r"^tricomi_u_da cannot be evaluated at z = 1e-20 ",
+                 id="tricomi_u_da-tiny-z-b-2"),
+    pytest.param(tricomi_u, (0.5, 1.0, 1e-33), ValueError,
+                 r"^tricomi_u cannot be evaluated at z = 1e-33 ",
+                 id="tricomi_u-tiny-z-b-1"),
+    pytest.param(tricomi_u_da, (0.5, 1.0, 1e-33), ValueError,
+                 r"^tricomi_u_da cannot be evaluated at z = 1e-33 ",
+                 id="tricomi_u_da-tiny-z-b-1"),
+    pytest.param(tricomi_u, (-56.73116885615272, 3.0, 6.693981383310427e-297),
+                 ValueError, r"^tricomi_u cannot be evaluated at "
+                 r"z = 6\.693981383310427e-297 ", id="tricomi_u-tiny-z-peak"),
+    pytest.param(tricomi_u_da,
+                 (-56.73116885615272, 3.0, 6.693981383310427e-297),
+                 ValueError, r"^tricomi_u_da cannot be evaluated at "
+                 r"z = 6\.693981383310427e-297 ",
+                 id="tricomi_u_da-tiny-z-peak"),
+    pytest.param(tricomi_u_da, (0.7, 2.0, 1e200), ValueError,
+                 r"^tricomi_u_da cannot be evaluated at z = 1e\+200 ",
+                 id="tricomi_u_da-huge-z"),
     pytest.param(gamma_fn, (0.0,), ValueError, "pole", id="gamma_fn-0"),
     pytest.param(gamma_fn, (-3.0,), ValueError, "pole", id="gamma_fn-minus-3"),
 ])

@@ -1116,8 +1116,10 @@ def curve_bases():
     return [build_basis(*case) for case in CURVE_BASES]
 
 
-def _memo_free_sum(basis, z0, t, rate_weighted):
-    """The truncated mode sum with every factor computed afresh."""
+def _memo_free_sum(basis, z0, t, rate_weighted, factor=None):
+    """The truncated mode sum with every factor computed afresh, by
+    `factor` (`spectral.mode_term` by default)."""
+    factor = factor or spectral.mode_term
     acc = abs_acc = term = 0.0
     kept = 0
     for n in range(basis.n_modes):
@@ -1125,7 +1127,7 @@ def _memo_free_sum(basis, z0, t, rate_weighted):
         if w == 0.0:
             continue
         lam = basis.alphas[n] ** 2
-        term = w * math.exp(-lam * t) * spectral.mode_term(basis, n, z0)
+        term = w * math.exp(-lam * t) * factor(basis, n, z0)
         if rate_weighted:
             term *= lam
         acc += term
@@ -1246,15 +1248,15 @@ def test_threads_sharing_the_kept_rows_get_each_starts_own_values(
     assert wrong == []
 
 
-def _memo_free_values(basis, z0, t):
+def _memo_free_values(basis, z0, t, factor=None):
     """(value, raw, warning) of `survival` and of `fet_density`, from the
     memo-free sum with the builtin clamp and magnitudes."""
-    raw, _, converged = _memo_free_sum(basis, z0, t, False)
+    raw, _, converged = _memo_free_sum(basis, z0, t, False, factor)
     survival = (min(1.0, max(0.0, raw)), raw,
                 bool(raw < -spectral._CLAMP_SLACK
                      or raw > 1.0 + spectral._CLAMP_SLACK
                      or t < basis.t_min or not converged))
-    raw, abs_acc, converged = _memo_free_sum(basis, z0, t, True)
+    raw, abs_acc, converged = _memo_free_sum(basis, z0, t, True, factor)
     density = (max(0.0, raw), raw,
                bool(raw < -spectral._CLAMP_SLACK * abs_acc
                     or t < basis.t_min or not converged))
@@ -1314,6 +1316,139 @@ def test_kept_rows_keep_the_builtin_edge_semantics(monkeypatch, factors):
                 assert _hexed(spectral._spectral_sum(
                     basis, z0, t, rate_weighted)) == _hexed(
                     _memo_free_sum(basis, z0, t, rate_weighted))
+
+
+# ----------------------------------------------------------------------
+# evaluation: skipping factors that cannot move a bit
+# ----------------------------------------------------------------------
+
+# the four curve-eval bases of the benchmark, a centred interval and a
+# free-diffusion ball
+SKIP_BASES = (("interval", 4.0, 0.5, 1, 12), ("interval", 10.0, 2.0, 1, 4),
+              ("radial-interior", 5.0, 0.0, 2, 12),
+              ("radial-exterior", 1.0, 0.0, 3, 8),
+              ("interval", 2.0, 0.0, 1, 12),
+              ("radial-interior", 0.0, 0.0, 2, 6))
+START_RANGE = {"interval": (-1.0, 1.0), "radial-interior": (0.0, 1.0),
+               "radial-exterior": (1.0, 3.0)}
+
+
+@pytest.fixture(scope="module")
+def skip_bases():
+    return [build_basis(*case) for case in SKIP_BASES]
+
+
+def _unthinned_mode_term(basis, n, z0):
+    """`mode_term` as it read the basis on every call, before its cached
+    table: a and the layout per call, the interval pair by `_m1` and
+    `_m2`, the radial function by `_radial_solution`."""
+    alpha = basis.alphas[n]
+    kappa = basis.kappa
+    if basis.brownian:
+        if basis.geometry is Geometry.INTERVAL:
+            c1, c2 = basis.coeff_pairs[n]
+            return c1 * math.cos(alpha * z0) - c2 * math.sin(alpha * z0) / alpha
+        return spectral._free_radial(basis.d, alpha * z0)
+    a = -alpha * alpha / (4.0 * kappa)
+    if basis.geometry is Geometry.INTERVAL:
+        c1, c2 = basis.coeff_pairs[n]
+        z = z0 - basis.varphi
+        return (c1 * spectral._m1(specfun.kummer_m, a, kappa, z)
+                - c2 * spectral._m2(specfun.kummer_m, a, kappa, z))
+    f, _ = spectral._radial_solution(basis.geometry)
+    z = kappa * z0 * z0
+    try:
+        value = f(a, 0.5 * basis.d, z).value if z < math.inf else math.inf
+    except OverflowError:
+        value = math.inf
+    if abs(value) != math.inf:
+        return value
+    raise spectral._far_start(z0, z)
+
+
+def _skip_times(rng, basis, count):
+    """Seeded times from 0 through below t_min to t_min + 10/rate_0."""
+    rate0 = basis.alphas[0] ** 2
+    times = [0.0, basis.t_min, basis.t_min + 10.0 / rate0]
+    times += [rng.uniform(0.0, basis.t_min) for _ in range(count // 4)]
+    times += [basis.t_min + rng.uniform(0.0, 10.0 / rate0)
+              for _ in range(count - len(times))]
+    return times
+
+
+def test_skipped_factors_leave_every_value_and_flag_bit_for_bit(skip_bases):
+    rng = random.Random(35)
+    skipped = 0
+    # a basis whose third mode is skipped from t = 0 on while the modes
+    # after it are not, so the kept rows must stop before it
+    weights = list(skip_bases[0].weights)
+    weights[2] *= 1e-30
+    hushed = dataclasses.replace(skip_bases[0], weights=tuple(weights))
+    for basis in skip_bases + [hushed]:
+        lo, hi = START_RANGE[basis.geometry.value]
+        rate0 = basis.alphas[0] ** 2
+        for _ in range(12):
+            z0 = rng.uniform(lo, hi)
+            # a fresh start late in the decay, where the skip fires, then a
+            # curve at that start in random order, which computes the
+            # skipped modes its early points need
+            first = basis.t_min + rng.uniform(2.0, 10.0) / rate0
+            fn = rng.choice((spectral.survival, spectral.fet_density))
+            fn(basis, z0, first)
+            live = len(basis._live_modes)
+            if len(spectral._rows[2]) < min(spectral._MIN_TERMS, live):
+                skipped += 1
+            times = [first] + _skip_times(rng, basis, 24)
+            rng.shuffle(times)
+            for t in times:
+                survival, density = _memo_free_values(basis, z0, t,
+                                                      _unthinned_mode_term)
+                for fn, want in ((spectral.survival, survival),
+                                 (spectral.fet_density, density)):
+                    got = fn(basis, z0, t)
+                    assert _hexed((float(got), got.raw, got.warning)) == \
+                        _hexed(want), (basis, z0, t)
+    # the skip fired: a sum that skips nothing computes at least
+    # min(_MIN_TERMS, live) factors before it can stop
+    assert skipped >= 12
+
+
+def test_each_live_factor_stays_within_half_its_bound(skip_bases):
+    for basis in skip_bases:
+        bounds = basis._factor_bounds
+        assert len(bounds) == len(basis._live_modes)
+        if basis.brownian or basis.geometry is Geometry.RADIAL_EXTERIOR:
+            assert bounds == (math.inf,) * len(bounds)
+            continue
+        lo, hi = START_RANGE[basis.geometry.value]
+        starts = [lo + (hi - lo) * k / 400 for k in range(401)]
+        for (n, _, _), bound in zip(basis._live_modes, bounds):
+            assert math.isfinite(bound)
+            for z0 in starts:
+                assert 2.0 * abs(spectral.mode_term(basis, n, z0)) <= bound
+
+
+def test_a_late_fresh_start_in_the_ball_takes_fewer_than_five_factors(
+        monkeypatch, skip_bases):
+    basis = skip_bases[2]
+    assert (basis.geometry, basis.kappa, basis.d) == (
+        Geometry.RADIAL_INTERIOR, 5.0, 2)
+    calls = []
+    mode_term = spectral.mode_term
+
+    def counted(basis, n, z0):
+        calls.append(n)
+        return mode_term(basis, n, z0)
+
+    monkeypatch.setattr(spectral, "mode_term", counted)
+    t = basis.t_min + 5.0 / basis.alphas[0] ** 2
+    for z0 in (0.0, 0.25, 0.5, 0.75, 1.0):
+        calls.clear()
+        spectral.survival(basis, z0, t)
+        assert 0 < len(calls) < 5
+        calls.clear()
+        spectral.fet_density(basis, z0 + 1e-9 if z0 < 1.0 else 0.9, t)
+        assert 0 < len(calls) < 5
 
 
 def test_a_spectral_value_from_its_constructor_is_a_float_with_a_bool_flag():
