@@ -403,8 +403,9 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
     floor division, and the derivative term dt <- (dt (a+n) + t) z /
     ((b+n)(n+1)) one more.  The numerator (a+n) z and the divisor
     (b+n)(n+1), scaled to integers, pass from term to term by integer
-    additions, and the value and the derivative have a loop each; the
-    integers are exact, so each term is the one the products gave.
+    additions; the integers are exact, so each term is the one the
+    products gave (`_fixed_before_increments` in the tests forms them per
+    term).  One loop carries t and s, and dt and ds with want_da.
     Returns (value, abs_err).
 
     With A = max(|a|, 1), rho_j = (A+j) z / (|b+j| (j+1)) bounds
@@ -457,32 +458,22 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
     # itself growing by 2 bd
     cz, dcz = an * zn, ad * zn
     k, dk, ddk = bn, bn + 2 * bd, 2 * bd
-    n = 0
-    if want_da:
-        c = an
-        dt = ds = 0
-        while not (neg_tiny <= t <= tiny and neg_tiny <= dt <= tiny
-                   and n + b > 0.0
-                   and (aa + n) * z <= 0.5 * (n + b) * (n + 1)):
+    c, n = an, 0
+    dt = ds = 0
+    while not (neg_tiny <= t <= tiny and neg_tiny <= dt <= tiny
+               and n + b > 0.0
+               and (aa + n) * z <= 0.5 * (n + b) * (n + 1)):
+        if want_da:
             dt = (((dt * c + (t << la)) * zn) >> e) // k
             ds += dt
-            t = ((t * cz) >> e) // k
             c += ad
-            cz += dcz
-            k += dk
-            dk += ddk
-            n += 1
-        value = ds / (1 << p)
-    else:
-        while not (neg_tiny <= t <= tiny and n + b > 0.0
-                   and (aa + n) * z <= 0.5 * (n + b) * (n + 1)):
-            t = ((t * cz) >> e) // k
-            s += t
-            cz += dcz
-            k += dk
-            dk += ddk
-            n += 1
-        value = s / (1 << p)
+        t = ((t * cz) >> e) // k
+        s += t
+        cz += dcz
+        k += dk
+        dk += ddk
+        n += 1
+    value = (ds if want_da else s) / (1 << p)
     if b > 0.0:
         growth = (n + 1) / min(b, 1.0)
     else:
@@ -532,7 +523,9 @@ def _kummer_series(a: float, b: float, z: float):
     (`_series_rows`) rather than forming them per term.  Both do the
     floating-point operations of one loop carrying value and derivative
     together, in its order, and so return its values and claims bit for
-    bit; tests/test_specfun.py keeps that loop as their oracle.
+    bit; tests/test_specfun.py keeps that loop as their oracle.  One loop
+    for both, branching on the derivative per term, cost 6.5% of
+    `curve-eval` `wall_s` (`BENCH_twin_loops.json`).
     """
     stop = _SERIES_STOP
     t = s = abs_sum = 1.0
@@ -769,10 +762,13 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
     rounding level, and then claims d.
 
     Level 0 finds each side's cutoff in its own node loop, and the later
-    levels stop there; a level has one loop for U, one for U and dU/da.
-    The sums and tests are scalars, bit for bit the per-level tuples they
-    replaced (`test_laplace_pass_keeps_the_bits_at_its_loops_edges`), and
-    |w ln x| a conditional, which keeps all but a NaN's sign from `abs`.
+    levels share one loop that stops there; each loop adds the ln x sums
+    only with want_da.  Folding level 0 into the later levels' loop, a
+    level test per node, cost about 1% of `closed-form`
+    `geom_s.radial-exterior` (`BENCH_twin_loops.json`).  The sums and
+    tests are scalars and |w ln x| a conditional: `_u_laplace_calling_abs`
+    in the tests, with per-level tuples and `abs`, gives the same bits but
+    a NaN's sign.
     """
     # t = c exp(u), u = pi/2 sinh s, about the peak of the integrand in
     # ln t, the positive root c of z t^2 + (z+1-b) t - a = 0.  Each node
@@ -792,55 +788,38 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
     cuts = []
     for nodes in _es_nodes(0):
         cut = math.inf
-        if want_da:
-            for s, u, em1, w in nodes:
-                f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
-                if f < _ES_CUT * s0:
-                    cut = s
-                    break
-                t = c + c * em1
-                x = t / (1.0 + t)
-                s0 += f
-                s1 += f * x
+        for s, u, em1, w in nodes:
+            f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
+            if f < _ES_CUT * s0:
+                cut = s
+                break
+            t = c + c * em1
+            x = t / (1.0 + t)
+            s0 += f
+            s1 += f * x
+            if want_da:
                 fl = f * (ln_c + u - log1p(t) if t <= 1.0 else -log1p(1.0 / t))
                 l0 += fl
                 l1 += fl * x
                 m += fl if fl >= 0.0 else -fl
-        else:
-            for s, u, em1, w in nodes:
-                f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
-                if f < _ES_CUT * s0:
-                    cut = s
-                    break
-                t = c + c * em1
-                s0 += f
-                s1 += f * (t / (1.0 + t))
         cuts.append(cut)
     for level in range(1, _ES_MAX_LEVEL + 1):
         n0 = n1 = k0 = k1 = km = 0.0
         for nodes, cut in zip(_es_nodes(level), cuts):
-            if want_da:
-                for s, u, em1, w in nodes:
-                    if s > cut:
-                        break
-                    f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
-                    t = c + c * em1
-                    x = t / (1.0 + t)
-                    n0 += f
-                    n1 += f * x
+            for s, u, em1, w in nodes:
+                if s > cut:
+                    break
+                f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
+                t = c + c * em1
+                x = t / (1.0 + t)
+                n0 += f
+                n1 += f * x
+                if want_da:
                     fl = f * (ln_c + u - log1p(t) if t <= 1.0
                               else -log1p(1.0 / t))
                     k0 += fl
                     k1 += fl * x
                     km += fl if fl >= 0.0 else -fl
-            else:
-                for s, u, em1, w in nodes:
-                    if s > cut:
-                        break
-                    f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
-                    t = c + c * em1
-                    n0 += f
-                    n1 += f * (t / (1.0 + t))
         n0, n1 = 0.5 * s0 + n0, 0.5 * s1 + n1
         d0, d1, s0, s1 = abs(n0 - s0), abs(n1 - s1), n0, n1
         if want_da:

@@ -178,9 +178,11 @@ class SpectralBasis:
     closed-form generating function; `weights_crosscheck` audits them
     on demand.  `betas` are the eigenfunction normalization constants,
     from the Sturm-Liouville norm identity.  `coeff_pairs`, `weights`
-    and `betas` hold one entry per alpha, `geometry` names a `Geometry`
-    (a layout's string value is taken as its member) and `d` is a
-    positive integer, or construction raises ValueError.
+    and `betas` hold one entry per alpha, every alpha, coefficient,
+    weight and beta is finite, and (geometry, kappa, varphi, d) passes
+    the problem checks of `build_basis` and `mgf` (`_validate_problem`;
+    a layout's string value is taken as its `Geometry` member), or
+    construction raises ValueError.
     """
 
     geometry: Geometry
@@ -193,14 +195,21 @@ class SpectralBasis:
     betas: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "geometry", Geometry(self.geometry))
-        _check_dimension(self.d)
+        geometry, _, _ = _validate_problem(self.geometry, self.kappa,
+                                           self.varphi, self.d)
+        object.__setattr__(self, "geometry", geometry)
         n = len(self.alphas)
-        for key in ("coeff_pairs", "weights", "betas"):
-            got = len(getattr(self, key))
+        for key in ("alphas", "coeff_pairs", "weights", "betas"):
+            values = getattr(self, key)
+            got = len(values)
             if got != n:
                 raise ValueError(
                     f"{key} holds {got} entries, but alphas holds {n}")
+            if key == "coeff_pairs":
+                values = [c for pair in values for c in pair]
+            bad = [v for v in values if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{key} must be finite, got {bad[0]!r}")
 
     @property
     def n_modes(self) -> int:
@@ -1084,7 +1093,9 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
     sum's, bit for bit.  The slot takes the rows computed before the
     first skipped mode, a prefix of the live modes, once the sum stops
     reading; a later call at the start computes a skipped mode where it
-    needs it.
+    needs it.  The kept rows and the later modes have a loop each: one
+    loop over both cost 24% of `basis-build` `op_ms.p50`
+    (`BENCH_twin_loops.json`).
     """
     global _rows
     z0 = _check_start(basis.geometry, z0)
@@ -1212,7 +1223,10 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     scale: max(2, |p c1| + |q c2|) on the interval, whose determinant is
     at least 2 at s = 0, and 1 in the ball, where M and U are 1 there.
     That refuses the first pole and the negative stretch after it; past
-    the second pole the ratio comes back unchecked.
+    the second pole the ratio comes back unchecked.  A ValueError naming
+    float range is raised where the ratio cannot be formed in floats: a
+    confluent value or factor overflows, the denominator underflows to
+    0, or the ratio is NaN.
     """
     geometry, kappa, varphi = _validate_problem(geometry, kappa, varphi, d)
     if not math.isfinite(s):
@@ -1225,23 +1239,34 @@ def mgf(geometry, kappa: float, varphi: float = 0.0, d: int = 1,
     if abs(z0) == 1.0:
         return 1.0
     a = s / (4.0 * kappa)
-    if geometry is Geometry.INTERVAL:
-        ends = _interval_ends(kummer_m, a, kappa, varphi)
-        (p, q), (c2, c1) = ends
-        den = _interval_det(ends)
-        _refuse_pole(s, den, max(2.0, abs(p * c1) + abs(q * c2)), geometry)
-        z = z0 - varphi
-        num = ((c1 - q) * _m1(kummer_m, a, kappa, z)
-               + (p - c2) * _m2(kummer_m, a, kappa, z))
-        return num / den
-    f, _ = _radial_solution(geometry)
-    z = kappa * z0 * z0
-    if not z < math.inf:
-        raise _far_start(z0, z)
-    num = f(a, 0.5 * d, z).value
-    den = f(a, 0.5 * d, kappa).value
-    _refuse_pole(s, den, 1.0, geometry)
-    return num / den
+    try:
+        if geometry is Geometry.INTERVAL:
+            ends = _interval_ends(kummer_m, a, kappa, varphi)
+            (p, q), (c2, c1) = ends
+            den = _interval_det(ends)
+            _refuse_pole(s, den, max(2.0, abs(p * c1) + abs(q * c2)),
+                         geometry)
+            z = z0 - varphi
+            num = ((c1 - q) * _m1(kummer_m, a, kappa, z)
+                   + (p - c2) * _m2(kummer_m, a, kappa, z))
+        else:
+            f, _ = _radial_solution(geometry)
+            z = kappa * z0 * z0
+            if not z < math.inf:
+                raise _far_start(z0, z)
+            num = f(a, 0.5 * d, z).value
+            den = f(a, 0.5 * d, kappa).value
+            _refuse_pole(s, den, 1.0, geometry)
+    except OverflowError:
+        pass
+    else:
+        ratio = num / den if den != 0.0 else math.nan
+        if ratio == ratio:
+            return ratio
+    raise ValueError(
+        f"mgf of the {geometry.value} problem cannot be formed in float "
+        f"range at kappa = {kappa!r}, varphi = {varphi!r}, d = {d!r}, "
+        f"z0 = {z0!r}, s = {s!r}")
 
 
 def _refuse_pole(s: float, den: float, scale: float,

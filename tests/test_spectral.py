@@ -1630,6 +1630,35 @@ def _image(drop=(), **changes):
     return json.dumps(payload)
 
 
+def _ball_image(index, value, key="weights"):
+    """JSON image of the kappa = 2, d = 3, 4-mode ball basis with one
+    per-mode entry set: payload[key][i]...[j] = value, index = (i, ..., j)."""
+    payload = json.loads(basis_to_json(
+        build_basis("radial-interior", 2.0, 0.0, 3, 4)))
+    row = payload[key]
+    for i in index[:-1]:
+        row = row[i]
+    row[index[-1]] = value
+    return json.dumps(payload)
+
+
+# (geometry, kappa, varphi, d, z0, s) where the MGF ratio cannot be formed
+# in floats.  Each used to end otherwise: a bare OverflowError from the
+# large-z M expansion's exp on the interval and in the ball, a
+# ZeroDivisionError where U(a, 1/2, kappa) underflows to 0 outside it, and
+# a NaN return on the interval
+MGF_BEYOND_RANGE = [
+    ("interval", 383.6926738638764, 1.6644766265044062, 1,
+     -0.02936621968866926, 0.1624570667772883),
+    ("radial-interior", 720.4707234780092, 0.0, 2, 0.18025205724260307,
+     0.023183073328010017),
+    ("radial-exterior", 0.003527502980797484, 0.0, 1, 1.025602825468219,
+     5.372602661776652),
+    ("interval", 101.08192296572926, -1.0138139989702522, 1,
+     0.7496390463125768, 6.223348557450389),
+]
+
+
 INPUT_CONTRACT = [
     pytest.param(lambda: build_basis("interval", 2.0, 0.0, 1, 0),
                  "n_modes", id="build-n_modes-0"),
@@ -1694,7 +1723,37 @@ INPUT_CONTRACT = [
                  "exterior-1d", id="build-exterior-1d"),
     pytest.param(lambda: spectral.mgf("exterior-1d", 2.0, 0.5, 1, 1.5, 1.0),
                  "exterior-1d", id="mgf-exterior-1d"),
-]
+    # such an image used to load, and survival(b, 0.3, 0.2) returned 0.0
+    # with raw NaN and warning False
+    pytest.param(lambda: basis_from_json(_ball_image((0,), math.nan)),
+                 "weights", id="json-weight-nan"),
+    pytest.param(lambda: basis_from_json(_ball_image((3,), math.inf)),
+                 "weights", id="json-weight-inf"),
+    pytest.param(lambda: basis_from_json(_ball_image((1,), math.nan,
+                                                     "alphas")),
+                 "alphas", id="json-alpha-nan"),
+    pytest.param(lambda: basis_from_json(_ball_image((2,), -math.inf,
+                                                     "betas")),
+                 "betas", id="json-beta-inf"),
+    pytest.param(lambda: basis_from_json(_ball_image((0, 0), math.nan,
+                                                     "coeff_pairs")),
+                 "coeff_pairs", id="json-coefficient-nan"),
+    pytest.param(lambda: basis_from_json(_image(d=2)),
+                 "d must be 1", id="json-interval-d-2"),
+    pytest.param(lambda: basis_from_json(_image(kappa=math.nan)),
+                 "kappa", id="json-kappa-nan"),
+    pytest.param(lambda: basis_from_json(_image(varphi=math.inf)),
+                 "varphi", id="json-varphi-inf"),
+    pytest.param(lambda: dataclasses.replace(_basis("radial-interior"),
+                                             varphi=0.3),
+                 "varphi must be 0", id="basis-interior-pull"),
+    pytest.param(lambda: dataclasses.replace(_basis("radial-exterior"), d=5),
+                 "dimensions", id="basis-exterior-d-5"),
+    pytest.param(lambda: dataclasses.replace(_basis("interval"), kappa=-1.0),
+                 "kappa", id="basis-kappa-negative"),
+] + [pytest.param(lambda args=args: spectral.mgf(*args), "float range",
+                  id=f"mgf-beyond-range-{args[0]}-{args[1]:.4g}")
+     for args in MGF_BEYOND_RANGE]
 
 
 @pytest.mark.parametrize("call, named", INPUT_CONTRACT)
