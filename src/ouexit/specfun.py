@@ -401,12 +401,8 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
     beyond M before they decay.  a, b and z are binary rationals, so each
     term t <- t (a+n) z / ((b+n)(n+1)) costs one integer product and one
     floor division, and the derivative term dt <- (dt (a+n) + t) z /
-    ((b+n)(n+1)) one more.  The numerator (a+n) z and the divisor
-    (b+n)(n+1), scaled to integers, pass from term to term by integer
-    additions; the integers are exact, so each term is the one the
-    products gave (`_fixed_before_increments` in the tests forms them per
-    term).  One loop carries t and s, and dt and ds with want_da.
-    Returns (value, abs_err).
+    ((b+n)(n+1)) one more.  One loop carries t and s, and dt and ds with
+    want_da.  Returns (value, abs_err).
 
     With A = max(|a|, 1), rho_j = (A+j) z / (|b+j| (j+1)) bounds
     |t_(j+1) / t_j|.  The sum ends at the first term N within
@@ -453,25 +449,20 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
     t = s = 1 << p
     tiny = 1 << (p - _GUARD_BITS)
     neg_tiny = -tiny
-    # c zn, with c = an + n ad, and k = q (n+1), with q = bn + n bd, are
-    # carried by increments: c zn by ad zn, and k by dk = q + bd (n+2),
-    # itself growing by 2 bd
-    cz, dcz = an * zn, ad * zn
-    k, dk, ddk = bn, bn + 2 * bd, 2 * bd
-    c, n = an, 0
+    # c = an + n ad and q = bn + n bd scale a+n and b+n to integers
+    c, q, n = an, bn, 0
     dt = ds = 0
     while not (neg_tiny <= t <= tiny and neg_tiny <= dt <= tiny
                and n + b > 0.0
                and (aa + n) * z <= 0.5 * (n + b) * (n + 1)):
+        k = q * (n + 1)
         if want_da:
             dt = (((dt * c + (t << la)) * zn) >> e) // k
             ds += dt
-            c += ad
-        t = ((t * cz) >> e) // k
+        t = ((t * (c * zn)) >> e) // k
         s += t
-        cz += dcz
-        k += dk
-        dk += ddk
+        c += ad
+        q += bd
         n += 1
     value = (ds if want_da else s) / (1 << p)
     if b > 0.0:
@@ -485,7 +476,8 @@ def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
 
 # M's float series reads (n, (b+n)(n+1.0)) for n = 1, 2, ... per b, in
 # slots of _ROW_CHUNK rows.  _ROW_CACHE slots are kept over all b, about
-# 1 MB; the series of a basis build read about twenty.
+# 1 MB; the series of a basis build read about twenty.  Forming the rows
+# per term cost 8.7% of `curve-eval` `wall_s` (`BENCH_fork_audit.json`).
 _ROW_CHUNK = 32
 _ROW_SLOTS = -(-_MAX_TERMS // _ROW_CHUNK)
 _ROW_CACHE = 256
@@ -524,8 +516,9 @@ def _kummer_series(a: float, b: float, z: float):
     floating-point operations of one loop carrying value and derivative
     together, in its order, and so return its values and claims bit for
     bit; tests/test_specfun.py keeps that loop as their oracle.  One loop
-    for both, branching on the derivative per term, cost 6.5% of
-    `curve-eval` `wall_s` (`BENCH_twin_loops.json`).
+    for both, branching on the derivative per term, cost 3.5% to 6.5% of
+    `curve-eval` `wall_s` (`BENCH_fork_audit.json`,
+    `BENCH_twin_loops.json`).
     """
     stop = _SERIES_STOP
     t = s = abs_sum = 1.0
@@ -679,7 +672,10 @@ def kummer_m(a: float, b: float, z: float) -> HypergeomResult:
     e^z part of M dominating the alternating prefix).  z < 0, NaN and
     inf raise ValueError.  The float series' commonest case, 0 < z <= 80,
     b > 0 and a >= -10 other than a nonpositive integer, is tested first
-    and summed here; every other point takes `_kummer`'s table.
+    and summed here; every other point takes `_kummer`'s table.  Taking
+    the table there too, with `mode_term` forming its row per call, cost
+    8.3% of `curve-eval` `wall_s`, slower in 10 of 10 pairs
+    (`BENCH_fork_audit.json`).
     """
     if (0.0 < z <= 80.0 and b > 0.0 and a >= -10.0
             and (a > 0.0 or a % 1.0 != 0.0)):
@@ -761,14 +757,13 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
     accepted once two levels agree to 1e-13, for sums that stall at
     rounding level, and then claims d.
 
-    Level 0 finds each side's cutoff in its own node loop, and the later
-    levels share one loop that stops there; each loop adds the ln x sums
-    only with want_da.  Folding level 0 into the later levels' loop, a
-    level test per node, cost about 1% of `closed-form`
-    `geom_s.radial-exterior` (`BENCH_twin_loops.json`).  The sums and
-    tests are scalars and |w ln x| a conditional: `_u_laplace_calling_abs`
-    in the tests, with per-level tuples and `abs`, gives the same bits but
-    a NaN's sign.
+    One node loop serves every level and adds the ln x sums only with
+    want_da.  Level 0 ends each side where a node falls below 1e-20 of
+    the running sum and its sums become the running sums; a later level
+    stops at that cutoff, halves the running sums and adds its own.  The
+    sums and tests are scalars and |w ln x| a conditional:
+    `_u_laplace_calling_abs` in the tests, with per-level tuples and
+    `abs`, gives the same bits but a NaN's sign.
     """
     # t = c exp(u), u = pi/2 sinh s, about the peak of the integrand in
     # ln t, the positive root c of z t^2 + (z+1-b) t - a = 0.  Each node
@@ -782,34 +777,21 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
     ln_c = math.log(c)
     e = b - a - 1.0
     exp, log1p = math.exp, math.log1p
-    # sums of w, w x, w ln x, w x ln x and |w ln x| over level 0's nodes,
-    # then over all levels; without want_da the last three stay 0
+    # running sums of w, w x, w ln x, w x ln x and |w ln x| over the
+    # levels so far; without want_da the last three stay 0
     s0 = s1 = l0 = l1 = m = d2 = d3 = 0.0
-    cuts = []
-    for nodes in _es_nodes(0):
-        cut = math.inf
-        for s, u, em1, w in nodes:
-            f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
-            if f < _ES_CUT * s0:
-                cut = s
-                break
-            t = c + c * em1
-            x = t / (1.0 + t)
-            s0 += f
-            s1 += f * x
-            if want_da:
-                fl = f * (ln_c + u - log1p(t) if t <= 1.0 else -log1p(1.0 / t))
-                l0 += fl
-                l1 += fl * x
-                m += fl if fl >= 0.0 else -fl
-        cuts.append(cut)
-    for level in range(1, _ES_MAX_LEVEL + 1):
+    cuts = [math.inf, math.inf]
+    for level in range(_ES_MAX_LEVEL + 1):
         n0 = n1 = k0 = k1 = km = 0.0
-        for nodes, cut in zip(_es_nodes(level), cuts):
+        for side, nodes in enumerate(_es_nodes(level)):
+            cut = cuts[side]
             for s, u, em1, w in nodes:
                 if s > cut:
                     break
                 f = w * exp(a * u - zc * em1 + e * log1p(r * em1))
+                if not level and f < _ES_CUT * n0:
+                    cuts[side] = s
+                    break
                 t = c + c * em1
                 x = t / (1.0 + t)
                 n0 += f
@@ -820,6 +802,9 @@ def _u_laplace(a: float, b: float, z: float, want_da: bool = False):
                     k0 += fl
                     k1 += fl * x
                     km += fl if fl >= 0.0 else -fl
+        if not level:
+            s0, s1, l0, l1, m = n0, n1, k0, k1, km
+            continue
         n0, n1 = 0.5 * s0 + n0, 0.5 * s1 + n1
         d0, d1, s0, s1 = abs(n0 - s0), abs(n1 - s1), n0, n1
         if want_da:
@@ -927,6 +912,11 @@ def _u_integral(a: float, b: float, z: float, want_da: bool = False):
     if want_da:
         u1, u2, d1, d2 = vals
         e1, e2, de1, de2 = errs
+        # the pass's dU/da at x = a+n and x+1 read psi(x) and psi(x) + 1/x,
+        # which err by at most eps (2 + 4/x + 1.5 ln(x + 10)): against
+        # 40-digit mpmath, 0.75 of that on 24,000 x from 1/2 to 1,000
+        epsi = _EPS * (2.0 + 4.0 / (a + n) + 1.5 * math.log(a + n + 10.0))
+        de1, de2 = de1 + epsi * abs(u1), de2 + epsi * abs(u2)
         value = dp * u1 + p * d1 + dq * u2 + q * d2
         terms = abs(dp * u1) + abs(p * d1) + abs(dq * u2) + abs(q * d2)
         # 7 roundings, all subnormal where the terms sum below the
@@ -978,7 +968,8 @@ def _u_asympt(a: float, b: float, z: float):
 
 
 # Gamma-factor pairs of U's two-Kummer combination, one per (a, b); 128
-# holds every mode of several bases
+# holds every mode of several bases.  Forming them on every call cost 20%
+# of `curve-eval` `wall_s` (`BENCH_fork_audit.json`)
 _U_FACTOR_CACHE = 128
 
 

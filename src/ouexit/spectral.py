@@ -30,8 +30,9 @@ most one level below the sweep's top, so the sweep reads its grid's
 ends, bisects the grid only when their signs differ, and tests its last
 cell on its own (a level can sit within rounding of the top): at most
 9 evaluations, where reading every grid point took 65.  Brackets are
-refined one after another by bisection plus a secant polish to
-|d alpha| < 1e-12 (relative below alpha = 1), each root is re-verified
+refined one after another: secant probes on bisection's grid of halvings
+reach the cell bisection would end in, and secant steps polish it to
+|d alpha| < 1e-12 (relative below alpha = 1); each root is re-verified
 against its bracket-scale residual, and suspiciously wide gaps trigger
 a fine rescan before being accepted.  The same theorem places the first
 such gap: where a family's lowest root lies below the sweep's top, no
@@ -249,7 +250,10 @@ class SpectralBasis:
         """(layout, a, b, c1, c2) of every mode, the constants `mode_term`
         reads: the layout (None for a free-diffusion basis, whose factors
         read `alphas`), a = -alphas[n]**2 / (4 kappa), b = d/2 and the
-        boundary pair.  Cached like `t_min`."""
+        boundary pair.  Cached like `t_min`.  Forming the row per call and
+        dropping `kummer_m`'s float-series shortcut together cost 8.3% of
+        `curve-eval` `wall_s`, slower in 10 of 10 pairs
+        (`BENCH_fork_audit.json`)."""
         if self.brownian:
             return tuple((None, 0.0, 0.0, c1, c2)
                          for c1, c2 in self.coeff_pairs)
@@ -1094,8 +1098,8 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
     first skipped mode, a prefix of the live modes, once the sum stops
     reading; a later call at the start computes a skipped mode where it
     needs it.  The kept rows and the later modes have a loop each: one
-    loop over both cost 24% of `basis-build` `op_ms.p50`
-    (`BENCH_twin_loops.json`).
+    loop over both cost 24% to 26% of `basis-build` `op_ms.p50`
+    (`BENCH_fork_audit.json`, `BENCH_twin_loops.json`).
     """
     global _rows
     z0 = _check_start(basis.geometry, z0)
@@ -1158,7 +1162,8 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
 
 # `survival` and `fet_density` build their `SpectralValue` by this and two
 # slot writes: their flag is a bool already, so the public constructor's
-# call and its bool() are skipped.
+# call and its bool() are skipped.  Building it by the constructor cost
+# 11% of `basis-build` `op_ms.p50` (`BENCH_fork_audit.json`).
 _float_new = float.__new__
 
 

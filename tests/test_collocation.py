@@ -18,7 +18,7 @@ STARTS = (-0.95, -0.6, -0.2, 0.2, 0.5)
 
 
 @pytest.mark.parametrize("kappa, varphi", [
-    (10.0, 2.0), (10.0, 3.0), (4.0, 0.5), (2.0, 1.0),
+    (10.0, 2.0), (10.0, 3.0), (4.0, 0.5), (2.0, 1.0), (1.0, 0.0), (10.0, 0.0),
     pytest.param(5.0, 4.0, marks=pytest.mark.xfail(
         raises=RootSearchError, strict=True,
         reason="the residual test refuses the root at alpha = 0.024, "
@@ -37,7 +37,12 @@ def test_collocation_roots_agree_across_node_counts():
         assert max(abs(c - f) for c, f in zip(coarse, fine)) < 1e-11
 
 
-@pytest.mark.parametrize("kappa, varphi", [(4.0, 0.5), (2.0, 1.0)])
+# per basis, the starts flagged at the horizon t_min itself, where the
+# truncation is flagged
+FLAGGED_AT_T_MIN = {(4.0, 0.5): [-0.95], (2.0, 1.0): [-0.95], (1.0, 0.0): []}
+
+
+@pytest.mark.parametrize("kappa, varphi", list(FLAGGED_AT_T_MIN))
 def test_interval_survival_matches_collocation(kappa, varphi):
     basis = build_basis("interval", kappa, varphi, 1, 12)
     flagged = []
@@ -50,8 +55,8 @@ def test_interval_survival_matches_collocation(kappa, varphi):
                 flagged.append((z0, t))
             else:
                 assert abs(got.raw - w) <= 1e-9, (z0, t, got.raw, w)
-    # only the truncation at the horizon itself, at the far left start
-    assert flagged == [(-0.95, basis.t_min)]
+    assert flagged == [(z0, basis.t_min)
+                       for z0 in FLAGGED_AT_T_MIN[kappa, varphi]]
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -1785,6 +1785,56 @@ def test_laplace_pass_keeps_the_bits_of_its_abs_loop_on_a_grid():
                                           *args)), args
 
 
+def test_laplace_pass_grid_holds_its_claims_against_mpmath():
+    # the accuracy companion of the bit test above, at every third of its
+    # 300 inputs (the same seeded draws): dU/da, from the pass at a, and U
+    # at integer b, from the pass or the large-z expansion, within their
+    # claims of 40-digit mpmath; dU/da is a central difference at h =
+    # 1e-12, good to about 1e-20
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261019)
+    cases = [(0.5 + 10.0 ** rng.uniform(-4.0, 1.7),
+              rng.choice((-0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+              10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(300)]
+    h = mpmath.mpf(10) ** -12
+    checked = 0
+    with mpmath.workdps(40):
+        for a, b, z in cases[::3]:
+            du = (mpmath.hyperu(a + h, b, z)
+                  - mpmath.hyperu(a - h, b, z)) / (2 * h)
+            want = [(tricomi_u_da, du)]
+            if b == math.floor(b):
+                want.append((tricomi_u, mpmath.hyperu(a, b, z)))
+            for fn, exact in want:
+                r = fn(a, b, z)
+                assert abs(r.value - exact) <= r.abs_err_estimate, (
+                    fn.__name__, a, b, z)
+                checked += 1
+    assert checked >= 100
+
+
+# (a, b, z) with a next to psi's zero at 1.4616, where dU/da = -psi U +
+# (...) is small beside U, so psi's own rounding sets its error; a claim
+# without it falls 4.9, 6.5 and 4.2 times short (at the first, dU/da =
+# -1156.8471782856682, U = 2.34e5 and psi is 3.6e-16 off)
+U_DA_NEAR_PSI_ZERO = [(1.4644754958180979, 3.0, 0.0021979974025179046),
+                      (1.4617127330842055, 3.0, 0.005767095494240745),
+                      (1.456966617827997, 2.5, 0.0021231127059711135)]
+
+
+@pytest.mark.parametrize("a, b, z", U_DA_NEAR_PSI_ZERO)
+def test_u_da_claim_covers_digammas_error_near_its_zero(a, b, z):
+    mpmath = pytest.importorskip("mpmath")
+    h = mpmath.mpf(10) ** -12
+    with mpmath.workdps(40):
+        exact = (mpmath.hyperu(a + h, b, z)
+                 - mpmath.hyperu(a - h, b, z)) / (2 * h)
+        r = tricomi_u_da(a, b, z)
+        error = abs(r.value - exact)
+    assert r.method == "IntegralRep"
+    assert error <= r.abs_err_estimate, (float(error), r.abs_err_estimate)
+
+
 def _peak_share(a, b, z):
     """z c, c the peak of the Laplace integrand, as `_u_laplace` forms it."""
     bb = z + 1.0 - b

@@ -466,6 +466,17 @@ def test_root_refinement_evaluates_no_point_twice(monkeypatch):
         assert len(set(xs)) == len(xs)
 
 
+@pytest.mark.parametrize("bracket, root", [((0.5, 2.0, 0.0, 1.0), 0.5),
+                                          ((0.5, 2.0, -1.0, 0.0), 2.0)])
+def test_a_bracket_end_reading_zero_is_the_root(bracket, root):
+    # the scan can hand on an end where the condition is exactly 0.0;
+    # that end is returned as it is, with no further read
+    def unread(x):
+        raise AssertionError(f"read at {x!r}")
+
+    assert spectral._refine_root(unread, bracket) == root
+
+
 def _bisect_then_secant(fn, bracket):
     """The refiner that walked bisection's path to its last cell: every
     new refiner must reach the same cell and so return the same root."""
@@ -1607,6 +1618,34 @@ def test_mgf_keeps_a_large_finite_ratio_at_a_far_exterior_start():
     # mpmath of the ratio gives 3.40085877402259537e37
     value = spectral.mgf("radial-exterior", 1, 0, 3, 1e150, -0.5)
     assert value == pytest.approx(3.40085877402259537e37, rel=1e-12)
+
+
+def _overflowing_ball():
+    """A one-mode d = 3 ball at kappa = 800 whose factor M(a, 3/2,
+    kappa z0^2), a = -0.78125, takes the large-z expansion, whose e^z
+    passes float range at z = 800 though z itself is finite."""
+    return spectral.SpectralBasis("radial-interior", 800.0, 0.0, 3, (50.0,),
+                                  ((1.0, 0.0),), (1.0,), (1.0,))
+
+
+def test_a_factor_kernels_overflow_is_a_value_error_naming_float_range():
+    basis = _overflowing_ball()
+    with pytest.raises(OverflowError):
+        specfun.kummer_m(-0.78125, 1.5, 800.0)
+    with pytest.raises(ValueError, match="passes float range"):
+        spectral.mode_term(basis, 0, 1.0)
+
+
+def test_a_bound_whose_series_raises_is_inf_and_the_sum_still_flags():
+    # the bound's own M(|a|, 3/2, kappa) overflows, so the bound is inf
+    # and no mode is skipped; the sum then runs far outside [0, 1]
+    basis = _overflowing_ball()
+    with pytest.raises(OverflowError):
+        specfun.kummer_m(0.78125, 1.5, 800.0)
+    assert spectral._factor_bound(basis, 0) == math.inf
+    got = spectral.survival(basis, 0.5, 0.01)
+    assert got.warning is True
+    assert float(got) == 0.0 and got.raw < -1.0
 
 
 # ----------------------------------------------------------------------
