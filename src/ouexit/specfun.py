@@ -397,9 +397,10 @@ _GUARD_BITS = 96
 def _kummer_fixed(a: float, b: float, z: float, want_da: bool):
     """Power series of M(a, b, z), or of dM/da, in integers scaled by 2^P.
 
-    Serves a <= 0 and z > 0, where the terms alternate and grow far
-    beyond M before they decay.  a, b and z are binary rationals, so each
-    term t <- t (a+n) z / ((b+n)(n+1)) costs one integer product and one
+    Serves a <= 1 and z > 0, where max(-a, 1) = max(|a|, 1) = A below;
+    at a <= 0 the terms alternate and grow far beyond M before they
+    decay.  a, b and z are binary rationals, so each term
+    t <- t (a+n) z / ((b+n)(n+1)) costs one integer product and one
     floor division, and the derivative term dt <- (dt (a+n) + t) z /
     ((b+n)(n+1)) one more.  One loop carries t and s, and dt and ds with
     want_da.  Returns (value, abs_err).
@@ -985,6 +986,23 @@ def _u_gamma_factors(a: float, b: float):
     return g1, g2, rel1, rel2
 
 
+def _u_two_kummer(a: float, b: float, z: float, m1: float, e1: float,
+                  m2: float, e2: float):
+    """U's two-Kummer combination at non-integer b from m1 = M(a, b, z)
+    and m2 = M(a-b+1, 2-b, z) with claims e1 and e2: (value, claim, the
+    larger term's size).  The claim adds the gamma factors' rounding
+    and that of z^(1-b).  A factor beyond float range raises
+    OverflowError."""
+    c1, g2, rel1, rel2 = _u_gamma_factors(a, b)
+    c2 = g2 * z ** (1.0 - b)
+    t1 = c1 * m1
+    t2 = c2 * m2
+    big = max(abs(t1), abs(t2))
+    rel2 += _EPS * abs((1.0 - b) * math.log(z))
+    return t1 + t2, (abs(c1) * e1 + abs(c2) * e2 + rel1 * abs(t1)
+                     + rel2 * abs(t2) + _EPS * 8.0 * big), big
+
+
 def _u_result(value: float, err: float, method: str) -> HypergeomResult:
     """U's or dU/da's result, claiming inf where the value is +/-inf: a
     claim's own arithmetic can meet inf - inf there, as the Laplace
@@ -1032,21 +1050,14 @@ def tricomi_u(a: float, b: float, z: float) -> HypergeomResult:
         try:
             m1 = kummer_m(a, b, z)
             m2 = kummer_m(a - b + 1.0, 2.0 - b, z)
-            c1, g2, rel1, rel2 = _u_gamma_factors(a, b)
-            c2 = g2 * z ** (1.0 - b)
+            value, err, big = _u_two_kummer(
+                a, b, z, m1.value, m1.abs_err_estimate,
+                m2.value, m2.abs_err_estimate)
         except (OverflowError, NonConvergenceError):
             # an M or a factor beyond float range, or an M series beyond
             # its term budget, though U may fit a float
             pass
         else:
-            t1 = c1 * m1.value
-            t2 = c2 * m2.value
-            value = t1 + t2
-            big = max(abs(t1), abs(t2))
-            rel2 += _EPS * abs((1.0 - b) * math.log(z))
-            err = (abs(c1) * m1.abs_err_estimate
-                   + abs(c2) * m2.abs_err_estimate
-                   + rel1 * abs(t1) + rel2 * abs(t2) + _EPS * 8.0 * big)
             # a sum that lost 8 digits or more, or a NaN value or claim,
             # falls back on the integral
             if abs(value) >= 1e-8 * big and err <= 1e-8 * abs(value):

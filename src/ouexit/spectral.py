@@ -41,6 +41,10 @@ from the top, not from the lowest root: a trap's ground gap is wider
 than the spacing law though it can hide no level.  Mode sums read a
 per-basis table of the modes with nonzero weight, and skip a mode whose
 term a per-mode bound on its factor shows cannot move a bit of the sum.
+A mode factor is a fixed function of the start, so once the sums have
+computed `_FIT_AFTER` series factors of a mode, its later fresh factors
+come from a Chebyshev interpolant fitted over the start range, where
+the fit can claim 1e-12 of the factor's size (`_modefit`).
 
 Per-mode data come from confluent functions alone, with no quadrature.
 Each survival weight is a residue of the closed-form generating
@@ -82,6 +86,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -139,6 +144,14 @@ _POLE_TOL = 1e-8
 # (trap-dominated end) or one free-diffusion gap (weak-trap end); a gap
 # beyond 1.3x both bounds is audited with a fine rescan.
 _GAP_SLACK = 1.3
+
+# Once the sums have computed this many series factors of a mode, they
+# fit its factor in the start (`_modefit`).  A fit costs 80 to 290
+# series factors of its mode on the `curve-eval` bases, so a mode that
+# reaches the switch has spent at most about twice what the series alone
+# would; a fitted basis gains from about 550 to 750 random starts on
+# (`BENCH_mode_tables.json`).
+_FIT_AFTER = 256
 
 
 class RootSearchError(RuntimeError):
@@ -270,6 +283,22 @@ class SpectralBasis:
         it.  Formed at the first sum that meets a mode beyond its start's
         kept rows, and cached like `t_min`."""
         return tuple(_factor_bound(self, n) for n, _, _ in self._live_modes)
+
+    @functools.cached_property
+    def _mode_fits(self) -> list:
+        """Per entry of `_live_modes`, in order, where its fresh factors
+        come from (`_spectral_sum`): an int counting the series factors
+        the sums have computed so far, the mode's `_modefit.ModeFit` once
+        that count reached `_FIT_AFTER`, or None where the fit was
+        refused, and for a free-diffusion basis, whose factors are closed
+        forms.
+        The one mutable entry of the basis, cached like `t_min`.  A count
+        only rises, under `_FIT_LOCK`, and the call that brought it to
+        `_FIT_AFTER` replaces it by the fit or None, which stays
+        (`_count_series_factor`)."""
+        if self.brownian:
+            return [None] * len(self._live_modes)
+        return [0] * len(self._live_modes)
 
 
 @dataclass(frozen=True)
@@ -982,7 +1011,11 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
     radial start whose factor passes float range raises ValueError.
     The mode's layout, a, b and pair come from the basis's cached table
     (`_factor_rows`), and the confluent values from `kummer_m` and
-    `tricomi_u` through this module's names.
+    `tricomi_u` through this module's names.  This is always the series
+    value: the sums take a mode's fresh factors from its fit once they
+    have computed `_FIT_AFTER` of them here (`_spectral_sum`), and a fit
+    differs from this value within the fit's claim and this value's own
+    error.
     """
     layout, a, b, c1, c2 = basis._factor_rows[n]
     if layout == "interval":
@@ -1048,6 +1081,40 @@ def _far_start(z0: float, z: float) -> ValueError:
                       f"factor at kappa z0^2 = {z:.6g} passes float range")
 
 
+# Guards the counts in `SpectralBasis._mode_fits`: no count may replace a
+# fit or a refusal that another thread wrote meanwhile
+_FIT_LOCK = threading.Lock()
+
+
+def _count_series_factor(basis: SpectralBasis, fits: list, i: int,
+                         n: int) -> None:
+    """Count one more series factor of mode n, the i-th live mode, in
+    `fits`, the basis's `_mode_fits`.  The call whose count reaches
+    `_FIT_AFTER` fits the mode outside the lock, while other threads
+    keep counting past it on the series, then replaces the count by the
+    fit or None."""
+    with _FIT_LOCK:
+        count = fits[i]
+        if count.__class__ is not int:
+            return
+        count += 1
+        fits[i] = count
+    if count == _FIT_AFTER:
+        fit = _fit_mode(basis, n)
+        with _FIT_LOCK:
+            fits[i] = fit
+
+
+def _fit_mode(basis: SpectralBasis, n: int):
+    """Mode n's fit in the start, or None where it is refused
+    (`_modefit.fit_mode`).  `_modefit` is imported at a process's first
+    fit: one that never fits, as a `basis-build` run, does not compile
+    it, which takes about 4 ms where no bytecode is cached, 9% of a
+    `basis-build` set-up."""
+    from ._modefit import fit_mode
+    return fit_mode(basis, n)
+
+
 # The mode rows of the latest start: (basis, z0, rows), where rows[i] =
 # (weights[n], alphas[n] ** 2, mode_term(basis, n, z0)) for n the i-th
 # entry of `_live_modes`, over a prefix of the live modes: those a sum
@@ -1097,7 +1164,21 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
     sum's, bit for bit.  The slot takes the rows computed before the
     first skipped mode, a prefix of the live modes, once the sum stops
     reading; a later call at the start computes a skipped mode where it
-    needs it.  The kept rows and the later modes have a loop each: one
+    needs it.
+
+    A fresh factor is the series value from `mode_term` until the sums
+    have computed `_FIT_AFTER` of them for that mode (the count and the
+    fit sit in `SpectralBasis._mode_fits`); the call that computes the
+    last of them fits the mode (`_fit_mode`) after using its series
+    value, and each later fresh factor at a start the fit covers comes
+    from the fit.  A refused fit leaves the mode on the series for good.
+    So the sums of one basis object move in their last bits at that
+    switch, by at most the weighted fit claims, each within 1e-12 of its
+    mode's largest factor, plus the series' own errors; a basis that
+    serves a few starts, as a `basis-build` curve does, never fits.  A
+    fitted factor is within its claim of sup |factor| (1 + 1e-12) <=
+    B_n/2 (1 + 1e-12), so the skip above still drops only terms below
+    2^-55 |acc|.  The kept rows and the later modes have a loop each: one
     loop over both cost 24% to 26% of `basis-build` `op_ms.p50`
     (`BENCH_fork_audit.json`, `BENCH_twin_loops.json`).
     """
@@ -1125,6 +1206,7 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
     live = basis._live_modes
     if len(rows) < len(live):
         bounds = basis._factor_bounds
+        fits = basis._mode_fits
         new = []
         keeping = True
         try:
@@ -1140,7 +1222,14 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
                     if ahead <= 0:
                         return acc, abs_acc, True
                     continue
-                factor = mode_term(basis, n, z0)
+                fit = fits[i]
+                if fit.__class__ is int:
+                    factor = mode_term(basis, n, z0)
+                    _count_series_factor(basis, fits, i, n)
+                elif fit is not None and z0 <= fit.hi:
+                    factor = fit.at(z0)
+                else:
+                    factor = mode_term(basis, n, z0)
                 if keeping:
                     new.append((w, lam, factor))
                 term = pw * factor
@@ -1181,9 +1270,15 @@ def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     2^-55 of it with B_n a bound on twice the mode's factor over every
     start, is skipped with no `mode_term` call (`_spectral_sum`), and
     the kept rows stop before the first skipped mode; value, `raw` and
-    `warning` are the full sum's, bit for bit.  z0 must be finite and
-    inside the geometry's domain, and near enough that its mode factors
-    fit a float.
+    `warning` are the full sum's, bit for bit.  Once the sums on a basis
+    object have computed `_FIT_AFTER` series factors of a mode, its later
+    fresh factors come from a Chebyshev fit in the start (`_fit_mode`),
+    where the fit's claim is within 1e-12 of the factor's size: values
+    in one process can move in their last bits at that switch, within
+    the fits' claims (at most 2.2e-13 over 1,000 seeded points on each
+    fitted `curve-eval` basis, `BENCH_mode_tables.json`).
+    z0 must be finite and inside the geometry's domain, and near enough
+    that its mode factors fit a float.
     """
     raw, _, converged = _spectral_sum(basis, z0, t, False)
     # min(1.0, max(0.0, raw)), NaN to 0.0 included
@@ -1204,7 +1299,9 @@ def fet_density(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     marks raw values below -1% of the term mass and any t below t_min.
     It shares the kept mode rows of the latest start with `survival`,
     and skips a mode as `survival` does, with lambda |w exp(-lambda t)|
-    in the test.
+    in the test.  It shares the mode fits too, so its values can move in
+    their last bits at a mode's switch to its fit, as `survival`'s can,
+    within the fit's claim times lambda |w exp(-lambda t)|.
     """
     raw, abs_acc, converged = _spectral_sum(basis, z0, t, True)
     # max(0.0, raw), NaN to 0.0 included

@@ -1,17 +1,22 @@
-"""The interval spectral layer against Chebyshev collocation.
+"""The spectral layer against Chebyshev collocation.
 
-`_collocation` computes eigenvalues and survival of the interval problem
-from the generator alone, with numpy and scipy, sharing no code with
-`specfun`.  Roots are pinned within 1e-11, survival within 1e-9 wherever
-it is not flagged.  Strict xfails name the inputs where the library is
+`_collocation` computes eigenvalues and survival of the interval problem,
+and survival of the radial ones, from the generator alone, with numpy and
+scipy, sharing no code with `specfun`.  Roots are pinned within 1e-11,
+survival within 1e-9 wherever it is not flagged; the radial bases are
+pinned on both their paths, fresh factors from the series and from the
+mode fits.  Strict xfails name the inputs where the library is
 known to be wrong: left starts on bases whose left boundary sits far
 from the trap centre, where the interval pair cancels, and the (5, 4)
 build that refuses a real root.
 """
 
+import dataclasses
+
 import pytest
 
 import _collocation
+from ouexit import spectral
 from ouexit.spectral import RootSearchError, build_basis, survival
 
 STARTS = (-0.95, -0.6, -0.2, 0.2, 0.5)
@@ -70,3 +75,54 @@ def test_left_start_survival_matches_collocation_or_is_flagged(
     got = survival(basis, z0, t)
     want, = _collocation.interval_survival(kappa, varphi, t, [z0])
     assert got.warning or abs(got.raw - want) <= 1e-9, (got.raw, want)
+
+
+# (geometry, kappa, d, n_modes) of the benchmark's radial curve-eval bases
+# -> (starts, times, reach of the exterior collocation)
+RADIAL = {
+    ("radial-interior", 5.0, 2, 12): (
+        (0.0, 0.3, 0.6, 0.9), (0.03, 0.1, 0.3, 1.0, 3.0), None),
+    # 4.0 lies past the exterior fits' reach R = 3, so it takes the
+    # series on both paths; below t = 1 the 8 modes leave these starts'
+    # tails unconverged, and every value there is flagged
+    ("radial-exterior", 1.0, 3, 8): (
+        (1.2, 1.7, 2.5, 3.0, 4.0), (0.3, 1.0, 2.0, 3.0), 8.0),
+}
+
+
+def _on_path(basis, fitted):
+    """A copy of basis whose fresh factors come from its mode fits
+    (fitted True; every mode fits on these bases) or from the series."""
+    copy = dataclasses.replace(basis)
+    copy._mode_fits[:] = [spectral._fit_mode(copy, n) if fitted else None
+                          for n, _, _ in copy._live_modes]
+    assert all(copy._mode_fits) is fitted
+    return copy
+
+
+@pytest.mark.parametrize("fitted", [False, True], ids=["series", "fitted"])
+@pytest.mark.parametrize("case", list(RADIAL), ids=["ball", "exterior"])
+def test_radial_survival_matches_collocation(case, fitted):
+    geometry, kappa, d, n_modes = case
+    starts, times, reach = RADIAL[case]
+    basis = _on_path(build_basis(geometry, kappa, 0.0, d, n_modes), fitted)
+    checked = 0
+    for t in times:
+        want = _collocation.radial_survival(d, kappa, t, starts, reach)
+        for r0, w in zip(starts, want):
+            got = survival(basis, r0, t)
+            if not got.warning:
+                assert abs(got.raw - w) <= 1e-9, (r0, t, got.raw, w)
+                checked += 1
+            else:
+                assert t < 1.0
+    assert checked >= 15
+
+
+def test_radial_collocation_agrees_across_node_counts():
+    for d, kappa, reach, counts in ((2, 5.0, None, (81, 161)),
+                                    (3, 1.0, 8.0, (160, 240))):
+        coarse, fine = (_collocation.radial_survival(
+            d, kappa, 1.0, (0.3, 0.9) if reach is None else (1.5, 3.0),
+            reach, n) for n in counts)
+        assert max(abs(c - f) for c, f in zip(coarse, fine)) < 1e-10

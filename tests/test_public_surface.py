@@ -4,7 +4,8 @@ standard-library-only runtime.
 A name left in `__all__` after its definition is deleted breaks
 `from ouexit.<module> import *` with an AttributeError, so each exported
 name must resolve.  `pyproject.toml` declares no runtime dependency, so
-importing the package may load no module outside the standard library.
+importing the package, and evaluating it, may load no module outside the
+standard library.
 """
 
 import importlib
@@ -26,15 +27,27 @@ def test_every_name_in_each_modules_all_exists():
             getattr(module, name)
 
 
-# imports every ouexit module in a fresh interpreter and prints the
-# top-level modules that appeared, minus those loaded before (the site
-# hooks of the environment may load modules of their own)
+# imports every ouexit module in a fresh interpreter, evaluates survival
+# and density past a mode's switch to its fit, and the MGF, so a lazy
+# import on those paths shows too, and prints the top-level modules that
+# appeared, minus those loaded before (the site hooks of the environment
+# may load modules of their own)
 _IMPORT_ALL = """
 import importlib, pkgutil, sys
 before = set(sys.modules)
 import ouexit
 for info in pkgutil.iter_modules(ouexit.__path__, "ouexit."):
     importlib.import_module(info.name)
+from ouexit import _modefit, spectral
+basis = spectral.build_basis("radial-interior", 5.0, 0.0, 2, 4)
+starts = 2 * spectral._FIT_AFTER
+for k in range(starts):
+    spectral.survival(basis, k / starts, basis.t_min)
+    spectral.fet_density(basis, k / starts, basis.t_min)
+assert any(isinstance(fit, _modefit.ModeFit) for fit in basis._mode_fits)
+for layout, d, z0 in (("interval", 1, 0.5), ("radial-interior", 3, 0.5),
+                      ("radial-exterior", 3, 1.5)):
+    spectral.mgf(layout, 2.0, 0.0, d, z0, 1.0)
 print(" ".join(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
 """
 

@@ -467,6 +467,29 @@ def test_dual_path_agreement_on_negative_a_grid():
                 assert approx == pytest.approx(exact, rel=1e-10), (a, b, z)
 
 
+def test_fixed_point_series_holds_its_claim_at_a_up_to_one():
+    # `_kummer_fixed` serves a <= 1: its ratio bound takes max(-a, 1) for
+    # |a|, which mode fits lean on at a in (0, 1] (the interval's odd
+    # solution at a + 1/2, U's second M at a - b + 1).  Against 40-digit
+    # mpmath, summed term by term (every term is positive here)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261020)
+    with mpmath.workdps(40):
+        for k in range(60):
+            a = 1.0 if k == 0 else rng.uniform(0.0, 1.0)
+            b = rng.choice((0.5, 1.0, 1.5, 2.0, 2.5))
+            z = 10.0 ** rng.uniform(-3.0, 2.0)
+            value, claim = _kummer_fixed(a, b, z, False)
+            term = total = mpmath.mpf(1)
+            a_, z_ = mpmath.mpf(a), mpmath.mpf(z)
+            j = 0
+            while term > mpmath.mpf(10) ** -45 * total:
+                term *= (a_ + j) * z_ / ((b + j) * (j + 1))
+                total += term
+                j += 1
+            assert abs(mpmath.mpf(value) - total) <= claim, (a, b, z)
+
+
 def test_terminating_series_exact_through_degree_thirty():
     for n in range(1, 31):
         for b in (0.5, 1.5, 3.0):

@@ -30,7 +30,7 @@ import threading
 import pytest
 import scipy.special as sp
 
-from ouexit import _quad, mean_exit, specfun, spectral
+from ouexit import _modefit, _quad, mean_exit, specfun, spectral
 from ouexit.ou_model import Geometry
 from ouexit.spectral import (
     RootSearchError,
@@ -1150,6 +1150,33 @@ def _memo_free_sum(basis, z0, t, rate_weighted, factor=None):
     return acc, abs_acc, abs(term) < spectral._TMIN_TERM * max(1.0, abs(acc))
 
 
+def _read_factor(series=None):
+    """A `factor` for `_memo_free_sum` that reads what a sum reads for a
+    fresh start: the mode's fit where the basis has one covering z0, and
+    `series` (`spectral.mode_term` by default) otherwise.  It changes no
+    count, so called before a sum it gives that sum's bits."""
+    def factor(basis, n, z0):
+        live = [m for m, _, _ in basis._live_modes]
+        fit = basis._mode_fits[live.index(n)]
+        if isinstance(fit, _modefit.ModeFit) and z0 <= fit.hi:
+            return fit.at(z0)
+        return (series or spectral.mode_term)(basis, n, z0)
+    return factor
+
+
+def _fitted_copy(basis, fitted=True):
+    """A copy of basis whose modes are all fitted now (None where a fit
+    is refused), or with fitted False all on the series for good."""
+    copy = dataclasses.replace(basis)
+    copy._mode_fits[:] = [spectral._fit_mode(copy, n) if fitted else None
+                          for n, _, _ in copy._live_modes]
+    return copy
+
+
+def _fits(basis):
+    return [f for f in basis._mode_fits if isinstance(f, _modefit.ModeFit)]
+
+
 def _curve_times(basis, points=200):
     rate0 = basis.alphas[0] ** 2
     return [basis.t_min * i / (points - 1) + 8.0 / rate0 * (i / points) ** 2
@@ -1158,23 +1185,37 @@ def _curve_times(basis, points=200):
 
 def test_interleaved_curves_are_bit_identical_to_a_memo_free_sum(
         curve_bases):
+    # A mode's fresh factors switch from the series to its fit once
+    # `_FIT_AFTER` of them were computed, while a start's kept rows keep
+    # what was computed before, so each basis here has its modes fitted
+    # (or refused) for good, or kept on the series for good, before the
+    # curves start: a factor is then one function of (basis, n, z0), as
+    # the kept rows assume.  The switch itself is
+    # test_a_mode_switches_to_its_fit_after_its_first_series_factors, and
+    # the fits are pinned to mpmath in
+    # test_factors_at_the_memo_free_sums_starts_hold_their_claims.
+    fitted = [_fitted_copy(basis) for basis in curve_bases]
+    series = [_fitted_copy(basis, False) for basis in curve_bases]
+    assert any(_fits(basis) for basis in fitted)
     # an equal basis that is a distinct object shares no factors
-    copy = basis_from_json(basis_to_json(curve_bases[0]))
-    assert copy == curve_bases[0] and copy is not curve_bases[0]
+    copy = _fitted_copy(basis_from_json(basis_to_json(curve_bases[0])),
+                        False)
+    assert copy == curve_bases[0] and copy is not series[0]
     starts = {"interval": (-0.9, 0.0, 0.35), "radial-interior": (0.0, 0.6),
               "radial-exterior": (1.0, 1.7)}
-    streams = [(basis, z0) for basis in curve_bases + [copy]
+    streams = [(basis, z0) for basis in fitted + series + [copy]
                for z0 in starts[basis.geometry.value]]
     rng = random.Random(7)
     basis, z0 = streams[0]
-    for _ in range(6 * 200):
+    for _ in range(9 * 200):
         if rng.random() < 0.3:
             basis, z0 = rng.choice(streams)
         # times in random order, so the kept prefix must grow mid-curve
         t = rng.choice(_curve_times(basis))
         for rate_weighted, fn in ((False, spectral.survival),
                                   (True, spectral.fet_density)):
-            want = _memo_free_sum(basis, z0, t, rate_weighted)
+            want = _memo_free_sum(basis, z0, t, rate_weighted,
+                                  _read_factor())
             got = spectral._spectral_sum(basis, z0, t, rate_weighted)
             assert [x.hex() if isinstance(x, float) else x for x in got] == \
                 [x.hex() if isinstance(x, float) else x for x in want]
@@ -1191,7 +1232,8 @@ def test_a_curve_at_one_start_computes_each_mode_factor_once(
         return mode_term(basis, n, z0)
 
     monkeypatch.setattr(spectral, "mode_term", counted)
-    for basis in curve_bases:
+    # fresh copies, which have no fit yet, so each factor is the series'
+    for basis in map(dataclasses.replace, curve_bases):
         calls.clear()
         z0 = 0.25 if basis.geometry is not Geometry.RADIAL_EXTERIOR else 1.25
         for t in _curve_times(basis):
@@ -1211,7 +1253,7 @@ def test_the_later_points_of_a_curve_call_no_mode_term(monkeypatch,
         return mode_term(basis, n, z0)
 
     monkeypatch.setattr(spectral, "mode_term", counted)
-    for basis in curve_bases:
+    for basis in map(dataclasses.replace, curve_bases):
         z0 = 0.4 if basis.geometry is not Geometry.RADIAL_EXTERIOR else 1.4
         rate0 = basis.alphas[0] ** 2
         times = [basis.t_min + 10.0 / rate0 * i / 199 for i in range(200)]
@@ -1226,13 +1268,20 @@ def test_the_later_points_of_a_curve_call_no_mode_term(monkeypatch,
 def test_threads_sharing_the_kept_rows_get_each_starts_own_values(
         curve_bases):
     # four threads run curves at their own starts under a short switch
-    # interval, so each replaces the one slot of kept rows under the others
+    # interval, so each replaces the one slot of kept rows under the others;
+    # the threads could cross `_FIT_AFTER` fresh factors at any point, so
+    # every mode is fitted (or refused) before they start, and the fits
+    # are pinned to mpmath in
+    # test_factors_at_the_memo_free_sums_starts_hold_their_claims
     starts = {"interval": (-0.9, 0.35), "radial-interior": (0.0, 0.6),
               "radial-exterior": (1.0, 1.7)}
+    bases = [_fitted_copy(basis) for basis in curve_bases]
+    assert any(_fits(basis) for basis in bases)
     curves = [[(basis, z0, t) for t in _curve_times(basis, 40)]
-              for basis in curve_bases
+              for basis in bases
               for z0 in starts[basis.geometry.value]]
-    want = [[_memo_free_sum(*call, False)[0].hex() for call in curve]
+    want = [[_memo_free_sum(*call, False, _read_factor())[0].hex()
+             for call in curve]
             for curve in curves]
     wrong = []
 
@@ -1257,6 +1306,67 @@ def test_threads_sharing_the_kept_rows_get_each_starts_own_values(
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+class _LoggedSlots(list):
+    """A `_mode_fits` list that logs each write as (slot, old, new)."""
+
+    def __init__(self, slots):
+        super().__init__(slots)
+        self.log = []
+
+    def __setitem__(self, i, value):
+        self.log.append((i, self[i], value))
+        super().__setitem__(i, value)
+
+
+def test_threads_crossing_the_switch_fit_each_mode_once(curve_bases):
+    # four threads read fresh starts of unfitted copies whose counts sit
+    # just below `_FIT_AFTER`, under a short switch interval, so several
+    # reach a mode's switch while another thread fits it: a count never
+    # replaces a fit or a refusal, each mode is fitted once, and every
+    # value is the series' or within the fits' claims of it
+    bases = []
+    for basis in curve_bases:
+        if basis.brownian:
+            continue
+        copy = dataclasses.replace(basis)
+        copy.__dict__["_mode_fits"] = _LoggedSlots(
+            [spectral._FIT_AFTER - 3] * len(copy._live_modes))
+        bases.append(copy)
+    wrong = []
+
+    def run(seed):
+        rng = random.Random(seed)
+        for _ in range(12):
+            for basis in bases:
+                lo, hi = START_RANGE[basis.geometry.value]
+                z0 = rng.uniform(lo, hi)
+                got = spectral.survival(basis, z0, basis.t_min).raw
+                want = _memo_free_sum(basis, z0, basis.t_min, False)[0]
+                if not abs(got - want) <= 1e-12:
+                    wrong.append((basis.geometry, z0, got, want))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,))
+                   for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    for basis in bases:
+        log = basis._mode_fits.log
+        assert not [w for w in log if type(w[1]) is not int]
+        settled = [i for i, _, new in log if type(new) is not int]
+        assert sorted(settled) == list(range(len(basis._live_modes)))
+        assert all(type(fit) is not int for fit in basis._mode_fits)
+    assert any(_fits(basis) for basis in bases)
 
 
 def _memo_free_values(basis, z0, t, factor=None):
@@ -1395,7 +1505,12 @@ def test_skipped_factors_leave_every_value_and_flag_bit_for_bit(skip_bases):
     weights = list(skip_bases[0].weights)
     weights[2] *= 1e-30
     hushed = dataclasses.replace(skip_bases[0], weights=tuple(weights))
-    for basis in skip_bases + [hushed]:
+    # each basis with its modes fitted (a skipped mode's factor would be
+    # the fit's) and kept on the series, each for good before its curves
+    # (see test_interleaved_curves_are_bit_identical_to_a_memo_free_sum)
+    for basis in [_fitted_copy(basis, fitted)
+                  for basis in skip_bases + [hushed]
+                  for fitted in (True, False)]:
         lo, hi = START_RANGE[basis.geometry.value]
         rate0 = basis.alphas[0] ** 2
         for _ in range(12):
@@ -1412,8 +1527,11 @@ def test_skipped_factors_leave_every_value_and_flag_bit_for_bit(skip_bases):
             times = [first] + _skip_times(rng, basis, 24)
             rng.shuffle(times)
             for t in times:
-                survival, density = _memo_free_values(basis, z0, t,
-                                                      _unthinned_mode_term)
+                # a fresh factor of a fitted mode is the fit's (pinned to
+                # mpmath in test_factors_at_the_unthinned_starts_hold_
+                # their_claims), so the oracle reads it too
+                survival, density = _memo_free_values(
+                    basis, z0, t, _read_factor(_unthinned_mode_term))
                 for fn, want in ((spectral.survival, survival),
                                  (spectral.fet_density, density)):
                     got = fn(basis, z0, t)
@@ -1421,7 +1539,7 @@ def test_skipped_factors_leave_every_value_and_flag_bit_for_bit(skip_bases):
                         _hexed(want), (basis, z0, t)
     # the skip fired: a sum that skips nothing computes at least
     # min(_MIN_TERMS, live) factors before it can stop
-    assert skipped >= 12
+    assert skipped >= 24
 
 
 def test_each_live_factor_stays_within_half_its_bound(skip_bases):
@@ -1433,10 +1551,15 @@ def test_each_live_factor_stays_within_half_its_bound(skip_bases):
             continue
         lo, hi = START_RANGE[basis.geometry.value]
         starts = [lo + (hi - lo) * k / 400 for k in range(401)]
-        for (n, _, _), bound in zip(basis._live_modes, bounds):
+        # the skip reads a fitted factor where the mode has a fit
+        fits = _fitted_copy(basis)._mode_fits
+        for (n, _, _), bound, fit in zip(basis._live_modes, bounds, fits):
             assert math.isfinite(bound)
             for z0 in starts:
                 assert 2.0 * abs(spectral.mode_term(basis, n, z0)) <= bound
+                if fit is not None:
+                    assert 2.0 * abs(fit.at(z0)) <= bound
+    assert _fits(_fitted_copy(skip_bases[0]))
 
 
 def test_a_late_fresh_start_in_the_ball_takes_fewer_than_five_factors(
@@ -1452,6 +1575,7 @@ def test_a_late_fresh_start_in_the_ball_takes_fewer_than_five_factors(
         return mode_term(basis, n, z0)
 
     monkeypatch.setattr(spectral, "mode_term", counted)
+    basis = dataclasses.replace(basis)
     t = basis.t_min + 5.0 / basis.alphas[0] ** 2
     for z0 in (0.0, 0.25, 0.5, 0.75, 1.0):
         calls.clear()
@@ -1460,6 +1584,271 @@ def test_a_late_fresh_start_in_the_ball_takes_fewer_than_five_factors(
         calls.clear()
         spectral.fet_density(basis, z0 + 1e-9 if z0 < 1.0 else 0.9, t)
         assert 0 < len(calls) < 5
+
+
+# ----------------------------------------------------------------------
+# evaluation: fresh factors from per-mode fits in the start
+# ----------------------------------------------------------------------
+
+def _mp_kummer(mpmath, a, b, z):
+    """M(a, b, z) summed term by term in mpmath, past the largest term
+    (`hyp1f1` is wrong at tiny |a| with large z)."""
+    a, b, z = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(z)
+    term = total = mpmath.mpf(1)
+    k = 0
+    while k <= z + abs(a) or abs(term) > mpmath.mpf(10) ** -45 * abs(total):
+        term *= (a + k) * z / ((b + k) * (k + 1))
+        total += term
+        k += 1
+    return total
+
+
+def _mp_factor(basis, n, z0, rounded=False):
+    """Mode n's factor at the float start z0 in 60-digit mpmath (40 after
+    the series' cancellation): the basis's own float a, b and pair, the
+    float a + 1/2 the interval's odd solution reads, M summed term by term
+    and U from its two-Kummer combination with exact gamma values.  With
+    rounded True, z0 - varphi and kappa z^2 are the floats `mode_term`
+    forms, so only its confluent values and its products err."""
+    mpmath = pytest.importorskip("mpmath")
+    layout, a, b, c1, c2 = basis._factor_rows[n]
+    with mpmath.workdps(60):
+        if layout == "interval":
+            z = (z0 - basis.varphi if rounded
+                 else mpmath.mpf(z0) - mpmath.mpf(basis.varphi))
+            zz = basis.kappa * z * z
+            return (c1 * _mp_kummer(mpmath, a, 0.5, zz)
+                    - c2 * z * _mp_kummer(mpmath, a + 0.5, 1.5, zz))
+        x = (basis.kappa * z0 * z0 if rounded
+             else basis.kappa * mpmath.mpf(z0) ** 2)
+        if layout == "radial-interior":
+            return _mp_kummer(mpmath, a, b, x)
+        assert b != math.floor(b)
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        return (mpmath.gamma(1 - b) / mpmath.gamma(a - b + 1)
+                * _mp_kummer(mpmath, a, b, x)
+                + mpmath.gamma(b - 1) / mpmath.gamma(a) * x ** (1 - b)
+                * _mp_kummer(mpmath, a - b + 1, 2 - b, x))
+
+
+def _series_claim(basis, n, z0):
+    """The claim of `mode_term`'s value at its own rounded kappa z^2: its
+    confluent values' claims, and on the interval two roundings of its
+    terms, as `_modefit.factor_sample` counts them."""
+    layout, a, b, c1, c2 = basis._factor_rows[n]
+    if layout == "interval":
+        z = z0 - basis.varphi
+        zz = basis.kappa * z * z
+        m1 = specfun.kummer_m(a, 0.5, zz)
+        m2 = specfun.kummer_m(a + 0.5, 1.5, zz)
+        p, q = c1 * m1.value, c2 * (z * m2.value)
+        return (abs(c1) * m1.abs_err_estimate
+                + abs(c2 * z) * m2.abs_err_estimate
+                + 2.0 * specfun._EPS * (abs(p) + abs(q)))
+    f = specfun.kummer_m if layout == "radial-interior" else specfun.tricomi_u
+    return f(a, b, basis.kappa * z0 * z0).abs_err_estimate
+
+
+def _check_factor_claims(basis, starts):
+    """Each live factor at each start within its claim of mpmath: the
+    series' at its rounded kappa z^2, the fit's at the start itself;
+    returns the number of fitted factors checked."""
+    fits = _fitted_copy(basis)._mode_fits
+    fitted = 0
+    for (n, _, _), fit in zip(basis._live_modes, fits):
+        for z0 in starts:
+            want = _mp_factor(basis, n, z0, rounded=True)
+            got = spectral.mode_term(basis, n, z0)
+            assert abs(got - want) <= _series_claim(basis, n, z0), (n, z0)
+            if fit is not None and z0 <= fit.hi:
+                want = _mp_factor(basis, n, z0)
+                got = fit.at(z0)
+                assert abs(got - want) <= fit.claim, (n, z0, got, want)
+                fitted += 1
+    return fitted
+
+
+def test_factors_at_the_unthinned_starts_hold_their_claims(skip_bases):
+    # the accuracy companion of `_unthinned_mode_term`'s bit comparison:
+    # seeded starts over the same ranges, on its confluent bases but the
+    # kappa = 10, varphi = 2 interval, whose left starts cancel (ROADMAP
+    # item 2) and whose fits refuse
+    rng = random.Random(35)
+    fitted = 0
+    for basis in skip_bases:
+        if basis.brownian or (basis.kappa, basis.varphi) == (10.0, 2.0):
+            continue
+        lo, hi = START_RANGE[basis.geometry.value]
+        fitted += _check_factor_claims(
+            basis, [rng.uniform(lo, hi) for _ in range(4)] + [lo, hi])
+    assert fitted > 100
+
+
+def test_factors_at_the_memo_free_sums_starts_hold_their_claims(
+        curve_bases):
+    # the accuracy companion of `_memo_free_sum`'s bit comparisons
+    starts = {"interval": (-0.9, 0.0, 0.35, 0.4, 0.25),
+              "radial-exterior": (1.0, 1.7, 1.4, 1.25)}
+    fitted = sum(_check_factor_claims(basis, starts[basis.geometry.value])
+                 for basis in curve_bases if not basis.brownian)
+    assert fitted > 30
+
+
+def test_a_mode_switches_to_its_fit_after_its_first_series_factors(
+        monkeypatch, skip_bases):
+    basis = dataclasses.replace(skip_bases[0])
+    assert (basis.kappa, basis.varphi, basis.n_modes) == (4.0, 0.5, 12)
+    mode_term = spectral.mode_term
+    ground = []
+
+    def counted(basis, n, z0):
+        if n == 0:
+            ground.append(z0)
+        return mode_term(basis, n, z0)
+
+    monkeypatch.setattr(spectral, "mode_term", counted)
+    rng = random.Random(38)
+    # at t_min every sum reads the ground mode at a fresh start first
+    t = basis.t_min
+    after = spectral._FIT_AFTER
+    for k in range(after + 40):
+        z0 = rng.uniform(-1.0, 1.0)
+        series = _memo_free_sum(basis, z0, t, False, mode_term)
+        want = _memo_free_sum(basis, z0, t, False, _read_factor(mode_term))
+        got = spectral._spectral_sum(basis, z0, t, False)
+        assert _hexed(got) == _hexed(want)
+        ground_fit = basis._mode_fits[0]
+        if k < after - 1:
+            assert ground_fit == k + 1
+        if k < after:
+            # the fit is made by the call that computes the last series
+            # factor, after that factor is summed
+            assert _hexed(got) == _hexed(series)
+            assert len(ground) == k + 1
+        else:
+            assert isinstance(ground_fit, _modefit.ModeFit)
+            assert len(ground) == after
+            claims = sum(abs(w * math.exp(-lam * t)) * (
+                fit.claim + _series_claim(basis, n, z0))
+                for (n, w, lam), fit in zip(basis._live_modes,
+                                            basis._mode_fits)
+                if isinstance(fit, _modefit.ModeFit))
+            assert abs(got[0] - series[0]) <= claims
+
+
+def test_a_basis_used_like_basis_build_keeps_every_bit(skip_bases):
+    # four curves of 200 points at four starts, as a `basis-build` pass
+    # takes on each of its bases: no mode reaches its fit
+    for basis in map(dataclasses.replace, skip_bases[:4]):
+        lo, hi = START_RANGE[basis.geometry.value]
+        rate0 = basis.alphas[0] ** 2
+        times = [basis.t_min + 10.0 * i / (199 * rate0) for i in range(200)]
+        for stratum in range(4):
+            z0 = lo + (hi - lo) * (stratum + 0.5) / 4
+            factors = {n: spectral.mode_term(basis, n, z0)
+                       for n, _, _ in basis._live_modes}
+            for t in times:
+                want, _ = _memo_free_values(
+                    basis, z0, t, lambda basis, n, z0: factors[n])
+                got = spectral.survival(basis, z0, t)
+                assert _hexed((float(got), got.raw, got.warning)) == \
+                    _hexed(want)
+        assert all(type(fit) is int and fit < spectral._FIT_AFTER
+                   for fit in basis._mode_fits)
+
+
+def test_the_kappa_10_varphi_2_interval_refuses_its_fits(skip_bases):
+    basis = dataclasses.replace(skip_bases[1])
+    assert (basis.kappa, basis.varphi) == (10.0, 2.0)
+    assert [spectral._fit_mode(basis, n) for n, _, _ in basis._live_modes] \
+        == [None] * len(basis._live_modes)
+    # the sums that reach the count refuse too, and stay on the series
+    rng = random.Random(10)
+    for _ in range(spectral._FIT_AFTER + 4):
+        z0 = rng.uniform(-1.0, 1.0)
+        got = spectral._spectral_sum(basis, z0, basis.t_min, False)
+        assert _hexed(got) == _hexed(
+            _memo_free_sum(basis, z0, basis.t_min, False))
+    assert basis._mode_fits == [None] * len(basis._live_modes)
+
+
+def test_an_exterior_start_past_its_fit_takes_the_series_bits(skip_bases):
+    basis = _fitted_copy(skip_bases[3])
+    assert basis.geometry is Geometry.RADIAL_EXTERIOR
+    fits = _fits(basis)
+    assert len(fits) == len(basis._live_modes)
+    # R = 1 + 2 / sqrt(kappa), from the basis alone
+    assert {fit.hi for fit in fits} == {3.0}
+    t = basis.t_min + 1.0 / basis.alphas[0] ** 2
+    for z0, fitted in ((2.5, True), (3.0, True), (3.0 + 1e-12, False),
+                       (4.0, False), (7.5, False)):
+        series = _memo_free_values(basis, z0, t)
+        want = _memo_free_values(basis, z0, t, _read_factor())
+        assert (want != series) is fitted or z0 == 3.0
+        for fn, k in ((spectral.survival, 0), (spectral.fet_density, 1)):
+            got = fn(basis, z0, t)
+            assert _hexed((float(got), got.raw, got.warning)) == \
+                _hexed(want[k])
+
+
+def test_fitted_sums_stay_within_their_claims_of_the_series_sums(
+        skip_bases):
+    # the fitted curve-eval bases: survival within 1e-12 of the series
+    # path, fet_density within 1e-10 of its term mass, no flag flips
+    rng = random.Random(1000)
+    for case in (0, 2, 3):
+        basis = skip_bases[case]
+        fitted = _fitted_copy(basis)
+        series = _fitted_copy(basis, False)
+        assert _fits(fitted)
+        lo, hi = START_RANGE[basis.geometry.value]
+        rate0 = basis.alphas[0] ** 2
+        for _ in range(150):
+            z0 = rng.uniform(lo, hi)
+            t = basis.t_min + rng.uniform(0.0, 5.0 / rate0)
+            got, want = (spectral.survival(b, z0, t) for b in (fitted, series))
+            assert abs(got.raw - want.raw) <= 1e-12
+            assert got.warning is want.warning
+            got, want = (spectral.fet_density(b, z0, t)
+                         for b in (fitted, series))
+            _, mass, _ = spectral._spectral_sum(series, z0, t, True)
+            assert abs(got.raw - want.raw) <= 1e-10 * mass
+            assert got.warning is want.warning
+
+
+def test_near_wall_fitted_survival_loses_relative_accuracy_as_stated(
+        skip_bases):
+    # a fit's error is absolute, at most 1e-12 of sup |u_n|, while S and
+    # each u_n vanish at a wall, so the fitted path's relative error
+    # grows as 1/(1 - |z0|): on the kappa = 4, varphi = 1/2 interval it
+    # is measured at 2.3e-12 at z0 = 0.999 and 1.8e-10 at 0.9999, against
+    # 2e-14 and 8e-13 on the series path.  At the left wall the series
+    # itself cancels (c1 m1 against c2 z m2) and is the less accurate one
+    # (1.6e-11 against 2e-12 at -0.999).  Both stay within 5e-14 / (1 -
+    # |z0|) of 40-digit mpmath and of each other
+    mpmath = pytest.importorskip("mpmath")
+    basis = skip_bases[0]
+    assert (basis.kappa, basis.varphi) == (4.0, 0.5)
+    fitted = _fitted_copy(basis)
+    series = _fitted_copy(basis, False)
+    assert len(_fits(fitted)) == len(basis._live_modes)
+    rate0 = basis.alphas[0] ** 2
+    with mpmath.workdps(40):
+        for z0 in (-0.999, 0.999, -0.9999, 0.9999):
+            bound = 5e-14 / (1.0 - abs(z0))
+            factors = [_mp_factor(basis, n, z0)
+                       for n, _, _ in basis._live_modes]
+            for t in (basis.t_min, basis.t_min + 1.0 / rate0,
+                      basis.t_min + 5.0 / rate0):
+                ref = sum(w * mpmath.exp(-mpmath.mpf(lam) * t) * u
+                          for (_, w, lam), u in zip(basis._live_modes,
+                                                    factors))
+                got, want = (spectral.survival(b, z0, t)
+                             for b in (fitted, series))
+                assert not got.warning and not want.warning
+                assert abs(got.raw - want.raw) <= bound * want.raw
+                for value in (got.raw, want.raw):
+                    assert abs(value - ref) <= bound * ref, (z0, t, value)
 
 
 def test_a_spectral_value_from_its_constructor_is_a_float_with_a_bool_flag():
