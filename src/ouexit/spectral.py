@@ -44,7 +44,10 @@ term a per-mode bound on its factor shows cannot move a bit of the sum.
 A mode factor is a fixed function of the start, so once the sums have
 computed `_FIT_AFTER` series factors of a mode, its later fresh factors
 come from a Chebyshev interpolant fitted over the start range, where
-the fit can claim 1e-12 of the factor's size (`_modefit`).
+the fit can claim 1e-12 of the factor's size (`_modefit`); on an
+interval whose trap centre lies outside it, the fit is sampled from the
+confluent pair recessive toward the far wall, where the series' pair
+cancels.
 
 Per-mode data come from confluent functions alone, with no quadrature.
 Each survival weight is a residue of the closed-form generating
@@ -150,7 +153,10 @@ _GAP_SLACK = 1.3
 # series factors of its mode on the `curve-eval` bases, so a mode that
 # reaches the switch has spent at most about twice what the series alone
 # would; a fitted basis gains from about 550 to 750 random starts on
-# (`BENCH_mode_tables.json`).
+# (`BENCH_mode_tables.json`).  A kappa = 10, varphi = 2 mode, fitted at
+# 96 points from the far-centre pair, costs 820 to 2,050 of its series
+# factors, and that basis is ahead of the series path from about 1,700
+# random starts on (`BENCH_far_centre_fits.json`).
 _FIT_AFTER = 256
 
 
@@ -1015,7 +1021,10 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
     value: the sums take a mode's fresh factors from its fit once they
     have computed `_FIT_AFTER` of them here (`_spectral_sum`), and a fit
     differs from this value within the fit's claim and this value's own
-    error.
+    error.  Where the trap centre lies outside the interval that error is
+    the far larger one toward the far wall, where c1 m1 - c2 m2 cancels
+    (ROADMAP item 2), and the fit reads the pair recessive toward that
+    wall.
     """
     layout, a, b, c1, c2 = basis._factor_rows[n]
     if layout == "interval":
@@ -1172,15 +1181,20 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
     last of them fits the mode (`_fit_mode`) after using its series
     value, and each later fresh factor at a start the fit covers comes
     from the fit.  A refused fit leaves the mode on the series for good.
-    So the sums of one basis object move in their last bits at that
-    switch, by at most the weighted fit claims, each within 1e-12 of its
-    mode's largest factor, plus the series' own errors; a basis that
-    serves a few starts, as a `basis-build` curve does, never fits.  A
-    fitted factor is within its claim of sup |factor| (1 + 1e-12) <=
-    B_n/2 (1 + 1e-12), so the skip above still drops only terms below
-    2^-55 |acc|.  The kept rows and the later modes have a loop each: one
-    loop over both cost 24% to 26% of `basis-build` `op_ms.p50`
-    (`BENCH_fork_audit.json`, `BENCH_twin_loops.json`).
+    So the sums of one basis object move at that switch by at most the
+    weighted fit claims, each within 1e-12 of its mode's largest factor,
+    plus the series' own errors: in their last bits where the trap
+    centre lies inside the interval or the ball, and far more toward the
+    far wall of an interval whose centre lies outside it, where the fits
+    read another form (`_modefit._far_centre`); a basis that serves a
+    few starts, as a `basis-build` curve does, never fits.  A fitted
+    factor is within its claim of sup |factor| (1 + 1e-12) <= B_n/2 (1 +
+    1e-12), so the skip above still drops only terms below 2^-55 |acc|;
+    the far-centre factors of the kappa = 10, varphi = +/-2 intervals,
+    which B_n does not bound by construction, lie 1e39 below it.  The
+    kept rows and the later modes have a loop each: one loop over both
+    cost 24% to 26% of `basis-build` `op_ms.p50` (`BENCH_fork_audit.json`,
+    `BENCH_twin_loops.json`).
     """
     global _rows
     z0 = _check_start(basis.geometry, z0)
@@ -1274,9 +1288,16 @@ def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     object have computed `_FIT_AFTER` series factors of a mode, its later
     fresh factors come from a Chebyshev fit in the start (`_fit_mode`),
     where the fit's claim is within 1e-12 of the factor's size: values
-    in one process can move in their last bits at that switch, within
-    the fits' claims (at most 2.2e-13 over 1,000 seeded points on each
-    fitted `curve-eval` basis, `BENCH_mode_tables.json`).
+    in one process can move at that switch, within the fits' claims and
+    the series' own errors.  On the kappa = 4 interval, the ball and the
+    exterior of `curve-eval` that is at most 2.2e-13 over 1,000 seeded
+    points (`BENCH_mode_tables.json`).  On an interval whose trap centre
+    lies outside it the fits read the pair recessive toward the far
+    wall, and the series is the one that errs at starts near that wall:
+    on the kappa = 10, varphi = 2 interval at z0 = -0.8, t = 0.12 it
+    returns 0.0191, the fitted path 7.4478227085e-6 and collocation
+    7.4478227663e-6, and the fitted path holds 1e-9 of collocation at
+    t = 0.12 and 0.2 from z0 = -0.95 to 0.95 (`test_collocation.py`).
     z0 must be finite and inside the geometry's domain, and near enough
     that its mode factors fit a float.
     """
@@ -1299,9 +1320,9 @@ def fet_density(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     marks raw values below -1% of the term mass and any t below t_min.
     It shares the kept mode rows of the latest start with `survival`,
     and skips a mode as `survival` does, with lambda |w exp(-lambda t)|
-    in the test.  It shares the mode fits too, so its values can move in
-    their last bits at a mode's switch to its fit, as `survival`'s can,
-    within the fit's claim times lambda |w exp(-lambda t)|.
+    in the test.  It shares the mode fits too, so its values can move at
+    a mode's switch to its fit, as `survival`'s can, within the fit's
+    claim times lambda |w exp(-lambda t)| and the series' own error.
     """
     raw, abs_acc, converged = _spectral_sum(basis, z0, t, True)
     # max(0.0, raw), NaN to 0.0 included

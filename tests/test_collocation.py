@@ -5,10 +5,12 @@ and survival of the radial ones, from the generator alone, with numpy and
 scipy, sharing no code with `specfun`.  Roots are pinned within 1e-11,
 survival within 1e-9 wherever it is not flagged; the radial bases are
 pinned on both their paths, fresh factors from the series and from the
-mode fits.  Strict xfails name the inputs where the library is
-known to be wrong: left starts on bases whose left boundary sits far
-from the trap centre, where the interval pair cancels, and the (5, 4)
-build that refuses a real root.
+mode fits, and the kappa = 10, varphi = +/-2 intervals on their fits,
+which read the pair recessive toward the far wall.  Strict xfails name
+the inputs where the library is known to be wrong: left starts on
+fresh bases whose left boundary sits far from the trap centre, where
+the series' interval pair cancels, and the (5, 4) build that refuses a
+real root.
 """
 
 import dataclasses
@@ -75,6 +77,42 @@ def test_left_start_survival_matches_collocation_or_is_flagged(
     got = survival(basis, z0, t)
     want, = _collocation.interval_survival(kappa, varphi, t, [z0])
     assert got.warning or abs(got.raw - want) <= 1e-9, (got.raw, want)
+
+
+@pytest.fixture(scope="module")
+def far_centre_fits():
+    """The benchmark's kappa = 10, varphi = 2 interval and its mirror,
+    four modes each, with every mode on its fit: these bases fit from
+    the pair recessive toward the far wall (`_modefit._far_centre`)."""
+    return {varphi: _on_path(build_basis("interval", 10.0, varphi, 1, 4),
+                             True)
+            for varphi in (2.0, -2.0)}
+
+
+FAR_STARTS = [round(-0.95 + 0.1 * k, 2) for k in range(20)]
+
+
+@pytest.mark.parametrize("varphi", [2.0, -2.0])
+def test_far_centre_fitted_survival_matches_collocation(far_centre_fits,
+                                                        varphi):
+    # the series path is wrong here: at (-0.8, 0.12) on varphi = 2 it
+    # returns 0.0191, and at (0.8, 0.12) on varphi = -2 0.1449, where
+    # collocation gives 7.45e-6 (ROADMAP item 2)
+    basis = far_centre_fits[varphi]
+    for t in (0.12, 0.2):
+        want = _collocation.interval_survival(10.0, varphi, t, FAR_STARTS)
+        for z0, w in zip(FAR_STARTS, want):
+            got = survival(basis, z0, t)
+            assert not got.warning
+            assert abs(got.raw - w) <= 1e-9, (z0, t, got.raw, w)
+
+
+def test_far_centre_fitted_survival_is_mirror_symmetric(far_centre_fits):
+    for t in (0.12, 0.2):
+        for z0 in FAR_STARTS:
+            right = survival(far_centre_fits[2.0], z0, t).raw
+            left = survival(far_centre_fits[-2.0], -z0, t).raw
+            assert abs(right - left) <= 1e-12, (z0, t, right, left)
 
 
 # (geometry, kappa, d, n_modes) of the benchmark's radial curve-eval bases

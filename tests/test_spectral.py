@@ -1672,7 +1672,8 @@ def test_factors_at_the_unthinned_starts_hold_their_claims(skip_bases):
     # the accuracy companion of `_unthinned_mode_term`'s bit comparison:
     # seeded starts over the same ranges, on its confluent bases but the
     # kappa = 10, varphi = 2 interval, whose left starts cancel (ROADMAP
-    # item 2) and whose fits refuse
+    # item 2) and whose fits read another function of the start, the
+    # far-centre pair's (test_far_centre_fits_hold_their_claims)
     rng = random.Random(35)
     fitted = 0
     for basis in skip_bases:
@@ -1757,19 +1758,159 @@ def test_a_basis_used_like_basis_build_keeps_every_bit(skip_bases):
                    for fit in basis._mode_fits)
 
 
-def test_the_kappa_10_varphi_2_interval_refuses_its_fits(skip_bases):
+def _fit_sup(fit):
+    """sup |factor| as the fit reads it: |fit.at| at its own points and
+    between them, its claim added for the dropped tail."""
+    m = len(fit.tail) + 1
+    grid = [math.cos(math.pi * k / (8 * m)) for k in range(8 * m + 1)]
+    return max(abs(fit.at(z0)) for z0 in grid) + fit.claim
+
+
+def test_the_kappa_10_varphi_2_interval_fits_from_the_recessive_pair(
+        skip_bases):
+    # its trap centre lies outside the interval, so its samples come from
+    # the pair recessive toward the far wall, and the 48-point interpolant
+    # leaves a tail of about 1e-8 of sup: each mode is fitted at 96 points
     basis = dataclasses.replace(skip_bases[1])
     assert (basis.kappa, basis.varphi) == (10.0, 2.0)
-    assert [spectral._fit_mode(basis, n) for n, _, _ in basis._live_modes] \
-        == [None] * len(basis._live_modes)
-    # the sums that reach the count refuse too, and stay on the series
+    fits = [spectral._fit_mode(basis, n) for n, _, _ in basis._live_modes]
+    assert all(isinstance(fit, _modefit.ModeFit) for fit in fits)
+    for fit in fits:
+        assert 48 <= len(fit.tail) < 2 * _modefit._FIT_NODES
+        assert fit.claim <= _modefit._FIT_TOL * _fit_sup(fit)
+    # the sums that reach the count take the fits, bit for bit
     rng = random.Random(10)
     for _ in range(spectral._FIT_AFTER + 4):
         z0 = rng.uniform(-1.0, 1.0)
+        want = _memo_free_sum(basis, z0, basis.t_min, False, _read_factor())
         got = spectral._spectral_sum(basis, z0, basis.t_min, False)
-        assert _hexed(got) == _hexed(
-            _memo_free_sum(basis, z0, basis.t_min, False))
-    assert basis._mode_fits == [None] * len(basis._live_modes)
+        assert _hexed(got) == _hexed(want)
+    assert basis._mode_fits == fits
+
+
+def _mp_far_factor(basis, n, z0):
+    """Mode n's far-centre factor K h at the float start z0 in 90-digit
+    mpmath, at the basis's own float a (`_modefit._far_centre`): M summed
+    term by term, U and the dominant solution from the pair with exact
+    gamma values, and K from the pair's exact slopes at z0 = 1."""
+    mpmath = pytest.importorskip("mpmath")
+    _, a, _, _, _ = basis._factor_rows[n]
+    with mpmath.workdps(90):
+        a, kappa = mpmath.mpf(a), mpmath.mpf(basis.kappa)
+        varphi = mpmath.mpf(basis.varphi)
+        half = mpmath.mpf(1) / 2
+        s = 1 if varphi > 0 else -1
+        g1 = mpmath.sqrt(mpmath.pi) / mpmath.gamma(a + half)
+        g2 = s * 2 * mpmath.sqrt(mpmath.pi * kappa) / mpmath.gamma(a)
+
+        def pair(x):
+            zz = kappa * x * x
+            return (_mp_kummer(mpmath, a, half, zz),
+                    x * _mp_kummer(mpmath, a + half, 3 * half, zz))
+
+        def slopes(x):
+            zz = kappa * x * x
+            return (4 * a * kappa * x
+                    * _mp_kummer(mpmath, a + 1, 3 * half, zz),
+                    _mp_kummer(mpmath, a + half, 3 * half, zz)
+                    + 4 * (a + half) * zz / 3
+                    * _mp_kummer(mpmath, a + 3 * half, 5 * half, zz))
+
+        def dominant(m):
+            return g1 * m[0] - g2 * m[1]
+
+        def recessive(m):
+            return g1 * m[0] + g2 * m[1]
+
+        far = pair(-s - varphi)
+        d_f, r_f = dominant(far), recessive(far)
+        x_1 = 1 - varphi
+        dm = slopes(x_1)
+        k = -mpmath.exp(kappa * x_1 * x_1) / (d_f * recessive(dm)
+                                                - r_f * dominant(dm))
+        m = pair(mpmath.mpf(z0) - varphi)
+        return k * (d_f * recessive(m) - r_f * dominant(m))
+
+
+def test_far_centre_fits_hold_their_claims(skip_bases):
+    # the kappa = 10, varphi = +/-2 fits against the far-centre factor at
+    # seeded starts and at both walls
+    rng = random.Random(39)
+    starts = [-1.0, -0.999, 1.0] + [rng.uniform(-1.0, 1.0) for _ in range(5)]
+    for basis in (skip_bases[1], build_basis("interval", 10.0, -2.0, 1, 4)):
+        for n, _, _ in basis._live_modes:
+            fit = spectral._fit_mode(basis, n)
+            for z0 in starts:
+                want = _mp_far_factor(basis, n, z0)
+                assert abs(fit.at(z0) - want) <= fit.claim, (n, z0)
+
+
+def test_near_centre_samples_agree_in_both_forms_just_past_varphi_one():
+    # kappa = 2, varphi = +/-1.2: on the half of the interval near the
+    # trap centre neither c1 m1 - c2 m2 nor the far-centre pair cancels,
+    # so the two agree within their claims, plus those of the pair's
+    # values at z0 = 1 that c1 and c2 are; this pins K and the sign of
+    # each side's pair
+    for varphi in (1.2, -1.2):
+        basis = build_basis("interval", 2.0, varphi, 1, 6)
+        z1 = 1.0 - varphi
+        zz1 = 2.0 * z1 * z1
+        for n in range(basis.n_modes):
+            _, a, _, c1, c2 = basis._factor_rows[n]
+            m2_1 = specfun.kummer_m(a + 0.5, 1.5, zz1)
+            m1_1 = specfun.kummer_m(a, 0.5, zz1)
+            assert (c1, c2) == (z1 * m2_1.value, m1_1.value)
+            e_c1 = abs(z1) * m2_1.abs_err_estimate + specfun._EPS * abs(c1)
+            e_c2 = m1_1.abs_err_estimate
+            sample = _modefit.factor_sample(basis, n)
+            for k in range(21):
+                z0 = -math.copysign(k / 20.0, varphi) + 0.0
+                new, e_new = sample(z0)
+                z = z0 - varphi
+                zz = 2.0 * z * z
+                m1, e1 = _modefit._m_claimed(a, 0.5, zz)
+                m2, e2 = _modefit._m_claimed(a + 0.5, 1.5, zz)
+                p, q = c1 * m1, c2 * (z * m2)
+                e_old = (abs(c1) * e1 + abs(c2 * z) * e2
+                         + 2.0 * specfun._EPS * (abs(p) + abs(q)))
+                bound = e_new + e_old + e_c1 * abs(m1) + e_c2 * abs(z * m2)
+                assert abs(new - (p - q)) <= bound, (varphi, n, z0)
+
+
+def test_weighted_lebesgue_sums_peak_on_the_read_grid(monkeypatch,
+                                                      skip_bases):
+    # `_sample_noise` reads the weighted Lebesgue sum on a grid four times
+    # finer than the points' angles: on every kept fit of the four
+    # curve-eval bases, the 96-point ones included, a grid 64 times finer
+    # reads a largest sum within 5% of it (measured: no larger at all;
+    # each peak lies at an end of [-1, 1], which both grids hold)
+    numpy = pytest.importorskip("numpy")
+    noise = _modefit._sample_noise
+    read = []
+
+    def recorded(lebesgue, claims):
+        read.append((len(claims), list(claims), noise(lebesgue, claims)))
+        return read[-1][2]
+
+    monkeypatch.setattr(_modefit, "_sample_noise", recorded)
+    kept = {48: 0, 96: 0}
+    for basis in skip_bases[:4]:
+        for n, _, _ in basis._live_modes:
+            read.clear()
+            if _modefit.fit_mode(basis, n) is None:
+                continue
+            m, claims, got = read[-1]
+            angles = numpy.pi * (numpy.arange(m) + 0.5) / m
+            k = numpy.arange(64 * m + 1)
+            t = numpy.pi * k[k % 64 != 32] / (64 * m)
+            rows = (numpy.abs(numpy.cos(m * t))[:, None] / m
+                    * numpy.sin(angles)[None, :]
+                    / numpy.abs(numpy.cos(t)[:, None]
+                                - numpy.cos(angles)[None, :]))
+            fine = max(max(claims), float((rows @ numpy.array(claims)).max()))
+            assert fine <= 1.05 * got, (basis.kappa, n, fine / got)
+            kept[m] += 1
+    assert kept == {48: 32, 96: 4}
 
 
 def test_an_exterior_start_past_its_fit_takes_the_series_bits(skip_bases):
