@@ -7,10 +7,12 @@ factors of a mode, it fits the mode here (`fit_mode`): a Chebyshev
 interpolant over the layout's start range, from samples whose confluent
 values carry their claims, kept only where the fit's claim is at most
 _FIT_TOL of the factor's size.  Its later fresh factors are read from
-the fit (`ModeFit.at`).  Where the trap centre lies outside the interval
-the samples come from the confluent pair recessive toward the far wall
-(`_far_centre`), not from the series' c1 m1 - c2 m2, which cancels
-there.  `spectral` imports this module at a process's first fit.
+the fit (`ModeFit.at`), or skipped where the fit's own bound
+(`ModeFit.bound`) shows their terms cannot move the sum.  Where the
+trap centre lies outside the interval the samples come from the
+confluent pair recessive toward the far wall (`_far_centre`), not from
+the series' c1 m1 - c2 m2, which cancels there.  `spectral` imports this
+module at a process's first fit.
 """
 
 from __future__ import annotations
@@ -42,7 +44,12 @@ class ModeFit(NamedTuple):
     """A mode factor fitted in the start (`fit_mode`): the sum of
     c_k T_k(x) with x = (z0 - mid) inv_half, for starts up to `hi`.  It
     holds c_0 and the tail c_deg, ..., c_1 in the order Clenshaw's
-    recurrence reads it, and the fit's claimed absolute error."""
+    recurrence reads it, the fit's claimed absolute error, and `bound`,
+    2 (sum_k |c_k| + claim) over the coefficients before the tail was
+    trimmed: |T_k(x)| <= 1 on [-1, 1], and the claim covers the rounding
+    of Clenshaw's recurrence, so bound >= 2 |at(z0)| at every start the
+    fit covers; the factor two absorbs the roundings of the test by
+    which `spectral._spectral_sum` skips a term on it."""
 
     hi: float
     mid: float
@@ -50,6 +57,7 @@ class ModeFit(NamedTuple):
     c0: float
     tail: tuple[float, ...]
     claim: float
+    bound: float
 
     def at(self, z0: float) -> float:
         """The fitted factor at z0, by Clenshaw's recurrence."""
@@ -345,7 +353,8 @@ def _interpolate(sample, nodes: int, lo: float, hi: float, shift: float):
     noise = _sample_noise(tables.lebesgue, [
         e + _EPS * abs((mid + half * math.cos(t) - shift) / half * u)
         for (_, e), t, u in zip(samples, tables.angles, slope_at)])
-    rounding = nodes * _EPS * sum(abs(c) for c in coeffs)
+    size = sum(abs(c) for c in coeffs)
+    rounding = nodes * _EPS * size
     room = min(noise, _FIT_TOL * sup - noise - rounding)
     if not room >= 0.0:
         return None, False
@@ -354,7 +363,7 @@ def _interpolate(sample, nodes: int, lo: float, hi: float, shift: float):
         dropped += abs(coeffs.pop())
     claim = noise + dropped + rounding
     fit = ModeFit(hi, mid, 1.0 / half, coeffs[0], tuple(coeffs[:0:-1]),
-                  claim)
+                  claim, 2.0 * (size + claim))
     for z0, value, err in checks:
         if not abs(fit.at(z0) - value) <= claim + err:
             return None, True

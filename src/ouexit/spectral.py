@@ -39,15 +39,15 @@ such gap: where a family's lowest root lies below the sweep's top, no
 level is missed between the two, so that gap is measured and rescanned
 from the top, not from the lowest root: a trap's ground gap is wider
 than the spacing law though it can hide no level.  Mode sums read a
-per-basis table of the modes with nonzero weight, and skip a mode whose
-term a per-mode bound on its factor shows cannot move a bit of the sum.
-A mode factor is a fixed function of the start, so once the sums have
-computed `_FIT_AFTER` series factors of a mode, its later fresh factors
-come from a Chebyshev interpolant fitted over the start range, where
-the fit can claim 1e-12 of the factor's size (`_modefit`); on an
-interval whose trap centre lies outside it, the fit is sampled from the
-confluent pair recessive toward the far wall, where the series' pair
-cancels.
+per-basis table of the modes with nonzero weight.  A mode factor is a
+fixed function of the start, so once the sums have computed
+`_FIT_AFTER` series factors of a mode, its later fresh factors come
+from a Chebyshev interpolant fitted over the start range, where the fit
+can claim 1e-12 of the factor's size (`_modefit`); on an interval whose
+trap centre lies outside it, the fit is sampled from the confluent pair
+recessive toward the far wall, where the series' pair cancels.  The
+fit's coefficient sum bounds its factor, and a sum skips a fitted mode
+whose term that bound shows cannot move a bit of the sum.
 
 Per-mode data come from confluent functions alone, with no quadrature.
 Each survival weight is a residue of the closed-form generating
@@ -281,14 +281,6 @@ class SpectralBasis:
                       c1, c2)
                      for alpha, (c1, c2) in zip(self.alphas,
                                                 self.coeff_pairs))
-
-    @functools.cached_property
-    def _factor_bounds(self) -> tuple[float, ...]:
-        """`_factor_bound` of each entry of `_live_modes`, in order: the
-        bounds by which a spectral sum skips a factor that cannot move
-        it.  Formed at the first sum that meets a mode beyond its start's
-        kept rows, and cached like `t_min`."""
-        return tuple(_factor_bound(self, n) for n, _, _ in self._live_modes)
 
     @functools.cached_property
     def _mode_fits(self) -> list:
@@ -1050,39 +1042,6 @@ def mode_term(basis: SpectralBasis, n: int, z0: float) -> float:
     raise _far_start(z0, z)
 
 
-def _factor_bound(basis: SpectralBasis, n: int) -> float:
-    """B_n >= 2 sup |mode_term(basis, n, z0)| over the accepted starts,
-    or inf.
-
-    The Pochhammer bound |(a)_k| <= (|a|)_k gives |M(a, b, Z)| <=
-    M(|a|, b, Z), and M(|a|, b, Z) grows with Z.  Inside the ball Z =
-    kappa z0^2 <= kappa, so the factor is at most M(|a|, d/2, kappa).  On
-    the interval |z| = |z0 - varphi| <= 1 + |varphi| and Z <= Z* =
-    kappa (1 + |varphi|)^2, and |a + 1/2| <= |a| + 1/2, so |c1 m1 - c2 m2|
-    is at most |c1| M(|a|, 1/2, Z*) + |c2| (1 + |varphi|) M(|a| + 1/2,
-    3/2, Z*).  B_n is twice that, which absorbs the rounding of the bound
-    and of the factor.  U grows without bound as z0 -> inf, so an
-    exterior mode takes inf, and so does a free-diffusion one; a bound
-    that raises or reaches 1e300 is inf too.  An inf bound never lets
-    a sum skip its mode.
-    """
-    layout, a, b, c1, c2 = basis._factor_rows[n]
-    try:
-        if layout == "radial-interior":
-            bound = 2.0 * kummer_m(-a, b, basis.kappa).value
-        elif layout == "interval":
-            span = 1.0 + abs(basis.varphi)
-            zz = basis.kappa * span * span
-            bound = 2.0 * (abs(c1) * kummer_m(-a, 0.5, zz).value
-                           + abs(c2) * span
-                           * kummer_m(0.5 - a, 1.5, zz).value)
-        else:
-            return math.inf
-    except (ArithmeticError, ValueError):
-        return math.inf
-    return bound if bound < 1e300 else math.inf
-
-
 def _far_start(z0: float, z: float) -> ValueError:
     """The error for a start whose radial factor, at z = kappa z0^2,
     passes float range, naming the start rather than z."""
@@ -1149,12 +1108,26 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
     sign.
 
     The start's kept rows are summed first; each later live mode takes
-    its factor from `mode_term`, read through the module's name so that
-    a wrapper put on it sees every call, unless the factor cannot move a
-    bit of the sum.  With pw = w exp(-lambda t), the product the term
-    forms first (times lambda for a density), and the mode's bound
-    B_n >= 2 sup |factor| over the accepted starts (`_factor_bound`), such
-    a mode is skipped where |pw| B_n < 2^-55 |acc|:
+    a fresh factor.  It is the series value from `mode_term`, read
+    through the module's name so that a wrapper put on it sees every
+    call, until the sums have computed `_FIT_AFTER` of them for that
+    mode (the count and the fit sit in `SpectralBasis._mode_fits`); the
+    call that computes the last of them fits the mode (`_fit_mode`)
+    after using its series value, and each later fresh factor at a start
+    the fit covers comes from the fit.  A refused fit, and a start past
+    the fit's reach, leave the mode on the series.  So the sums of one
+    basis object move at that switch by at most the weighted fit claims,
+    each within 1e-12 of its mode's largest factor, plus the series' own
+    errors: in their last bits where the trap centre lies inside the
+    interval or the ball, and far more toward the far wall of an
+    interval whose centre lies outside it, where the fits read another
+    form (`_modefit._far_centre`); a basis that serves a few starts, as
+    a `basis-build` curve does, never fits.
+
+    A mode read from its fit is skipped where its term cannot move a bit
+    of the sum.  With pw = w exp(-lambda t), the product the term forms
+    first (times lambda for a density), and the fit's `bound` >= 2
+    |fit.at(z0)|, the mode is skipped where |pw| bound < 2^-55 |acc|:
 
     - the term, pw times the factor (times lambda), rounded, is then
       below 2^-55 |acc| too, which is under a quarter of acc's ulp
@@ -1169,32 +1142,14 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
       the final test as |term| did;
     - acc = 0 and NaN never skip, the comparison being false.
 
-    So the value, `raw` and `warning` of either evaluator are the full
-    sum's, bit for bit.  The slot takes the rows computed before the
-    first skipped mode, a prefix of the live modes, once the sum stops
-    reading; a later call at the start computes a skipped mode where it
-    needs it.
-
-    A fresh factor is the series value from `mode_term` until the sums
-    have computed `_FIT_AFTER` of them for that mode (the count and the
-    fit sit in `SpectralBasis._mode_fits`); the call that computes the
-    last of them fits the mode (`_fit_mode`) after using its series
-    value, and each later fresh factor at a start the fit covers comes
-    from the fit.  A refused fit leaves the mode on the series for good.
-    So the sums of one basis object move at that switch by at most the
-    weighted fit claims, each within 1e-12 of its mode's largest factor,
-    plus the series' own errors: in their last bits where the trap
-    centre lies inside the interval or the ball, and far more toward the
-    far wall of an interval whose centre lies outside it, where the fits
-    read another form (`_modefit._far_centre`); a basis that serves a
-    few starts, as a `basis-build` curve does, never fits.  A fitted
-    factor is within its claim of sup |factor| (1 + 1e-12) <= B_n/2 (1 +
-    1e-12), so the skip above still drops only terms below 2^-55 |acc|;
-    the far-centre factors of the kappa = 10, varphi = +/-2 intervals,
-    which B_n does not bound by construction, lie 1e39 below it.  The
-    kept rows and the later modes have a loop each: one loop over both
-    cost 24% to 26% of `basis-build` `op_ms.p50` (`BENCH_fork_audit.json`,
-    `BENCH_twin_loops.json`).
+    So the value, `raw` and `warning` of either evaluator are those of
+    the sum that reads every fitted factor, bit for bit.  A series
+    factor is never skipped.  The slot takes the rows computed before
+    the first skipped mode, a prefix of the live modes, once the sum
+    stops reading; a later call at the start computes a skipped mode
+    where it needs it.  The kept rows and the later modes have a loop
+    each: one loop over both cost 24% to 26% of `basis-build`
+    `op_ms.p50` (`BENCH_fork_audit.json`, `BENCH_twin_loops.json`).
     """
     global _rows
     z0 = _check_start(basis.geometry, z0)
@@ -1219,7 +1174,6 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
             return acc, abs_acc, True
     live = basis._live_modes
     if len(rows) < len(live):
-        bounds = basis._factor_bounds
         fits = basis._mode_fits
         new = []
         keeping = True
@@ -1227,20 +1181,20 @@ def _spectral_sum(basis: SpectralBasis, z0: float, t: float,
             for i in range(len(rows), len(live)):
                 n, w, lam = live[i]
                 pw = w * exp(-lam * t)
-                mag = pw * lam if rate_weighted else pw
-                if ((mag if mag >= 0.0 else -mag) * bounds[i]
-                        < _SKIP_SHARE * (-acc if acc < 0.0 else acc)):
-                    keeping = False
-                    size = 0.0
-                    ahead -= 1
-                    if ahead <= 0:
-                        return acc, abs_acc, True
-                    continue
                 fit = fits[i]
                 if fit.__class__ is int:
                     factor = mode_term(basis, n, z0)
                     _count_series_factor(basis, fits, i, n)
                 elif fit is not None and z0 <= fit.hi:
+                    mag = pw * lam if rate_weighted else pw
+                    if ((mag if mag >= 0.0 else -mag) * fit.bound
+                            < _SKIP_SHARE * (-acc if acc < 0.0 else acc)):
+                        keeping = False
+                        size = 0.0
+                        ahead -= 1
+                        if ahead <= 0:
+                            return acc, abs_acc, True
+                        continue
                     factor = fit.at(z0)
                 else:
                     factor = mode_term(basis, n, z0)
@@ -1279,27 +1233,27 @@ def survival(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
     of the latest start's live modes are kept, each factor from
     `mode_term`, so a curve of calls at one start on one basis object
     computes each mode's factor once and its later points sum the rows
-    alone; a call at another start or basis replaces them.  A mode whose
-    term cannot move a bit of the sum, |w exp(-lambda t)| B_n below
-    2^-55 of it with B_n a bound on twice the mode's factor over every
-    start, is skipped with no `mode_term` call (`_spectral_sum`), and
-    the kept rows stop before the first skipped mode; value, `raw` and
-    `warning` are the full sum's, bit for bit.  Once the sums on a basis
-    object have computed `_FIT_AFTER` series factors of a mode, its later
-    fresh factors come from a Chebyshev fit in the start (`_fit_mode`),
-    where the fit's claim is within 1e-12 of the factor's size: values
-    in one process can move at that switch, within the fits' claims and
-    the series' own errors.  On the kappa = 4 interval, the ball and the
-    exterior of `curve-eval` that is at most 2.2e-13 over 1,000 seeded
-    points (`BENCH_mode_tables.json`).  On an interval whose trap centre
-    lies outside it the fits read the pair recessive toward the far
-    wall, and the series is the one that errs at starts near that wall:
-    on the kappa = 10, varphi = 2 interval at z0 = -0.8, t = 0.12 it
-    returns 0.0191, the fitted path 7.4478227085e-6 and collocation
-    7.4478227663e-6, and the fitted path holds 1e-9 of collocation at
-    t = 0.12 and 0.2 from z0 = -0.95 to 0.95 (`test_collocation.py`).
-    z0 must be finite and inside the geometry's domain, and near enough
-    that its mode factors fit a float.
+    alone; a call at another start or basis replaces them.  Once the
+    sums on a basis object have computed `_FIT_AFTER` series factors of
+    a mode, its later fresh factors come from a Chebyshev fit in the
+    start (`_fit_mode`), where the fit's claim is within 1e-12 of the
+    factor's size: values in one process can move at that switch, within
+    the fits' claims and the series' own errors.  On the kappa = 4
+    interval, the ball and the exterior of `curve-eval` that is at most
+    2.2e-13 over 1,000 seeded points (`BENCH_mode_tables.json`).  On an
+    interval whose trap centre lies outside it the fits read the pair
+    recessive toward the far wall, and the series is the one that errs
+    at starts near that wall: on the kappa = 10, varphi = 2 interval at
+    z0 = -0.8, t = 0.12 it returns 0.0191, the fitted path
+    7.4478227085e-6 and collocation 7.4478227663e-6, and the fitted path
+    holds 1e-9 of collocation at t = 0.12 and 0.2 from z0 = -0.95 to
+    0.95 (`test_collocation.py`).  A fitted mode whose term cannot move
+    a bit of the sum, |w exp(-lambda t)| times the fit's bound on twice
+    its factor below 2^-55 of it, is skipped (`_spectral_sum`), and the
+    kept rows stop before the first skipped mode; value, `raw` and
+    `warning` are those of the sum that reads every fitted factor, bit
+    for bit.  z0 must be finite and inside the geometry's domain, and
+    near enough that its mode factors fit a float.
     """
     raw, _, converged = _spectral_sum(basis, z0, t, False)
     # min(1.0, max(0.0, raw)), NaN to 0.0 included
@@ -1318,11 +1272,11 @@ def fet_density(basis: SpectralBasis, z0: float, t: float) -> SpectralValue:
 
     Negative truncation noise is clamped to zero; the `warning` flag
     marks raw values below -1% of the term mass and any t below t_min.
-    It shares the kept mode rows of the latest start with `survival`,
-    and skips a mode as `survival` does, with lambda |w exp(-lambda t)|
-    in the test.  It shares the mode fits too, so its values can move at
-    a mode's switch to its fit, as `survival`'s can, within the fit's
-    claim times lambda |w exp(-lambda t)| and the series' own error.
+    It shares the kept mode rows of the latest start and the mode fits
+    with `survival`, so its values can move at a mode's switch to its
+    fit, as `survival`'s can, within the fit's claim times lambda |w
+    exp(-lambda t)| and the series' own error.  It skips a fitted mode
+    as `survival` does, with lambda |w exp(-lambda t)| in the test.
     """
     raw, abs_acc, converged = _spectral_sum(basis, z0, t, True)
     # max(0.0, raw), NaN to 0.0 included

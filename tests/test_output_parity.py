@@ -6,10 +6,8 @@ spectral values.  Run twice in one process, the second run meets the
 caches the first one filled: U's gamma factors per (a, b)
 (`specfun._u_gamma_factors`), the Laplace pass's nodes per level
 (`specfun._es_nodes`), the latest start's mode rows (`spectral._rows`)
-and each basis's factor table and per-mode factor bounds
-(`SpectralBasis._factor_rows`, `SpectralBasis._factor_bounds`), by which
-a sum skips the factors that cannot move it.  Equal records show that a
-warm cache gives the same bits as a cold one.
+and each basis's factor table (`SpectralBasis._factor_rows`).  Equal
+records show that a warm cache gives the same bits as a cold one.
 """
 
 import importlib.util

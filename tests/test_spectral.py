@@ -1542,48 +1542,128 @@ def test_skipped_factors_leave_every_value_and_flag_bit_for_bit(skip_bases):
     assert skipped >= 24
 
 
-def test_each_live_factor_stays_within_half_its_bound(skip_bases):
+def test_each_fitted_factor_stays_within_half_its_fits_bound(skip_bases):
+    # the skip reads a fitted mode's `bound`: twice its coefficient sum
+    # plus its claim, which holds twice the fitted factor at every start
+    # the fit covers, and within 2.5 times of that on these fits
+    kept = 0
     for basis in skip_bases:
-        bounds = basis._factor_bounds
-        assert len(bounds) == len(basis._live_modes)
-        if basis.brownian or basis.geometry is Geometry.RADIAL_EXTERIOR:
-            assert bounds == (math.inf,) * len(bounds)
-            continue
-        lo, hi = START_RANGE[basis.geometry.value]
-        starts = [lo + (hi - lo) * k / 400 for k in range(401)]
-        # the skip reads a fitted factor where the mode has a fit
-        fits = _fitted_copy(basis)._mode_fits
-        for (n, _, _), bound, fit in zip(basis._live_modes, bounds, fits):
-            assert math.isfinite(bound)
-            for z0 in starts:
-                assert 2.0 * abs(spectral.mode_term(basis, n, z0)) <= bound
-                if fit is not None:
-                    assert 2.0 * abs(fit.at(z0)) <= bound
-    assert _fits(_fitted_copy(skip_bases[0]))
+        lo, _ = START_RANGE[basis.geometry.value]
+        for fit in _fits(_fitted_copy(basis)):
+            starts = [lo + (fit.hi - lo) * k / 400 for k in range(401)]
+            largest = max(2.0 * abs(fit.at(z0)) for z0 in starts)
+            assert math.isfinite(fit.bound)
+            assert largest <= fit.bound <= 2.5 * largest
+            kept += 1
+    # every mode of the four curve-eval bases and of the centred interval
+    assert kept == 12 + 4 + 12 + 8 + 6
 
 
-def test_a_late_fresh_start_in_the_ball_takes_fewer_than_five_factors(
-        monkeypatch, skip_bases):
-    basis = skip_bases[2]
-    assert (basis.geometry, basis.kappa, basis.d) == (
-        Geometry.RADIAL_INTERIOR, 5.0, 2)
-    calls = []
+@pytest.fixture
+def counted(monkeypatch):
+    """(calls, reads): the mode of each `mode_term` call, and the start of
+    each fit read, from here on."""
+    calls, reads = [], []
     mode_term = spectral.mode_term
+    at = _modefit.ModeFit.at
 
-    def counted(basis, n, z0):
+    def counted_term(basis, n, z0):
         calls.append(n)
         return mode_term(basis, n, z0)
 
-    monkeypatch.setattr(spectral, "mode_term", counted)
-    basis = dataclasses.replace(basis)
+    def counted_at(fit, z0):
+        reads.append(z0)
+        return at(fit, z0)
+
+    monkeypatch.setattr(spectral, "mode_term", counted_term)
+    monkeypatch.setattr(_modefit.ModeFit, "at", counted_at)
+    return calls, reads
+
+
+def _fresh(counted, fn, basis, z0, t):
+    """fn(basis, z0, t) at a start met fresh, the counts cleared first."""
+    for log in counted:
+        log.clear()
+    spectral._rows = (None, math.nan, ())
+    return fn(basis, z0, t)
+
+
+def test_a_late_fresh_start_in_the_ball_takes_fewer_than_five_factors(
+        counted, skip_bases):
+    basis = skip_bases[2]
+    assert (basis.geometry, basis.kappa, basis.d) == (
+        Geometry.RADIAL_INTERIOR, 5.0, 2)
+    calls, reads = counted
     t = basis.t_min + 5.0 / basis.alphas[0] ** 2
-    for z0 in (0.0, 0.25, 0.5, 0.75, 1.0):
-        calls.clear()
-        spectral.survival(basis, z0, t)
-        assert 0 < len(calls) < 5
-        calls.clear()
-        spectral.fet_density(basis, z0 + 1e-9 if z0 < 1.0 else 0.9, t)
-        assert 0 < len(calls) < 5
+    least = min(spectral._MIN_TERMS, len(basis._live_modes))
+    fitted, series = _fitted_copy(basis), _fitted_copy(basis, False)
+    for z0 in (0.0, 0.25, 0.5, 0.75, 1.0, 0.9):
+        for fn in (spectral.survival, spectral.fet_density):
+            # fitted, the sum reads fewer than five fits and no series
+            # factor
+            _fresh(counted, fn, fitted, z0, t)
+            assert calls == [] and 0 < len(reads) < 5
+            # on the series no factor is skipped
+            _fresh(counted, fn, series, z0, t)
+            assert reads == [] and len(calls) >= least
+
+
+def test_the_far_centre_interval_and_the_exterior_skip_a_fitted_mode(
+        counted, skip_bases):
+    # the fits bound the kappa = 10, varphi = 2 interval's factors, whose
+    # Pochhammer bound read 1e47 to 1e53, and the exterior's, which had
+    # none: late fresh starts skip a fitted mode, and value, raw and
+    # warning stay those of the sum that reads every fit
+    for basis in skip_bases[1], skip_bases[3]:
+        fitted = _fitted_copy(basis)
+        assert len(_fits(fitted)) == len(basis._live_modes)
+        lo, hi = START_RANGE[basis.geometry.value]
+        t = basis.t_min + 50.0 / basis.alphas[0] ** 2
+        # a sum that skips nothing reads at least this many factors
+        least = min(spectral._MIN_TERMS, len(basis._live_modes))
+        # starts inside the walls, where the factors and the sum vanish
+        for k in range(1, 8):
+            z0 = lo + (hi - lo) * k / 8
+            want = _memo_free_values(fitted, z0, t, _read_factor())
+            for fn, w in ((spectral.survival, want[0]),
+                          (spectral.fet_density, want[1])):
+                got = _fresh(counted, fn, fitted, z0, t)
+                assert counted[0] == [] and len(counted[1]) < least
+                assert len(spectral._rows[2]) == len(counted[1])
+                assert _hexed((float(got), got.raw, got.warning)) == \
+                    _hexed(w), (basis.geometry, z0)
+
+
+# exterior bases at integer b = d/2, whose samples take `tricomi_u`'s
+# Laplace routes and claims, with the modes whose fits are refused
+INTEGER_B_EXTERIORS = (((5.0, 2, 12), ()), ((1.0, 4, 8), ()),
+                       ((2.0, 2, 4), (3,)), ((5.0, 4, 8), (0,)))
+
+
+@pytest.mark.parametrize("case, refused", INTEGER_B_EXTERIORS)
+def test_integer_b_exterior_fits_hold_their_claims_or_refuse(
+        counted, case, refused):
+    mpmath = pytest.importorskip("mpmath")
+    kappa, d, modes = case
+    basis = build_basis("radial-exterior", kappa, 0.0, d, modes)
+    assert len(basis._live_modes) == modes
+    fitted = _fitted_copy(basis)
+    fits = fitted._mode_fits
+    assert [n for n, fit in enumerate(fits) if fit is None] == list(refused)
+    for (n, _, _), fit in zip(basis._live_modes, fits):
+        if fit is None:
+            continue
+        _, a, b, _, _ = basis._factor_rows[n]
+        assert fit.hi == 1.0 + 2.0 / math.sqrt(kappa)
+        for z0 in (1.0, 0.5 * (1.0 + fit.hi), fit.hi):
+            with mpmath.workdps(40):
+                want = mpmath.hyperu(a, b, kappa * mpmath.mpf(z0) ** 2)
+            assert abs(fit.at(z0) - want) <= fit.claim, (n, z0)
+    # a refused mode stays on the series, where no factor is skipped: at
+    # a late fresh start each one the sum reaches is a `mode_term` call
+    t = basis.t_min + 50.0 / basis.alphas[0] ** 2
+    _fresh(counted, spectral.survival, fitted, 1.5, t)
+    assert counted[0] == list(refused)
 
 
 # ----------------------------------------------------------------------
@@ -2166,14 +2246,13 @@ def test_a_factor_kernels_overflow_is_a_value_error_naming_float_range():
         spectral.mode_term(basis, 0, 1.0)
 
 
-def test_a_bound_whose_series_raises_is_inf_and_the_sum_still_flags():
-    # the bound's own M(|a|, 3/2, kappa) overflows, so the bound is inf
-    # and no mode is skipped; the sum then runs far outside [0, 1]
+def test_a_huge_series_factor_is_summed_and_the_sum_still_flags():
+    # the mode is on the series, whose factors are never skipped; its
+    # factor at kappa z0^2 = 200 is huge, and the sum runs far outside
+    # [0, 1]
     basis = _overflowing_ball()
-    with pytest.raises(OverflowError):
-        specfun.kummer_m(0.78125, 1.5, 800.0)
-    assert spectral._factor_bound(basis, 0) == math.inf
     got = spectral.survival(basis, 0.5, 0.01)
+    assert basis._mode_fits == [1]
     assert got.warning is True
     assert float(got) == 0.0 and got.raw < -1.0
 
